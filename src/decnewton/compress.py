@@ -1,6 +1,7 @@
 """Deterministic contractive matrix compression with payload accounting.
 
-Two concrete operators act on d x d matrices:
+Two concrete operators act on d x d matrices, one at a time or on an
+``(n, d, d)`` stack of them (each matrix of the stack is compressed on its own):
 
 * ``rank_k`` keeps the top-K terms of the singular value decomposition and
   satisfies ``||Q(A) - A||_F <= (1 - K/(2d)) ||A||_F``.
@@ -61,10 +62,14 @@ class CompressedPayload:
 
 
 def compress(spec: CompressorSpec, A: np.ndarray) -> CompressedPayload:
-    """Apply the operator to a d x d matrix; returns reconstruction + bits."""
+    """Apply the operator to a d x d matrix or an (n, d, d) stack.
+
+    ``dense`` has the shape of ``A``; ``bits`` is the payload of one matrix.
+    """
     A = np.asarray(A, dtype=float)
-    if A.shape != (spec.d, spec.d):
-        raise ValueError(f"expected a {spec.d}x{spec.d} matrix, got shape {A.shape}")
+    if A.ndim not in (2, 3) or A.shape[-2:] != (spec.d, spec.d):
+        raise ValueError(f"expected a {spec.d}x{spec.d} matrix or a stack of them, "
+                         f"got shape {A.shape}")
     if spec.kind == "identity":
         dense = A.copy()
     elif spec.kind == "rank_k":
@@ -76,25 +81,21 @@ def compress(spec: CompressorSpec, A: np.ndarray) -> CompressedPayload:
 
 def _rank_k(A: np.ndarray, K: int) -> np.ndarray:
     U, s, Vt = np.linalg.svd(A)
-    U = U[:, :K].copy()
-    Vt = Vt[:K].copy()
+    U, s, Vt = U[..., :K], s[..., :K], Vt[..., :K, :]
     # Fix the sign so each left singular vector has its largest-magnitude
     # entry positive; the reconstruction is invariant but the transmitted
     # factors become backend-independent.
-    for j in range(K):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            Vt[j] = -Vt[j]
-    return (U * s[:K]) @ Vt
+    peak = np.argmax(np.abs(U), axis=-2)[..., None, :]
+    sign = np.where(np.take_along_axis(U, peak, axis=-2) < 0, -1.0, 1.0)
+    return (U * sign * s[..., None, :]) @ (Vt * np.swapaxes(sign, -1, -2))
 
 
 def _top_k(A: np.ndarray, K: int) -> np.ndarray:
-    flat = A.ravel()
+    flat = A.reshape(*A.shape[:-2], -1)
     # Stable sort on -|a| keeps the lowest linear index among tied magnitudes.
-    order = np.argsort(-np.abs(flat), kind="stable")[:K]
+    order = np.argsort(-np.abs(flat), axis=-1, kind="stable")[..., :K]
     out = np.zeros_like(flat)
-    out[order] = flat[order]
+    np.put_along_axis(out, order, np.take_along_axis(flat, order, axis=-1), axis=-1)
     return out.reshape(A.shape)
 
 

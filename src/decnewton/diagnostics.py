@@ -100,8 +100,6 @@ class RoundMetrics:
     dac_g: float = _NAN
     dac_H: float = _NAN
     cg_max_rel_residual: float = 0.0
-    cg_max_iters: int = 0
-    cg_max_sweeps: int = 0
     hess_asymmetry: float = _NAN
 
 

@@ -183,7 +183,7 @@ def batch_hessians(problem: Problem, xb: np.ndarray) -> np.ndarray:
     O, y, rho = problem.data.samples, problem.data.labels, problem.data.rho
     z = np.einsum("nmd,nd->nm", O, xb) * y
     w = expit(z) * expit(-z)
-    H = problem.n * np.einsum("nm,nmd,nme->nde", w, O, O)
+    H = problem.n * ((O * w[..., None]).transpose(0, 2, 1) @ O)
     H += rho * np.eye(problem.d)[None, :, :]
     return H
 

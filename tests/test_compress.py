@@ -145,6 +145,23 @@ def test_contraction_bound_sweep(d):
         assert err == pytest.approx(top_tail[K - 1], abs=1e-9)
 
 
+@pytest.mark.parametrize("kind,K", [("rank_k", 1), ("rank_k", 4), ("rank_k", 7),
+                                    ("top_k", 1), ("top_k", 10), ("top_k", 49),
+                                    ("identity", 0)])
+def test_stack_matches_per_matrix_bit_for_bit(kind, K):
+    rng = np.random.default_rng(5)
+    spec = CompressorSpec(kind, d=7, K=K)
+    stack = rng.standard_normal((6, 7, 7))
+    stack[1] = np.round(stack[1])  # tied magnitudes for top_k
+    stack[2] = 0.0
+    stack[3] = np.outer(rng.standard_normal(7), rng.standard_normal(7))
+    out = compress(spec, stack)
+    assert out.dense.shape == stack.shape
+    assert out.bits == payload_bits(spec)
+    per_matrix = np.stack([compress(spec, A).dense for A in stack])
+    assert np.array_equal(out.dense, per_matrix)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         CompressorSpec("rank_k", d=5, K=6)
@@ -154,3 +171,7 @@ def test_spec_validation():
         CompressorSpec("svd", d=5, K=1)
     with pytest.raises(ValueError):
         compress(CompressorSpec("rank_k", d=5, K=2), np.zeros((4, 4)))
+    with pytest.raises(ValueError):
+        compress(CompressorSpec("rank_k", d=5, K=2), np.zeros((3, 5, 4)))
+    with pytest.raises(ValueError):
+        compress(CompressorSpec("top_k", d=5, K=2), np.zeros((2, 3, 5, 5)))

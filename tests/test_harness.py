@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,21 @@ def test_preset_configs_shapes():
         assert cfg.algorithm.M == 0.0
     with pytest.raises(ValueError):
         preset_configs("nope")
+
+
+def test_kappa_1e4_shifted_instance_converges():
+    # quad-k1e4-m15 with both seeds shifted by 89 meets nearly indefinite
+    # tracked Hessians around iteration 50. An iterative solve that stops with
+    # a large residual there (CG reached 34 * ||g_i||) makes the run diverge;
+    # the Cholesky check rejects those systems and the nodes fall back.
+    config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e4-m15")
+    config = replace(config, problem=replace(config.problem, seed=config.problem.seed + 89),
+                     graph=replace(config.graph, seed=config.graph.seed + 89))
+    trace, _ = run_experiment(config)
+    assert trace.status == "converged"
+    assert trace.final_rel_err <= config.algorithm.stop_tol
+    assert sum(row.fallback_count for row in trace.rows) > 0
+    assert all(row.cg_max_rel_residual <= row.c_k for row in trace.rows[1:])
 
 
 def test_cli_run_and_exit_codes(tmp_path):

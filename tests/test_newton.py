@@ -10,6 +10,7 @@ from decnewton.newton import (
     ConstantSchedule,
     GeometricRamp,
     TwoStageSchedule,
+    _solve_directions,
     cg_solve,
     init_state,
     max_state_deviation,
@@ -436,6 +437,36 @@ def test_cg_fallback_direction(quad_problem, quad_graph):
     new_state, row = step_efficient(state, quad_problem, W, params, 0)
     assert row.fallback_count == 1
     assert np.allclose(new_state.d_dir[0], new_state.g[0] / quad_problem.L1, atol=1e-15)
+
+
+def test_solve_directions_stack_and_fallbacks():
+    rng = np.random.default_rng(8)
+    n, d, M, L1 = 7, 6, 0.3, 4.0
+    G = rng.standard_normal((n, d, d))
+    H = G @ G.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    H[1] += 0.01 * rng.standard_normal((d, d))  # asymmetric: solved on sym(H_1)
+    H[2] = -np.eye(d)                          # not positive definite
+    H[4, 0, 3] = np.nan                        # non-finite
+    g = rng.standard_normal((n, d))
+    g[6] = 0.0
+    directions, fallbacks, max_rel, _ = _solve_directions(H, g, M, L1)
+    assert fallbacks == 2
+    for i in (2, 4):
+        assert np.array_equal(directions[i], g[i] / L1)
+    for i in (0, 1, 3, 5):
+        direct = np.linalg.solve(0.5 * (H[i] + H[i].T) + M * np.eye(d), g[i])
+        assert np.linalg.norm(directions[i] - direct) <= 1e-12 * np.linalg.norm(direct)
+    assert not directions[6].any()
+    assert 0.0 < max_rel <= 1e-12
+
+
+def test_solve_directions_reports_asymmetry_and_all_fallbacks():
+    H = np.stack([np.array([[1.0, 2.0], [0.0, 1.0]]), -np.eye(2)])
+    g = np.ones((2, 2))
+    directions, fallbacks, max_rel, asym = _solve_directions(H, g, 0.0, 2.0)
+    assert asym == pytest.approx(np.sqrt(8.0))
+    assert fallbacks == 2 and max_rel == 0.0
+    assert np.array_equal(directions, g / 2.0)
 
 
 def test_monotone_tail_after_ramp_saturation(quad_problem, quad_graph, quad_xstar):
