@@ -14,8 +14,9 @@ from decnewton import (
     ConstantSchedule,
     GeometricRamp,
     MetricWeights,
+    RoundMetrics,
     centralized_solve,
-    compute_metrics,
+    fill_state_metrics,
     generate_topology,
     init_state,
     make_quadratic,
@@ -35,8 +36,8 @@ delta = delta_bound(spec)
 weights = MetricWeights(sigma=W.sigma, m=15, delta=delta, L1=prob.L1,
                         L2=prob.L2, mu=prob.mu, M1=40 * prob.mu / 41)
 state = init_state(prob, x0)
-row0 = compute_metrics(state, prob, x_star, weights,
-                       rel_err_den=float(np.linalg.norm(x0 - x_star) ** 2))
+row0 = fill_state_metrics(RoundMetrics(), state, prob, x_star, weights,
+                          rel_err_den=float(np.linalg.norm(x0 - x_star) ** 2))
 print(theoretical_caps(prob, W.sigma, 15, delta, row0.u1, row0.u2).render())
 
 print("\nLyapunov quantities along the benchmark run "

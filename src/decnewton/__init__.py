@@ -2,13 +2,13 @@
 consensus, compressed Hessian tracking, a gradient-tracking baseline, and
 convergence diagnostics at desk scale."""
 
-from .compress import CompressedPayload, CompressorSpec, compress, delta_bound, payload_bits
+from .compress import CompressorSpec, compress, delta_bound, payload_bits
 from .diagnostics import (
     MetricWeights,
     RateFit,
     RoundMetrics,
     Trace,
-    compute_metrics,
+    fill_state_metrics,
     fit_rate,
     stage_two_window,
     theoretical_caps,
@@ -35,8 +35,7 @@ from .newton import (
     init_state,
     run,
     run_lockstep,
-    step_efficient,
-    step_reference,
+    step,
 )
 from .objectives import (
     LogisticInstance,
@@ -46,10 +45,8 @@ from .objectives import (
     estimate_constants,
     eval_gradient,
     eval_hessian,
-    load_problem,
     make_logistic,
     make_quadratic,
-    save_problem,
 )
 
 __version__ = "0.1.0"

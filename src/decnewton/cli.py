@@ -19,8 +19,6 @@ import sys
 
 from . import harness
 
-_STATUS_CODE = {"converged": 0, "max_iters": 2, "diverged": 3}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -85,7 +83,7 @@ def _dispatch(args) -> int:
                   f"rel_err={trace.final_rel_err:.3e}" + (f" -> {path}" if path else ""))
             if trace.note:
                 print(f"  note: {trace.note}")
-            worst = max(worst, _STATUS_CODE[trace.status])
+            worst = max(worst, harness.STATUS_CODE[trace.status])
         return worst
 
     if args.command == "preset":

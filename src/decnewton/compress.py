@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "CompressorSpec",
-    "CompressedPayload",
     "compress",
     "delta_bound",
     "payload_bits",
@@ -53,30 +52,21 @@ class CompressorSpec:
             raise ValueError(f"top_k needs 1 <= K <= d^2, got K={self.K}, d={self.d}")
 
 
-@dataclass(frozen=True)
-class CompressedPayload:
-    """Dense reconstruction Q(A) plus the transmitted-size estimate in bits."""
-
-    dense: np.ndarray
-    bits: int
-
-
-def compress(spec: CompressorSpec, A: np.ndarray) -> CompressedPayload:
+def compress(spec: CompressorSpec, A: np.ndarray) -> np.ndarray:
     """Apply the operator to a d x d matrix or an (n, d, d) stack.
 
-    ``dense`` has the shape of ``A``; ``bits`` is the payload of one matrix.
+    Returns the dense reconstruction Q(A), with the shape of ``A``; the
+    transmitted size of one matrix is ``payload_bits(spec)``.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-2:] != (spec.d, spec.d):
         raise ValueError(f"expected a {spec.d}x{spec.d} matrix or a stack of them, "
                          f"got shape {A.shape}")
     if spec.kind == "identity":
-        dense = A.copy()
-    elif spec.kind == "rank_k":
-        dense = _rank_k(A, spec.K)
-    else:
-        dense = _top_k(A, spec.K)
-    return CompressedPayload(dense=dense, bits=payload_bits(spec))
+        return A.copy()
+    if spec.kind == "rank_k":
+        return _rank_k(A, spec.K)
+    return _top_k(A, spec.K)
 
 
 def _rank_k(A: np.ndarray, K: int) -> np.ndarray:

@@ -37,7 +37,6 @@ __all__ = [
     "RateFit",
     "CapsReport",
     "CSV_COLUMNS",
-    "compute_metrics",
     "fill_state_metrics",
     "fit_rate",
     "stage_two_window",
@@ -151,20 +150,11 @@ class MetricWeights:
     M1: float  # local-phase floor 40*mu/41 unless overridden
 
 
-def compute_metrics(state, problem, x_star, w: MetricWeights, ck: float = 0.0,
-                    rel_err_den: float | None = None, f_star: float | None = None,
-                    k: int = 0) -> RoundMetrics:
-    """Build a full RoundMetrics row from a network state."""
-    row = RoundMetrics(iter=k, c_k=ck)
-    fill_state_metrics(row, state, problem, x_star, w, ck=ck,
-                       rel_err_den=rel_err_den, f_star=f_star)
-    return row
-
-
 def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeights,
                        ck: float = 0.0, rel_err_den: float | None = None,
                        f_star: float | None = None) -> RoundMetrics:
-    """Populate the state-derived fields of an existing row in place.
+    """Populate the state-derived fields of an existing row in place and
+    return it.
 
     ``state`` needs attributes x, g (n, d) and optionally H, H_tilde, E
     (n, d, d) plus the cached local gradients/Hessians; the Hessian-side
@@ -369,7 +359,7 @@ def theoretical_caps(problem, sigma: float, m: int, delta: float,
 
     ``u1_0``/``u2_0`` are the Lyapunov values at the intended initialization
     (they gate nothing at runtime; the caller evaluates them via
-    ``compute_metrics`` on the initial state). The constants C and u2~_0 are
+    ``fill_state_metrics`` on the initial state). The constants C and u2~_0 are
     mutually coupled with the step caps, so one fixed-point refinement pass
     resolves them; K can come out astronomically large or non-finite for
     some initializations and is reported verbatim.

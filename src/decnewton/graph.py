@@ -29,9 +29,6 @@ __all__ = [
     "load_matrix",
 ]
 
-# Above this size a full SVD is wasteful; fall back to power iteration.
-_FULL_SVD_MAX_N = 200
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -74,13 +71,14 @@ class Topology:
 class MixingMatrix:
     """Doubly stochastic gossip matrix with its second singular value.
 
-    ``power(m)`` caches ``W**m`` so per-iteration multi-step consensus does
-    not redo the matrix power.
+    ``power(m)`` keeps the most recent ``W**m``, so a run with a fixed
+    consensus depth does not redo the matrix power every iteration, and one
+    whose depth grows with the iteration holds a single n x n power.
     """
 
     W: np.ndarray
     sigma: float
-    _powers: dict = field(default_factory=dict, repr=False, compare=False)
+    _power: tuple = field(default=(1, None), repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -89,11 +87,9 @@ class MixingMatrix:
     def power(self, m: int) -> np.ndarray:
         if m == 1:
             return self.W
-        P = self._powers.get(m)
-        if P is None:
-            P = np.linalg.matrix_power(self.W, m)
-            self._powers[m] = P
-        return P
+        if self._power[0] != m:
+            self._power = (m, np.linalg.matrix_power(self.W, m))
+        return self._power[1]
 
 
 def generate_topology(n: int, tau: float, seed: int) -> Topology:
@@ -173,38 +169,14 @@ def metropolis_weights(topology: Topology) -> MixingMatrix:
 
 
 def second_singular_value(W) -> float:
-    """Largest singular value of W - (1/n) 11^T.
+    """Largest singular value of W - (1/n) 11^T, from a full SVD.
 
-    Accepts a raw matrix or a MixingMatrix. Uses a full SVD up to
-    200x200 and power iteration beyond.
+    Accepts a raw matrix or a MixingMatrix.
     """
     A = W.W if isinstance(W, MixingMatrix) else np.asarray(W, dtype=float)
     n = A.shape[0]
     B = A - np.full((n, n), 1.0 / n)
-    if n <= _FULL_SVD_MAX_N:
-        return float(np.linalg.svd(B, compute_uv=False)[0])
-    return _power_iteration_norm(B)
-
-
-def _power_iteration_norm(B: np.ndarray, iters: int = 500, tol: float = 1e-14) -> float:
-    # B is symmetric here, so the spectral norm is the dominant |eigenvalue|
-    # of B @ B; iterate on the square to dodge +/-sigma oscillation.
-    n = B.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    S = B @ B
-    prev = 0.0
-    for _ in range(iters):
-        w = S @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) <= tol * max(lam, 1.0):
-            break
-        prev = lam
-    return float(np.sqrt(lam))
+    return float(np.linalg.svd(B, compute_uv=False)[0])
 
 
 def consensus_apply(W: MixingMatrix, m: int, blocks) -> np.ndarray:

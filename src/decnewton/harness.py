@@ -57,7 +57,7 @@ from .diagnostics import (
     MetricWeights,
     RoundMetrics,
     Trace,
-    compute_metrics,
+    fill_state_metrics,
     theoretical_caps,
 )
 from .gradient_tracking import GTParams, gt_run, tune_alpha
@@ -83,9 +83,14 @@ __all__ = [
     "run_preset",
     "caps_report",
     "SEED_ENV_VAR",
+    "STATUS_CODE",
 ]
 
 SEED_ENV_VAR = "DECNEWTON_SEED"
+
+# Process exit code for each run status; 1 is left for usage and
+# configuration errors.
+STATUS_CODE = {"converged": 0, "max_iters": 2, "diverged": 3}
 
 
 @dataclass(frozen=True)
@@ -237,7 +242,7 @@ def parse_config(source) -> ExperimentConfig:
             stop_tol=opt("algorithm", "stop_tol", float, 1e-10),
         )
         variant = opt("algorithm", "variant", str, "efficient")
-        if variant not in ("efficient", "reference"):
+        if variant not in newton.VARIANTS:
             raise ValueError(f"[algorithm] variant must be efficient or reference, got {variant!r}")
     elif method == "gt":
         alpha_raw = need("algorithm", "alpha").strip()
@@ -402,8 +407,10 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 
 def read_trace_csv(path) -> Trace:
+    """Read a trace written by ``write_trace_csv``; raises ValueError naming
+    the file when it has no header line or no data rows."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     label, fingerprint, status = "", "", ""
     if lines and lines[0].startswith("#"):
         meta = dict(tok.split("=", 1) for tok in lines[0][1:].split() if "=" in tok)
@@ -411,12 +418,14 @@ def read_trace_csv(path) -> Trace:
         fingerprint = meta.get("fingerprint", "")
         status = meta.get("status", "")
         lines = lines[1:]
+    if not lines or lines[0].startswith("#"):
+        raise ValueError(f"trace file {path} has no header line")
+    if len(lines) < 2:
+        raise ValueError(f"trace file {path} has no data rows")
     header = lines[0].split(",")
     int_fields = {"iter", "fallback_count", "bits_cum"}
     rows = []
     for line in lines[1:]:
-        if not line.strip():
-            continue
         vals = line.split(",")
         kwargs = {}
         for name, raw in zip(header, vals):
@@ -548,8 +557,7 @@ def run_preset(name: str, out_dir: str):
             f"{config.label}: status={trace.status} iterations={trace.iterations} "
             f"rel_err={trace.final_rel_err:.3e} -> {path}"
         )
-        rank = {"converged": 0, "max_iters": 2, "diverged": 3}[trace.status]
-        worst = max(worst, rank)
+        worst = max(worst, STATUS_CODE[trace.status])
     return worst, messages
 
 
@@ -590,7 +598,7 @@ def caps_report(config: ExperimentConfig) -> str:
     m = params.rounds(0)
     weights = MetricWeights(sigma=W.sigma, m=m, delta=delta, L1=problem.L1,
                             L2=problem.L2, mu=problem.mu, M1=40 * problem.mu / 41)
-    row = compute_metrics(state, problem, x_star, weights,
-                          rel_err_den=float(np.linalg.norm(x0 - x_star) ** 2))
+    row = fill_state_metrics(RoundMetrics(), state, problem, x_star, weights,
+                             rel_err_den=float(np.linalg.norm(x0 - x_star) ** 2))
     report = theoretical_caps(problem, W.sigma, m, delta, row.u1, row.u2)
     return report.render()

@@ -16,11 +16,12 @@ One iteration, per node:
    solves all nodes exactly with one batched factorization, which meets any
    c_k, and records the true residual so the bound stays checked.
 
-``step_reference`` implements the plain form above, which would ship the
-uncompressed reconstruction ``Hhat``. ``step_efficient`` is the equivalent
-implementation that ships only the two compressed packets per node and
-maintains the extra accumulator ``H_tilde_w`` tracking ``W @ H_tilde``; the
-two produce the same trajectory up to floating-point reassociation.
+``step`` runs one iteration in either of two variants. The ``reference``
+variant is the plain form above, which would ship the uncompressed
+reconstruction ``Hhat``. The ``efficient`` variant ships only the two
+compressed packets per node and keeps the extra accumulator ``H_tilde_w``
+tracking ``W @ H_tilde``, so ``W @ Hhat = H_tilde_w + W @ Q2``; the two
+produce the same trajectory up to floating-point reassociation.
 
 Node averages are conserved by construction: the mean of ``g`` equals the
 mean of the current local gradients and likewise for ``H`` (dynamic average
@@ -50,8 +51,8 @@ __all__ = [
     "CGResult",
     "init_state",
     "cg_solve",
-    "step_reference",
-    "step_efficient",
+    "step",
+    "VARIANTS",
     "run",
     "run_lockstep",
     "max_state_deviation",
@@ -327,19 +328,44 @@ def _positive_definite(A: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# one iteration, both variants
+# one iteration
+
+VARIANTS = ("efficient", "reference")
 
 
-def _xg_updates(state, problem, W, m, alpha):
+def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoParams,
+         k: int, variant: str = "efficient"):
+    """One iteration from ``state``; returns the new state and its metrics row.
+
+    ``variant`` chooses only how ``W @ Hhat`` is formed and what the Hessian
+    exchange costs. ``"reference"`` gossips the reconstruction ``Hhat``
+    itself and is charged a raw d x d matrix per node. ``"efficient"`` ships
+    only the two compressed packets per node and takes ``W @ Hhat`` from the
+    accumulator ``H_tilde_w`` plus ``W @ Q2``.
+    """
+    m = params.rounds(k)
+    alpha = params.alpha.at(k)
     x_new = consensus_apply(W, m, state.x - alpha * state.d_dir)
     grads_new = batch_gradients(problem, x_new)
     g_new = consensus_apply(W, m, state.g + grads_new - state.local_grads)
-    return x_new, grads_new, g_new
 
+    diff = state.H - state.H_tilde
+    Q1 = compress(params.compressor, diff)
+    Q2 = compress(params.compressor, state.E + diff)
+    H_tilde_new = state.H_tilde + Q1
+    H_tilde_w_new = state.H_tilde_w + consensus_apply(W, 1, Q1)
+    H_hat = state.H_tilde + Q2
+    n, d = state.x.shape
+    if variant == "reference":
+        H_hat_w = consensus_apply(W, 1, H_hat)
+        hess_bits = d * d * 64
+    else:
+        H_hat_w = state.H_tilde_w + consensus_apply(W, 1, Q2)
+        hess_bits = 2 * payload_bits(params.compressor)
+    E_new = state.E + diff - Q2
+    hess_new = batch_hessians(problem, x_new)
+    H_new = state.H - params.gamma * (H_hat - H_hat_w) + hess_new - state.local_hessians
 
-def _finish_step(state, problem, W, params, k, x_new, grads_new, g_new,
-                 E_new, H_tilde_new, H_tilde_w_new, H_new, hess_new, bits):
-    ck = params.cg_tol.at(k)
     d_new, fallbacks, max_rel, asym = _solve_directions(H_new, g_new, params.M, problem.L1)
     new_state = NetworkState(
         x=x_new, g=g_new, H=H_new, H_tilde=H_tilde_new, E=E_new,
@@ -347,64 +373,11 @@ def _finish_step(state, problem, W, params, k, x_new, grads_new, g_new,
         local_grads=grads_new, local_hessians=hess_new,
     )
     row = RoundMetrics(
-        iter=k + 1, alpha_k=params.alpha.at(k), c_k=ck, bits=bits,
+        iter=k + 1, alpha_k=alpha, c_k=params.cg_tol.at(k),
+        bits=n * (2 * m * d * 64 + hess_bits),
         fallback_count=fallbacks, cg_max_rel_residual=max_rel, hess_asymmetry=asym,
     )
     return new_state, row
-
-
-def step_reference(state: NetworkState, problem: Problem, W: MixingMatrix,
-                   params: AlgoParams, k: int):
-    """Plain-form iteration: Hessian averaging applies W to the
-    reconstruction directly (communication-heavy, analysis-friendly)."""
-    m = params.rounds(k)
-    alpha = params.alpha.at(k)
-    x_new, grads_new, g_new = _xg_updates(state, problem, W, m, alpha)
-
-    diff = state.H - state.H_tilde
-    Q1 = compress(params.compressor, diff).dense
-    fed = state.E + diff
-    Q2 = compress(params.compressor, fed).dense
-    E_new = fed - Q2
-    H_tilde_new = state.H_tilde + Q1
-    H_hat = state.H_tilde + Q2
-    hess_new = batch_hessians(problem, x_new)
-    H_new = state.H - params.gamma * (H_hat - consensus_apply(W, 1, H_hat)) \
-        + hess_new - state.local_hessians
-    H_tilde_w_new = state.H_tilde_w + consensus_apply(W, 1, Q1)
-
-    n, d = state.x.shape
-    bits = n * (2 * m * d * 64 + d * d * 64)  # ships the raw reconstruction
-    return _finish_step(state, problem, W, params, k, x_new, grads_new, g_new,
-                        E_new, H_tilde_new, H_tilde_w_new, H_new, hess_new, bits)
-
-
-def step_efficient(state: NetworkState, problem: Problem, W: MixingMatrix,
-                   params: AlgoParams, k: int):
-    """Communication-efficient iteration: only the two compressed packets
-    move per node; the accumulator H_tilde_w supplies W @ Hhat."""
-    m = params.rounds(k)
-    alpha = params.alpha.at(k)
-    x_new, grads_new, g_new = _xg_updates(state, problem, W, m, alpha)
-
-    diff = state.H - state.H_tilde
-    Q1 = compress(params.compressor, diff).dense
-    Q2 = compress(params.compressor, state.E + diff).dense
-    H_tilde_new = state.H_tilde + Q1
-    H_tilde_w_new = state.H_tilde_w + consensus_apply(W, 1, Q1)
-    H_hat = state.H_tilde + Q2
-    H_hat_w = state.H_tilde_w + consensus_apply(W, 1, Q2)
-    E_new = state.E + diff - Q2
-    hess_new = batch_hessians(problem, x_new)
-    H_new = state.H - params.gamma * (H_hat - H_hat_w) + hess_new - state.local_hessians
-
-    n, d = state.x.shape
-    bits = n * (2 * m * d * 64 + 2 * payload_bits(params.compressor))
-    return _finish_step(state, problem, W, params, k, x_new, grads_new, g_new,
-                        E_new, H_tilde_new, H_tilde_w_new, H_new, hess_new, bits)
-
-
-_STEPS = {"reference": step_reference, "efficient": step_efficient}
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +393,8 @@ def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
     minimizer. Blows past DIVERGENCE_LIMIT or non-finite state abort the
     run with status "diverged".
     """
-    step = _STEPS[variant]
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     x_star = np.asarray(oracle_xstar, dtype=float)
     state = init_state(problem, x0)
     den = float(np.linalg.norm(state.x - x_star[None, :]) ** 2)
@@ -439,7 +413,7 @@ def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
     dump_iters = set(dump_iters)
     for k in range(params.max_iters):
         t0 = time.perf_counter()
-        state, row = step(state, problem, W, params, k)
+        state, row = step(state, problem, W, params, k, variant)
         wall = time.perf_counter() - t0
         w_k = weights if params.m != "k" else replace(weights, m=params.rounds(k))
         fill_state_metrics(row, state, problem, x_star, w_k,
@@ -488,12 +462,12 @@ def run_lockstep(problem: Problem, W: MixingMatrix, params: AlgoParams,
     deviations = []
     for k in range(iters):
         if resync:
-            ref_next, _ = step_reference(ref, problem, W, params, k)
-            eff_next, _ = step_efficient(ref, problem, W, params, k)
+            ref_next, _ = step(ref, problem, W, params, k, "reference")
+            eff_next, _ = step(ref, problem, W, params, k)
             deviations.append(max_state_deviation(ref_next, eff_next))
             ref = eff_next
         else:
-            ref, _ = step_reference(ref, problem, W, params, k)
-            eff, _ = step_efficient(eff, problem, W, params, k)
+            ref, _ = step(ref, problem, W, params, k, "reference")
+            eff, _ = step(eff, problem, W, params, k)
             deviations.append(max_state_deviation(ref, eff))
     return deviations

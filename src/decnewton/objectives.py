@@ -38,8 +38,6 @@ __all__ = [
     "global_hessian",
     "centralized_solve",
     "estimate_constants",
-    "save_problem",
-    "load_problem",
 ]
 
 
@@ -277,80 +275,3 @@ def _constants_logistic(data: LogisticInstance):
     cubes = np.linalg.norm(data.samples, axis=2) ** 3  # (n, m)
     L2 = n * float(cubes.sum(axis=1).max()) / (6.0 * np.sqrt(3.0))
     return float(L1), L2, float(rho)
-
-
-# ---------------------------------------------------------------------------
-# serialization: self-describing plain text, full float round-trip
-
-
-def save_problem(path, problem: Problem) -> None:
-    lines = [
-        f"family {problem.family}",
-        f"n {problem.n}",
-        f"d {problem.d}",
-        f"seed {problem.seed if problem.seed is not None else 'none'}",
-    ]
-    if problem.family == "quadratic":
-        for i in range(problem.n):
-            lines.append(f"Q {i}")
-            lines.extend(_fmt_row(row) for row in problem.data.Q[i])
-        lines.append("p")
-        lines.extend(_fmt_row(row) for row in problem.data.p)
-    else:
-        lines.append(f"rho {problem.data.rho!r}")
-        lines.append(f"m_per_node {problem.data.samples.shape[1]}")
-        for i in range(problem.n):
-            lines.append(f"samples {i}")
-            lines.extend(_fmt_row(row) for row in problem.data.samples[i])
-        lines.append("labels")
-        lines.extend(_fmt_row(row) for row in problem.data.labels)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_problem(path) -> Problem:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = dict(ln.split(" ", 1) for ln in lines[:4])
-    family = header["family"]
-    n, d = int(header["n"]), int(header["d"])
-    seed = None if header["seed"] == "none" else int(header["seed"])
-    pos = 4
-    if family == "quadratic":
-        Q = np.empty((n, d, d))
-        for i in range(n):
-            assert lines[pos] == f"Q {i}"
-            pos += 1
-            Q[i] = [_parse_row(lines[pos + r]) for r in range(d)]
-            pos += d
-        assert lines[pos] == "p"
-        pos += 1
-        p = np.array([_parse_row(lines[pos + r]) for r in range(n)])
-        data = QuadraticInstance(Q=Q, p=p)
-        L1, L2, mu = _constants_quadratic(data)
-    elif family == "logistic":
-        rho = float(lines[pos].split(" ", 1)[1])
-        m = int(lines[pos + 1].split(" ", 1)[1])
-        pos += 2
-        samples = np.empty((n, m, d))
-        for i in range(n):
-            assert lines[pos] == f"samples {i}"
-            pos += 1
-            samples[i] = [_parse_row(lines[pos + r]) for r in range(m)]
-            pos += m
-        assert lines[pos] == "labels"
-        pos += 1
-        labels = np.array([_parse_row(lines[pos + r]) for r in range(n)])
-        data = LogisticInstance(samples=samples, labels=labels, rho=rho)
-        L1, L2, mu = _constants_logistic(data)
-    else:
-        raise ValueError(f"unknown problem family {family!r}")
-    return Problem(family=family, n=n, d=d, data=data, L1=L1, L2=L2, mu=mu, seed=seed)
-
-
-def _fmt_row(row: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in row)
-
-
-def _parse_row(line: str) -> list:
-    return [float(tok) for tok in line.split()]

@@ -30,7 +30,7 @@ from decnewton.newton import (
     init_state,
     run,
     run_lockstep,
-    step_efficient,
+    step,
 )
 from decnewton.objectives import centralized_solve, make_quadratic
 
@@ -110,12 +110,12 @@ def test_a1_compressor_contraction():
         for A, rt, tt, norm in zip(mats[:3], rank_tail[:3], top_tail[:3], norms[:3]):
             for K in (1, d // 2, d):
                 spec = CompressorSpec("rank_k", d=d, K=K)
-                err = np.linalg.norm(compress(spec, A).dense - A)
+                err = np.linalg.norm(compress(spec, A) - A)
                 expected = rt[K] if K < d else 0.0
                 assert err == pytest.approx(expected, abs=1e-8 * (1 + norm))
             for K in (1, d * d // 2, d * d):
                 spec = CompressorSpec("top_k", d=d, K=K)
-                err = np.linalg.norm(compress(spec, A).dense - A)
+                err = np.linalg.norm(compress(spec, A) - A)
                 expected = tt[K] if K < d * d else 0.0
                 assert err == pytest.approx(expected, abs=1e-10 * (1 + norm))
     elapsed = time.perf_counter() - t0
@@ -253,7 +253,7 @@ def test_a7_compression_state_decay(preset_traces):
     state = init_state(problem, np.zeros((10, 30)))
     exact_zero = True
     for k in range(50):
-        state, _ = step_efficient(state, problem, W, params, k)
+        state, _ = step(state, problem, W, params, k)
         exact_zero = exact_zero and not state.E.any()
     ok = decay_ok and exact_zero
     q, l = finals["quadratic"], finals["logistic"]

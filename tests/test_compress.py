@@ -8,13 +8,13 @@ def test_rank_k_full_rank_is_exact():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 6))
     out = compress(CompressorSpec("rank_k", d=6, K=6), A)
-    assert np.max(np.abs(out.dense - A)) <= 1e-12
+    assert np.max(np.abs(out - A)) <= 1e-12
 
 
 def test_top_k_keeps_largest_two():
     A = np.array([[3.0, -1.0], [0.5, 2.0]])
     out = compress(CompressorSpec("top_k", d=2, K=2), A)
-    assert np.array_equal(out.dense, [[3.0, 0.0], [0.0, 2.0]])
+    assert np.array_equal(out, [[3.0, 0.0], [0.0, 2.0]])
 
 
 def test_top_k_sorted_abs_oracle():
@@ -22,7 +22,7 @@ def test_top_k_sorted_abs_oracle():
     rng = np.random.default_rng(1)
     for K in (1, 3, 7, 12):
         A = rng.standard_normal((4, 4))
-        dense = compress(CompressorSpec("top_k", d=4, K=K), A).dense
+        dense = compress(CompressorSpec("top_k", d=4, K=K), A)
         kept = np.flatnonzero(dense.ravel())
         order = np.argsort(-np.abs(A.ravel()), kind="stable")[:K]
         assert set(kept) == set(order)
@@ -31,7 +31,7 @@ def test_top_k_sorted_abs_oracle():
 
 def test_top_k_tie_break_lowest_linear_index():
     A = np.array([[1.0, -1.0], [1.0, 1.0]])
-    dense = compress(CompressorSpec("top_k", d=2, K=2), A).dense
+    dense = compress(CompressorSpec("top_k", d=2, K=2), A)
     assert np.array_equal(dense, [[1.0, -1.0], [0.0, 0.0]])
 
 
@@ -40,7 +40,7 @@ def test_rank_one_matrix_recovered_exactly():
     u = rng.standard_normal(8)
     v = rng.standard_normal(8)
     A = np.outer(u, v)
-    dense = compress(CompressorSpec("rank_k", d=8, K=1), A).dense
+    dense = compress(CompressorSpec("rank_k", d=8, K=1), A)
     assert np.max(np.abs(dense - A)) <= 1e-10
 
 
@@ -49,7 +49,7 @@ def test_rank_k_error_equals_tail_singular_values():
     A = rng.standard_normal((9, 9))
     s = np.linalg.svd(A, compute_uv=False)
     for K in (1, 4, 8):
-        dense = compress(CompressorSpec("rank_k", d=9, K=K), A).dense
+        dense = compress(CompressorSpec("rank_k", d=9, K=K), A)
         err = np.linalg.norm(dense - A)
         assert err == pytest.approx(float(np.sqrt((s[K:] ** 2).sum())), rel=1e-10)
 
@@ -70,16 +70,16 @@ def test_identity_passthrough():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((5, 5))
     out = compress(CompressorSpec("identity", d=5), A)
-    assert np.array_equal(out.dense, A)
-    assert out.dense is not A
+    assert np.array_equal(out, A)
+    assert out is not A
 
 
 def test_determinism_bit_identical():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((12, 12))
     for spec in (CompressorSpec("rank_k", d=12, K=4), CompressorSpec("top_k", d=12, K=9)):
-        first = compress(spec, A).dense
-        second = compress(spec, A.copy()).dense
+        first = compress(spec, A)
+        second = compress(spec, A.copy())
         assert np.array_equal(first, second)
 
 
@@ -87,8 +87,8 @@ def test_top_k_idempotent():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((7, 7))
     spec = CompressorSpec("top_k", d=7, K=11)
-    once = compress(spec, A).dense
-    twice = compress(spec, once).dense
+    once = compress(spec, A)
+    twice = compress(spec, once)
     assert np.array_equal(once, twice)
 
 
@@ -98,15 +98,15 @@ def test_zero_maps_to_zero():
         CompressorSpec("top_k", d=5, K=4),
         CompressorSpec("identity", d=5),
     ):
-        assert np.array_equal(compress(spec, np.zeros((5, 5))).dense, np.zeros((5, 5)))
+        assert np.array_equal(compress(spec, np.zeros((5, 5))), np.zeros((5, 5)))
 
 
 def test_payload_invariants():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((10, 10))
-    dense_r = compress(CompressorSpec("rank_k", d=10, K=3), A).dense
+    dense_r = compress(CompressorSpec("rank_k", d=10, K=3), A)
     assert np.linalg.matrix_rank(dense_r, tol=1e-9) <= 3
-    dense_t = compress(CompressorSpec("top_k", d=10, K=5), A).dense
+    dense_t = compress(CompressorSpec("top_k", d=10, K=5), A)
     assert np.count_nonzero(dense_t) <= 5
 
 
@@ -138,10 +138,10 @@ def test_contraction_bound_sweep(d):
     A = mats[0]
     rank_tail, top_tail = compression_error_tails(A)
     for K in (1, d // 2 + 1, d):
-        err = np.linalg.norm(compress(CompressorSpec("rank_k", d=d, K=K), A).dense - A)
+        err = np.linalg.norm(compress(CompressorSpec("rank_k", d=d, K=K), A) - A)
         assert err == pytest.approx(rank_tail[K - 1], abs=1e-9)
     for K in (1, d * d // 2, d * d):
-        err = np.linalg.norm(compress(CompressorSpec("top_k", d=d, K=K), A).dense - A)
+        err = np.linalg.norm(compress(CompressorSpec("top_k", d=d, K=K), A) - A)
         assert err == pytest.approx(top_tail[K - 1], abs=1e-9)
 
 
@@ -156,10 +156,9 @@ def test_stack_matches_per_matrix_bit_for_bit(kind, K):
     stack[2] = 0.0
     stack[3] = np.outer(rng.standard_normal(7), rng.standard_normal(7))
     out = compress(spec, stack)
-    assert out.dense.shape == stack.shape
-    assert out.bits == payload_bits(spec)
-    per_matrix = np.stack([compress(spec, A).dense for A in stack])
-    assert np.array_equal(out.dense, per_matrix)
+    assert out.shape == stack.shape
+    per_matrix = np.stack([compress(spec, A) for A in stack])
+    assert np.array_equal(out, per_matrix)
 
 
 def test_spec_validation():

@@ -8,7 +8,7 @@ from decnewton.diagnostics import (
     MetricWeights,
     RoundMetrics,
     Trace,
-    compute_metrics,
+    fill_state_metrics,
     fit_rate,
     gamma_cap,
     stage2_m_threshold,
@@ -52,7 +52,8 @@ def test_metrics_vanish_at_exact_optimum(quad_problem, quad_xstar):
     )
     w = MetricWeights(sigma=0.9, m=15, delta=0.05, L1=quad_problem.L1,
                       L2=0.0, mu=quad_problem.mu, M1=1.0)
-    row = compute_metrics(state, quad_problem, quad_xstar, w, rel_err_den=1.0)
+    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
+                             rel_err_den=1.0)
     assert row.rel_err <= 1e-25
     assert row.u1 == pytest.approx(0.0, abs=1e-12)
     assert row.delta_k == 0.0
@@ -69,7 +70,8 @@ def test_u2_vanishes_for_consensual_uncompressed_hessians(quad_problem, quad_xst
     )
     w = MetricWeights(sigma=0.9, m=15, delta=0.05, L1=quad_problem.L1,
                       L2=0.0, mu=quad_problem.mu, M1=1.0)
-    row = compute_metrics(state, quad_problem, quad_xstar, w, rel_err_den=1.0)
+    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
+                             rel_err_den=1.0)
     scale = np.linalg.norm(Qbar)
     assert row.u2 <= 1e-12 * scale
     assert row.err_E == 0.0 and row.diff_Htilde == 0.0
@@ -85,7 +87,8 @@ def test_u1_u3_scalar_hand_evaluation():
     w = MetricWeights(sigma=sigma, m=m, delta=0.05, L1=prob.L1, L2=prob.L2,
                       mu=prob.mu, M1=1.0)
     x_star = np.array([-(0.5 * (1.0 - 2.0)) / (0.5 * (2.0 + 3.0))])  # -pbar/qbar
-    row = compute_metrics(state, prob, x_star, w, rel_err_den=1.0, ck=0.0)
+    row = fill_state_metrics(RoundMetrics(), state, prob, x_star, w,
+                             rel_err_den=1.0, ck=0.0)
 
     xbar = 0.125
     cons2 = (0.5 - xbar) ** 2 + (-0.25 - xbar) ** 2
@@ -109,7 +112,8 @@ def test_eps_k_formula(quad_problem, quad_xstar):
     w = MetricWeights(sigma=0.9, m=15, delta=0.05, L1=quad_problem.L1,
                       L2=2.0, mu=quad_problem.mu, M1=0.7)
     ck = 1e-3
-    row = compute_metrics(state, quad_problem, quad_xstar, w, rel_err_den=1.0, ck=ck)
+    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
+                             rel_err_den=1.0, ck=ck)
     track_H = np.linalg.norm(state.H - state.H.mean(axis=0))
     expected = (2.0 / math.sqrt(n) * row.cons_x + track_H / math.sqrt(n)
                 + ck * quad_problem.mu) / 0.7
@@ -176,7 +180,8 @@ def test_theoretical_caps_report(quad_problem, quad_graph, quad_xstar):
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     w = MetricWeights(sigma=W.sigma, m=15, delta=0.05, L1=quad_problem.L1,
                       L2=quad_problem.L2, mu=quad_problem.mu, M1=1.0)
-    row = compute_metrics(state, quad_problem, quad_xstar, w, rel_err_den=1.0)
+    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
+                             rel_err_den=1.0)
     report = theoretical_caps(quad_problem, W.sigma, 15, 0.05, row.u1, row.u2)
     assert report.gamma_cap == pytest.approx(gamma_cap(0.05, W.sigma))
     assert report.M_lower > 0
@@ -218,7 +223,8 @@ def test_u1_monotone_under_stage1_caps(quad_problem, quad_graph, quad_xstar):
     w = MetricWeights(sigma=W.sigma, m=15, delta=0.05, L1=quad_problem.L1,
                       L2=quad_problem.L2, mu=quad_problem.mu, M1=1.0)
     den = float(np.linalg.norm(np.zeros((quad_problem.n, quad_problem.d)) - quad_xstar) ** 2)
-    row0 = compute_metrics(state, quad_problem, quad_xstar, w, rel_err_den=den)
+    row0 = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
+                              rel_err_den=den)
     caps = theoretical_caps(quad_problem, W.sigma, 15, 0.05, row0.u1, row0.u2)
     params = quad_params(
         alpha=ConstantSchedule(caps.alpha_cap_stage1),

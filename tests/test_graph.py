@@ -202,10 +202,30 @@ def test_matrix_round_trip(tmp_path, quad_graph):
     assert np.array_equal(load_matrix(path2), top.adjacency())
 
 
-def test_power_iteration_branch_matches_svd():
-    top = generate_topology(40, 0.15, seed=1)
-    mix = metropolis_weights(top)
-    from decnewton.graph import _power_iteration_norm
+def test_sigma_exact_above_200_nodes():
+    # a sparse graph well past the old 200-node switch to power iteration,
+    # which underestimated sigma here by about 9e-5
+    mix = metropolis_weights(generate_topology(500, 0.005, seed=1))
+    B = mix.W - np.full((500, 500), 1 / 500)
+    assert mix.sigma == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(B))), abs=1e-12)
 
-    B = mix.W - np.full((40, 40), 1 / 40)
-    assert _power_iteration_norm(B) == pytest.approx(mix.sigma, abs=1e-10)
+
+def _held_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _held_arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _held_arrays(v)
+
+
+def test_power_cache_holds_one_power():
+    # m = k consensus asks for a new power every iteration; the cache must
+    # not keep all of them
+    mix = metropolis_weights(generate_topology(10, 0.2, seed=11))
+    for k in range(2, 51):
+        assert np.array_equal(mix.power(k), np.linalg.matrix_power(mix.W, k))
+    powers = [a for a in _held_arrays(vars(mix)) if a is not mix.W]
+    assert len(powers) <= 1

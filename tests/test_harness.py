@@ -268,6 +268,19 @@ def test_cli_list_and_compare(tmp_path, capsys):
     assert (tmp_path / "cmp.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["", "# decnewton-trace label=x status=converged\n",
+                                  "# decnewton-trace label=x\niter,rel_err\n"],
+                         ids=["empty", "comment-only", "header-only"])
+def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "good.csv"
+    good.write_text("iter,rel_err\n0,1.0\n")
+    assert main(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.csv" in err
+
+
 def test_cli_equivalence_preset(tmp_path, capsys):
     assert main(["preset", "alg-equivalence", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

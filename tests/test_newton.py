@@ -9,6 +9,7 @@ from decnewton.newton import (
     CGBreakdownError,
     ConstantSchedule,
     GeometricRamp,
+    VARIANTS,
     TwoStageSchedule,
     _solve_directions,
     cg_solve,
@@ -16,8 +17,7 @@ from decnewton.newton import (
     max_state_deviation,
     run,
     run_lockstep,
-    step_efficient,
-    step_reference,
+    step,
 )
 from decnewton.objectives import (
     Problem,
@@ -27,9 +27,6 @@ from decnewton.objectives import (
     make_logistic,
     make_quadratic,
 )
-
-STEPS = [step_reference, step_efficient]
-
 
 def two_node_mixing():
     top = generate_topology(2, 1.0, seed=0)
@@ -176,7 +173,7 @@ def test_identity_compressor_gamma_zero_is_local_accumulation():
     for k in range(4):
         prev_H = state.H.copy()
         prev_x = state.x.copy()
-        state, _ = step_reference(state, prob, W, params, k)
+        state, _ = step(state, prob, W, params, k, "reference")
         expected = prev_H + batch_hessians(prob, state.x) - batch_hessians(prob, prev_x)
         assert np.allclose(state.H, expected, atol=1e-12)
 
@@ -188,8 +185,8 @@ def test_gamma_zero_variants_bit_identical(quad_problem, quad_graph):
     ref = init_state(quad_problem, x0)
     eff = init_state(quad_problem, x0)
     for k in range(30):
-        ref, _ = step_reference(ref, quad_problem, W, params, k)
-        eff, _ = step_efficient(eff, quad_problem, W, params, k)
+        ref, _ = step(ref, quad_problem, W, params, k, "reference")
+        eff, _ = step(eff, quad_problem, W, params, k)
     assert max_state_deviation(ref, eff) == 0.0
 
 
@@ -218,7 +215,7 @@ def test_consensus_start_matches_centralized_damped_newton():
     x_c = x_common.copy()
     reg = np.linalg.inv(Q + M * np.eye(d))
     for k in range(10):
-        state, _ = step_reference(state, prob_any, W, params, k)
+        state, _ = step(state, prob_any, W, params, k, "reference")
         if k > 0:  # first update is pure consensus (d0 = 0)
             x_c = x_c - alpha * reg @ (Qbar @ x_c + pbar)
         assert np.linalg.norm(state.x.mean(axis=0) - x_c) <= 1e-10
@@ -242,7 +239,7 @@ def test_two_node_scalar_transcription():
     )
     x0 = np.array([[0.5], [-0.25]])
     state = init_state(prob, x0)
-    state, _ = step_reference(state, prob, W, params, 0)
+    state, _ = step(state, prob, W, params, 0, "reference")
 
     # scalar oracle: W^m = [[.5,.5],[.5,.5]] for the 2-node gossip matrix
     w = 0.5
@@ -269,8 +266,8 @@ def test_two_node_scalar_transcription():
     assert np.allclose(state.H_tilde.ravel(), q, atol=1e-15)
 
 
-@pytest.mark.parametrize("step", STEPS)
-def test_straight_line_numpy_oracle_with_compression(step):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_straight_line_numpy_oracle_with_compression(variant):
     # logistic 2-node d=2 with genuine top-k compression, three iterations
     # checked against a direct transcription of the update rules
     prob = make_logistic(2, 2, 3, rho=0.5, seed=6)
@@ -293,13 +290,13 @@ def test_straight_line_numpy_oracle_with_compression(step):
     E = np.zeros((2, 2, 2))
     d_dir = np.zeros((2, 2))
     for k in range(3):
-        state, _ = step(state, prob, W, params, k)
+        state, _ = step(state, prob, W, params, k, variant)
 
         x_new = Wm @ (x - alpha * d_dir)
         g_new = Wm @ (g + batch_gradients(prob, x_new) - batch_gradients(prob, x))
-        Q1 = np.stack([compress(spec, H[i] - Ht[i]).dense for i in range(2)])
+        Q1 = np.stack([compress(spec, H[i] - Ht[i]) for i in range(2)])
         fed = E + H - Ht
-        Q2 = np.stack([compress(spec, fed[i]).dense for i in range(2)])
+        Q2 = np.stack([compress(spec, fed[i]) for i in range(2)])
         E = fed - Q2
         H_hat = Ht + Q2
         Ht = Ht + Q1
@@ -325,15 +322,15 @@ def test_identity_compressor_stores(quad_problem, quad_graph):
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     prev_H = state.H.copy()
     for k in range(20):
-        state, _ = step_efficient(state, quad_problem, W, params, k)
+        state, _ = step(state, quad_problem, W, params, k)
         assert not state.E.any()  # exactly zero under an exact compressor
         scale = 1 + np.abs(prev_H).max()
         assert np.max(np.abs(state.H_tilde - prev_H)) <= 1e-12 * scale
         prev_H = state.H.copy()
 
 
-@pytest.mark.parametrize("step", STEPS)
-def test_average_identities_and_mean_dynamics(quad_problem, quad_graph, step):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_average_identities_and_mean_dynamics(quad_problem, quad_graph, variant):
     _, W = quad_graph
     params = quad_params()
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
@@ -341,7 +338,7 @@ def test_average_identities_and_mean_dynamics(quad_problem, quad_graph, step):
         x_bar = state.x.mean(axis=0)
         d_bar = state.d_dir.mean(axis=0)
         alpha = params.alpha.at(k)
-        state, _ = step(state, quad_problem, W, params, k)
+        state, _ = step(state, quad_problem, W, params, k, variant)
         # mean dynamics: the average moves exactly along the average direction
         drift = np.linalg.norm(state.x.mean(axis=0) - (x_bar - alpha * d_bar))
         assert drift <= 1e-12 * (1 + np.linalg.norm(x_bar))
@@ -358,7 +355,7 @@ def test_efficient_accumulator_tracks_mixed_store(quad_problem, quad_graph):
     params = quad_params()
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     for k in range(20):
-        state, _ = step_efficient(state, quad_problem, W, params, k)
+        state, _ = step(state, quad_problem, W, params, k)
         direct = np.tensordot(W.W, state.H_tilde, axes=(1, 0))
         scale = 1 + np.linalg.norm(state.H_tilde)
         assert np.linalg.norm(state.H_tilde_w - direct) <= 1e-9 * scale
@@ -386,9 +383,9 @@ def test_bits_accounting(quad_problem, quad_graph):
     spec = CompressorSpec("rank_k", d=d, K=3)
     params = quad_params(m=m)
     state = init_state(quad_problem, np.zeros((n, d)))
-    _, row_eff = step_efficient(state, quad_problem, W, params, 0)
+    _, row_eff = step(state, quad_problem, W, params, 0)
     assert row_eff.bits == n * (2 * m * d * 64 + 2 * payload_bits(spec))
-    _, row_ref = step_reference(state, quad_problem, W, params, 0)
+    _, row_ref = step(state, quad_problem, W, params, 0, "reference")
     assert row_ref.bits == n * (2 * m * d * 64 + d * d * 64)
 
 
@@ -420,6 +417,13 @@ def test_run_determinism(quad_problem, quad_graph, quad_xstar):
         assert a.bits_cum == b.bits_cum
 
 
+def test_run_rejects_unknown_variant(quad_problem, quad_graph, quad_xstar):
+    _, W = quad_graph
+    x0 = np.zeros((quad_problem.n, quad_problem.d))
+    with pytest.raises(ValueError, match="variant"):
+        run(quad_problem, W, quad_params(), x0, quad_xstar, variant="fast")
+
+
 def test_divergence_detector(quad_problem, quad_graph, quad_xstar):
     _, W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
@@ -434,7 +438,7 @@ def test_cg_fallback_direction(quad_problem, quad_graph):
     params = quad_params(cg_tol=ConstantSchedule(0.0))
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     state.H[0] = -np.eye(quad_problem.d)  # force a breakdown on node 0
-    new_state, row = step_efficient(state, quad_problem, W, params, 0)
+    new_state, row = step(state, quad_problem, W, params, 0)
     assert row.fallback_count == 1
     assert np.allclose(new_state.d_dir[0], new_state.g[0] / quad_problem.L1, atol=1e-15)
 

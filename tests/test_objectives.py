@@ -11,11 +11,9 @@ from decnewton.objectives import (
     global_gradient,
     global_hessian,
     global_value,
-    load_problem,
     local_value,
     make_logistic,
     make_quadratic,
-    save_problem,
 )
 
 
@@ -242,22 +240,3 @@ def test_validation_errors():
         make_logistic(4, 6, 5, rho=0.0, seed=0)
     with pytest.raises(ValueError):
         centralized_solve(make_quadratic(4, 6, 2.0, seed=0), tol=0.0)
-
-
-@pytest.mark.parametrize("family", ["quadratic", "logistic"])
-def test_problem_serialization_round_trip(tmp_path, family, logit_problem):
-    prob = make_quadratic(4, 6, 25.0, seed=17) if family == "quadratic" else logit_problem
-    path = tmp_path / f"{family}.txt"
-    save_problem(path, prob)
-    loaded = load_problem(path)
-    assert loaded.family == prob.family
-    assert (loaded.n, loaded.d, loaded.seed) == (prob.n, prob.d, prob.seed)
-    if family == "quadratic":
-        assert np.array_equal(loaded.data.Q, prob.data.Q)
-        assert np.array_equal(loaded.data.p, prob.data.p)
-    else:
-        assert np.array_equal(loaded.data.samples, prob.data.samples)
-        assert np.array_equal(loaded.data.labels, prob.data.labels)
-        assert loaded.data.rho == prob.data.rho
-    assert loaded.L1 == pytest.approx(prob.L1)
-    assert loaded.mu == pytest.approx(prob.mu)
