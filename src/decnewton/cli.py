@@ -63,24 +63,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "run":
-        config = harness.parse_config(args.config)
-        reps = max(1, config.repetitions)
         worst = 0
-        for rep in range(reps):
-            cfg = config
-            if reps > 1:
-                from dataclasses import replace
-
-                cfg = replace(
-                    config,
-                    problem=replace(config.problem, seed=config.problem.seed + rep),
-                    graph=replace(config.graph, seed=config.graph.seed + rep),
-                    label=f"{config.label}-rep{rep}",
-                    repetitions=1,
-                )
-            trace, path = harness.run_experiment(cfg, out_dir=args.out)
-            print(f"{cfg.label}: status={trace.status} iterations={trace.iterations} "
-                  f"rel_err={trace.final_rel_err:.3e}" + (f" -> {path}" if path else ""))
+        for config in harness.repetitions(harness.parse_config(args.config)):
+            trace, path = harness.run_experiment(config, out_dir=args.out)
+            print(harness.summary(trace, path))
             if trace.note:
                 print(f"  note: {trace.note}")
             worst = max(worst, harness.STATUS_CODE[trace.status])

@@ -120,9 +120,6 @@ class Trace:
     def iterations(self) -> int:
         return self.rows[-1].iter
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
-
     def iters_to(self, tol: float) -> int:
         """First iteration index with rel_err <= tol, or -1 if never reached."""
         for r in self.rows:
@@ -147,7 +144,17 @@ class MetricWeights:
     L1: float
     L2: float
     mu: float
-    M1: float  # local-phase floor 40*mu/41 unless overridden
+    M1: float  # local-phase floor
+
+    @classmethod
+    def of(cls, problem, sigma: float, m: int, delta: float) -> "MetricWeights":
+        """Weights for ``problem`` with the local-phase floor M1 = 40 mu / 41."""
+        return cls(sigma=sigma, m=m, delta=delta, L1=problem.L1, L2=problem.L2,
+                   mu=problem.mu, M1=_local_floor(problem.mu))
+
+
+def _local_floor(mu: float) -> float:
+    return 40.0 * mu / 41.0
 
 
 def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeights,
@@ -293,8 +300,7 @@ def stage1_cg_cap(M1: float, M2: float, kappa_F: float) -> float:
 
 
 def stage2_cg_cap(mu: float, kappa_F: float, sigma: float, m: int) -> float:
-    M1 = 40.0 * mu / 41.0
-    return M1 * sigma ** (m / 2.0) / (40.0 * mu * kappa_F)
+    return _local_floor(mu) * sigma ** (m / 2.0) / (40.0 * mu * kappa_F)
 
 
 def stage2_m_threshold(kappa_F: float, sigma: float) -> float:

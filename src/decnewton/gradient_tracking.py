@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import MetricWeights, RoundMetrics, Trace, fill_state_metrics
+# fill_state_metrics is unused here but bound for perfbench/tracing.py, which patches it.
+from .diagnostics import MetricWeights, RoundMetrics, Trace, fill_state_metrics  # noqa: F401
 from .graph import MixingMatrix, consensus_apply
-from .newton import DIVERGENCE_LIMIT, NetworkState
-from .objectives import Problem, batch_gradients, global_value
+from .newton import NetworkState, iterate
+from .objectives import Problem, batch_gradients
 
 __all__ = ["GTParams", "gt_step", "gt_run", "tune_alpha"]
 
@@ -51,59 +52,32 @@ def gt_step(x: np.ndarray, g: np.ndarray, problem: Problem, W: MixingMatrix,
     x_new = consensus_apply(W, params.m, x - params.alpha * g)
     grads_new = batch_gradients(problem, x_new)
     g_new = consensus_apply(W, params.m, g + grads_new - grads_x)
-    if not np.all(np.isfinite(x_new)) or not np.all(np.isfinite(g_new)):
-        raise FloatingPointError("gradient-tracking iterate became non-finite")
     return x_new, g_new, grads_new
 
 
 def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
            oracle_xstar: np.ndarray) -> Trace:
-    """Full gradient-tracking run with the shared trace schema.
+    """Full gradient-tracking run through ``newton.iterate``, with the shared
+    trace schema.
 
     Hessian-side metrics are NaN (the method carries no curvature state);
     bits count the x and g exchanges, m * d * 64 each per node per iteration.
     """
-    x_star = np.asarray(oracle_xstar, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.n, problem.d):
         raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x.shape}")
     grads = batch_gradients(problem, x)
-    g = grads.copy()
-    den = float(np.linalg.norm(x - x_star[None, :]) ** 2)
-    f_star = global_value(problem, x_star)
-    weights = MetricWeights(
-        sigma=W.sigma, m=params.m, delta=1.0,
-        L1=problem.L1, L2=problem.L2, mu=problem.mu, M1=40.0 * problem.mu / 41.0,
-    )
-    bits_per_iter = problem.n * 2 * params.m * problem.d * 64
+    weights = MetricWeights.of(problem, W.sigma, params.m, delta=1.0)
+    bits = problem.n * 2 * params.m * problem.d * 64
 
-    def metrics(k, x, g, grads, bits_cum):
-        state = NetworkState(x=x, g=g, local_grads=grads)
-        row = RoundMetrics(iter=k, alpha_k=params.alpha if k > 0 else 0.0, bits_cum=bits_cum)
-        fill_state_metrics(row, state, problem, x_star, weights,
-                           rel_err_den=den, f_star=f_star)
-        return row
+    def advance(state, k):
+        x, g, grads = gt_step(state.x, state.g, problem, W, params, state.local_grads)
+        return (NetworkState(x=x, g=g, local_grads=grads),
+                RoundMetrics(iter=k + 1, alpha_k=params.alpha, bits=bits))
 
-    rows = [metrics(0, x, g, grads, 0)]
-    status = "max_iters"
-    note = ""
-    for k in range(params.max_iters):
-        try:
-            x, g, grads = gt_step(x, g, problem, W, params, grads)
-        except FloatingPointError:
-            status = "diverged"
-            note = f"non-finite iterate at iteration {k + 1}"
-            break
-        row = metrics(k + 1, x, g, grads, (k + 1) * bits_per_iter)
-        rows.append(row)
-        if not np.isfinite(row.rel_err) or row.rel_err > DIVERGENCE_LIMIT:
-            status = "diverged"
-            note = f"relative error {row.rel_err:.3e} exceeded {DIVERGENCE_LIMIT:.0e}"
-            break
-        if row.rel_err <= params.stop_tol:
-            status = "converged"
-            break
-    return Trace(rows=rows, status=status, note=note)
+    return iterate(advance, NetworkState(x=x, g=grads.copy(), local_grads=grads),
+                   problem, oracle_xstar, lambda k: weights,
+                   params.max_iters, params.stop_tol)
 
 
 def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,

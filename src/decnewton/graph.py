@@ -113,15 +113,13 @@ def generate_topology(n: int, tau: float, seed: int) -> Topology:
     edges = set(tree)
     extra = target - len(edges)
     if extra > 0:
-        pool = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (i, j) not in edges
-        ]
-        picks = rng.choice(len(pool), size=extra, replace=False)
-        for idx in sorted(picks):
-            edges.add(pool[idx])
+        in_tree = np.zeros((n, n), dtype=bool)
+        in_tree[tuple(np.array(tree).T)] = True
+        rows, cols = np.triu_indices(n, 1)  # pairs i < j in row-major order
+        pool = ~in_tree[rows, cols]
+        rows, cols = rows[pool], cols[pool]
+        picks = np.sort(rng.choice(len(rows), size=extra, replace=False))
+        edges.update(zip(rows[picks].tolist(), cols[picks].tolist()))
     return Topology(n=n, edges=frozenset(edges), tau=tau)
 
 

@@ -46,7 +46,7 @@ import hashlib
 import io
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -74,7 +74,9 @@ __all__ = [
     "config_fingerprint",
     "build_problem",
     "build_mixing",
+    "repetitions",
     "run_experiment",
+    "summary",
     "write_trace_csv",
     "read_trace_csv",
     "compare",
@@ -263,6 +265,9 @@ def parse_config(source) -> ExperimentConfig:
 
     dump_raw = opt("output", "dump_iters", str, "")
     dump_iters = tuple(int(tok) for tok in dump_raw.split(",") if tok.strip()) if dump_raw else ()
+    repetitions = opt("output", "repetitions", int, 1)
+    if repetitions < 1:
+        raise ValueError(f"[output] repetitions must be >= 1, got {repetitions}")
     return ExperimentConfig(
         problem=pspec,
         graph=gspec,
@@ -273,7 +278,7 @@ def parse_config(source) -> ExperimentConfig:
         label=opt("output", "label", str, "run"),
         csv=opt("output", "csv"),
         dump_iters=dump_iters,
-        repetitions=opt("output", "repetitions", int, 1),
+        repetitions=repetitions,
     )
 
 
@@ -329,18 +334,6 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # building and running
 
-def _apply_seed_override(config: ExperimentConfig) -> ExperimentConfig:
-    override = os.environ.get(SEED_ENV_VAR)
-    if not override:
-        return config
-    seed = int(override)
-    return replace(
-        config,
-        problem=replace(config.problem, seed=seed),
-        graph=replace(config.graph, seed=seed),
-    )
-
-
 def build_problem(spec: ProblemSpec):
     if spec.family == "quadratic":
         return make_quadratic(spec.n, spec.d, spec.kappa, spec.seed)
@@ -352,17 +345,38 @@ def build_mixing(spec: GraphSpec, n: int):
     return topology, metropolis_weights(topology)
 
 
+def _instance(config: ExperimentConfig):
+    """Apply DECNEWTON_SEED; returns that config, the instance, its mixing
+    matrix, the zero start x0 and the centralized oracle minimizer."""
+    override = os.environ.get(SEED_ENV_VAR)
+    if override:
+        seed = int(override)
+        config = replace(config, problem=replace(config.problem, seed=seed),
+                         graph=replace(config.graph, seed=seed))
+    problem = build_problem(config.problem)
+    _, W = build_mixing(config.graph, config.problem.n)
+    x_star = centralized_solve(problem, tol=1e-12)
+    return config, problem, W, np.zeros((problem.n, problem.d)), x_star
+
+
+def repetitions(config: ExperimentConfig) -> list:
+    """The runs of ``config``: itself, or one copy per repetition with both
+    seeds shifted by the repetition index and the label suffixed ``-rep<i>``."""
+    if config.repetitions == 1:
+        return [config]
+    return [replace(config, problem=replace(config.problem, seed=config.problem.seed + rep),
+                    graph=replace(config.graph, seed=config.graph.seed + rep),
+                    label=f"{config.label}-rep{rep}", repetitions=1)
+            for rep in range(config.repetitions)]
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     """Build the instance, solve the oracle, run, and write the trace CSV.
 
     Returns (trace, csv_path); csv_path is None when no destination was
     given. The trace label/fingerprint identify the run in summaries.
     """
-    config = _apply_seed_override(config)
-    problem = build_problem(config.problem)
-    _, W = build_mixing(config.graph, config.problem.n)
-    x0 = np.zeros((problem.n, problem.d))
-    x_star = centralized_solve(problem, tol=1e-12)
+    config, problem, W, x0, x_star = _instance(config)
     if config.method == "newton":
         dump_dir = out_dir if config.dump_iters else None
         trace = newton.run(problem, W, config.algorithm, x0, x_star,
@@ -387,6 +401,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     return trace, csv_path
 
 
+def summary(trace: Trace, path) -> str:
+    """The one-line outcome of a run, pointing at its CSV when there is one."""
+    return (f"{trace.label}: status={trace.status} iterations={trace.iterations} "
+            f"rel_err={trace.final_rel_err:.3e}" + (f" -> {path}" if path else ""))
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 
@@ -394,6 +414,9 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+_FIELD_CASTS = {f.name: type(f.default) for f in fields(RoundMetrics)}
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -407,29 +430,39 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 
 def read_trace_csv(path) -> Trace:
-    """Read a trace written by ``write_trace_csv``; raises ValueError naming
-    the file when it has no header line or no data rows."""
+    """Read a trace whose header names any subset of the RoundMetrics fields.
+    Raises ValueError naming the file, and the line where there is one, on
+    a missing header or data, an unknown column, a row of the wrong length
+    or a value that does not parse."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     label, fingerprint, status = "", "", ""
-    if lines and lines[0].startswith("#"):
-        meta = dict(tok.split("=", 1) for tok in lines[0][1:].split() if "=" in tok)
+    if lines and lines[0][1].startswith("#"):
+        meta = dict(tok.split("=", 1) for tok in lines[0][1][1:].split() if "=" in tok)
         label = meta.get("label", "")
         fingerprint = meta.get("fingerprint", "")
         status = meta.get("status", "")
         lines = lines[1:]
-    if not lines or lines[0].startswith("#"):
+    if not lines or lines[0][1].startswith("#"):
         raise ValueError(f"trace file {path} has no header line")
     if len(lines) < 2:
         raise ValueError(f"trace file {path} has no data rows")
-    header = lines[0].split(",")
-    int_fields = {"iter", "fallback_count", "bits_cum"}
+    header_no, header_line = lines[0]
+    header = header_line.split(",")
+    for name in header:
+        if name not in _FIELD_CASTS:
+            raise ValueError(f"{path}:{header_no}: unknown trace column {name!r}")
     rows = []
-    for line in lines[1:]:
+    for no, line in lines[1:]:
         vals = line.split(",")
+        if len(vals) != len(header):
+            raise ValueError(f"{path}:{no}: {len(vals)} fields, header has {len(header)}")
         kwargs = {}
         for name, raw in zip(header, vals):
-            kwargs[name] = int(raw) if name in int_fields else float(raw)
+            try:
+                kwargs[name] = _FIELD_CASTS[name](raw)
+            except ValueError:
+                raise ValueError(f"{path}:{no}: bad {name} value {raw!r}") from None
         rows.append(RoundMetrics(**kwargs))
     return Trace(rows=rows, status=status, label=label, fingerprint=fingerprint)
 
@@ -553,19 +586,14 @@ def run_preset(name: str, out_dir: str):
     worst = 0
     for config in preset_configs(name):
         trace, path = run_experiment(config, out_dir=out_dir)
-        messages.append(
-            f"{config.label}: status={trace.status} iterations={trace.iterations} "
-            f"rel_err={trace.final_rel_err:.3e} -> {path}"
-        )
+        messages.append(summary(trace, path))
         worst = max(worst, STATUS_CODE[trace.status])
     return worst, messages
 
 
 def _run_equivalence_preset(out_dir: str):
     config = _quad_config(100.0, 15, "alg-equivalence")
-    problem = build_problem(config.problem)
-    _, W = build_mixing(config.graph, config.problem.n)
-    x0 = np.zeros((problem.n, problem.d))
+    _, problem, W, x0, _ = _instance(config)
     deviations = newton.run_lockstep(problem, W, config.algorithm, x0, iters=200)
     path = os.path.join(out_dir, "alg-equivalence.csv")
     with open(path, "w") as fh:
@@ -587,18 +615,12 @@ def caps_report(config: ExperimentConfig) -> str:
     topology, and initialization (x0 = 0 blocks)."""
     if config.method != "newton":
         raise ValueError("caps report applies to newton configs only")
-    config = _apply_seed_override(config)
-    problem = build_problem(config.problem)
-    _, W = build_mixing(config.graph, config.problem.n)
-    x0 = np.zeros((problem.n, problem.d))
-    x_star = centralized_solve(problem, tol=1e-12)
+    _, problem, W, x0, x_star = _instance(config)
     state = newton.init_state(problem, x0)
     params = config.algorithm
     delta = delta_bound(params.compressor)
     m = params.rounds(0)
-    weights = MetricWeights(sigma=W.sigma, m=m, delta=delta, L1=problem.L1,
-                            L2=problem.L2, mu=problem.mu, M1=40 * problem.mu / 41)
-    row = fill_state_metrics(RoundMetrics(), state, problem, x_star, weights,
-                             rel_err_den=float(np.linalg.norm(x0 - x_star) ** 2))
+    row = fill_state_metrics(RoundMetrics(), state, problem, x_star,
+                             MetricWeights.of(problem, W.sigma, m, delta))
     report = theoretical_caps(problem, W.sigma, m, delta, row.u1, row.u2)
     return report.render()

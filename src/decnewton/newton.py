@@ -53,6 +53,7 @@ __all__ = [
     "cg_solve",
     "step",
     "VARIANTS",
+    "iterate",
     "run",
     "run_lockstep",
     "max_state_deviation",
@@ -157,15 +158,6 @@ class NetworkState:
     d_dir: np.ndarray | None = None
     local_grads: np.ndarray | None = None
     local_hessians: np.ndarray | None = None
-
-    def copy(self) -> "NetworkState":
-        dup = lambda a: None if a is None else a.copy()
-        return NetworkState(
-            x=self.x.copy(), g=self.g.copy(), H=dup(self.H),
-            H_tilde=dup(self.H_tilde), E=dup(self.E), H_tilde_w=dup(self.H_tilde_w),
-            d_dir=dup(self.d_dir), local_grads=dup(self.local_grads),
-            local_hessians=dup(self.local_hessians),
-        )
 
     def arrays(self) -> dict:
         out = {"x": self.x, "g": self.g}
@@ -384,54 +376,64 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
 # full runs
 
 
-def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
-        oracle_xstar: np.ndarray, variant: str = "efficient",
-        dump_iters=(), dump_dir=None) -> Trace:
-    """Iterate until rel_err <= stop_tol, divergence, or max_iters.
+def iterate(advance, state, problem: Problem, x_star: np.ndarray, weights,
+            max_iters: int, stop_tol: float, on_step=None) -> Trace:
+    """Run ``advance(state, k) -> (state, row)`` until rel_err <= stop_tol,
+    divergence, or max_iters; every method's runs go through this loop.
 
-    rel_err uses the stacked squared distance against the supplied oracle
-    minimizer. Blows past DIVERGENCE_LIMIT or non-finite state abort the
-    run with status "diverged".
+    The loop times ``advance`` into ``wall_time``, fills the row's state
+    metrics with ``weights(k)`` and adds up ``bits_cum``. A non-finite iterate
+    or tracker, or rel_err past DIVERGENCE_LIMIT, ends the run as "diverged".
+    ``on_step(k, state)`` runs after each iteration, outside the timed part.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    x_star = np.asarray(oracle_xstar, dtype=float)
-    state = init_state(problem, x0)
+    x_star = np.asarray(x_star, dtype=float)
     den = float(np.linalg.norm(state.x - x_star[None, :]) ** 2)
     f_star = global_value(problem, x_star)
-    weights = MetricWeights(
-        sigma=W.sigma, m=params.rounds(0), delta=delta_bound(params.compressor),
-        L1=problem.L1, L2=problem.L2, mu=problem.mu, M1=40.0 * problem.mu / 41.0,
-    )
-    first = RoundMetrics(iter=0)
-    fill_state_metrics(first, state, problem, x_star, weights,
-                       ck=0.0, rel_err_den=den, f_star=f_star)
-    rows = [first]
+    rows = [fill_state_metrics(RoundMetrics(iter=0), state, problem, x_star, weights(0),
+                               rel_err_den=den, f_star=f_star)]
     bits_cum = 0
-    status = "max_iters"
-    note = ""
-    dump_iters = set(dump_iters)
-    for k in range(params.max_iters):
+    status, note = "max_iters", ""
+    for k in range(max_iters):
         t0 = time.perf_counter()
-        state, row = step(state, problem, W, params, k, variant)
-        wall = time.perf_counter() - t0
-        w_k = weights if params.m != "k" else replace(weights, m=params.rounds(k))
-        fill_state_metrics(row, state, problem, x_star, w_k,
+        state, row = advance(state, k)
+        row.wall_time = time.perf_counter() - t0
+        fill_state_metrics(row, state, problem, x_star, weights(k),
                            ck=row.c_k, rel_err_den=den, f_star=f_star)
         bits_cum += row.bits
         row.bits_cum = bits_cum
-        row.wall_time = wall
         rows.append(row)
-        if dump_dir is not None and (k + 1) in dump_iters:
-            save_matrix(f"{dump_dir}/state_x_iter{k + 1:05d}.txt", state.x)
-        if not np.isfinite(row.rel_err) or row.rel_err > DIVERGENCE_LIMIT:
+        if on_step is not None:
+            on_step(k, state)
+        finite = np.isfinite(state.x).all() and np.isfinite(state.g).all()
+        if not finite or not row.rel_err <= DIVERGENCE_LIMIT:
             status = "diverged"
-            note = f"relative error {row.rel_err:.3e} exceeded {DIVERGENCE_LIMIT:.0e} at iteration {k + 1}"
+            cause = (f"relative error {row.rel_err:.3e} exceeded {DIVERGENCE_LIMIT:.0e}"
+                     if finite else "non-finite iterate or tracker")
+            note = f"{cause} at iteration {k + 1}"
             break
-        if row.rel_err <= params.stop_tol:
+        if row.rel_err <= stop_tol:
             status = "converged"
             break
     return Trace(rows=rows, status=status, note=note)
+
+
+def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
+        oracle_xstar: np.ndarray, variant: str = "efficient",
+        dump_iters=(), dump_dir=None) -> Trace:
+    """Decentralized Newton run; with ``dump_dir``, the stacked iterate is
+    written there after each iteration in ``dump_iters``."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    base = MetricWeights.of(problem, W.sigma, params.rounds(0), delta_bound(params.compressor))
+
+    def dump(k, state):
+        if dump_dir is not None and k + 1 in dump_iters:
+            save_matrix(f"{dump_dir}/state_x_iter{k + 1:05d}.txt", state.x)
+
+    return iterate(lambda state, k: step(state, problem, W, params, k, variant),
+                   init_state(problem, x0), problem, oracle_xstar,
+                   lambda k: replace(base, m=params.rounds(k)),
+                   params.max_iters, params.stop_tol, on_step=dump)
 
 
 def max_state_deviation(a: NetworkState, b: NetworkState) -> float:
@@ -458,7 +460,7 @@ def run_lockstep(problem: Problem, W: MixingMatrix, params: AlgoParams,
     themselves stay put.
     """
     ref = init_state(problem, x0)
-    eff = ref.copy() if not resync else None
+    eff = init_state(problem, x0) if not resync else None
     deviations = []
     for k in range(iters):
         if resync:

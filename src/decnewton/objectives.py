@@ -19,6 +19,7 @@ that pre-computes the minimizer of F to high accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -45,6 +46,19 @@ __all__ = [
 class QuadraticInstance:
     Q: np.ndarray  # (n, d, d), each symmetric positive definite
     p: np.ndarray  # (n, d)
+
+    # Averages for F and its derivatives: computed once, handed out read-only.
+    @cached_property
+    def Qbar(self) -> np.ndarray:
+        Qbar = self.Q.mean(axis=0)
+        Qbar.flags.writeable = False
+        return Qbar
+
+    @cached_property
+    def pbar(self) -> np.ndarray:
+        pbar = self.p.mean(axis=0)
+        pbar.flags.writeable = False
+        return pbar
 
 
 @dataclass(frozen=True)
@@ -190,9 +204,7 @@ def global_value(problem: Problem, x: np.ndarray) -> float:
     """F(x) = (1/n) sum_i f_i(x) at one common point."""
     x = np.asarray(x, dtype=float)
     if problem.family == "quadratic":
-        Qbar = problem.data.Q.mean(axis=0)
-        pbar = problem.data.p.mean(axis=0)
-        return float(0.5 * x @ Qbar @ x + pbar @ x)
+        return float(0.5 * x @ problem.data.Qbar @ x + problem.data.pbar @ x)
     O, y, rho = problem.data.samples, problem.data.labels, problem.data.rho
     z = np.einsum("nmd,d->nm", O, x) * y
     return float(0.5 * rho * x @ x + np.logaddexp(0.0, -z).sum())
@@ -201,7 +213,7 @@ def global_value(problem: Problem, x: np.ndarray) -> float:
 def global_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if problem.family == "quadratic":
-        return problem.data.Q.mean(axis=0) @ x + problem.data.p.mean(axis=0)
+        return problem.data.Qbar @ x + problem.data.pbar
     O, y, rho = problem.data.samples, problem.data.labels, problem.data.rho
     z = np.einsum("nmd,d->nm", O, x) * y
     return rho * x - np.einsum("nm,nmd->d", expit(-z) * y, O)
@@ -210,7 +222,7 @@ def global_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
 def global_hessian(problem: Problem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if problem.family == "quadratic":
-        return problem.data.Q.mean(axis=0)
+        return problem.data.Qbar
     O, y, rho = problem.data.samples, problem.data.labels, problem.data.rho
     z = np.einsum("nmd,d->nm", O, x) * y
     w = expit(z) * expit(-z)
@@ -261,7 +273,7 @@ def estimate_constants(problem: Problem):
 
 def _constants_quadratic(data: QuadraticInstance):
     L1 = float(max(np.linalg.eigvalsh(Qi)[-1] for Qi in data.Q))
-    mu = float(np.linalg.eigvalsh(data.Q.mean(axis=0))[0])
+    mu = float(np.linalg.eigvalsh(data.Qbar)[0])
     return L1, 0.0, mu
 
 

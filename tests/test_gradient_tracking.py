@@ -71,6 +71,13 @@ def test_hessian_metrics_are_nan(setup):
     assert row.bits_cum == 5 * prob.n * 2 * prob.d * 64
 
 
+def test_rows_carry_step_wall_time(setup):
+    prob, W, x_star, x0 = setup
+    trace = gt_run(prob, W, GTParams(alpha=0.01, m=2, max_iters=30, stop_tol=0.0), x0, x_star)
+    assert trace.rows[0].wall_time == 0.0
+    assert all(row.wall_time > 0.0 for row in trace.rows[1:])
+
+
 def test_determinism(setup):
     prob, W, x_star, x0 = setup
     params = GTParams(alpha=0.02, m=2, max_iters=50, stop_tol=0.0)

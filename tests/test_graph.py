@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from decnewton.graph import (
+    _random_spanning_tree,
     consensus_apply,
     generate_topology,
     load_matrix,
@@ -55,6 +56,19 @@ def test_topology_reproducible():
     a = generate_topology(20, 0.25, seed=42)
     b = generate_topology(20, 0.25, seed=42)
     assert a.edges == b.edges
+
+
+@pytest.mark.parametrize("n,tau,seed", [(10, 0.2, 11), (30, 0.2, 12), (300, 0.02, 5),
+                                        (1000, 0.005, 1)])
+def test_extra_edges_match_list_pool(n, tau, seed):
+    # oracle: the extra edges drawn from a Python list of every non-tree pair
+    rng = np.random.default_rng(seed)
+    edges = set(_random_spanning_tree(n, rng))
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    picks = rng.choice(len(pool), size=int(round(tau * n * (n - 1) / 2)) - len(edges),
+                       replace=False)
+    edges.update(pool[idx] for idx in sorted(picks))
+    assert generate_topology(n, tau, seed).edges == frozenset(edges)
 
 
 def test_topology_rejects_bad_inputs():

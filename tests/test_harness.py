@@ -102,6 +102,8 @@ def test_config_errors_name_the_field():
         parse_config(QUAD_CFG.replace("method = newton", "method = adam"))
     with pytest.raises(ValueError, match="schedule"):
         parse_config(QUAD_CFG.replace("ramp(0.05, 1.1, 1.0)", "warp(1)"))
+    with pytest.raises(ValueError, match=r"\[output\] repetitions"):
+        parse_config(QUAD_CFG + "repetitions = 0\n")
 
 
 def test_growing_m_round_trip():
@@ -177,6 +179,20 @@ def test_compare_bits_to_tol_grows_with_m(tmp_path):
     assert bits20 > bits15
 
 
+def test_compare_reports_gt_wall_time(tmp_path):
+    gt_cfg = GT_CFG.replace("alpha = tuned", "alpha = 0.05").replace("3000", "40")
+    cfg_path = tmp_path / "gt.cfg"
+    cfg_path.write_text(gt_cfg)
+    paths = []
+    for out in ("a", "b"):
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+        paths.append(str(tmp_path / out / "small-gt.csv"))
+    assert main(["compare", *paths, "--out", str(tmp_path / "cmp.csv")]) == 0
+    lines = (tmp_path / "cmp.csv").read_text().splitlines()
+    col = lines[0].split(",").index("wall_time_total")
+    assert all(float(line.split(",")[col]) > 0.0 for line in lines[1:])
+
+
 def test_cli_repetitions(tmp_path):
     cfg = QUAD_CFG + "repetitions = 2\n"
     cfg_path = tmp_path / "rep.cfg"
@@ -184,6 +200,15 @@ def test_cli_repetitions(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "small-quad-rep0.csv").exists()
     assert (tmp_path / "small-quad-rep1.csv").exists()
+
+
+def test_cli_run_rejects_repetitions_below_one(tmp_path, capsys):
+    cfg_path = tmp_path / "rep0.cfg"
+    cfg_path.write_text(QUAD_CFG + "repetitions = 0\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repetitions" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_list_presets_contents():
@@ -268,17 +293,24 @@ def test_cli_list_and_compare(tmp_path, capsys):
     assert (tmp_path / "cmp.csv").exists()
 
 
-@pytest.mark.parametrize("text", ["", "# decnewton-trace label=x status=converged\n",
-                                  "# decnewton-trace label=x\niter,rel_err\n"],
-                         ids=["empty", "comment-only", "header-only"])
-def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, text):
+@pytest.mark.parametrize("text,where", [
+    ("", "bad.csv"),
+    ("# decnewton-trace label=x status=converged\n", "bad.csv"),
+    ("# decnewton-trace label=x\niter,rel_err\n", "bad.csv"),
+    ("# decnewton-trace label=x\niter,rel_err,bits_cum\n0,1.0,0\n1,0.5\n", "bad.csv:4"),
+    ("iter,rel_error\n0,1.0\n", "bad.csv:1"),
+    ("iter,rel_err\n0,1.0\n\n1,abc\n", "bad.csv:4"),
+    ("iter,rel_err\n0.5,1.0\n", "bad.csv:2"),
+], ids=["empty", "comment-only", "header-only", "cut-short-row", "renamed-column",
+        "bad-float", "bad-int"])
+def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
     good = tmp_path / "good.csv"
     good.write_text("iter,rel_err\n0,1.0\n")
     assert main(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "bad.csv" in err
+    assert err.startswith("error:") and where in err
 
 
 def test_cli_equivalence_preset(tmp_path, capsys):

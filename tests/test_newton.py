@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import quad_params
 from decnewton.compress import CompressorSpec, compress, payload_bits
+from decnewton.gradient_tracking import GTParams, gt_run
 from decnewton.graph import generate_topology, metropolis_weights
 from decnewton.newton import (
     AlgoParams,
@@ -431,6 +434,26 @@ def test_divergence_detector(quad_problem, quad_graph, quad_xstar):
     trace = run(quad_problem, W, params, x0, quad_xstar)
     assert trace.status == "diverged"
     assert trace.note
+
+
+@pytest.mark.parametrize("method", ["newton", "gt"])
+def test_non_finite_tracker_diverges_where_it_appears(quad_problem, quad_graph, quad_xstar,
+                                                      method):
+    # a NaN in one node's linear term reaches the gradient tracker (and, for
+    # gradient tracking, the iterate) in the first step; Newton's iterate
+    # stays finite until the second
+    _, W = quad_graph
+    p = quad_problem.data.p.copy()
+    p[3, 0] = np.nan
+    prob = replace(quad_problem, data=replace(quad_problem.data, p=p))
+    x0 = np.zeros((prob.n, prob.d))
+    if method == "newton":
+        trace = run(prob, W, quad_params(max_iters=20), x0, quad_xstar)
+        assert np.isfinite(trace.rows[1].rel_err)
+    else:
+        trace = gt_run(prob, W, GTParams(alpha=0.01, max_iters=20), x0, quad_xstar)
+    assert trace.status == "diverged" and trace.iterations == 1
+    assert "non-finite" in trace.note and trace.note.endswith("iteration 1")
 
 
 def test_cg_fallback_direction(quad_problem, quad_graph):

@@ -58,6 +58,23 @@ def test_quadratic_nodes_positive_definite_and_heterogeneous():
         assert np.linalg.norm(Qi - Qbar) > 1e-3  # genuinely different nodes
 
 
+def test_quadratic_averages_cached_and_read_only():
+    prob = make_quadratic(6, 5, 20.0, seed=4)
+    data = prob.data
+    assert data.Qbar is data.Qbar and data.pbar is data.pbar
+    assert np.array_equal(data.Qbar, data.Q.mean(axis=0))
+    assert np.array_equal(data.pbar, data.p.mean(axis=0))
+    with pytest.raises(ValueError):
+        data.Qbar[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        data.pbar = np.zeros(5)
+    x = np.linspace(-1.0, 1.0, 5)
+    Qbar, pbar = data.Q.mean(axis=0), data.p.mean(axis=0)
+    assert global_value(prob, x) == float(0.5 * x @ Qbar @ x + pbar @ x)
+    assert np.array_equal(global_gradient(prob, x), Qbar @ x + pbar)
+    assert np.array_equal(global_hessian(prob, x), Qbar)
+
+
 def test_quadratic_gradient_at_zero_is_p():
     prob = make_quadratic(6, 9, 10.0, seed=5)
     x0 = np.zeros(9)
