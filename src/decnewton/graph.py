@@ -196,10 +196,13 @@ def consensus_apply(W: MixingMatrix, m: int, blocks) -> np.ndarray:
         blocks = np.asarray(blocks, dtype=float)
     if blocks.shape[0] != W.n:
         raise ValueError(f"expected {W.n} node blocks, got {blocks.shape[0]}")
-    P = W.power(m)
-    out = np.tensordot(P, blocks, axes=(1, 0))
-    out += blocks.mean(axis=0) - out.mean(axis=0)
-    return out
+    # One matrix product on the (n, block size) view; the means are written
+    # as sums over n, the arithmetic np.mean does, without its call overhead.
+    n = W.n
+    flat = blocks.reshape(n, blocks.size // n)
+    out = W.power(m) @ flat
+    out += flat.sum(axis=0) / n - out.sum(axis=0) / n
+    return out.reshape(blocks.shape)
 
 
 def save_matrix(path, M: np.ndarray) -> None:

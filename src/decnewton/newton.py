@@ -404,7 +404,11 @@ def iterate(advance, state, problem: Problem, x_star: np.ndarray, weights,
         rows.append(row)
         if on_step is not None:
             on_step(k, state)
-        finite = np.isfinite(state.x).all() and np.isfinite(state.g).all()
+        # cons_x and track_g are norms of x and g less their means, finite only
+        # when every entry is; the entrywise test runs only when one of them
+        # is not, which an overflow can also cause.
+        finite = (math.isfinite(row.cons_x) and math.isfinite(row.track_g)) or (
+            np.isfinite(state.x).all() and np.isfinite(state.g).all())
         if not finite or not row.rel_err <= DIVERGENCE_LIMIT:
             status = "diverged"
             cause = (f"relative error {row.rel_err:.3e} exceeded {DIVERGENCE_LIMIT:.0e}"
@@ -426,13 +430,16 @@ def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     base = MetricWeights.of(problem, W.sigma, params.rounds(0), delta_bound(params.compressor))
 
+    def weights(k):
+        m = params.rounds(k)
+        return base if m == base.m else replace(base, m=m)
+
     def dump(k, state):
         if dump_dir is not None and k + 1 in dump_iters:
             save_matrix(f"{dump_dir}/state_x_iter{k + 1:05d}.txt", state.x)
 
     return iterate(lambda state, k: step(state, problem, W, params, k, variant),
-                   init_state(problem, x0), problem, oracle_xstar,
-                   lambda k: replace(base, m=params.rounds(k)),
+                   init_state(problem, x0), problem, oracle_xstar, weights,
                    params.max_iters, params.stop_tol, on_step=dump)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decnewton.compress import CompressorSpec, compress, delta_bound, payload_bits
 
@@ -159,6 +161,32 @@ def test_stack_matches_per_matrix_bit_for_bit(kind, K):
     assert out.shape == stack.shape
     per_matrix = np.stack([compress(spec, A) for A in stack])
     assert np.array_equal(out, per_matrix)
+
+
+@st.composite
+def compressor_inputs(draw):
+    kind = draw(st.sampled_from(["rank_k", "top_k"]))
+    d = draw(st.integers(1, 12))
+    K = draw(st.integers(1, d if kind == "rank_k" else d * d))
+    n = draw(st.sampled_from([None, 1, 2, 5]))  # None: a single matrix
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((d, d) if n is None else (n, d, d))
+    if draw(st.booleans()):
+        A = np.round(A * draw(st.sampled_from([1.0, 3.0])))  # ties and zero entries
+    return CompressorSpec(kind, d=d, K=K), draw(st.sampled_from([1e-8, 1.0, 1e8])) * A
+
+
+@settings(max_examples=80, deadline=None)
+@given(compressor_inputs())
+def test_contraction_property(case):
+    spec, A = case
+    out = compress(spec, A)
+    assert out.shape == A.shape
+    bound = 1.0 - delta_bound(spec)
+    for Ai, Qi in zip(A.reshape(-1, spec.d, spec.d), out.reshape(-1, spec.d, spec.d)):
+        assert np.linalg.norm(Qi - Ai) <= bound * np.linalg.norm(Ai) * (1 + 1e-12)
+        if A.ndim == 3:
+            assert np.array_equal(Qi, compress(spec, Ai))
 
 
 def test_spec_validation():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from decnewton.newton import (
     init_state,
     run,
 )
-from decnewton.objectives import Problem, QuadraticInstance, batch_gradients
+from decnewton.objectives import Problem, QuadraticInstance, batch_gradients, global_value
 
 
 def scalar_problem():
@@ -118,6 +119,79 @@ def test_eps_k_formula(quad_problem, quad_xstar):
     expected = (2.0 / math.sqrt(n) * row.cons_x + track_H / math.sqrt(n)
                 + ck * quad_problem.mu) / 0.7
     assert row.eps_k == pytest.approx(expected, rel=1e-12)
+
+
+def _linalg_norm_metrics(row, state, problem, x_star, w, ck=0.0, rel_err_den=None,
+                         f_star=None):
+    """fill_state_metrics as first written, with np.linalg.norm and .mean."""
+    x, g = state.x, state.g
+    n = x.shape[0]
+    xbar = x.mean(axis=0)
+    gbar = g.mean(axis=0)
+    cons_x = float(np.linalg.norm(x - xbar))
+    track_g = float(np.linalg.norm(g - gbar))
+    row.cons_x = cons_x
+    row.track_g = track_g
+    err_mean = float(np.linalg.norm(xbar - x_star))
+    if rel_err_den is not None:
+        stacked_sq = float(np.linalg.norm(x - x_star[None, :]) ** 2)
+        row.rel_err = (stacked_sq / n) / rel_err_den if rel_err_den > 0 else 0.0
+    if f_star is None:
+        f_star = global_value(problem, np.asarray(x_star))
+    gap = global_value(problem, xbar) - f_star
+    q1 = (cons_x ** 2, track_g ** 2 / w.L1 ** 2, n * gap / w.L1)
+    row.u1 = q1[0] + (1 - w.sigma ** 2) ** 2 / 50.0 * q1[1] + 2.0 * w.sigma ** (w.m - 1) * q1[2]
+    if w.sigma > 0:
+        row.u3 = cons_x + w.sigma ** (-w.m / 4.0) * track_g / w.L1 \
+            + 0.5 * w.sigma ** (-3.0 * w.m / 4.0) * math.sqrt(n) * err_mean
+    else:
+        row.u3 = float("nan")
+    row.delta_k = w.L2 / (2.0 * w.mu) * err_mean
+    if getattr(state, "local_grads", None) is not None:
+        row.dac_g = float(np.max(np.abs(gbar - state.local_grads.mean(axis=0))))
+    H = getattr(state, "H", None)
+    if H is not None:
+        Hbar = H.mean(axis=0)
+        track_H = float(np.linalg.norm(H - Hbar))
+        row.track_H = track_H
+        row.err_E = float(np.linalg.norm(state.E))
+        row.diff_Htilde = float(np.linalg.norm(H - state.H_tilde))
+        e_weight = 0.0 if w.delta >= 1.0 else w.delta * (1 - w.sigma) / (8.0 * (1 - w.delta))
+        row.u2 = e_weight * row.err_E + (1 - w.sigma) / 4.0 * row.diff_Htilde + track_H
+        row.eps_k = (w.L2 / math.sqrt(n) * cons_x + track_H / math.sqrt(n) + ck * w.mu) / w.M1
+        if getattr(state, "local_hessians", None) is not None:
+            row.dac_H = float(np.linalg.norm(Hbar - state.local_hessians.mean(axis=0)))
+    return row
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+@pytest.mark.parametrize("layout", ["gt", "newton"])
+@pytest.mark.parametrize("sigma,seed", [(0.0, 1), (0.63, 2), (0.97, 3)])
+def test_fill_state_metrics_matches_linalg_norm_oracle(quad_problem, quad_xstar, tiny,
+                                                       layout, sigma, seed):
+    # the trace CSV promises byte-stable values, so every field must equal
+    # the np.linalg.norm / .mean formulas exactly, not approximately
+    problem, x_star = (scalar_problem(), np.array([0.2])) if tiny else (quad_problem, quad_xstar)
+    n, d = problem.n, problem.d
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-4, 4, size=6)
+    state = NetworkState(x=scale[0] * rng.standard_normal((n, d)),
+                         g=scale[1] * rng.standard_normal((n, d)),
+                         local_grads=scale[1] * rng.standard_normal((n, d)))
+    delta = 1.0
+    if layout == "newton":
+        delta = 0.05
+        state.H, state.E, state.H_tilde, state.local_hessians = (
+            s * rng.standard_normal((n, d, d)) for s in scale[2:])
+    w = MetricWeights(sigma=sigma, m=seed * 5, delta=delta, L1=problem.L1, L2=problem.L2,
+                      mu=problem.mu, M1=0.7)
+    for den, f_star in ((None, None), (0.0, 0.3), (float(rng.uniform(1, 100)), None)):
+        kwargs = dict(ck=1e-3, rel_err_den=den, f_star=f_star)
+        got = fill_state_metrics(RoundMetrics(iter=4), state, problem, x_star, w, **kwargs)
+        want = _linalg_norm_metrics(RoundMetrics(iter=4), state, problem, x_star, w, **kwargs)
+        for f in fields(RoundMetrics):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b) and (a == b or (a != a and b != b)), f.name
 
 
 def test_fit_rate_exact_geometric():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decnewton.graph import (
     _random_spanning_tree,
@@ -192,6 +194,46 @@ def test_consensus_contraction_property_bulk():
             out = consensus_apply(mix, m, b)
             dev_out = np.linalg.norm(out - out.mean(axis=0))
             assert dev_out <= mix.sigma ** m * dev_in + 1e-10
+
+
+def _tensordot_consensus(W, m, blocks):
+    """The earlier consensus_apply, np.tensordot and two means: the bit-for-bit oracle."""
+    if isinstance(blocks, list):
+        blocks = np.stack(blocks)
+    out = np.tensordot(W.power(m), blocks, axes=(1, 0))
+    out += blocks.mean(axis=0) - out.mean(axis=0)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), tau=st.floats(0.3, 1.0), graph_seed=st.integers(0, 2**16),
+       m=st.integers(1, 4), layout=st.sampled_from(["vectors", "matrices", "list"]),
+       d=st.integers(1, 8), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+       data_seed=st.integers(0, 2**16))
+def test_consensus_matches_tensordot_and_keeps_average(n, tau, graph_seed, m, layout, d,
+                                                       scale, data_seed):
+    mix = metropolis_weights(generate_topology(n, max(tau, 2.0 / n), seed=graph_seed))
+    rng = np.random.default_rng(data_seed)
+    shape = (n, d) if layout == "vectors" else (n, d, d)
+    blocks = scale * rng.standard_normal(shape)
+    if layout == "list":
+        blocks = list(blocks)
+    out = consensus_apply(mix, m, blocks)
+    oracle = _tensordot_consensus(mix, m, blocks)
+    assert out.shape == oracle.shape == shape
+    assert np.array_equal(out, oracle)
+    stacked = np.asarray(blocks)
+    drift = np.max(np.abs(out.mean(axis=0) - stacked.mean(axis=0)))
+    assert drift <= 1e-14 * np.max(np.abs(stacked))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2, 1)])
+def test_consensus_scalar_and_empty_blocks(quad_graph, shape):
+    _, mix = quad_graph
+    blocks = np.random.default_rng(1).standard_normal((mix.n, *shape))
+    out = consensus_apply(mix, 2, blocks)
+    assert out.shape == blocks.shape
+    assert np.array_equal(out, _tensordot_consensus(mix, 2, blocks))
 
 
 def test_consensus_rejects_mismatched_blocks(quad_graph):
