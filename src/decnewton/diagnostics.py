@@ -234,8 +234,7 @@ class RateFit:
     r2: float
 
 
-def fit_rate(trace: Trace, window: tuple, field: str = "rel_err",
-             squared: bool | None = None) -> RateFit:
+def fit_rate(trace: Trace, window: tuple, field: str = "rel_err") -> RateFit:
     """Least-squares geometric rate of a trace column over an iteration window.
 
     ``rel_err`` is a squared norm, so the per-iteration contraction factor is
@@ -263,9 +262,7 @@ def fit_rate(trace: Trace, window: tuple, field: str = "rel_err",
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot
-    if squared is None:
-        squared = field == "rel_err"
-    rho = math.exp(slope / 2.0) if squared else math.exp(slope)
+    rho = math.exp(slope / 2.0) if field == "rel_err" else math.exp(slope)
     return RateFit(window=(lo, hi), rho_hat=float(rho), r2=float(r2))
 
 

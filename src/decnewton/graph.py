@@ -187,13 +187,7 @@ def consensus_apply(W: MixingMatrix, m: int, blocks) -> np.ndarray:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if isinstance(blocks, (list, tuple)):
-        shapes = {np.shape(b) for b in blocks}
-        if len(shapes) != 1:
-            raise ValueError(f"per-node blocks must share one shape, got {sorted(shapes)}")
-        blocks = np.stack([np.asarray(b, dtype=float) for b in blocks])
-    else:
-        blocks = np.asarray(blocks, dtype=float)
+    blocks = np.asarray(blocks, dtype=float)
     if blocks.shape[0] != W.n:
         raise ValueError(f"expected {W.n} node blocks, got {blocks.shape[0]}")
     # One matrix product on the (n, block size) view; the means are written

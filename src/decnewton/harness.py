@@ -21,7 +21,7 @@ Configs are plain text with configparser sections::
     gamma = 0.03
     M = 0.0
     alpha = ramp(0.02, 1.1, 1.0)   ; const(v) | ramp(base, growth, cap) | stage(v1, K, v2)
-    cg_tol = const(1e-10)
+    cg_tol = const(1e-10)          ; residual bound c_k, checked against the exact batched solve
     compressor = rank_k(3)         ; rank_k(K) | top_k(K) | identity
     variant = efficient            ; efficient | reference
     max_iters = 2000
@@ -37,6 +37,12 @@ centralized Newton oracle. Traces append to CSV with a fixed column order;
 the first line is a comment carrying the label, the config fingerprint, and
 the final status. Setting the environment variable DECNEWTON_SEED overrides
 every seed in the config.
+
+Each field goes in the section shown. Any other field or section, a value
+under ``[DEFAULT]`` and a field the family or method does not read (``rho``
+on a quadratic, ``gamma`` with ``method = gt``) are errors. A missing
+optional field takes its ``AlgoParams``, ``GTParams`` or ``ExperimentConfig``
+default. A label is non-empty, with no whitespace, ``,`` or ``=``.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import hashlib
 import io
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -95,6 +101,10 @@ SEED_ENV_VAR = "DECNEWTON_SEED"
 STATUS_CODE = {"converged": 0, "max_iters": 2, "diverged": 3}
 
 
+# the ProblemSpec fields each family needs; the other family's stay None
+_FAMILY_FIELDS = {"quadratic": ("kappa",), "logistic": ("rho", "m_per_node")}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     family: str
@@ -104,6 +114,15 @@ class ProblemSpec:
     kappa: float | None = None
     rho: float | None = None
     m_per_node: int | None = None
+
+    def __post_init__(self):
+        if self.family not in _FAMILY_FIELDS:
+            raise ValueError(f"[problem] family must be quadratic or logistic, got {self.family!r}")
+        for key in ("kappa", "rho", "m_per_node"):
+            needed = key in _FAMILY_FIELDS[self.family]
+            if needed == (getattr(self, key) is None):
+                raise ValueError(f"[problem] {key} is {'required' if needed else 'not read'} "
+                                 f"for a {self.family} problem")
 
 
 @dataclass(frozen=True)
@@ -125,16 +144,26 @@ class ExperimentConfig:
     dump_iters: tuple = ()
     repetitions: int = 1
 
+    def __post_init__(self):
+        # the trace header is space-separated key=value tokens and compare
+        # writes the label into an unquoted CSV row
+        if not self.label or re.search(r"[\s,=]", self.label):
+            raise ValueError(f"[output] label must be non-empty with no whitespace, ',' or '=', "
+                             f"got {self.label!r}")
+        if self.variant not in newton.VARIANTS:
+            raise ValueError(f"[algorithm] variant must be efficient or reference, got {self.variant!r}")
+        if self.repetitions < 1:
+            raise ValueError(f"[output] repetitions must be >= 1, got {self.repetitions}")
+
 
 # ---------------------------------------------------------------------------
 # config text <-> ExperimentConfig
 
 _SCHEDULE_RE = re.compile(r"^(const|ramp|stage)\(([^)]*)\)$")
-_COMPRESSOR_RE = re.compile(r"^(rank_k|top_k)\((\d+)\)$|^identity$")
+_COMPRESSOR_RE = re.compile(r"^(rank_k|top_k)\((\d+)\)$")
 
 
 def _parse_schedule(text: str):
-    text = text.strip()
     match = _SCHEDULE_RE.match(text)
     if not match:
         raise ValueError(
@@ -163,11 +192,10 @@ def _render_schedule(sched) -> str:
 
 
 def _parse_compressor(text: str, d: int) -> CompressorSpec:
-    text = text.strip()
     if text == "identity":
         return CompressorSpec(kind="identity", d=d)
     match = _COMPRESSOR_RE.match(text)
-    if not match or match.group(1) is None:
+    if not match:
         raise ValueError(f"bad compressor {text!r}; expected rank_k(K), top_k(K), or identity")
     return CompressorSpec(kind=match.group(1), d=d, K=int(match.group(2)))
 
@@ -178,108 +206,72 @@ def _render_compressor(spec: CompressorSpec) -> str:
     return f"{spec.kind}({spec.K})"
 
 
+_SECTIONS = ("problem", "graph", "algorithm", "output")
+
+
 def parse_config(source) -> ExperimentConfig:
     """Read a config from a path or config text. Raises ValueError naming the
-    section/field on any problem."""
+    section/field on any problem, including a field the config does not read."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # keep m (consensus rounds) and M (regularization) distinct
-    if isinstance(source, str) and "\n" in source:
-        text = source
-    elif os.path.exists(source):
-        text = open(source).read()
-    else:
-        raise ValueError(f"config file not found: {source}")
     try:
-        parser.read_string(text)
+        if isinstance(source, str) and "\n" in source:
+            parser.read_string(source)
+        elif not parser.read(source):
+            raise ValueError(f"config file not found: {source}")
     except configparser.Error as exc:
         raise ValueError(f"config parse error: {exc}") from exc
+    if parser.defaults():
+        raise ValueError(f"config section [DEFAULT] must be empty, it sets {', '.join(parser.defaults())}")
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"unknown config section [{section}]; expected one of {list(_SECTIONS)}")
+    unread = {section: dict(parser[section]) for section in parser.sections()}
 
-    def need(section, key, cast=str):
-        if section not in parser:
-            raise ValueError(f"config missing section [{section}]")
-        if key not in parser[section]:
-            raise ValueError(f"config missing field {key!r} in section [{section}]")
-        raw = parser[section][key]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
+    def read(cls, section, **casts):
+        """Pop and cast the given fields of [section] named in ``casts``; a
+        missing one is an error only where ``cls`` has no default for it."""
+        given = unread.get(section, {})
+        required = {field.name for field in fields(cls) if field.default is MISSING}
+        values = {}
+        for key, cast in casts.items():
+            if key in given:
+                raw = given.pop(key)
+                try:
+                    values[key] = cast(raw)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
+            elif key in required:
+                raise ValueError(f"config missing field {key!r} in section [{section}]")
+        return values
 
-    def opt(section, key, cast=str, default=None):
-        if section in parser and key in parser[section]:
-            return need(section, key, cast)
-        return default
-
-    family = need("problem", "family")
-    if family not in ("quadratic", "logistic"):
-        raise ValueError(f"[problem] family must be quadratic or logistic, got {family!r}")
-    pspec = ProblemSpec(
-        family=family,
-        n=need("problem", "n", int),
-        d=need("problem", "d", int),
-        seed=need("problem", "seed", int),
-        kappa=opt("problem", "kappa", float),
-        rho=opt("problem", "rho", float),
-        m_per_node=opt("problem", "m_per_node", int),
-    )
-    if family == "quadratic" and pspec.kappa is None:
-        raise ValueError("config missing field 'kappa' in section [problem]")
-    if family == "logistic" and (pspec.rho is None or pspec.m_per_node is None):
-        raise ValueError("config missing 'rho'/'m_per_node' in section [problem]")
-    gspec = GraphSpec(tau=need("graph", "tau", float), seed=need("graph", "seed", int))
-
-    method = need("algorithm", "method")
-    gt_alpha_mode = "fixed"
+    problem = ProblemSpec(**read(ProblemSpec, "problem", family=str, n=int, d=int, seed=int,
+                                 kappa=float, rho=float, m_per_node=int))
+    graph = GraphSpec(**read(GraphSpec, "graph", tau=float, seed=int))
+    method = read(ExperimentConfig, "algorithm", method=str)["method"]
     if method == "newton":
-        m_raw = need("algorithm", "m")
-        m = "k" if m_raw.strip() == "k" else int(m_raw)
-        algo = AlgoParams(
-            compressor=_parse_compressor(need("algorithm", "compressor"), pspec.d),
-            alpha=_parse_schedule(need("algorithm", "alpha")),
-            gamma=need("algorithm", "gamma", float),
-            m=m,
-            M=opt("algorithm", "M", float, 0.0),
-            cg_tol=_parse_schedule(opt("algorithm", "cg_tol", str, "const(1e-10)")),
-            max_iters=opt("algorithm", "max_iters", int, 2000),
-            stop_tol=opt("algorithm", "stop_tol", float, 1e-10),
-        )
-        variant = opt("algorithm", "variant", str, "efficient")
-        if variant not in newton.VARIANTS:
-            raise ValueError(f"[algorithm] variant must be efficient or reference, got {variant!r}")
+        algorithm = AlgoParams(**read(
+            AlgoParams, "algorithm", compressor=lambda text: _parse_compressor(text, problem.d),
+            alpha=_parse_schedule, gamma=float, m=lambda text: text if text == "k" else int(text),
+            M=float, cg_tol=_parse_schedule, max_iters=int, stop_tol=float))
+        by_method = read(ExperimentConfig, "algorithm", variant=str)
     elif method == "gt":
-        alpha_raw = need("algorithm", "alpha").strip()
-        if alpha_raw == "tuned":
-            gt_alpha_mode = "tuned"
-            alpha = 1.0  # placeholder replaced after tuning
-        else:
-            alpha = float(alpha_raw)
-        algo = GTParams(
-            alpha=alpha,
-            m=opt("algorithm", "m", int, 1),
-            max_iters=opt("algorithm", "max_iters", int, 5000),
-            stop_tol=opt("algorithm", "stop_tol", float, 1e-10),
-        )
-        variant = "efficient"
+        tuned = unread["algorithm"].get("alpha") == "tuned"
+        algorithm = GTParams(**read(  # a tuned alpha replaces the 1.0 before the run
+            GTParams, "algorithm", alpha=lambda text: 1.0 if tuned else float(text),
+            m=int, max_iters=int, stop_tol=float))
+        by_method = {"gt_alpha_mode": "tuned"} if tuned else {}
     else:
         raise ValueError(f"[algorithm] method must be newton or gt, got {method!r}")
+    output = read(ExperimentConfig, "output", label=str, csv=str, repetitions=int,
+                  dump_iters=lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()))
 
-    dump_raw = opt("output", "dump_iters", str, "")
-    dump_iters = tuple(int(tok) for tok in dump_raw.split(",") if tok.strip()) if dump_raw else ()
-    repetitions = opt("output", "repetitions", int, 1)
-    if repetitions < 1:
-        raise ValueError(f"[output] repetitions must be >= 1, got {repetitions}")
-    return ExperimentConfig(
-        problem=pspec,
-        graph=gspec,
-        method=method,
-        algorithm=algo,
-        variant=variant,
-        gt_alpha_mode=gt_alpha_mode,
-        label=opt("output", "label", str, "run"),
-        csv=opt("output", "csv"),
-        dump_iters=dump_iters,
-        repetitions=repetitions,
-    )
+    left = [f"[{section}] {key}" for section, rest in unread.items() for key in rest]
+    if left:
+        raise ValueError(f"config fields not read by a {problem.family} {method} config: "
+                         f"{', '.join(left)}")
+    return ExperimentConfig(problem=problem, graph=graph, method=method, algorithm=algorithm,
+                            **by_method, **output)
 
 
 def render_config(config: ExperimentConfig) -> str:
@@ -497,81 +489,43 @@ def compare(trace_paths, out_path, tol: float = 1e-6):
 # ---------------------------------------------------------------------------
 # presets reproducing the benchmark experiments
 
-_PRESET_INFO = [
-    ("quad-kappa", "quadratic sweep: kappa in {10, 1e2, 1e4} x m in {15, 20, k}, rank-3 compression"),
-    ("logit-topk", "logistic regression (n=30, d=20), top-20 compression, m=15"),
-    ("logit-rank", "logistic regression (n=30, d=20), rank-3 compression, m=15"),
-    ("alg-equivalence", "lockstep deviation check: reference vs efficient variant, 200 iterations"),
-]
+def _preset(label, problem, graph_seed, kind, K, alpha_base, gamma, m, **algorithm):
+    """A Newton run on a tau = 0.2 graph with step size min(1, alpha_base * 1.1^k)."""
+    algorithm = AlgoParams(compressor=CompressorSpec(kind, d=problem.d, K=K),
+                           alpha=GeometricRamp(alpha_base, 1.1, 1.0), gamma=gamma, m=m, **algorithm)
+    return ExperimentConfig(problem=problem, graph=GraphSpec(tau=0.2, seed=graph_seed),
+                            method="newton", algorithm=algorithm, label=label)
 
-_QUAD_PRESET = dict(n=10, d=30, tau=0.2, problem_seed=1, graph_seed=11)
-_LOGIT_PRESET = dict(n=30, d=20, tau=0.2, m_per_node=100, rho=0.001,
-                     problem_seed=2, graph_seed=12)
+
+_LOGIT = ProblemSpec(family="logistic", n=30, d=20, seed=2, rho=0.001, m_per_node=100)
+
+# name -> (description, configs); the one list of presets
+_PRESETS = {
+    "quad-kappa": ("quadratic sweep: kappa in {10, 1e2, 1e4} x m in {15, 20, k}, rank-3 compression",
+                   [_preset(f"quad-{ktag}-m{m}",
+                            ProblemSpec(family="quadratic", n=10, d=30, seed=1, kappa=kappa),
+                            graph_seed=11, kind="rank_k", K=3, alpha_base=0.02, gamma=0.03, m=m)
+                    for kappa, ktag in ((10.0, "k1e1"), (100.0, "k1e2"), (10000.0, "k1e4"))
+                    for m in (15, 20, "k")]),
+    "logit-topk": ("logistic regression (n=30, d=20), top-20 compression, m=15",
+                   [_preset("logit-topk-m15", _LOGIT, graph_seed=12, kind="top_k", K=20,
+                            alpha_base=0.2, gamma=0.06, m=15, stop_tol=1e-8)]),
+    "logit-rank": ("logistic regression (n=30, d=20), rank-3 compression, m=15",
+                   [_preset("logit-rank-m15", _LOGIT, graph_seed=12, kind="rank_k", K=3,
+                            alpha_base=0.1, gamma=0.06, m=15, stop_tol=1e-8)]),
+    "alg-equivalence": ("lockstep deviation check: reference vs efficient variant, 200 iterations",
+                        []),
+}
 
 
 def list_presets():
-    return list(_PRESET_INFO)
-
-
-def _quad_config(kappa: float, m, label: str, max_iters: int = 2000,
-                 stop_tol: float = 1e-10) -> ExperimentConfig:
-    q = _QUAD_PRESET
-    return ExperimentConfig(
-        problem=ProblemSpec(family="quadratic", n=q["n"], d=q["d"],
-                            kappa=kappa, seed=q["problem_seed"]),
-        graph=GraphSpec(tau=q["tau"], seed=q["graph_seed"]),
-        method="newton",
-        algorithm=AlgoParams(
-            compressor=CompressorSpec(kind="rank_k", d=q["d"], K=3),
-            alpha=GeometricRamp(0.02, 1.1, 1.0),
-            gamma=0.03,
-            m=m,
-            M=0.0,
-            cg_tol=ConstantSchedule(1e-10),
-            max_iters=max_iters,
-            stop_tol=stop_tol,
-        ),
-        label=label,
-    )
-
-
-def _logit_config(compressor_kind: str, K: int, alpha_base: float, label: str) -> ExperimentConfig:
-    q = _LOGIT_PRESET
-    return ExperimentConfig(
-        problem=ProblemSpec(family="logistic", n=q["n"], d=q["d"],
-                            rho=q["rho"], m_per_node=q["m_per_node"],
-                            seed=q["problem_seed"]),
-        graph=GraphSpec(tau=q["tau"], seed=q["graph_seed"]),
-        method="newton",
-        algorithm=AlgoParams(
-            compressor=CompressorSpec(kind=compressor_kind, d=q["d"], K=K),
-            alpha=GeometricRamp(alpha_base, 1.1, 1.0),
-            gamma=0.06,
-            m=15,
-            M=0.0,
-            cg_tol=ConstantSchedule(1e-10),
-            max_iters=2000,
-            stop_tol=1e-8,
-        ),
-        label=label,
-    )
+    return [(name, description) for name, (description, _) in _PRESETS.items()]
 
 
 def preset_configs(name: str):
-    if name == "quad-kappa":
-        configs = []
-        for kappa, ktag in ((10.0, "k1e1"), (100.0, "k1e2"), (10000.0, "k1e4")):
-            for m in (15, 20, "k"):
-                mtag = f"m{m}" if m != "k" else "mk"
-                configs.append(_quad_config(kappa, m, f"quad-{ktag}-{mtag}"))
-        return configs
-    if name == "logit-topk":
-        return [_logit_config("top_k", 20, 0.2, "logit-topk-m15")]
-    if name == "logit-rank":
-        return [_logit_config("rank_k", 3, 0.1, "logit-rank-m15")]
-    if name == "alg-equivalence":
-        return []
-    raise ValueError(f"unknown preset {name!r}; available: {[p[0] for p in _PRESET_INFO]}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {list(_PRESETS)}")
+    return list(_PRESETS[name][1])
 
 
 EQUIVALENCE_TOL = 1e-9
@@ -579,12 +533,13 @@ EQUIVALENCE_TOL = 1e-9
 
 def run_preset(name: str, out_dir: str):
     """Run every config of a preset; returns (exit_code, message lines)."""
+    configs = preset_configs(name)
     os.makedirs(out_dir, exist_ok=True)
     if name == "alg-equivalence":
         return _run_equivalence_preset(out_dir)
     messages = []
     worst = 0
-    for config in preset_configs(name):
+    for config in configs:
         trace, path = run_experiment(config, out_dir=out_dir)
         messages.append(summary(trace, path))
         worst = max(worst, STATUS_CODE[trace.status])
@@ -592,7 +547,7 @@ def run_preset(name: str, out_dir: str):
 
 
 def _run_equivalence_preset(out_dir: str):
-    config = _quad_config(100.0, 15, "alg-equivalence")
+    config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
     _, problem, W, x0, _ = _instance(config)
     deviations = newton.run_lockstep(problem, W, config.algorithm, x0, iters=200)
     path = os.path.join(out_dir, "alg-equivalence.csv")

@@ -1,13 +1,22 @@
 import os
+import re
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from decnewton import harness
 from decnewton.cli import main
+from decnewton.compress import CompressorSpec
 from decnewton.diagnostics import CSV_COLUMNS
+from decnewton.gradient_tracking import GTParams
 from decnewton.harness import (
     SEED_ENV_VAR,
+    ExperimentConfig,
+    GraphSpec,
+    ProblemSpec,
     compare,
     config_fingerprint,
     list_presets,
@@ -18,6 +27,7 @@ from decnewton.harness import (
     run_experiment,
     write_trace_csv,
 )
+from decnewton.newton import AlgoParams, ConstantSchedule
 
 QUAD_CFG = """
 [problem]
@@ -104,6 +114,78 @@ def test_config_errors_name_the_field():
         parse_config(QUAD_CFG.replace("ramp(0.05, 1.1, 1.0)", "warp(1)"))
     with pytest.raises(ValueError, match=r"\[output\] repetitions"):
         parse_config(QUAD_CFG + "repetitions = 0\n")
+
+
+def test_missing_optional_fields_take_the_dataclass_defaults():
+    required = QUAD_CFG.split("[algorithm]")[0] + (
+        "[algorithm]\nmethod = newton\ngamma = 0.05\nalpha = const(0.5)\ncompressor = identity\n")
+    problem, graph = ProblemSpec("quadratic", n=6, d=8, seed=3, kappa=50.0), GraphSpec(0.4, 5)
+    assert parse_config(required) == ExperimentConfig(
+        problem, graph, "newton", AlgoParams(CompressorSpec("identity", d=8), ConstantSchedule(0.5), 0.05))
+    gt = required.split("[algorithm]")[0] + "[algorithm]\nmethod = gt\nalpha = 0.1\n"
+    assert parse_config(gt) == ExperimentConfig(problem, graph, "gt", GTParams(0.1))
+
+
+LOGIT_CFG = render_config(preset_configs("logit-topk")[0])
+
+
+@pytest.mark.parametrize("text,named", [
+    (QUAD_CFG.replace("kappa = 50.0\n", "kappa = 50.0\nkapa = 5.0\n"), r"\[problem\] kapa"),
+    (QUAD_CFG.replace("tau = 0.4\n", "tau = 0.4\ntua = 0.1\n"), r"\[graph\] tua"),
+    (QUAD_CFG.replace("max_iters = 400\nstop_tol = 1e-10\n", "max_iter = 5\nstop_tool = 1e-3\n"),
+     r"\[algorithm\] max_iter, \[algorithm\] stop_tool"),
+    (QUAD_CFG + "lable = other\n", r"\[output\] lable"),
+    (QUAD_CFG + "\n[outputs]\nlabel = other\n", r"\[outputs\]"),
+    ("[DEFAULT]\nseed = 5\n" + QUAD_CFG, r"\[DEFAULT\].*seed"),
+    (QUAD_CFG.replace("kappa = 50.0\n", "kappa = 50.0\nrho = 0.1\n"), r"\[problem\] rho"),
+    (LOGIT_CFG.replace("rho = ", "kappa = 10.0\nrho = "), r"\[problem\] kappa"),
+    (GT_CFG.replace("method = gt\n", "method = gt\ngamma = 0.05\n"), r"\[algorithm\] gamma"),
+    (GT_CFG.replace("method = gt\n", "method = gt\ncompressor = rank_k(2)\n"),
+     r"\[algorithm\] compressor"),
+    (GT_CFG.replace("method = gt\n", "method = gt\nvariant = reference\n"),
+     r"\[algorithm\] variant"),
+], ids=["problem-field", "graph-field", "algorithm-fields", "output-field", "unknown-section",
+        "default-section", "rho-on-quadratic", "kappa-on-logistic", "gt-gamma",
+        "gt-compressor", "gt-variant"])
+def test_config_rejects_fields_it_does_not_read(tmp_path, capsys, text, named):
+    with pytest.raises(ValueError, match=named):
+        parse_config(text)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and re.search(named, err[0])
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("label", ["my run", "a,b", "k=v", "", "tab\there"],
+                         ids=["space", "comma", "equals", "empty", "tab"])
+def test_label_must_read_back_from_the_trace_header(label):
+    with pytest.raises(ValueError, match=r"\[output\] label"):
+        parse_config(QUAD_CFG.replace("label = small-quad", f"label = {label}"))
+    with pytest.raises(ValueError, match=r"\[output\] label"):
+        replace(parse_config(QUAD_CFG), label=label)
+
+
+def _readme_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+
+
+def _docstring_example():
+    lines = []
+    for line in harness.__doc__.split("::\n", 1)[1].splitlines():
+        if line and not line.startswith(" "):
+            break
+        lines.append(line)
+    return textwrap.dedent("\n".join(lines))
+
+
+@pytest.mark.parametrize("example", [_readme_example, _docstring_example],
+                         ids=["readme", "harness-docstring"])
+def test_documented_config_examples_parse(example):
+    config = parse_config(example())
+    assert parse_config(render_config(config)) == config
 
 
 def test_growing_m_round_trip():
