@@ -67,8 +67,6 @@ def _dispatch(args) -> int:
         for config in harness.repetitions(harness.parse_config(args.config)):
             trace, path = harness.run_experiment(config, out_dir=args.out)
             print(harness.summary(trace, path))
-            if trace.note:
-                print(f"  note: {trace.note}")
             worst = max(worst, harness.STATUS_CODE[trace.status])
         return worst
 

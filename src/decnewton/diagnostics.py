@@ -158,10 +158,9 @@ def _local_floor(mu: float) -> float:
 
 
 def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeights,
-                       ck: float = 0.0, rel_err_den: float | None = None,
-                       f_star: float | None = None) -> RoundMetrics:
+                       rel_err_den: float | None = None, f_star: float | None = None) -> RoundMetrics:
     """Populate the state-derived fields of an existing row in place and
-    return it.
+    return it; ``eps_k`` reads the row's own ``c_k``.
 
     ``state`` needs attributes x, g (n, d) and optionally H, H_tilde, E
     (n, d, d) plus the cached local gradients/Hessians; the Hessian-side
@@ -209,7 +208,7 @@ def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeigh
         else:
             e_weight = w.delta * (1 - w.sigma) / (8.0 * (1 - w.delta))
         row.u2 = e_weight * row.err_E + (1 - w.sigma) / 4.0 * row.diff_Htilde + track_H
-        row.eps_k = (w.L2 / math.sqrt(n) * cons_x + track_H / math.sqrt(n) + ck * w.mu) / w.M1
+        row.eps_k = (w.L2 / math.sqrt(n) * cons_x + track_H / math.sqrt(n) + row.c_k * w.mu) / w.M1
         if getattr(state, "local_hessians", None) is not None:
             row.dac_H = _norm(Hbar - state.local_hessians.sum(axis=0) / n)
     return row

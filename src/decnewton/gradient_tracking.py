@@ -43,41 +43,29 @@ class GTParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
 
 
-def gt_step(x: np.ndarray, g: np.ndarray, problem: Problem, W: MixingMatrix,
-            params: GTParams, grads_x: np.ndarray | None = None):
-    """One tracking iteration; returns (x', g', grad f(x')) so callers can
-    chain steps without re-evaluating gradients."""
-    if grads_x is None:
-        grads_x = batch_gradients(problem, x)
-    x_new = consensus_apply(W, params.m, x - params.alpha * g)
+def gt_step(state: NetworkState, problem: Problem, W: MixingMatrix, params: GTParams, k: int):
+    """One tracking iteration from ``state``; returns the new state and its
+    metrics row, as ``newton.step`` does. Bits count the x and g exchanges,
+    m * d * 64 each per node."""
+    x_new = consensus_apply(W, params.m, state.x - params.alpha * state.g)
     grads_new = batch_gradients(problem, x_new)
-    g_new = consensus_apply(W, params.m, g + grads_new - grads_x)
-    return x_new, g_new, grads_new
+    g_new = consensus_apply(W, params.m, state.g + grads_new - state.local_grads)
+    return (NetworkState(x=x_new, g=g_new, local_grads=grads_new),
+            RoundMetrics(iter=k + 1, alpha_k=params.alpha,
+                         bits=problem.n * 2 * params.m * problem.d * 64))
 
 
 def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
            oracle_xstar: np.ndarray) -> Trace:
-    """Full gradient-tracking run through ``newton.iterate``, with the shared
-    trace schema.
-
-    Hessian-side metrics are NaN (the method carries no curvature state);
-    bits count the x and g exchanges, m * d * 64 each per node per iteration.
-    """
+    """Full gradient-tracking run: ``gt_step`` through ``newton.iterate``, with
+    the shared trace schema; Hessian-side metrics are NaN (no curvature state)."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.n, problem.d):
         raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x.shape}")
     grads = batch_gradients(problem, x)
     weights = MetricWeights.of(problem, W.sigma, params.m, delta=1.0)
-    bits = problem.n * 2 * params.m * problem.d * 64
-
-    def advance(state, k):
-        x, g, grads = gt_step(state.x, state.g, problem, W, params, state.local_grads)
-        return (NetworkState(x=x, g=g, local_grads=grads),
-                RoundMetrics(iter=k + 1, alpha_k=params.alpha, bits=bits))
-
-    return iterate(advance, NetworkState(x=x, g=grads.copy(), local_grads=grads),
-                   problem, oracle_xstar, lambda k: weights,
-                   params.max_iters, params.stop_tol)
+    return iterate(gt_step, NetworkState(x=x, g=grads.copy(), local_grads=grads),
+                   problem, W, params, oracle_xstar, lambda k: weights)
 
 
 def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,

@@ -40,9 +40,10 @@ every seed in the config.
 
 Each field goes in the section shown. Any other field or section, a value
 under ``[DEFAULT]`` and a field the family or method does not read (``rho``
-on a quadratic, ``gamma`` with ``method = gt``) are errors. A missing
-optional field takes its ``AlgoParams``, ``GTParams`` or ``ExperimentConfig``
-default. A label is non-empty, with no whitespace, ``,`` or ``=``.
+on a quadratic, ``gamma`` or ``variant`` with ``method = gt``) are errors. A
+missing optional field takes its ``AlgoParams`` (newton), ``GTParams`` (gt)
+or ``ExperimentConfig`` default; ``alpha = tuned`` is for gt only. A label is
+non-empty, with no ``,``, ``=``, ``/``, ``\\`` or whitespace.
 """
 
 from __future__ import annotations
@@ -137,7 +138,6 @@ class ExperimentConfig:
     graph: GraphSpec
     method: str                      # newton | gt
     algorithm: object                # AlgoParams or GTParams
-    variant: str = "efficient"       # newton only
     gt_alpha_mode: str = "fixed"     # fixed | tuned (gt only)
     label: str = "run"
     csv: str | None = None
@@ -145,13 +145,18 @@ class ExperimentConfig:
     repetitions: int = 1
 
     def __post_init__(self):
-        # the trace header is space-separated key=value tokens and compare
-        # writes the label into an unquoted CSV row
-        if not self.label or re.search(r"[\s,=]", self.label):
-            raise ValueError(f"[output] label must be non-empty with no whitespace, ',' or '=', "
-                             f"got {self.label!r}")
-        if self.variant not in newton.VARIANTS:
-            raise ValueError(f"[algorithm] variant must be efficient or reference, got {self.variant!r}")
+        # the trace header is space-separated key=value tokens, compare writes
+        # the label into an unquoted CSV row and run_experiment into a file name
+        if not self.label or re.search(r"[\s,=/\\]", self.label):
+            raise ValueError(f"[output] label must be non-empty with no whitespace, ',', '=', '/' "
+                             f"or '\\', got {self.label!r}")
+        params_class = {"newton": AlgoParams, "gt": GTParams}.get(self.method, ())  # () matches none
+        if not isinstance(self.algorithm, params_class):
+            raise ValueError(f"[algorithm] method must be newton (AlgoParams) or gt (GTParams), "
+                             f"got {self.method!r} with {type(self.algorithm).__name__}")
+        if self.gt_alpha_mode not in (("fixed", "tuned") if self.method == "gt" else ("fixed",)):
+            raise ValueError(f"[algorithm] alpha mode must be fixed, or tuned with method = gt; "
+                             f"got {self.gt_alpha_mode!r} with method = {self.method}")
         if self.repetitions < 1:
             raise ValueError(f"[output] repetitions must be >= 1, got {self.repetitions}")
 
@@ -249,18 +254,16 @@ def parse_config(source) -> ExperimentConfig:
                                  kappa=float, rho=float, m_per_node=int))
     graph = GraphSpec(**read(GraphSpec, "graph", tau=float, seed=int))
     method = read(ExperimentConfig, "algorithm", method=str)["method"]
+    tuned = method == "gt" and unread["algorithm"].get("alpha") == "tuned"
     if method == "newton":
         algorithm = AlgoParams(**read(
             AlgoParams, "algorithm", compressor=lambda text: _parse_compressor(text, problem.d),
             alpha=_parse_schedule, gamma=float, m=lambda text: text if text == "k" else int(text),
-            M=float, cg_tol=_parse_schedule, max_iters=int, stop_tol=float))
-        by_method = read(ExperimentConfig, "algorithm", variant=str)
+            M=float, cg_tol=_parse_schedule, max_iters=int, stop_tol=float, variant=str))
     elif method == "gt":
-        tuned = unread["algorithm"].get("alpha") == "tuned"
         algorithm = GTParams(**read(  # a tuned alpha replaces the 1.0 before the run
             GTParams, "algorithm", alpha=lambda text: 1.0 if tuned else float(text),
             m=int, max_iters=int, stop_tol=float))
-        by_method = {"gt_alpha_mode": "tuned"} if tuned else {}
     else:
         raise ValueError(f"[algorithm] method must be newton or gt, got {method!r}")
     output = read(ExperimentConfig, "output", label=str, csv=str, repetitions=int,
@@ -271,7 +274,7 @@ def parse_config(source) -> ExperimentConfig:
         raise ValueError(f"config fields not read by a {problem.family} {method} config: "
                          f"{', '.join(left)}")
     return ExperimentConfig(problem=problem, graph=graph, method=method, algorithm=algorithm,
-                            **by_method, **output)
+                            gt_alpha_mode="tuned" if tuned else "fixed", **output)
 
 
 def render_config(config: ExperimentConfig) -> str:
@@ -297,7 +300,7 @@ def render_config(config: ExperimentConfig) -> str:
             f"alpha = {_render_schedule(a.alpha)}",
             f"cg_tol = {_render_schedule(a.cg_tol)}",
             f"compressor = {_render_compressor(a.compressor)}",
-            f"variant = {config.variant}",
+            f"variant = {a.variant}",
             f"max_iters = {a.max_iters}",
             f"stop_tol = {a.stop_tol!r}",
         ]
@@ -372,7 +375,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     if config.method == "newton":
         dump_dir = out_dir if config.dump_iters else None
         trace = newton.run(problem, W, config.algorithm, x0, x_star,
-                           variant=config.variant,
                            dump_iters=config.dump_iters, dump_dir=dump_dir)
     else:
         params = config.algorithm
@@ -394,9 +396,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
 
 
 def summary(trace: Trace, path) -> str:
-    """The one-line outcome of a run, pointing at its CSV when there is one."""
+    """The one-line outcome of a run, pointing at its CSV when there is one,
+    and a second ``  note:`` line when the run left a note (why it diverged)."""
     return (f"{trace.label}: status={trace.status} iterations={trace.iterations} "
-            f"rel_err={trace.final_rel_err:.3e}" + (f" -> {path}" if path else ""))
+            f"rel_err={trace.final_rel_err:.3e}" + (f" -> {path}" if path else "")
+            + (f"\n  note: {trace.note}" if trace.note else ""))
 
 
 # ---------------------------------------------------------------------------

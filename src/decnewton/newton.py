@@ -16,12 +16,12 @@ One iteration, per node:
    solves all nodes exactly with one batched factorization, which meets any
    c_k, and records the true residual so the bound stays checked.
 
-``step`` runs one iteration in either of two variants. The ``reference``
-variant is the plain form above, which would ship the uncompressed
-reconstruction ``Hhat``. The ``efficient`` variant ships only the two
-compressed packets per node and keeps the extra accumulator ``H_tilde_w``
-tracking ``W @ H_tilde``, so ``W @ Hhat = H_tilde_w + W @ Q2``; the two
-produce the same trajectory up to floating-point reassociation.
+``step`` runs one iteration in the variant ``AlgoParams.variant`` names. The
+``reference`` variant is the plain form above, which would ship the
+uncompressed reconstruction ``Hhat``. The ``efficient`` variant ships only
+the two compressed packets per node and keeps the extra accumulator
+``H_tilde_w`` tracking ``W @ H_tilde``, so ``W @ Hhat = H_tilde_w + W @ Q2``;
+the two produce the same trajectory up to floating-point reassociation.
 
 Node averages are conserved by construction: the mean of ``g`` equals the
 mean of the current local gradients and likewise for ``H`` (dynamic average
@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e6
+
+VARIANTS = ("efficient", "reference")
 
 # Roundoff-restart guard for ``cg_solve``: recompute the true residual and
 # continue for at most this many sweeps of <= d iterations each. Badly
@@ -123,8 +125,11 @@ class AlgoParams:
     cg_tol: object = ConstantSchedule(1e-10)
     max_iters: int = 2000
     stop_tol: float = 1e-10
+    variant: str = "efficient"  # one of VARIANTS
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be efficient or reference, got {self.variant!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.m != "k" and (not isinstance(self.m, int) or self.m < 1):
@@ -322,15 +327,11 @@ def _positive_definite(A: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # one iteration
 
-VARIANTS = ("efficient", "reference")
-
-
-def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoParams,
-         k: int, variant: str = "efficient"):
+def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoParams, k: int):
     """One iteration from ``state``; returns the new state and its metrics row.
 
-    ``variant`` chooses only how ``W @ Hhat`` is formed and what the Hessian
-    exchange costs. ``"reference"`` gossips the reconstruction ``Hhat``
+    ``params.variant`` chooses only how ``W @ Hhat`` is formed and what the
+    Hessian exchange costs. ``"reference"`` gossips the reconstruction ``Hhat``
     itself and is charged a raw d x d matrix per node. ``"efficient"`` ships
     only the two compressed packets per node and takes ``W @ Hhat`` from the
     accumulator ``H_tilde_w`` plus ``W @ Q2``.
@@ -348,7 +349,7 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
     H_tilde_w_new = state.H_tilde_w + consensus_apply(W, 1, Q1)
     H_hat = state.H_tilde + Q2
     n, d = state.x.shape
-    if variant == "reference":
+    if params.variant == "reference":
         H_hat_w = consensus_apply(W, 1, H_hat)
         hess_bits = d * d * 64
     else:
@@ -376,12 +377,13 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
 # full runs
 
 
-def iterate(advance, state, problem: Problem, x_star: np.ndarray, weights,
-            max_iters: int, stop_tol: float, on_step=None) -> Trace:
-    """Run ``advance(state, k) -> (state, row)`` until rel_err <= stop_tol,
-    divergence, or max_iters; every method's runs go through this loop.
+def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: np.ndarray,
+            weights, on_step=None) -> Trace:
+    """Run ``step_fn(state, problem, W, params, k) -> (state, row)`` until
+    rel_err <= params.stop_tol, divergence, or params.max_iters; every
+    method's runs go through this loop.
 
-    The loop times ``advance`` into ``wall_time``, fills the row's state
+    The loop times ``step_fn`` into ``wall_time``, fills the row's state
     metrics with ``weights(k)`` and adds up ``bits_cum``. A non-finite iterate
     or tracker, or rel_err past DIVERGENCE_LIMIT, ends the run as "diverged".
     ``on_step(k, state)`` runs after each iteration, outside the timed part.
@@ -393,12 +395,11 @@ def iterate(advance, state, problem: Problem, x_star: np.ndarray, weights,
                                rel_err_den=den, f_star=f_star)]
     bits_cum = 0
     status, note = "max_iters", ""
-    for k in range(max_iters):
+    for k in range(params.max_iters):
         t0 = time.perf_counter()
-        state, row = advance(state, k)
+        state, row = step_fn(state, problem, W, params, k)
         row.wall_time = time.perf_counter() - t0
-        fill_state_metrics(row, state, problem, x_star, weights(k),
-                           ck=row.c_k, rel_err_den=den, f_star=f_star)
+        fill_state_metrics(row, state, problem, x_star, weights(k), rel_err_den=den, f_star=f_star)
         bits_cum += row.bits
         row.bits_cum = bits_cum
         rows.append(row)
@@ -415,19 +416,16 @@ def iterate(advance, state, problem: Problem, x_star: np.ndarray, weights,
                      if finite else "non-finite iterate or tracker")
             note = f"{cause} at iteration {k + 1}"
             break
-        if row.rel_err <= stop_tol:
+        if row.rel_err <= params.stop_tol:
             status = "converged"
             break
     return Trace(rows=rows, status=status, note=note)
 
 
 def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
-        oracle_xstar: np.ndarray, variant: str = "efficient",
-        dump_iters=(), dump_dir=None) -> Trace:
+        oracle_xstar: np.ndarray, dump_iters=(), dump_dir=None) -> Trace:
     """Decentralized Newton run; with ``dump_dir``, the stacked iterate is
     written there after each iteration in ``dump_iters``."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     base = MetricWeights.of(problem, W.sigma, params.rounds(0), delta_bound(params.compressor))
 
     def weights(k):
@@ -438,9 +436,8 @@ def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
         if dump_dir is not None and k + 1 in dump_iters:
             save_matrix(f"{dump_dir}/state_x_iter{k + 1:05d}.txt", state.x)
 
-    return iterate(lambda state, k: step(state, problem, W, params, k, variant),
-                   init_state(problem, x0), problem, oracle_xstar, weights,
-                   params.max_iters, params.stop_tol, on_step=dump)
+    return iterate(step, init_state(problem, x0), problem, W, params, oracle_xstar, weights,
+                   on_step=dump)
 
 
 def max_state_deviation(a: NetworkState, b: NetworkState) -> float:
@@ -466,17 +463,18 @@ def run_lockstep(problem: Problem, W: MixingMatrix, params: AlgoParams,
     error-feedback stores over a long horizon even though the iterates
     themselves stay put.
     """
+    eff_params, ref_params = (replace(params, variant=v) for v in VARIANTS)
     ref = init_state(problem, x0)
     eff = init_state(problem, x0) if not resync else None
     deviations = []
     for k in range(iters):
         if resync:
-            ref_next, _ = step(ref, problem, W, params, k, "reference")
-            eff_next, _ = step(ref, problem, W, params, k)
+            ref_next, _ = step(ref, problem, W, ref_params, k)
+            eff_next, _ = step(ref, problem, W, eff_params, k)
             deviations.append(max_state_deviation(ref_next, eff_next))
             ref = eff_next
         else:
-            ref, _ = step(ref, problem, W, params, k, "reference")
-            eff, _ = step(eff, problem, W, params, k)
+            ref, _ = step(ref, problem, W, ref_params, k)
+            eff, _ = step(eff, problem, W, eff_params, k)
             deviations.append(max_state_deviation(ref, eff))
     return deviations

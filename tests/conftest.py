@@ -39,7 +39,7 @@ def quad_x0(quad_problem):
 
 
 def quad_params(m=15, kind="rank_k", K=3, gamma=0.03, max_iters=2000,
-                stop_tol=1e-10, alpha=None, M=0.0, cg_tol=None):
+                stop_tol=1e-10, alpha=None, M=0.0, cg_tol=None, variant="efficient"):
     return AlgoParams(
         compressor=CompressorSpec(kind, d=QUAD["d"], K=K),
         alpha=alpha if alpha is not None else GeometricRamp(0.02, 1.1, 1.0),
@@ -49,4 +49,5 @@ def quad_params(m=15, kind="rank_k", K=3, gamma=0.03, max_iters=2000,
         cg_tol=cg_tol if cg_tol is not None else ConstantSchedule(1e-10),
         max_iters=max_iters,
         stop_tol=stop_tol,
+        variant=variant,
     )

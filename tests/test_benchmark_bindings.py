@@ -74,8 +74,8 @@ def test_gt_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar, qua
 def test_newton_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar, quad_x0,
                                            layer_calls, variant):
     iters = 3
-    trace = run(quad_problem, quad_graph[1], quad_params(max_iters=iters, stop_tol=0.0),
-                quad_x0, quad_xstar, variant=variant)
+    trace = run(quad_problem, quad_graph[1],
+                quad_params(max_iters=iters, stop_tol=0.0, variant=variant), quad_x0, quad_xstar)
     assert trace.iterations == iters
     assert layer_calls == {"graph.consensus_apply": 4 * iters,
                            "diagnostics.fill_state_metrics": len(trace.rows),

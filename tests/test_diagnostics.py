@@ -88,8 +88,8 @@ def test_u1_u3_scalar_hand_evaluation():
     w = MetricWeights(sigma=sigma, m=m, delta=0.05, L1=prob.L1, L2=prob.L2,
                       mu=prob.mu, M1=1.0)
     x_star = np.array([-(0.5 * (1.0 - 2.0)) / (0.5 * (2.0 + 3.0))])  # -pbar/qbar
-    row = fill_state_metrics(RoundMetrics(), state, prob, x_star, w,
-                             rel_err_den=1.0, ck=0.0)
+    row = fill_state_metrics(RoundMetrics(c_k=0.0), state, prob, x_star, w,
+                             rel_err_den=1.0)
 
     xbar = 0.125
     cons2 = (0.5 - xbar) ** 2 + (-0.25 - xbar) ** 2
@@ -113,16 +113,15 @@ def test_eps_k_formula(quad_problem, quad_xstar):
     w = MetricWeights(sigma=0.9, m=15, delta=0.05, L1=quad_problem.L1,
                       L2=2.0, mu=quad_problem.mu, M1=0.7)
     ck = 1e-3
-    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
-                             rel_err_den=1.0, ck=ck)
+    row = fill_state_metrics(RoundMetrics(c_k=ck), state, quad_problem, quad_xstar, w,
+                             rel_err_den=1.0)
     track_H = np.linalg.norm(state.H - state.H.mean(axis=0))
     expected = (2.0 / math.sqrt(n) * row.cons_x + track_H / math.sqrt(n)
                 + ck * quad_problem.mu) / 0.7
     assert row.eps_k == pytest.approx(expected, rel=1e-12)
 
 
-def _linalg_norm_metrics(row, state, problem, x_star, w, ck=0.0, rel_err_den=None,
-                         f_star=None):
+def _linalg_norm_metrics(row, state, problem, x_star, w, rel_err_den=None, f_star=None):
     """fill_state_metrics as first written, with np.linalg.norm and .mean."""
     x, g = state.x, state.g
     n = x.shape[0]
@@ -158,7 +157,7 @@ def _linalg_norm_metrics(row, state, problem, x_star, w, ck=0.0, rel_err_den=Non
         row.diff_Htilde = float(np.linalg.norm(H - state.H_tilde))
         e_weight = 0.0 if w.delta >= 1.0 else w.delta * (1 - w.sigma) / (8.0 * (1 - w.delta))
         row.u2 = e_weight * row.err_E + (1 - w.sigma) / 4.0 * row.diff_Htilde + track_H
-        row.eps_k = (w.L2 / math.sqrt(n) * cons_x + track_H / math.sqrt(n) + ck * w.mu) / w.M1
+        row.eps_k = (w.L2 / math.sqrt(n) * cons_x + track_H / math.sqrt(n) + row.c_k * w.mu) / w.M1
         if getattr(state, "local_hessians", None) is not None:
             row.dac_H = float(np.linalg.norm(Hbar - state.local_hessians.mean(axis=0)))
     return row
@@ -186,9 +185,10 @@ def test_fill_state_metrics_matches_linalg_norm_oracle(quad_problem, quad_xstar,
     w = MetricWeights(sigma=sigma, m=seed * 5, delta=delta, L1=problem.L1, L2=problem.L2,
                       mu=problem.mu, M1=0.7)
     for den, f_star in ((None, None), (0.0, 0.3), (float(rng.uniform(1, 100)), None)):
-        kwargs = dict(ck=1e-3, rel_err_den=den, f_star=f_star)
-        got = fill_state_metrics(RoundMetrics(iter=4), state, problem, x_star, w, **kwargs)
-        want = _linalg_norm_metrics(RoundMetrics(iter=4), state, problem, x_star, w, **kwargs)
+        kwargs = dict(rel_err_den=den, f_star=f_star)
+        got = fill_state_metrics(RoundMetrics(iter=4, c_k=1e-3), state, problem, x_star, w, **kwargs)
+        want = _linalg_norm_metrics(RoundMetrics(iter=4, c_k=1e-3), state, problem, x_star, w,
+                                    **kwargs)
         for f in fields(RoundMetrics):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert type(a) is type(b) and (a == b or (a != a and b != b)), f.name

@@ -4,6 +4,7 @@ import pytest
 from decnewton.diagnostics import fit_rate
 from decnewton.gradient_tracking import GTParams, gt_run, gt_step, tune_alpha
 from decnewton.graph import generate_topology, metropolis_weights
+from decnewton.newton import NetworkState
 from decnewton.objectives import (
     batch_gradients,
     centralized_solve,
@@ -26,9 +27,10 @@ def test_fixed_point(setup):
     x = np.tile(x_star, (prob.n, 1))
     g = np.tile(global_gradient(prob, x_star), (prob.n, 1))
     params = GTParams(alpha=0.05, m=1)
-    x_new, g_new, _ = gt_step(x, g, prob, W, params)
-    assert np.max(np.abs(x_new - x)) <= 1e-10
-    assert np.max(np.abs(g_new - g)) <= 1e-10
+    new, _ = gt_step(NetworkState(x=x, g=g, local_grads=batch_gradients(prob, x)), prob, W,
+                     params, 0)
+    assert np.max(np.abs(new.x - x)) <= 1e-10
+    assert np.max(np.abs(new.g - g)) <= 1e-10
 
 
 def test_zero_step_is_pure_consensus(setup):
@@ -38,10 +40,11 @@ def test_zero_step_is_pure_consensus(setup):
     g = batch_gradients(prob, x)
     params = GTParams(alpha=0.0, m=3)
     Wm = np.linalg.matrix_power(W.W, 3)
-    x_new, g_new, grads_new = gt_step(x, g, prob, W, params)
-    assert np.allclose(x_new, Wm @ x, atol=1e-12)
+    new, row = gt_step(NetworkState(x=x, g=g, local_grads=g.copy()), prob, W, params, 4)
+    assert np.allclose(new.x, Wm @ x, atol=1e-12)
     # the tracker mean still equals the mean local gradient
-    assert np.max(np.abs(g_new.mean(0) - grads_new.mean(0))) <= 1e-12
+    assert np.max(np.abs(new.g.mean(0) - new.local_grads.mean(0))) <= 1e-12
+    assert (row.iter, row.alpha_k, row.bits) == (5, 0.0, prob.n * 2 * 3 * prob.d * 64)
 
 
 def test_average_identity_every_iteration(setup):

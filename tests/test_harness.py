@@ -158,13 +158,44 @@ def test_config_rejects_fields_it_does_not_read(tmp_path, capsys, text, named):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("label", ["my run", "a,b", "k=v", "", "tab\there"],
-                         ids=["space", "comma", "equals", "empty", "tab"])
-def test_label_must_read_back_from_the_trace_header(label):
+@pytest.mark.parametrize("label", ["my run", "a,b", "k=v", "", "tab\there", "../escaped",
+                                   "sub/run", "..\\escaped"],
+                         ids=["space", "comma", "equals", "empty", "tab", "parent-dir", "subdir",
+                              "backslash"])
+def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
+    # the label is read back from the trace header and names <out>/<label>.csv
+    text = QUAD_CFG.replace("label = small-quad", f"label = {label}")
     with pytest.raises(ValueError, match=r"\[output\] label"):
-        parse_config(QUAD_CFG.replace("label = small-quad", f"label = {label}"))
+        parse_config(text)
     with pytest.raises(ValueError, match=r"\[output\] label"):
         replace(parse_config(QUAD_CFG), label=label)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "[output] label" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("base,change,named", [
+    (QUAD_CFG, {"method": "GT"}, r"\[algorithm\] method"),
+    (QUAD_CFG, {"method": "gt"}, r"\[algorithm\] method"),
+    (GT_CFG, {"method": "newton"}, r"\[algorithm\] method"),
+    (GT_CFG, {"gt_alpha_mode": "Tuned"}, r"\[algorithm\] alpha mode"),
+    # render_config writes no tuned alpha for newton: the fingerprint could
+    # not tell the two runs apart
+    (QUAD_CFG, {"gt_alpha_mode": "tuned"}, r"\[algorithm\] alpha mode"),
+], ids=["newton-as-GT", "newton-params-as-gt", "gt-params-as-newton", "alpha-mode-case",
+        "tuned-newton"])
+def test_config_rejects_runs_that_do_not_exist(base, change, named):
+    with pytest.raises(ValueError, match=named):
+        replace(parse_config(base), **change)
+
+
+def test_method_params_and_alpha_mode_change_together():
+    # how the benchmark builds its tuned gradient-tracking workload
+    gt = replace(parse_config(QUAD_CFG), method="gt", gt_alpha_mode="tuned",
+                 algorithm=GTParams(alpha=1.0, m=1))
+    assert parse_config(render_config(gt)) == gt
 
 
 def _readme_example():
@@ -356,6 +387,18 @@ def test_cli_run_and_exit_codes(tmp_path):
     # usage / missing file -> exit 1
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def test_divergence_note_reaches_summary_and_cli(tmp_path, capsys):
+    config = parse_config(QUAD_CFG.replace("ramp(0.05, 1.1, 1.0)", "const(80.0)"))
+    trace, path = run_experiment(config, out_dir=str(tmp_path))
+    assert trace.status == "diverged" and trace.note
+    assert harness.summary(trace, path).splitlines()[1] == f"  note: {trace.note}"
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(render_config(config))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    out = capsys.readouterr().out
+    assert out.count("note:") == 1 and f"  note: {trace.note}\n" in out
 
 
 def test_cli_list_and_compare(tmp_path, capsys):

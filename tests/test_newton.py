@@ -170,13 +170,14 @@ def test_identity_compressor_gamma_zero_is_local_accumulation():
         m=2,
         M=0.5,
         cg_tol=ConstantSchedule(0.0),
+        variant="reference",
     )
     rng = np.random.default_rng(3)
     state = init_state(prob, rng.standard_normal((3, 4)))
     for k in range(4):
         prev_H = state.H.copy()
         prev_x = state.x.copy()
-        state, _ = step(state, prob, W, params, k, "reference")
+        state, _ = step(state, prob, W, params, k)
         expected = prev_H + batch_hessians(prob, state.x) - batch_hessians(prob, prev_x)
         assert np.allclose(state.H, expected, atol=1e-12)
 
@@ -185,10 +186,11 @@ def test_gamma_zero_variants_bit_identical(quad_problem, quad_graph):
     _, W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     params = quad_params(gamma=0.0)
+    ref_params = replace(params, variant="reference")
     ref = init_state(quad_problem, x0)
     eff = init_state(quad_problem, x0)
     for k in range(30):
-        ref, _ = step(ref, quad_problem, W, params, k, "reference")
+        ref, _ = step(ref, quad_problem, W, ref_params, k)
         eff, _ = step(eff, quad_problem, W, params, k)
     assert max_state_deviation(ref, eff) == 0.0
 
@@ -209,6 +211,7 @@ def test_consensus_start_matches_centralized_damped_newton():
         m=3,
         M=M,
         cg_tol=ConstantSchedule(0.0),
+        variant="reference",
     )
     rng = np.random.default_rng(5)
     x_common = rng.standard_normal(d)
@@ -218,7 +221,7 @@ def test_consensus_start_matches_centralized_damped_newton():
     x_c = x_common.copy()
     reg = np.linalg.inv(Q + M * np.eye(d))
     for k in range(10):
-        state, _ = step(state, prob_any, W, params, k, "reference")
+        state, _ = step(state, prob_any, W, params, k)
         if k > 0:  # first update is pure consensus (d0 = 0)
             x_c = x_c - alpha * reg @ (Qbar @ x_c + pbar)
         assert np.linalg.norm(state.x.mean(axis=0) - x_c) <= 1e-10
@@ -239,10 +242,11 @@ def test_two_node_scalar_transcription():
         m=m,
         M=M,
         cg_tol=ConstantSchedule(0.0),
+        variant="reference",
     )
     x0 = np.array([[0.5], [-0.25]])
     state = init_state(prob, x0)
-    state, _ = step(state, prob, W, params, 0, "reference")
+    state, _ = step(state, prob, W, params, 0)
 
     # scalar oracle: W^m = [[.5,.5],[.5,.5]] for the 2-node gossip matrix
     w = 0.5
@@ -280,7 +284,7 @@ def test_straight_line_numpy_oracle_with_compression(variant):
     spec = CompressorSpec("top_k", d=2, K=2)
     params = AlgoParams(
         compressor=spec, alpha=ConstantSchedule(alpha), gamma=gamma, m=m, M=M,
-        cg_tol=ConstantSchedule(0.0),
+        cg_tol=ConstantSchedule(0.0), variant=variant,
     )
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal((2, 2))
@@ -293,7 +297,7 @@ def test_straight_line_numpy_oracle_with_compression(variant):
     E = np.zeros((2, 2, 2))
     d_dir = np.zeros((2, 2))
     for k in range(3):
-        state, _ = step(state, prob, W, params, k, variant)
+        state, _ = step(state, prob, W, params, k)
 
         x_new = Wm @ (x - alpha * d_dir)
         g_new = Wm @ (g + batch_gradients(prob, x_new) - batch_gradients(prob, x))
@@ -335,13 +339,13 @@ def test_identity_compressor_stores(quad_problem, quad_graph):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_average_identities_and_mean_dynamics(quad_problem, quad_graph, variant):
     _, W = quad_graph
-    params = quad_params()
+    params = quad_params(variant=variant)
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     for k in range(25):
         x_bar = state.x.mean(axis=0)
         d_bar = state.d_dir.mean(axis=0)
         alpha = params.alpha.at(k)
-        state, _ = step(state, quad_problem, W, params, k, variant)
+        state, _ = step(state, quad_problem, W, params, k)
         # mean dynamics: the average moves exactly along the average direction
         drift = np.linalg.norm(state.x.mean(axis=0) - (x_bar - alpha * d_bar))
         assert drift <= 1e-12 * (1 + np.linalg.norm(x_bar))
@@ -388,7 +392,7 @@ def test_bits_accounting(quad_problem, quad_graph):
     state = init_state(quad_problem, np.zeros((n, d)))
     _, row_eff = step(state, quad_problem, W, params, 0)
     assert row_eff.bits == n * (2 * m * d * 64 + 2 * payload_bits(spec))
-    _, row_ref = step(state, quad_problem, W, params, 0, "reference")
+    _, row_ref = step(state, quad_problem, W, quad_params(m=m, variant="reference"), 0)
     assert row_ref.bits == n * (2 * m * d * 64 + d * d * 64)
 
 
@@ -420,11 +424,9 @@ def test_run_determinism(quad_problem, quad_graph, quad_xstar):
         assert a.bits_cum == b.bits_cum
 
 
-def test_run_rejects_unknown_variant(quad_problem, quad_graph, quad_xstar):
-    _, W = quad_graph
-    x0 = np.zeros((quad_problem.n, quad_problem.d))
+def test_run_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
-        run(quad_problem, W, quad_params(), x0, quad_xstar, variant="fast")
+        quad_params(variant="fast")
 
 
 def test_divergence_detector(quad_problem, quad_graph, quad_xstar):

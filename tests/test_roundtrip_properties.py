@@ -40,7 +40,7 @@ def configs(draw):
     graph = GraphSpec(tau=draw(st.floats(1e-4, 1.0)), seed=draw(st.integers(0, 2**31)))
     method = draw(st.sampled_from(["newton", "gt"]))
     max_iters, stop_tol = draw(st.integers(1, 10**5)), draw(st.floats(0.0, 1.0))
-    gt_alpha_mode, variant = "fixed", "efficient"
+    gt_alpha_mode = "fixed"
     if method == "newton":
         kind = draw(st.sampled_from(["identity", "rank_k", "top_k"]))
         K = 0 if kind == "identity" else draw(st.integers(1, d if kind == "rank_k" else d * d))
@@ -49,15 +49,15 @@ def configs(draw):
             gamma=draw(st.floats(0.0, 1.0)),
             m=draw(st.one_of(st.integers(1, 50), st.just("k"))),
             M=draw(st.floats(0.0, 1e3)), cg_tol=draw(SCHEDULES),
-            max_iters=max_iters, stop_tol=stop_tol)
-        variant = draw(st.sampled_from(["efficient", "reference"]))
+            max_iters=max_iters, stop_tol=stop_tol,
+            variant=draw(st.sampled_from(["efficient", "reference"])))
     else:
         gt_alpha_mode = draw(st.sampled_from(["fixed", "tuned"]))
         alpha = 1.0 if gt_alpha_mode == "tuned" else draw(st.floats(0.0, 10.0))
         algorithm = GTParams(alpha=alpha, m=draw(st.integers(1, 50)),
                              max_iters=max_iters, stop_tol=stop_tol)
     return ExperimentConfig(
-        problem=problem, graph=graph, method=method, algorithm=algorithm, variant=variant,
+        problem=problem, graph=graph, method=method, algorithm=algorithm,
         gt_alpha_mode=gt_alpha_mode, label=draw(LABELS),
         csv=draw(st.one_of(st.none(), LABELS.map(lambda name: f"out/{name}.csv"))),
         dump_iters=tuple(draw(st.lists(st.integers(0, 10**4), max_size=4))),
