@@ -38,6 +38,7 @@ __all__ = [
     "CapsReport",
     "CSV_COLUMNS",
     "fill_state_metrics",
+    "relative_error",
     "fit_rate",
     "stage_two_window",
     "gamma_cap",
@@ -73,9 +74,11 @@ CSV_COLUMNS = [
 _NAN = float("nan")
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundMetrics:
-    """One iteration's worth of diagnostics (CSV columns first)."""
+    """One iteration's worth of diagnostics (CSV columns first). Slotted: a
+    run keeps every row, and a misspelt field raises instead of riding along
+    unserialized."""
 
     iter: int = 0
     rel_err: float = _NAN
@@ -177,8 +180,7 @@ def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeigh
 
     err_mean = _norm(xbar - x_star)
     if rel_err_den is not None:
-        stacked_sq = _norm(x - x_star[None, :]) ** 2
-        row.rel_err = (stacked_sq / n) / rel_err_den if rel_err_den > 0 else 0.0
+        row.rel_err = relative_error(x, x_star, rel_err_den)
 
     if f_star is None:
         f_star = global_value(problem, np.asarray(x_star))
@@ -212,6 +214,13 @@ def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeigh
         if getattr(state, "local_hessians", None) is not None:
             row.dac_H = _norm(Hbar - state.local_hessians.sum(axis=0) / n)
     return row
+
+
+def relative_error(x: np.ndarray, x_star: np.ndarray, den: float) -> float:
+    """``(1/n) ||x - x*_stacked||^2 / den`` for the (n, d) stack ``x``, with
+    ``den`` the squared initial distance; 0.0 when ``den <= 0``."""
+    stacked_sq = _norm(x - x_star[None, :]) ** 2
+    return (stacked_sq / x.shape[0]) / den if den > 0 else 0.0
 
 
 def _norm(a: np.ndarray) -> float:

@@ -10,7 +10,8 @@ with ``g`` initialized to the local gradients so the tracker mean equals the
 mean local gradient at every iteration. The constant step size is the only
 knob that matters; ``tune_alpha`` picks it by golden-section search on a log
 grid, scoring candidates by iterations-to-target (with a smooth penalty for
-runs that fall short).
+runs that fall short). Its candidate runs fill only ``rel_err`` in their rows,
+the one metric the score reads; the other diagnostics stay NaN.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # fill_state_metrics is unused here but bound for perfbench/tracing.py, which patches it.
-from .diagnostics import MetricWeights, RoundMetrics, Trace, fill_state_metrics  # noqa: F401
+from .diagnostics import fill_state_metrics  # noqa: F401
+from .diagnostics import MetricWeights, RoundMetrics, Trace, relative_error
 from .graph import MixingMatrix, consensus_apply
-from .newton import NetworkState, iterate
+from .newton import NetworkState, check_run_values, iterate
 from .objectives import Problem, batch_gradients
 
 __all__ = ["GTParams", "gt_step", "gt_run", "tune_alpha"]
@@ -37,10 +39,9 @@ class GTParams:
     stop_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        check_run_values(self, "alpha")
+        if not isinstance(self.m, int) or self.m < 1:
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
 
 
 def gt_step(state: NetworkState, problem: Problem, W: MixingMatrix, params: GTParams, k: int):
@@ -56,16 +57,23 @@ def gt_step(state: NetworkState, problem: Problem, W: MixingMatrix, params: GTPa
 
 
 def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
-           oracle_xstar: np.ndarray) -> Trace:
+           oracle_xstar: np.ndarray, fill=None) -> Trace:
     """Full gradient-tracking run: ``gt_step`` through ``newton.iterate``, with
-    the shared trace schema; Hessian-side metrics are NaN (no curvature state)."""
+    the shared trace schema; Hessian-side metrics are NaN (no curvature state).
+    ``fill`` is the row filler handed to ``iterate`` (None: every metric)."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.n, problem.d):
         raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x.shape}")
     grads = batch_gradients(problem, x)
     weights = MetricWeights.of(problem, W.sigma, params.m, delta=1.0)
     return iterate(gt_step, NetworkState(x=x, g=grads.copy(), local_grads=grads),
-                   problem, W, params, oracle_xstar, lambda k: weights)
+                   problem, W, params, oracle_xstar, lambda k: weights, fill=fill)
+
+
+def _fill_rel_err(row: RoundMetrics, state, problem, x_star, w, rel_err_den=None, f_star=None):
+    """``fill_state_metrics`` cut down to the ``rel_err`` the tuning score reads."""
+    row.rel_err = relative_error(state.x, x_star, rel_err_den)
+    return row
 
 
 def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
@@ -79,6 +87,10 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
     that can be unstable with a growth rate too slow for any budget-limited
     run to notice, while 2/L1 <= 2/lambda_max(average Hessian) keeps the
     near-centralized regime contractive.
+
+    Candidate runs fill only ``rel_err``: the score reads nothing else, and
+    ``iterate`` still ends a run as diverged on a non-finite iterate or
+    tracker by testing every entry.
     """
     hi = math.log10(2.0 / problem.L1)
     lo = hi - 5.0
@@ -86,7 +98,7 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
     def score(log_alpha: float) -> float:
         alpha = 10.0 ** log_alpha
         params = GTParams(alpha=alpha, m=m, max_iters=budget, stop_tol=target)
-        trace = gt_run(problem, W, params, x0, oracle_xstar)
+        trace = gt_run(problem, W, params, x0, oracle_xstar, fill=_fill_rel_err)
         if trace.status == "diverged":
             return 1e12 * (1.0 + log_alpha - lo)
         if trace.final_rel_err <= target:

@@ -79,6 +79,10 @@ CG_MAX_SWEEPS = 60
 class ConstantSchedule:
     value: float
 
+    def __post_init__(self):
+        if math.isnan(self.value):
+            raise ValueError("schedule value must not be NaN")
+
     def at(self, k: int) -> float:
         return self.value
 
@@ -92,7 +96,7 @@ class GeometricRamp:
     cap: float = 1.0
 
     def __post_init__(self):
-        if self.base <= 0 or self.growth <= 0 or self.cap <= 0:
+        if not (self.base > 0 and self.growth > 0 and self.cap > 0):  # NaN fails too
             raise ValueError("ramp parameters must be positive")
 
     def at(self, k: int) -> float:
@@ -109,8 +113,24 @@ class TwoStageSchedule:
     switch_iter: int
     stage2: float = 1.0
 
+    def __post_init__(self):
+        if math.isnan(self.stage1) or math.isnan(self.stage2):
+            raise ValueError("schedule values must not be NaN")
+
     def at(self, k: int) -> float:
         return self.stage1 if k < self.switch_iter else self.stage2
+
+
+def check_run_values(params, *names):
+    """Reject a ``params.max_iters`` that is not an int >= 1, and a NaN,
+    infinite or negative ``params.stop_tol`` or other named field."""
+    if isinstance(params.max_iters, bool) or not isinstance(params.max_iters, int) \
+            or params.max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {params.max_iters!r}")
+    for name in (*names, "stop_tol"):
+        value = getattr(params, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +154,7 @@ class AlgoParams:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.m != "k" and (not isinstance(self.m, int) or self.m < 1):
             raise ValueError(f"m must be a positive integer or 'k', got {self.m!r}")
-        if self.M < 0:
-            raise ValueError(f"M must be non-negative, got {self.M}")
+        check_run_values(self, "M")
 
     def rounds(self, k: int) -> int:
         return max(1, k) if self.m == "k" else self.m
@@ -378,28 +397,34 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
 
 
 def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: np.ndarray,
-            weights, on_step=None) -> Trace:
+            weights, on_step=None, fill=None) -> Trace:
     """Run ``step_fn(state, problem, W, params, k) -> (state, row)`` until
     rel_err <= params.stop_tol, divergence, or params.max_iters; every
     method's runs go through this loop.
 
     The loop times ``step_fn`` into ``wall_time``, fills the row's state
-    metrics with ``weights(k)`` and adds up ``bits_cum``. A non-finite iterate
-    or tracker, or rel_err past DIVERGENCE_LIMIT, ends the run as "diverged".
-    ``on_step(k, state)`` runs after each iteration, outside the timed part.
+    metrics with ``fill(row, state, problem, x_star, weights(k), rel_err_den=,
+    f_star=)`` and adds up ``bits_cum``. ``fill`` defaults to
+    ``fill_state_metrics``, looked up when the run starts; a filler must set
+    ``rel_err`` and may leave the other fields NaN, as the step-size tuning's
+    does. A non-finite iterate or tracker, or rel_err past DIVERGENCE_LIMIT,
+    ends the run as "diverged". ``on_step(k, state)`` runs after each
+    iteration, outside the timed part.
     """
+    if fill is None:
+        fill = fill_state_metrics
     x_star = np.asarray(x_star, dtype=float)
     den = float(np.linalg.norm(state.x - x_star[None, :]) ** 2)
     f_star = global_value(problem, x_star)
-    rows = [fill_state_metrics(RoundMetrics(iter=0), state, problem, x_star, weights(0),
-                               rel_err_den=den, f_star=f_star)]
+    rows = [fill(RoundMetrics(iter=0), state, problem, x_star, weights(0),
+                 rel_err_den=den, f_star=f_star)]
     bits_cum = 0
     status, note = "max_iters", ""
     for k in range(params.max_iters):
         t0 = time.perf_counter()
         state, row = step_fn(state, problem, W, params, k)
         row.wall_time = time.perf_counter() - t0
-        fill_state_metrics(row, state, problem, x_star, weights(k), rel_err_den=den, f_star=f_star)
+        fill(row, state, problem, x_star, weights(k), rel_err_den=den, f_star=f_star)
         bits_cum += row.bits
         row.bits_cum = bits_cum
         rows.append(row)
@@ -407,7 +432,8 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
             on_step(k, state)
         # cons_x and track_g are norms of x and g less their means, finite only
         # when every entry is; the entrywise test runs only when one of them
-        # is not, which an overflow can also cause.
+        # is not, which an overflow or a filler that leaves them NaN can also
+        # cause.
         finite = (math.isfinite(row.cons_x) and math.isfinite(row.track_g)) or (
             np.isfinite(state.x).all() and np.isfinite(state.g).all())
         if not finite or not row.rel_err <= DIVERGENCE_LIMIT:

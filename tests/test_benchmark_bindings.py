@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from conftest import quad_params
-from decnewton.gradient_tracking import GTParams, gt_run
+from decnewton import gradient_tracking
+from decnewton.gradient_tracking import GTParams, gt_run, tune_alpha
 from decnewton.newton import run
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -67,6 +68,24 @@ def test_gt_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar, qua
     assert trace.iterations == iters
     assert layer_calls == {"graph.consensus_apply": 2 * iters,
                            "diagnostics.fill_state_metrics": len(trace.rows),
+                           "gradient_tracking.gt_step": iters}
+
+
+def test_tune_alpha_calls_through_bindings(quad_problem, quad_graph, quad_xstar, quad_x0,
+                                          layer_calls, monkeypatch):
+    # the candidate runs fill only rel_err, so no row goes through fill_state_metrics
+    traces = []
+
+    def recorded(*args, **kwargs):
+        traces.append(gt_run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(gradient_tracking, "gt_run", recorded)
+    tune_alpha(quad_problem, quad_graph[1], quad_x0, quad_xstar, evals=4, budget=40)
+    iters = sum(trace.iterations for trace in traces)
+    assert len(traces) == 4 and iters > 0
+    assert layer_calls == {"graph.consensus_apply": 2 * iters,
+                           "diagnostics.fill_state_metrics": 0,
                            "gradient_tracking.gt_step": iters}
 
 

@@ -312,3 +312,10 @@ def test_u1_monotone_under_stage1_caps(quad_problem, quad_graph, quad_xstar):
                 quad_xstar)
     u1 = [r.u1 for r in trace.rows]
     assert all(b <= 1.01 * a for a, b in zip(u1, u1[1:]))
+
+
+def test_rows_reject_unknown_fields():
+    # a misspelt field would otherwise ride along and never reach the CSV
+    row = RoundMetrics(iter=1)
+    with pytest.raises(AttributeError):
+        row.rel_error = 0.5

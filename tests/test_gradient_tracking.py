@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from decnewton import gradient_tracking
 from decnewton.diagnostics import fit_rate
-from decnewton.gradient_tracking import GTParams, gt_run, gt_step, tune_alpha
+from decnewton.gradient_tracking import GTParams, _fill_rel_err, gt_run, gt_step, tune_alpha
 from decnewton.graph import generate_topology, metropolis_weights
 from decnewton.newton import NetworkState
 from decnewton.objectives import (
@@ -89,6 +90,42 @@ def test_determinism(setup):
     assert [r.rel_err for r in a.rows] == [r.rel_err for r in b.rows]
 
 
+def _bits(trace):
+    return np.array([r.rel_err for r in trace.rows]).view(np.uint64)
+
+
+@pytest.mark.parametrize("alpha_L1,max_iters,status", [
+    (1.0, 2000, "converged"), (0.01, 100, "max_iters"),
+    (20.0, 400, "diverged"),   # rel_err passes DIVERGENCE_LIMIT
+    (1e308, 10, "diverged"),   # the first step overflows: non-finite iterate
+])
+def test_tuning_filler_matches_full_fill(setup, alpha_L1, max_iters, status):
+    prob, W, x_star, x0 = setup
+    params = GTParams(alpha=alpha_L1 / prob.L1, m=1, max_iters=max_iters, stop_tol=1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = gt_run(prob, W, params, x0, x_star)
+        lean = gt_run(prob, W, params, x0, x_star, fill=_fill_rel_err)
+    assert full.status == status
+    assert (lean.status, lean.note, lean.iterations) == (full.status, full.note, full.iterations)
+    assert np.array_equal(_bits(lean), _bits(full))
+    assert np.isnan(lean.rows[-1].cons_x) and np.isnan(lean.rows[-1].u1)
+
+
+def test_tune_alpha_matches_full_fill_oracle(setup, monkeypatch):
+    prob, W, x_star, x0 = setup
+    args = (prob, W, x0, x_star)
+    tuned = tune_alpha(*args, evals=6, budget=300)
+    fills = []
+
+    def full_fill_run(*run_args, fill):
+        fills.append(fill)
+        return gt_run(*run_args)  # every candidate scored on fully filled rows
+
+    monkeypatch.setattr(gradient_tracking, "gt_run", full_fill_run)
+    assert tune_alpha(*args, evals=6, budget=300) == tuned
+    assert fills == [_fill_rel_err] * 6
+
+
 def test_rate_degrades_monotonically_in_kappa():
     W = metropolis_weights(generate_topology(10, 0.2, seed=11))
     x0 = np.zeros((10, 30))
@@ -109,3 +146,13 @@ def test_params_validation():
         GTParams(alpha=-0.1)
     with pytest.raises(ValueError):
         GTParams(alpha=0.1, m=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("alpha", float("nan")), ("alpha", float("inf")), ("m", 1.5),
+    ("stop_tol", -1e-3), ("stop_tol", float("nan")), ("stop_tol", float("inf")),
+    ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5),
+])
+def test_params_reject_bad_run_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        GTParams(**{"alpha": 0.1, field: value})

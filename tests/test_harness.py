@@ -324,6 +324,31 @@ def test_cli_run_rejects_repetitions_below_one(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("base,old,new,field", [
+    (QUAD_CFG, "M = 0.0", "M = nan", "M"),
+    (QUAD_CFG, "M = 0.0", "M = -1.0", "M"),
+    (QUAD_CFG, "max_iters = 400", "max_iters = 0", "max_iters"),
+    (QUAD_CFG, "max_iters = 400", "max_iters = -5", "max_iters"),
+    (QUAD_CFG, "stop_tol = 1e-10", "stop_tol = nan", "stop_tol"),
+    (QUAD_CFG, "stop_tol = 1e-10", "stop_tol = -1e-10", "stop_tol"),
+    (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "ramp(nan, 1.1, 1.0)", "alpha"),
+    (QUAD_CFG, "const(1e-10)", "const(nan)", "cg_tol"),
+    (GT_CFG, "alpha = tuned", "alpha = nan", "alpha"),
+    (GT_CFG, "alpha = tuned", "alpha = inf", "alpha"),
+    (GT_CFG, "max_iters = 3000", "max_iters = 0", "max_iters"),
+    (GT_CFG, "stop_tol = 1e-8", "stop_tol = inf", "stop_tol"),
+], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
+        "stop_tol-negative", "ramp-nan", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
+        "gt-max_iters-0", "gt-stop_tol-inf"])
+def test_cli_run_rejects_bad_run_values(tmp_path, capsys, base, old, new, field):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(base.replace(old, new))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and re.search(rf"\b{field}\b", err[0])
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_list_presets_contents():
     names = [name for name, _ in list_presets()]
     assert names == ["quad-kappa", "logit-topk", "logit-rank", "alg-equivalence"]

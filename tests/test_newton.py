@@ -65,6 +65,31 @@ def test_params_validation():
     assert growing.rounds(7) == 7
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("M", NAN), ("M", float("inf")),
+    ("stop_tol", -1e-3), ("stop_tol", NAN), ("stop_tol", float("inf")),
+    ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("max_iters", True),
+])
+def test_params_reject_bad_run_values(field, value):
+    spec = CompressorSpec("identity", d=4)
+    with pytest.raises(ValueError, match=field):
+        AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=0.1, **{field: value})
+
+
+@pytest.mark.parametrize("schedule,args", [
+    (ConstantSchedule, (NAN,)),
+    (GeometricRamp, (NAN, 1.1, 1.0)), (GeometricRamp, (0.1, NAN, 1.0)),
+    (GeometricRamp, (0.1, 1.1, NAN)),
+    (TwoStageSchedule, (NAN, 5, 1.0)), (TwoStageSchedule, (0.1, 5, NAN)),
+])
+def test_schedules_reject_nan(schedule, args):
+    with pytest.raises(ValueError):
+        schedule(*args)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
