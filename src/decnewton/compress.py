@@ -4,15 +4,24 @@ Two concrete operators act on d x d matrices, one at a time or on an
 ``(n, d, d)`` stack of them (each matrix of the stack is compressed on its own):
 
 * ``rank_k`` keeps the top-K terms of the singular value decomposition and
-  satisfies ``||Q(A) - A||_F <= (1 - K/(2d)) ||A||_F``.
+  satisfies ``||Q(A) - A||_F <= (1 - K/(2d)) ||A||_F``. It is computed as
+  ``Q(A) = A V V^T`` from one stacked ``eigh`` of the Gram matrix ``B^T B``,
+  whose top-K eigenvectors ``V`` are A's top-K right singular vectors; no
+  full SVD is taken. ``B`` is ``A`` divided by the smallest power of two
+  above its largest |entry|. That scaling is exact, and it keeps ``B^T B``
+  from overflowing, or its leading entries from underflowing, at any
+  magnitude of ``A``. ``V V^T`` does not depend on the signs of the
+  eigenvectors, so there is no sign fix. ``payload_bits`` still counts the
+  K singular triplets a node would send.
 * ``top_k`` keeps the K entries of largest absolute value (ties broken by
   lowest row-major index) and satisfies the same bound with
   ``K/(2 d^2)`` in place of ``K/(2d)``.
 
 ``identity`` passes matrices through unchanged (contraction factor 0,
 i.e. delta = 1) and exists so compressed and uncompressed runs share one
-code path. All operators are deterministic: the same input always yields a
-bit-identical reconstruction. Payload sizes assume 64-bit floats and packed
+code path. Every operator rejects a NaN or infinite entry with a
+``ValueError``. All operators are deterministic: the same input always
+yields a bit-identical reconstruction. Payload sizes assume 64-bit floats and packed
 index encoding; only relative comparisons between operators are meaningful.
 """
 
@@ -56,12 +65,15 @@ def compress(spec: CompressorSpec, A: np.ndarray) -> np.ndarray:
     """Apply the operator to a d x d matrix or an (n, d, d) stack.
 
     Returns the dense reconstruction Q(A), with the shape of ``A``; the
-    transmitted size of one matrix is ``payload_bits(spec)``.
+    transmitted size of one matrix is ``payload_bits(spec)``. A NaN or
+    infinite entry raises ``ValueError`` before any LAPACK call.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-2:] != (spec.d, spec.d):
         raise ValueError(f"expected a {spec.d}x{spec.d} matrix or a stack of them, "
                          f"got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{spec.kind} compression got a non-finite entry")
     if spec.kind == "identity":
         return A.copy()
     if spec.kind == "rank_k":
@@ -70,14 +82,17 @@ def compress(spec: CompressorSpec, A: np.ndarray) -> np.ndarray:
 
 
 def _rank_k(A: np.ndarray, K: int) -> np.ndarray:
-    U, s, Vt = np.linalg.svd(A)
-    U, s, Vt = U[..., :K], s[..., :K], Vt[..., :K, :]
-    # Fix the sign so each left singular vector has its largest-magnitude
-    # entry positive; the reconstruction is invariant but the transmitted
-    # factors become backend-independent.
-    peak = np.argmax(np.abs(U), axis=-2)[..., None, :]
-    sign = np.where(np.take_along_axis(U, peak, axis=-2) < 0, -1.0, 1.0)
-    return (U * sign * s[..., None, :]) @ (Vt * np.swapaxes(sign, -1, -2))
+    """A V V^T, where V holds the top-K eigenvectors of the Gram matrix B^T B.
+
+    Those are A's top-K right singular vectors, so this is SVD truncation up
+    to roundoff. B = A / 2^e with |entries| < 2^e <= 2 max|A|: exact, and
+    B^T B cannot overflow or lose its leading entries to underflow. V V^T
+    does not depend on the signs of the eigenvectors, so no sign fix is needed.
+    """
+    _, exp = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))
+    B = np.ldexp(A, -exp)
+    V = np.linalg.eigh(np.swapaxes(B, -1, -2) @ B)[1][..., -K:]
+    return (A @ V) @ np.swapaxes(V, -1, -2)
 
 
 def _top_k(A: np.ndarray, K: int) -> np.ndarray:

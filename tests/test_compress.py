@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decnewton.compress import CompressorSpec, compress, delta_bound, payload_bits
+from decnewton.harness import build_mixing, build_problem, preset_configs
+from decnewton.newton import init_state, step
 
 
 def test_rank_k_full_rank_is_exact():
@@ -202,3 +204,73 @@ def test_spec_validation():
         compress(CompressorSpec("rank_k", d=5, K=2), np.zeros((3, 5, 4)))
     with pytest.raises(ValueError):
         compress(CompressorSpec("top_k", d=5, K=2), np.zeros((2, 3, 5, 5)))
+
+
+@pytest.mark.parametrize("kind,K", [("rank_k", 2), ("top_k", 4), ("identity", 0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_non_finite_input_rejected(kind, K, bad, stacked):
+    # rejected before any LAPACK call, which need not return on an inf;
+    # top_k would otherwise rank a NaN last and drop it
+    spec = CompressorSpec(kind, d=3, K=K)
+    A = np.ones((4, 3, 3) if stacked else (3, 3))
+    A[(2, 1, 0) if stacked else (1, 0)] = bad
+    with pytest.raises(ValueError, match=f"{kind} compression got a non-finite entry"):
+        compress(spec, A)
+
+
+def svd_truncation(A, K):
+    """Rank-K truncation of the full SVD: the oracle for the Gram-matrix
+    kernel (a sign fix of the singular vectors leaves the product unchanged)."""
+    U, s, Vt = np.linalg.svd(A)
+    return (U[..., :K] * s[..., None, :K]) @ Vt[..., :K, :]
+
+
+def assert_matches_svd_truncation(A, K, scale=1.0):
+    """compress(rank_k) of scale * A, divided by scale, is within 1e-12 ||A_i||_F
+    of the SVD truncation of A, matrix by matrix."""
+    d = A.shape[-1]
+    out = compress(CompressorSpec("rank_k", d=d, K=K), scale * A) / scale
+    gap = np.abs(out - svd_truncation(A, K)).max(axis=(-2, -1))
+    assert np.all(gap <= 1e-12 * np.linalg.norm(A, axis=(-2, -1)))
+
+
+def spectrum_matrices(spectrum, shape, rng):
+    G = rng.standard_normal(shape)
+    if spectrum == "gaussian":
+        return G
+    if spectrum == "symmetric":
+        return G + np.swapaxes(G, -1, -2)
+    # singular values decaying geometrically from 1 to 1e-12
+    U = np.linalg.qr(G)[0]
+    V = np.linalg.qr(rng.standard_normal(shape))[0]
+    return (U * np.geomspace(1.0, 1e-12, shape[-1])) @ np.swapaxes(V, -1, -2)
+
+
+@pytest.mark.parametrize("spectrum", ["gaussian", "symmetric", "geometric"])
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+def test_rank_k_matches_svd_truncation(spectrum, scale):
+    # the extreme scales guard the power-of-two scaling: without it the Gram
+    # matrix underflows at 1e-160 and overflows to NaN at 1e160
+    rng = np.random.default_rng(11)
+    d = 10
+    for shape in ((d, d), (5, d, d)):
+        A = spectrum_matrices(spectrum, shape, rng)
+        for K in (1, 3, d):
+            assert_matches_svd_truncation(A, K, scale)
+
+
+@pytest.mark.parametrize("preset,label", [("quad-kappa", "quad-k1e4-m15"),
+                                          ("logit-rank", "logit-rank-m15")])
+def test_rank_k_matches_svd_truncation_on_tracker_stacks(preset, label):
+    # the two stacks newton.step compresses, over the first 15 iterations
+    config = next(c for c in preset_configs(preset) if c.label == label)
+    problem = build_problem(config.problem)
+    _, W = build_mixing(config.graph, problem.n)
+    params = config.algorithm
+    state = init_state(problem, np.zeros((problem.n, problem.d)))
+    for k in range(15):
+        diff = state.H - state.H_tilde
+        for A in (diff, state.E + diff):
+            assert_matches_svd_truncation(A, params.compressor.K)
+        state, _ = step(state, problem, W, params, k)

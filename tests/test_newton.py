@@ -483,6 +483,19 @@ def test_non_finite_tracker_diverges_where_it_appears(quad_problem, quad_graph, 
     assert "non-finite" in trace.note and trace.note.endswith("iteration 1")
 
 
+def test_non_finite_hessian_stops_the_run_in_compress(quad_problem, quad_graph, quad_xstar):
+    # an infinite Hessian entry reaches the compressor through H - Htilde in
+    # the first step, and its error stops the run
+    _, W = quad_graph
+    Q = quad_problem.data.Q.copy()
+    Q[2, 1, 1] = np.inf
+    prob = replace(quad_problem, data=replace(quad_problem.data, Q=Q))
+    x0 = np.zeros((prob.n, prob.d))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="rank_k compression got a non-finite entry"):
+        run(prob, W, quad_params(max_iters=5), x0, quad_xstar)
+
+
 def test_cg_fallback_direction(quad_problem, quad_graph):
     _, W = quad_graph
     params = quad_params(cg_tol=ConstantSchedule(0.0))
