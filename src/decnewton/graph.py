@@ -1,10 +1,11 @@
 """Random connected topologies, Metropolis mixing matrices, multi-step consensus.
 
 A topology is an undirected connected graph on ``n`` nodes with a target
-edge count of ``round(tau * n * (n - 1) / 2)``. Its mixing matrix ``W`` is
-built with the Metropolis-Hastings rule, which is symmetric, doubly
-stochastic, and supported exactly on the graph (plus self-loops). The key
-spectral quantity is ``sigma``, the second largest singular value of ``W``,
+edge count of ``round(tau * n * (n - 1) / 2)``. Its adjacency matrix is the one
+representation degrees, connectivity and weights come from. The mixing matrix
+``W`` follows the Metropolis-Hastings rule: symmetric, doubly stochastic, and
+supported exactly on the graph (plus self-loops). The key spectral
+quantity is ``sigma``, the second largest singular value of ``W``,
 equivalently ``||W - W_inf||`` where ``W_inf = (1/n) 11^T`` is the averaging
 projector. Applying ``W^m`` blockwise contracts the disagreement
 ``||x - W_inf x||`` by ``sigma**m`` per call while leaving the block average
@@ -32,39 +33,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected connected graph with a connectivity-ratio target."""
+    """Undirected connected graph with a connectivity-ratio target; ``adjacency()``
+    is the one representation degrees, connectivity and weights come from."""
 
     n: int
     edges: frozenset
     tau: float
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
     def adjacency(self) -> np.ndarray:
+        """The symmetric 0/1 adjacency matrix; a self-loop or an endpoint
+        outside ``range(n)`` raises ``ValueError``."""
+        ends = np.array(list(self.edges), dtype=int).reshape(-1, 2)
+        if ((ends < 0) | (ends >= self.n)).any() or (ends[:, 0] == ends[:, 1]).any():
+            raise ValueError(f"edges must join two distinct nodes in range({self.n})")
         A = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            A[i, j] = A[j, i] = 1.0
+        A[ends[:, 0], ends[:, 1]] = A[ends[:, 1], ends[:, 0]] = 1.0
         return A
 
     def is_connected(self) -> bool:
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        """Breadth-first search from node 0, one frontier per level."""
+        A = self.adjacency() > 0
+        seen = np.zeros(self.n, dtype=bool)
+        frontier = np.arange(self.n) == 0
+        while frontier.any():
+            seen |= frontier
+            frontier = A[frontier].any(axis=0) & ~seen
+        return bool(seen.all())
 
 
 @dataclass
@@ -113,10 +107,8 @@ def generate_topology(n: int, tau: float, seed: int) -> Topology:
     edges = set(tree)
     extra = target - len(edges)
     if extra > 0:
-        in_tree = np.zeros((n, n), dtype=bool)
-        in_tree[tuple(np.array(tree).T)] = True
         rows, cols = np.triu_indices(n, 1)  # pairs i < j in row-major order
-        pool = ~in_tree[rows, cols]
+        pool = Topology(n, frozenset(tree), tau).adjacency()[rows, cols] == 0
         rows, cols = rows[pool], cols[pool]
         picks = np.sort(rng.choice(len(rows), size=extra, replace=False))
         edges.update(zip(rows[picks].tolist(), cols[picks].tolist()))
@@ -125,14 +117,9 @@ def generate_topology(n: int, tau: float, seed: int) -> Topology:
 
 def _random_spanning_tree(n: int, rng: np.random.Generator) -> list:
     """Uniform random labeled tree via a random Pruefer sequence."""
-    if n == 2:
-        return [(0, 1)]
     seq = rng.integers(0, n, size=n - 2)
-    degree = np.ones(n, dtype=int)
-    for v in seq:
-        degree[v] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
+    degree = 1 + np.bincount(seq, minlength=n)
+    leaves = np.flatnonzero(degree == 1).tolist()  # ascending: already a heap
     edges = []
     for v in seq:
         leaf = heapq.heappop(leaves)
@@ -140,9 +127,7 @@ def _random_spanning_tree(n: int, rng: np.random.Generator) -> list:
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, int(v))
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((min(u, w), max(u, w)))
+    edges.append(tuple(leaves))  # the last two leaves, in heap (ascending) order
     return edges
 
 
@@ -155,13 +140,9 @@ def metropolis_weights(topology: Topology) -> MixingMatrix:
     """
     if not topology.is_connected():
         raise ValueError("topology must be connected")
-    n = topology.n
-    deg = topology.degrees()
-    W = np.zeros((n, n))
-    for i, j in topology.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = w
-        W[j, i] = w
+    A = topology.adjacency()
+    deg = A.sum(axis=1)
+    W = A / (1.0 + np.maximum.outer(deg, deg))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return MixingMatrix(W=W, sigma=second_singular_value(W))
 

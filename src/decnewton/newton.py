@@ -308,7 +308,9 @@ def _solve_directions(H: np.ndarray, g: np.ndarray, M: float, L1: float):
     that every A_i is positive definite; if it fails, the nodes are factored
     one at a time to find the ones that are not. Those nodes, and nodes with
     non-finite H_i or g_i, fall back to the scaled gradient g_i / L1 for this
-    iteration; the rest are solved in one batched call.
+    iteration; the rest are solved in one batched call. The search stays a loop:
+    no batched numpy call reports which matrices of a stack failed, and another
+    positive-definiteness test would change which nodes fall back.
 
     Returns the directions, the fallback count, the largest true relative
     residual ||g_i - A_i d_i|| / ||g_i|| over the solved nodes (an exact
@@ -407,9 +409,9 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
     f_star=)`` and adds up ``bits_cum``. ``fill`` defaults to
     ``fill_state_metrics``, looked up when the run starts; a filler must set
     ``rel_err`` and may leave the other fields NaN, as the step-size tuning's
-    does. A non-finite iterate or tracker, or rel_err past DIVERGENCE_LIMIT,
-    ends the run as "diverged". ``on_step(k, state)`` runs after each
-    iteration, outside the timed part.
+    does. A non-finite x, g or H (the initial state's too), or rel_err past
+    DIVERGENCE_LIMIT, ends the run as "diverged". ``on_step(k, state)`` runs
+    after each iteration, outside the timed part.
     """
     if fill is None:
         fill = fill_state_metrics
@@ -418,6 +420,8 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
     f_star = global_value(problem, x_star)
     rows = [fill(RoundMetrics(iter=0), state, problem, x_star, weights(0),
                  rel_err_den=den, f_star=f_star)]
+    if not _finite(state):
+        return Trace(rows, "diverged", note="non-finite iterate or tracker at iteration 0")
     bits_cum = 0
     status, note = "max_iters", ""
     for k in range(params.max_iters):
@@ -430,12 +434,7 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
         rows.append(row)
         if on_step is not None:
             on_step(k, state)
-        # cons_x and track_g are norms of x and g less their means, finite only
-        # when every entry is; the entrywise test runs only when one of them
-        # is not, which an overflow or a filler that leaves them NaN can also
-        # cause.
-        finite = (math.isfinite(row.cons_x) and math.isfinite(row.track_g)) or (
-            np.isfinite(state.x).all() and np.isfinite(state.g).all())
+        finite = _finite(state)
         if not finite or not row.rel_err <= DIVERGENCE_LIMIT:
             status = "diverged"
             cause = (f"relative error {row.rel_err:.3e} exceeded {DIVERGENCE_LIMIT:.0e}"
@@ -446,6 +445,13 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
             status = "converged"
             break
     return Trace(rows=rows, status=status, note=note)
+
+
+def _finite(state: NetworkState) -> bool:
+    """Whether every entry of x, g and (when tracked) H is finite. A finite
+    sum implies it; the entrywise test settles a sum that overflowed."""
+    return all(math.isfinite(a.sum()) or np.isfinite(a).all()
+               for a in (state.x, state.g, state.H) if a is not None)
 
 
 def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,

@@ -272,18 +272,16 @@ def estimate_constants(problem: Problem):
 
 
 def _constants_quadratic(data: QuadraticInstance):
-    L1 = float(max(np.linalg.eigvalsh(Qi)[-1] for Qi in data.Q))
+    L1 = float(np.linalg.eigvalsh(data.Q)[:, -1].max())
     mu = float(np.linalg.eigvalsh(data.Qbar)[0])
     return L1, 0.0, mu
 
 
 def _constants_logistic(data: LogisticInstance):
-    n = data.samples.shape[0]
-    rho = data.rho
-    lmax = max(
-        float(np.linalg.eigvalsh(O.T @ O)[-1]) for O in data.samples
-    )
+    S, rho = data.samples, data.rho
+    n = S.shape[0]
+    lmax = float(np.linalg.eigvalsh(np.swapaxes(S, 1, 2) @ S)[:, -1].max())
     L1 = rho + n * 0.25 * lmax
-    cubes = np.linalg.norm(data.samples, axis=2) ** 3  # (n, m)
+    cubes = np.linalg.norm(S, axis=2) ** 3  # (n, m)
     L2 = n * float(cubes.sum(axis=1).max()) / (6.0 * np.sqrt(3.0))
     return float(L1), L2, float(rho)

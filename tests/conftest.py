@@ -9,8 +9,10 @@ from decnewton import (
     generate_topology,
     make_quadratic,
     metropolis_weights,
+    newton,
 )
 from decnewton.compress import CompressorSpec
+from decnewton.objectives import batch_hessians
 
 # Shared quadratic benchmark setup: n=10 nodes, tau=0.2, d=30, rank-3
 # compression, gamma=0.03, alpha ramping 0.02 * 1.1^k up to 1, m=15.
@@ -51,3 +53,18 @@ def quad_params(m=15, kind="rank_k", K=3, gamma=0.03, max_iters=2000,
         stop_tol=stop_tol,
         variant=variant,
     )
+
+
+def hessians_non_finite_on_call(monkeypatch, call, value):
+    """Make the ``call``-th local Hessian evaluation of a Newton run (1: the
+    initial state's) return ``value`` in one entry; x and g stay finite."""
+    calls = []
+
+    def patched(problem, xb):
+        calls.append(None)
+        H = batch_hessians(problem, xb)
+        if len(calls) == call:
+            H[2, 1, 1] = value
+        return H
+
+    monkeypatch.setattr(newton, "batch_hessians", patched)

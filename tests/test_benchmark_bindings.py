@@ -10,6 +10,7 @@ calls made through the bindings during short runs are counted as well.
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from conftest import quad_params
 from decnewton import gradient_tracking
 from decnewton.gradient_tracking import GTParams, gt_run, tune_alpha
+from decnewton.harness import preset_configs, run_experiment
 from decnewton.newton import run
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -44,11 +46,10 @@ LAYERS = ("graph.consensus_apply", "diagnostics.fill_state_metrics",
           "gradient_tracking.gt_step")
 
 
-@pytest.fixture
-def layer_calls(patch_points, monkeypatch):
+def count_calls(patch_points, monkeypatch, layers):
     """Calls per layer made through the bindings PATCH_POINTS names."""
-    calls = dict.fromkeys(LAYERS, 0)
-    for layer in LAYERS:
+    calls = dict.fromkeys(layers, 0)
+    for layer in layers:
         for module_name, attr in patch_points[layer]:
             module = importlib.import_module(module_name)
 
@@ -58,6 +59,21 @@ def layer_calls(patch_points, monkeypatch):
 
             monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def layer_calls(patch_points, monkeypatch):
+    return count_calls(patch_points, monkeypatch, LAYERS)
+
+
+def test_run_experiment_sets_up_through_bindings(patch_points, monkeypatch):
+    # the traced set-up split reads the graph layers through these bindings
+    layers = ("graph.generate_topology", "graph.metropolis_weights")
+    calls = count_calls(patch_points, monkeypatch, layers)
+    config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
+    trace, _ = run_experiment(replace(config, algorithm=replace(config.algorithm, max_iters=2)))
+    assert trace.iterations == 2
+    assert calls == dict.fromkeys(layers, 1)
 
 
 def test_gt_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar, quad_x0,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decnewton.graph import (
+    Topology,
     _random_spanning_tree,
     consensus_apply,
     generate_topology,
@@ -115,6 +116,61 @@ def test_mixing_matrix_properties(n, tau, seed):
             else:
                 assert W[i, j] == 0
     assert 0 <= mix.sigma < 1
+
+
+def _per_edge_metropolis(topology):
+    """The earlier per-edge Metropolis loop: the bit-for-bit oracle for W."""
+    n = topology.n
+    deg = np.zeros(n, dtype=int)
+    for i, j in topology.edges:
+        deg[i] += 1
+        deg[j] += 1
+    W = np.zeros((n, n))
+    for i, j in topology.edges:
+        W[i, j] = W[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    return W
+
+
+@pytest.mark.parametrize("n,tau", [(2, 1.0), (10, 0.2), (30, 0.2), (50, 1.0), (300, 0.02)])
+def test_metropolis_matches_per_edge_oracle(n, tau):
+    for seed in range(20):
+        top = generate_topology(n, tau, seed)
+        assert np.array_equal(metropolis_weights(top).W, _per_edge_metropolis(top))
+
+
+@pytest.mark.parametrize("edges", [frozenset(), frozenset({(0, 1), (2, 3)})],
+                         ids=["no-edges", "two-components"])
+def test_metropolis_rejects_disconnected(edges):
+    top = Topology(n=4 if edges else 3, edges=edges, tau=0.1)
+    assert top.adjacency().sum() == 2 * len(edges)
+    assert not top.is_connected()
+    with pytest.raises(ValueError, match="must be connected"):
+        metropolis_weights(top)
+
+
+@pytest.mark.parametrize("edges", [{(0, 1), (1, 2), (1, 1)}, {(0, 1), (1, 3)},
+                                   {(-1, 0), (0, 1), (1, 2)}],
+                         ids=["self-loop", "past-n", "negative"])
+def test_metropolis_rejects_malformed_edges(edges):
+    # a per-edge loop and the adjacency matrix would count these differently
+    with pytest.raises(ValueError, match=r"distinct nodes in range\(3\)"):
+        metropolis_weights(Topology(n=3, edges=frozenset(edges), tau=1.0))
+
+
+def test_is_connected_matches_bfs_oracle():
+    # random edge subsets of complete graphs, connected and not
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 16))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.6)
+        edges = frozenset(p for p, k in zip(pairs, keep) if k)
+        connected = Topology(n=n, edges=edges, tau=1.0).is_connected()
+        assert connected == bfs_connected(n, edges)
+        outcomes.add(connected)
+    assert outcomes == {True, False}
 
 
 def test_second_singular_value_of_averaging_matrix():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import hessians_non_finite_on_call
 from decnewton import harness
 from decnewton.cli import main
 from decnewton.compress import CompressorSpec
@@ -424,6 +425,19 @@ def test_divergence_note_reaches_summary_and_cli(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
     out = capsys.readouterr().out
     assert out.count("note:") == 1 and f"  note: {trace.note}\n" in out
+
+
+def test_cli_non_finite_start_exits_3_with_one_row(tmp_path, monkeypatch, capsys):
+    # an infinite Hessian tracker at the start ends the run as diverged at
+    # iteration 0; it still writes its trace instead of stopping in compress
+    hessians_non_finite_on_call(monkeypatch, 1, np.inf)
+    cfg_path = tmp_path / "quad.cfg"
+    cfg_path.write_text(QUAD_CFG)
+    with np.errstate(invalid="ignore"):
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert "  note: non-finite iterate or tracker at iteration 0\n" in capsys.readouterr().out
+    trace = read_trace_csv(tmp_path / "small-quad.csv")
+    assert trace.status == "diverged" and len(trace.rows) == 1 and trace.rows[0].iter == 0
 
 
 def test_cli_list_and_compare(tmp_path, capsys):

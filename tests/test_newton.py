@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import quad_params
+from conftest import hessians_non_finite_on_call, quad_params
 from decnewton.compress import CompressorSpec, compress, payload_bits
 from decnewton.gradient_tracking import GTParams, gt_run
 from decnewton.graph import generate_topology, metropolis_weights
@@ -466,9 +466,8 @@ def test_divergence_detector(quad_problem, quad_graph, quad_xstar):
 @pytest.mark.parametrize("method", ["newton", "gt"])
 def test_non_finite_tracker_diverges_where_it_appears(quad_problem, quad_graph, quad_xstar,
                                                       method):
-    # a NaN in one node's linear term reaches the gradient tracker (and, for
-    # gradient tracking, the iterate) in the first step; Newton's iterate
-    # stays finite until the second
+    # a NaN in one node's linear term is already in the gradient tracker's
+    # start g0 = grad f(x0), so the run ends before its first step
     _, W = quad_graph
     p = quad_problem.data.p.copy()
     p[3, 0] = np.nan
@@ -476,24 +475,33 @@ def test_non_finite_tracker_diverges_where_it_appears(quad_problem, quad_graph, 
     x0 = np.zeros((prob.n, prob.d))
     if method == "newton":
         trace = run(prob, W, quad_params(max_iters=20), x0, quad_xstar)
-        assert np.isfinite(trace.rows[1].rel_err)
     else:
         trace = gt_run(prob, W, GTParams(alpha=0.01, max_iters=20), x0, quad_xstar)
-    assert trace.status == "diverged" and trace.iterations == 1
-    assert "non-finite" in trace.note and trace.note.endswith("iteration 1")
+    assert trace.status == "diverged" and trace.iterations == 0 and len(trace.rows) == 1
+    assert "non-finite" in trace.note and trace.note.endswith("iteration 0")
 
 
-def test_non_finite_hessian_stops_the_run_in_compress(quad_problem, quad_graph, quad_xstar):
-    # an infinite Hessian entry reaches the compressor through H - Htilde in
-    # the first step, and its error stops the run
-    _, W = quad_graph
-    Q = quad_problem.data.Q.copy()
-    Q[2, 1, 1] = np.inf
-    prob = replace(quad_problem, data=replace(quad_problem.data, Q=Q))
-    x0 = np.zeros((prob.n, prob.d))
-    with np.errstate(invalid="ignore"), pytest.raises(
-            ValueError, match="rank_k compression got a non-finite entry"):
-        run(prob, W, quad_params(max_iters=5), x0, quad_xstar)
+def test_non_finite_hessian_diverges_at_iteration_0(quad_problem, quad_graph, quad_xstar,
+                                                    monkeypatch):
+    # a Hessian tracker that starts infinite ends the run before its first
+    # step, instead of reaching the compressor through H - Htilde
+    hessians_non_finite_on_call(monkeypatch, 1, np.inf)
+    x0 = np.zeros((quad_problem.n, quad_problem.d))
+    with np.errstate(invalid="ignore"):
+        trace = run(quad_problem, quad_graph[1], quad_params(max_iters=5), x0, quad_xstar)
+    assert trace.status == "diverged" and trace.iterations == 0
+    assert trace.note == "non-finite iterate or tracker at iteration 0"
+
+
+def test_non_finite_hessian_diverges_mid_run(quad_problem, quad_graph, quad_xstar, monkeypatch):
+    # the third evaluation is step 1's: the new Hessian tracker is NaN while
+    # the node falls back to g_i / L1, so x and g stay finite
+    hessians_non_finite_on_call(monkeypatch, 3, np.nan)
+    x0 = np.zeros((quad_problem.n, quad_problem.d))
+    trace = run(quad_problem, quad_graph[1], quad_params(max_iters=20), x0, quad_xstar)
+    assert trace.status == "diverged" and trace.iterations == 2
+    assert trace.rows[2].fallback_count == 1 and np.isfinite(trace.rows[2].rel_err)
+    assert trace.note == "non-finite iterate or tracker at iteration 2"
 
 
 def test_cg_fallback_direction(quad_problem, quad_graph):

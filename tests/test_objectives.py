@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from decnewton.harness import build_problem, preset_configs
 from decnewton.objectives import (
     batch_gradients,
     batch_hessians,
@@ -215,6 +218,21 @@ def test_estimate_constants_logistic(logit_problem):
     cubes = np.linalg.norm(logit_problem.data.samples, axis=2) ** 3
     expected = logit_problem.n * cubes.sum(axis=1).max() / (6 * np.sqrt(3))
     assert L2 == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("preset", ["quad-kappa", "logit-rank"])
+def test_L1_matches_per_node_eigvalsh_oracle(preset):
+    # the earlier per-node eigvalsh loop is the bit-for-bit oracle
+    for config in preset_configs(preset):
+        for shift in range(5):
+            problem = build_problem(replace(config.problem, seed=config.problem.seed + shift))
+            data = problem.data
+            if problem.family == "quadratic":
+                oracle = max(float(np.linalg.eigvalsh(Qi)[-1]) for Qi in data.Q)
+            else:
+                lmax = max(float(np.linalg.eigvalsh(O.T @ O)[-1]) for O in data.samples)
+                oracle = data.rho + problem.n * 0.25 * lmax
+            assert problem.L1 == oracle
 
 
 def test_strong_convexity_witness(logit_problem):
