@@ -216,11 +216,16 @@ def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeigh
     return row
 
 
-def relative_error(x: np.ndarray, x_star: np.ndarray, den: float) -> float:
+def relative_error(x: np.ndarray, x_star: np.ndarray, den: float):
     """``(1/n) ||x - x*_stacked||^2 / den`` for the (n, d) stack ``x``, with
-    ``den`` the squared initial distance; 0.0 when ``den <= 0``."""
-    stacked_sq = _norm(x - x_star[None, :]) ** 2
-    return (stacked_sq / x.shape[0]) / den if den > 0 else 0.0
+    ``den`` the squared initial distance; 0.0 when ``den <= 0``. For C runs
+    stacked ``(n, C, d)``, each run's value in a list, bit for bit as alone."""
+    n = x.shape[0]
+    if x.ndim == 2:
+        return (_norm(x - x_star[None, :]) ** 2 / n) / den if den > 0 else 0.0
+    v = np.swapaxes(x - x_star, 0, 1).reshape(x.shape[1], -1)  # each run's x - x*, flattened
+    return [(math.sqrt(sq) ** 2 / n) / den if den > 0 else 0.0
+            for sq in np.vecdot(v, v).tolist()]  # v @ v per run, the dot _norm takes
 
 
 def _norm(a: np.ndarray) -> float:

@@ -50,9 +50,9 @@ class Topology:
         A[ends[:, 0], ends[:, 1]] = A[ends[:, 1], ends[:, 0]] = 1.0
         return A
 
-    def is_connected(self) -> bool:
-        """Breadth-first search from node 0, one frontier per level."""
-        A = self.adjacency() > 0
+    def is_connected(self, A: np.ndarray | None = None) -> bool:
+        """Breadth-first search from node 0 over ``A`` (default: the adjacency)."""
+        A = (self.adjacency() if A is None else A) > 0
         seen = np.zeros(self.n, dtype=bool)
         frontier = np.arange(self.n) == 0
         while frontier.any():
@@ -138,9 +138,9 @@ def metropolis_weights(topology: Topology) -> MixingMatrix:
     non-negative, symmetric, doubly stochastic, and supported exactly on the
     graph plus self-loops.
     """
-    if not topology.is_connected():
-        raise ValueError("topology must be connected")
     A = topology.adjacency()
+    if not topology.is_connected(A):
+        raise ValueError("topology must be connected")
     deg = A.sum(axis=1)
     W = A / (1.0 + np.maximum.outer(deg, deg))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))

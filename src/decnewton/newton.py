@@ -399,28 +399,27 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
 
 
 def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: np.ndarray,
-            weights, on_step=None, fill=None) -> Trace:
+            weights, on_step=None) -> Trace:
     """Run ``step_fn(state, problem, W, params, k) -> (state, row)`` until
     rel_err <= params.stop_tol, divergence, or params.max_iters; every
     method's runs go through this loop.
 
     The loop times ``step_fn`` into ``wall_time``, fills the row's state
-    metrics with ``fill(row, state, problem, x_star, weights(k), rel_err_den=,
-    f_star=)`` and adds up ``bits_cum``. ``fill`` defaults to
-    ``fill_state_metrics``, looked up when the run starts; a filler must set
-    ``rel_err`` and may leave the other fields NaN, as the step-size tuning's
-    does. A non-finite x, g or H (the initial state's too), or rel_err past
-    DIVERGENCE_LIMIT, ends the run as "diverged". ``on_step(k, state)`` runs
-    after each iteration, outside the timed part.
+    metrics with ``fill_state_metrics(row, state, problem, x_star, weights(k),
+    rel_err_den=, f_star=)`` and adds up ``bits_cum``. A non-finite x, g or H
+    (the initial state's too), or rel_err past DIVERGENCE_LIMIT, ends the run
+    as "diverged"; a non-finite initial state's row is filled without numpy's
+    warnings, which the note explains. ``on_step(k, state)`` runs after each
+    iteration, outside the timed part.
     """
-    if fill is None:
-        fill = fill_state_metrics
     x_star = np.asarray(x_star, dtype=float)
     den = float(np.linalg.norm(state.x - x_star[None, :]) ** 2)
     f_star = global_value(problem, x_star)
-    rows = [fill(RoundMetrics(iter=0), state, problem, x_star, weights(0),
-                 rel_err_den=den, f_star=f_star)]
-    if not _finite(state):
+    finite = _finite(state)
+    with np.errstate(**({} if finite else {"invalid": "ignore", "over": "ignore"})):
+        rows = [fill_state_metrics(RoundMetrics(iter=0), state, problem, x_star, weights(0),
+                                   rel_err_den=den, f_star=f_star)]
+    if not finite:
         return Trace(rows, "diverged", note="non-finite iterate or tracker at iteration 0")
     bits_cum = 0
     status, note = "max_iters", ""
@@ -428,7 +427,8 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
         t0 = time.perf_counter()
         state, row = step_fn(state, problem, W, params, k)
         row.wall_time = time.perf_counter() - t0
-        fill(row, state, problem, x_star, weights(k), rel_err_den=den, f_star=f_star)
+        fill_state_metrics(row, state, problem, x_star, weights(k), rel_err_den=den,
+                           f_star=f_star)
         bits_cum += row.bits
         row.bits_cum = bits_cum
         rows.append(row)

@@ -178,13 +178,15 @@ def eval_hessian(problem: Problem, i: int, x: np.ndarray) -> np.ndarray:
 
 
 def batch_gradients(problem: Problem, xb: np.ndarray) -> np.ndarray:
-    """Gradients of every f_i at its own block: xb (n, d) -> (n, d)."""
+    """Gradients of every f_i at its own block: xb (n, d) -> (n, d), or at C
+    blocks each, (n, C, d) -> (n, C, d), every column bit for bit as alone."""
     xb = np.asarray(xb, dtype=float)
+    per_node = (slice(None),) + (None,) * (xb.ndim - 2)  # (n, k) data over the candidates
     if problem.family == "quadratic":
-        return np.einsum("nij,nj->ni", problem.data.Q, xb) + problem.data.p
-    O, y, rho = problem.data.samples, problem.data.labels, problem.data.rho
-    z = np.einsum("nmd,nd->nm", O, xb) * y
-    return rho * xb - problem.n * np.einsum("nm,nmd->nd", expit(-z) * y, O)
+        return np.einsum("nij,n...j->n...i", problem.data.Q, xb) + problem.data.p[per_node]
+    O, y, rho = problem.data.samples, problem.data.labels[per_node], problem.data.rho
+    z = np.einsum("nmd,n...d->n...m", O, xb) * y
+    return rho * xb - problem.n * np.einsum("n...m,nmd->n...d", expit(-z) * y, O)
 
 
 def batch_hessians(problem: Problem, xb: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import quad_params
 from decnewton import gradient_tracking
-from decnewton.gradient_tracking import GTParams, gt_run, tune_alpha
+from decnewton.gradient_tracking import GTParams, gt_columns, gt_run, tune_alpha
 from decnewton.harness import preset_configs, run_experiment
 from decnewton.newton import run
 
@@ -89,17 +89,19 @@ def test_gt_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar, qua
 
 def test_tune_alpha_calls_through_bindings(quad_problem, quad_graph, quad_xstar, quad_x0,
                                           layer_calls, monkeypatch):
-    # the candidate runs fill only rel_err, so no row goes through fill_state_metrics
-    traces = []
+    # the candidates run as stacks, one gt_step per stacked iteration, and
+    # keep only rel_err, so no row goes through fill_state_metrics
+    stacks = []
 
     def recorded(*args, **kwargs):
-        traces.append(gt_run(*args, **kwargs))
-        return traces[-1]
+        columns = gt_columns(*args, **kwargs)
+        stacks.append(max(len(errs) - 1 for _, errs in columns))  # the stack's iterations
+        return columns
 
-    monkeypatch.setattr(gradient_tracking, "gt_run", recorded)
+    monkeypatch.setattr(gradient_tracking, "gt_columns", recorded)
     tune_alpha(quad_problem, quad_graph[1], quad_x0, quad_xstar, evals=4, budget=40)
-    iters = sum(trace.iterations for trace in traces)
-    assert len(traces) == 4 and iters > 0
+    iters = sum(stacks)
+    assert len(stacks) == 2 and iters > 0  # the first pair, then both steps left as one
     assert layer_calls == {"graph.consensus_apply": 2 * iters,
                            "diagnostics.fill_state_metrics": 0,
                            "gradient_tracking.gt_step": iters}

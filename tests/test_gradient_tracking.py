@@ -1,15 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from decnewton import gradient_tracking
 from decnewton.diagnostics import fit_rate
-from decnewton.gradient_tracking import GTParams, _fill_rel_err, gt_run, gt_step, tune_alpha
+from decnewton.gradient_tracking import GTParams, gt_columns, gt_run, gt_step, tune_alpha
 from decnewton.graph import generate_topology, metropolis_weights
 from decnewton.newton import NetworkState
 from decnewton.objectives import (
     batch_gradients,
     centralized_solve,
     global_gradient,
+    make_logistic,
     make_quadratic,
 )
 
@@ -94,36 +96,115 @@ def _bits(trace):
     return np.array([r.rel_err for r in trace.rows]).view(np.uint64)
 
 
-@pytest.mark.parametrize("alpha_L1,max_iters,status", [
-    (1.0, 2000, "converged"), (0.01, 100, "max_iters"),
-    (20.0, 400, "diverged"),   # rel_err passes DIVERGENCE_LIMIT
-    (1e308, 10, "diverged"),   # the first step overflows: non-finite iterate
-])
-def test_tuning_filler_matches_full_fill(setup, alpha_L1, max_iters, status):
-    prob, W, x_star, x0 = setup
-    params = GTParams(alpha=alpha_L1 / prob.L1, m=1, max_iters=max_iters, stop_tol=1e-6)
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_stacked_columns_match_lone_runs(setup, family):
+    # one stack whose columns converge, reach max_iters and diverge (rel_err
+    # past DIVERGENCE_LIMIT, or a first step that overflows) at different
+    # iterations, so later columns keep stepping after others leave
+    if family == "quadratic":
+        prob, W, x_star, x0 = setup
+        alphas_L1 = (0.3, 1.0, 0.01, 3.0, 20.0, 1e308)
+    else:
+        prob = make_logistic(8, 6, 20, rho=0.1, seed=3)
+        W = metropolis_weights(generate_topology(8, 0.4, seed=4))
+        x_star = centralized_solve(prob, tol=1e-12)
+        x0 = np.zeros((prob.n, prob.d))
+        alphas_L1 = (1.0, 3.0, 0.01, 20.0, 1e4, 1e308)
+    alphas = [a / prob.L1 for a in alphas_L1]
     with np.errstate(over="ignore", invalid="ignore"):
-        full = gt_run(prob, W, params, x0, x_star)
-        lean = gt_run(prob, W, params, x0, x_star, fill=_fill_rel_err)
-    assert full.status == status
-    assert (lean.status, lean.note, lean.iterations) == (full.status, full.note, full.iterations)
-    assert np.array_equal(_bits(lean), _bits(full))
-    assert np.isnan(lean.rows[-1].cons_x) and np.isnan(lean.rows[-1].u1)
+        columns = gt_columns(prob, W, alphas, 2, x0, x_star, 400, 1e-6)
+        lone = [gt_run(prob, W, GTParams(alpha=a, m=2, max_iters=400, stop_tol=1e-6), x0, x_star)
+                for a in alphas]
+    assert {t.status for t in lone} == {"converged", "max_iters", "diverged"}
+    assert len({t.iterations for t in lone}) >= 4
+    for (status, errs), trace in zip(columns, lone):
+        assert (status, len(errs) - 1) == (trace.status, trace.iterations)
+        assert np.array_equal(np.array(errs).view(np.uint64), _bits(trace))
 
 
-def test_tune_alpha_matches_full_fill_oracle(setup, monkeypatch):
+@pytest.mark.filterwarnings("error")
+def test_stopped_columns_leave_the_stack(setup):
+    # the diverged column would overflow within the budget if it kept stepping
     prob, W, x_star, x0 = setup
-    args = (prob, W, x0, x_star)
-    tuned = tune_alpha(*args, evals=6, budget=300)
-    fills = []
+    (first, errs), (second, _) = gt_columns(prob, W, [20.0 / prob.L1, 1.0 / prob.L1], 1, x0,
+                                            x_star, 2000, 1e-6)
+    assert (first, len(errs) - 1, second) == ("diverged", 4, "converged")
 
-    def full_fill_run(*run_args, fill):
-        fills.append(fill)
-        return gt_run(*run_args)  # every candidate scored on fully filled rows
 
-    monkeypatch.setattr(gradient_tracking, "gt_run", full_fill_run)
-    assert tune_alpha(*args, evals=6, budget=300) == tuned
-    assert fills == [_fill_rel_err] * 6
+def test_stacked_columns_on_non_finite_start(setup):
+    prob, W, x_star, x0 = setup
+    x0 = x0.copy()
+    x0[3, 4] = np.inf
+    lone = gt_run(prob, W, GTParams(alpha=0.01, max_iters=5), x0, x_star)
+    assert (lone.status, lone.iterations) == ("diverged", 0)
+    for status, errs in gt_columns(prob, W, [0.01, 0.02], 1, x0, x_star, 5, 1e-6):
+        assert status == "diverged"
+        assert np.array_equal(np.array(errs).view(np.uint64), _bits(lone))  # one NaN row
+
+
+@pytest.mark.parametrize("caller", ["gt_run", "tune_alpha"])
+def test_start_of_the_wrong_shape_is_rejected(setup, caller):
+    prob, W, x_star, x0 = setup
+    with pytest.raises(ValueError, match="x0 must have shape"):
+        if caller == "gt_run":
+            gt_run(prob, W, GTParams(alpha=0.01), x0[:, :-1], x_star)
+        else:
+            tune_alpha(prob, W, x0[:, :-1], x_star, evals=2, budget=5)
+
+
+def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals):
+    """tune_alpha as first written: a lone, fully filled gt_run per point,
+    each comparison made before the next point is chosen."""
+    hi = math.log10(2.0 / problem.L1)
+    lo = hi - 5.0
+
+    def score(log_alpha):
+        params = GTParams(alpha=10.0 ** log_alpha, m=m, max_iters=budget, stop_tol=target)
+        trace = gt_run(problem, W, params, x0, x_star)
+        if trace.status == "diverged":
+            return 1e12 * (1.0 + log_alpha - lo)
+        if trace.final_rel_err <= target:
+            return float(trace.iterations)
+        tail = [r for r in trace.rows[len(trace.rows) // 2:] if r.rel_err > 0]
+        if len(tail) >= 5:
+            ks = np.array([r.iter for r in tail], dtype=float)
+            ys = np.log([r.rel_err for r in tail])
+            slope = float(np.polyfit(ks, ys, 1)[0])
+            if slope < 0:
+                shortfall = math.log(trace.final_rel_err) - math.log(target)
+                return float(trace.iterations + shortfall / -slope)
+        return 1e9 * (1.0 + log_alpha - lo)
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = score(c), score(d)
+    for _ in range(evals - 2):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = score(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = score(d)
+    best = c if fc <= fd else d
+    return float(10.0 ** best)
+
+
+@pytest.mark.parametrize("kappa,m,target,budget,evals", [
+    (100.0, 1, 1e-8, 300, 22),     # the gt-tuned benchmark instance, short budget
+    (100.0, 1, 1e-6, 300, 7),      # an odd number of steps ends on a stack of one
+    (10.0, 20, 1e-6, 1500, 22),    # test_a4's instances, kappa = 1e4 on a
+    (10000.0, 20, 1e-6, 600, 22),  # shorter budget to keep the test short
+], ids=["gt-tuned", "odd-evals", "a4-k1e1", "a4-k1e4"])
+def test_tune_alpha_matches_sequential_golden_section(kappa, m, target, budget, evals):
+    prob = make_quadratic(10, 30, kappa, seed=1)
+    W = metropolis_weights(generate_topology(10, 0.2, seed=11))
+    x_star = centralized_solve(prob, tol=1e-12)
+    args = (prob, W, np.zeros((10, 30)), x_star, m, target, budget, evals)
+    assert tune_alpha(*args) == _sequential_golden_section(*args)
 
 
 def test_rate_degrades_monotonically_in_kappa():

@@ -493,6 +493,22 @@ def test_non_finite_hessian_diverges_at_iteration_0(quad_problem, quad_graph, qu
     assert trace.note == "non-finite iterate or tracker at iteration 0"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["newton", "gt"])
+def test_non_finite_start_diverges_without_warnings(quad_problem, quad_graph, quad_xstar,
+                                                     method):
+    # row 0's metrics of an infinite start are NaN, and the note says why
+    x0 = np.zeros((quad_problem.n, quad_problem.d))
+    x0[2, 1] = np.inf
+    if method == "newton":
+        trace = run(quad_problem, quad_graph[1], quad_params(max_iters=5), x0, quad_xstar)
+    else:
+        trace = gt_run(quad_problem, quad_graph[1], GTParams(alpha=0.01, max_iters=5), x0,
+                       quad_xstar)
+    assert trace.status == "diverged" and trace.iterations == 0
+    assert trace.note == "non-finite iterate or tracker at iteration 0"
+
+
 def test_non_finite_hessian_diverges_mid_run(quad_problem, quad_graph, quad_xstar, monkeypatch):
     # the third evaluation is step 1's: the new Hessian tracker is NaN while
     # the node falls back to g_i / L1, so x and g stay finite
