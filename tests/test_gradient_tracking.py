@@ -96,6 +96,25 @@ def _bits(trace):
     return np.array([r.rel_err for r in trace.rows]).view(np.uint64)
 
 
+@pytest.mark.parametrize("alpha_L1,max_iters,status", [
+    (1.0, 2000, "converged"), (0.01, 100, "max_iters"),
+    (20.0, 400, "diverged"),   # rel_err passes DIVERGENCE_LIMIT
+    (1e308, 10, "diverged"),   # the first step overflows: non-finite iterate
+])
+def test_tuning_filler_matches_full_fill(setup, alpha_L1, max_iters, status):
+    # the tuner's lean path (a stack of one, rel_err only) against a fully
+    # filled gt_run: same stop, same iteration count, same rel_errs bit for bit
+    prob, W, x_star, x0 = setup
+    params = GTParams(alpha=alpha_L1 / prob.L1, m=1, max_iters=max_iters, stop_tol=1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = gt_run(prob, W, params, x0, x_star)
+        [(lean_status, errs)] = gt_columns(prob, W, [params.alpha], 1, x0, x_star,
+                                           max_iters, 1e-6)
+    assert full.status == status
+    assert (lean_status, len(errs) - 1) == (full.status, full.iterations)
+    assert np.array_equal(np.array(errs).view(np.uint64), _bits(full))
+
+
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
 def test_stacked_columns_match_lone_runs(setup, family):
     # one stack whose columns converge, reach max_iters and diverge (rel_err
