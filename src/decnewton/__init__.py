@@ -43,8 +43,6 @@ from .objectives import (
     QuadraticInstance,
     centralized_solve,
     estimate_constants,
-    eval_gradient,
-    eval_hessian,
     make_logistic,
     make_quadratic,
 )

@@ -11,7 +11,8 @@ mean local gradient at every iteration. The constant step size is the only
 knob that matters; ``tune_alpha`` picks it by golden-section search on a log
 grid, scoring candidates by iterations-to-target (with a smooth penalty for
 runs that fall short). Its candidates run side by side on ``(n, C, d)``
-stacks sharing each gossip round's matrix product, keeping only ``rel_err``.
+stacks sharing each gossip round's matrix product, keeping only ``rel_err``:
+one stack of up to 7 points looks three steps ahead.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .objectives import Problem, batch_gradients
 __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_SPECULATION = 2  # golden-section steps per candidate stack, 2 ** steps - 1 points
+_SPECULATION = 3  # golden-section steps per candidate stack, 2 ** steps - 1 points
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,10 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
     run to notice, while 2/L1 <= 2/lambda_max(average Hessian) keeps the
     near-centralized regime contractive.
 
-    Candidates run as stacks (``gt_columns``): the first pair, then each next
-    point with both that could follow it, so one stack covers two steps.
+    Candidates run as stacks (``gt_columns``): each next point with the points
+    the two steps after it could ask for, so one stack of up to 7 looks three
+    steps ahead; the first holds the first pair and both points the first step
+    could ask for.
     """
     hi = math.log10(2.0 / problem.L1)
     lo = hi - 5.0

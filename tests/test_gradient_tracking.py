@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from decnewton.diagnostics import fit_rate
 from decnewton.gradient_tracking import GTParams, gt_columns, gt_run, gt_step, tune_alpha
 from decnewton.graph import generate_topology, metropolis_weights
+from decnewton.harness import SEED_ENV_VAR, preset_configs, run_experiment
 from decnewton.newton import NetworkState
 from decnewton.objectives import (
     batch_gradients,
@@ -117,18 +119,19 @@ def test_tuning_filler_matches_full_fill(setup, alpha_L1, max_iters, status):
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
 def test_stacked_columns_match_lone_runs(setup, family):
-    # one stack whose columns converge, reach max_iters and diverge (rel_err
-    # past DIVERGENCE_LIMIT, or a first step that overflows) at different
-    # iterations, so later columns keep stepping after others leave
+    # one stack of 7, tune_alpha's widest, whose columns converge, reach
+    # max_iters and diverge (rel_err past DIVERGENCE_LIMIT, or a first step
+    # that overflows) at different iterations, so later columns keep stepping
+    # after others leave
     if family == "quadratic":
         prob, W, x_star, x0 = setup
-        alphas_L1 = (0.3, 1.0, 0.01, 3.0, 20.0, 1e308)
+        alphas_L1 = (0.3, 1.0, 0.01, 3.0, 20.0, 1e308, 0.1)
     else:
         prob = make_logistic(8, 6, 20, rho=0.1, seed=3)
         W = metropolis_weights(generate_topology(8, 0.4, seed=4))
         x_star = centralized_solve(prob, tol=1e-12)
         x0 = np.zeros((prob.n, prob.d))
-        alphas_L1 = (1.0, 3.0, 0.01, 20.0, 1e4, 1e308)
+        alphas_L1 = (1.0, 3.0, 0.01, 20.0, 1e4, 1e308, 0.3)
     alphas = [a / prob.L1 for a in alphas_L1]
     with np.errstate(over="ignore", invalid="ignore"):
         columns = gt_columns(prob, W, alphas, 2, x0, x_star, 400, 1e-6)
@@ -214,7 +217,7 @@ def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals)
 
 @pytest.mark.parametrize("kappa,m,target,budget,evals", [
     (100.0, 1, 1e-8, 300, 22),     # the gt-tuned benchmark instance, short budget
-    (100.0, 1, 1e-6, 300, 7),      # an odd number of steps ends on a stack of one
+    (100.0, 1, 1e-6, 300, 7),      # five steps: the last stack looks past the end
     (10.0, 20, 1e-6, 1500, 22),    # test_a4's instances, kappa = 1e4 on a
     (10000.0, 20, 1e-6, 600, 22),  # shorter budget to keep the test short
 ], ids=["gt-tuned", "odd-evals", "a4-k1e1", "a4-k1e4"])
@@ -224,6 +227,19 @@ def test_tune_alpha_matches_sequential_golden_section(kappa, m, target, budget, 
     x_star = centralized_solve(prob, tol=1e-12)
     args = (prob, W, np.zeros((10, 30)), x_star, m, target, budget, evals)
     assert tune_alpha(*args) == _sequential_golden_section(*args)
+
+
+def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch):
+    # the gt-tuned benchmark run, full budget: a gradient kernel whose bits
+    # move the search or the final run shows here
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
+    config = replace(config, method="gt", gt_alpha_mode="tuned", label="gt-tuned",
+                     algorithm=GTParams(alpha=1.0, m=1))
+    trace, _ = run_experiment(config)
+    assert trace.rows[-1].alpha_k == 0.006771071029423611
+    assert (trace.status, trace.iterations, trace.rows[-1].bits_cum) == ("converged", 1856,
+                                                                          71270400)
 
 
 def test_rate_degrades_monotonically_in_kappa():

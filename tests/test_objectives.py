@@ -2,19 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from decnewton.harness import build_problem, preset_configs
 from decnewton.objectives import (
+    _ROUNDOFF_MULTIPLE,
     batch_gradients,
     batch_hessians,
     centralized_solve,
     estimate_constants,
-    eval_gradient,
-    eval_hessian,
     global_gradient,
     global_hessian,
     global_value,
-    local_value,
     make_logistic,
     make_quadratic,
 )
@@ -23,6 +22,31 @@ from decnewton.objectives import (
 @pytest.fixture(scope="module")
 def logit_problem():
     return make_logistic(5, 8, 12, rho=0.01, seed=3)
+
+
+def node_value(prob, i, x):
+    """f_i(x), written out: the oracle for the batched derivatives."""
+    if prob.family == "quadratic":
+        Q, p = prob.data.Q[i], prob.data.p[i]
+        return float(0.5 * x @ Q @ x + p @ x)
+    O, y, rho = prob.data.samples[i], prob.data.labels[i], prob.data.rho
+    z = (O @ x) * y
+    return float(0.5 * rho * x @ x + prob.n * np.logaddexp(0.0, -z).sum())
+
+
+def own_block(prob, i, x):
+    """An (n, d) stack holding x at node i's block (and zeros elsewhere)."""
+    xb = np.zeros((prob.n, prob.d))
+    xb[i] = x
+    return xb
+
+
+def node_gradient(prob, i, x):
+    return batch_gradients(prob, own_block(prob, i, x))[i]
+
+
+def node_hessian(prob, i, x):
+    return batch_hessians(prob, own_block(prob, i, x))[i]
 
 
 def central_diff_gradient(f, x, h=1e-6):
@@ -80,37 +104,33 @@ def test_quadratic_averages_cached_and_read_only():
 
 def test_quadratic_gradient_at_zero_is_p():
     prob = make_quadratic(6, 9, 10.0, seed=5)
-    x0 = np.zeros(9)
-    for i in range(prob.n):
-        assert np.allclose(eval_gradient(prob, i, x0), prob.data.p[i], atol=1e-14)
+    assert np.allclose(batch_gradients(prob, np.zeros((prob.n, 9))), prob.data.p, atol=1e-14)
 
 
 def test_quadratic_hessian_constant_in_x():
     prob = make_quadratic(4, 7, 10.0, seed=8)
     rng = np.random.default_rng(0)
-    x, y = rng.standard_normal((2, 7))
-    for i in range(prob.n):
-        assert np.array_equal(eval_hessian(prob, i, x), eval_hessian(prob, i, y))
-        assert np.allclose(eval_hessian(prob, i, x), prob.data.Q[i])
+    x, y = rng.standard_normal((2, prob.n, 7))
+    assert np.array_equal(batch_hessians(prob, x), batch_hessians(prob, y))
+    assert np.allclose(batch_hessians(prob, x), prob.data.Q)
 
 
 def test_logistic_gradient_at_zero(logit_problem):
     prob = logit_problem
-    x0 = np.zeros(prob.d)
+    grads = batch_gradients(prob, np.zeros((prob.n, prob.d)))
     for i in range(prob.n):
         O, y = prob.data.samples[i], prob.data.labels[i]
         expected = prob.n * (-0.5) * (y @ O)
-        assert np.allclose(eval_gradient(prob, i, x0), expected, atol=1e-12)
+        assert np.allclose(grads[i], expected, atol=1e-12)
 
 
 def test_logistic_hessian_lower_bound(logit_problem):
     prob = logit_problem
     rng = np.random.default_rng(1)
     for _ in range(5):
-        x = rng.standard_normal(prob.d)
-        for i in range(prob.n):
-            ev = np.linalg.eigvalsh(eval_hessian(prob, i, x))
-            assert ev[0] >= prob.data.rho * (1 - 1e-12)
+        x = rng.standard_normal((prob.n, prob.d))
+        ev = np.linalg.eigvalsh(batch_hessians(prob, x))
+        assert ev[:, 0].min() >= prob.data.rho * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
@@ -120,8 +140,8 @@ def test_gradient_matches_finite_differences(family, logit_problem):
     for _ in range(100):
         i = int(rng.integers(prob.n))
         x = rng.standard_normal(prob.d) * 0.5
-        analytic = eval_gradient(prob, i, x)
-        numeric = central_diff_gradient(lambda z: local_value(prob, i, z), x)
+        analytic = node_gradient(prob, i, x)
+        numeric = central_diff_gradient(lambda z: node_value(prob, i, z), x)
         assert np.linalg.norm(analytic - numeric) <= 1e-6 * (1 + np.linalg.norm(analytic))
 
 
@@ -132,28 +152,45 @@ def test_hessian_matches_finite_differences(family, logit_problem):
     for _ in range(100):
         i = int(rng.integers(prob.n))
         x = rng.standard_normal(prob.d) * 0.5
-        analytic = eval_hessian(prob, i, x)
-        numeric = central_diff_jacobian(lambda z: eval_gradient(prob, i, z), x)
+        analytic = node_hessian(prob, i, x)
+        numeric = central_diff_jacobian(lambda z: node_gradient(prob, i, z), x)
         assert np.allclose(analytic, analytic.T, atol=1e-10)
         assert np.linalg.norm(analytic - numeric) <= 1e-5 * (1 + np.linalg.norm(analytic))
 
 
 def test_batch_evaluators_match_single_node(logit_problem):
+    # each node's derivatives written out on its own data and block
     prob = logit_problem
     rng = np.random.default_rng(4)
     xb = rng.standard_normal((prob.n, prob.d))
     grads = batch_gradients(prob, xb)
     hessians = batch_hessians(prob, xb)
     for i in range(prob.n):
-        assert np.allclose(grads[i], eval_gradient(prob, i, xb[i]), atol=1e-12)
-        assert np.allclose(hessians[i], eval_hessian(prob, i, xb[i]), atol=1e-12)
+        O, y, rho, x = prob.data.samples[i], prob.data.labels[i], prob.data.rho, xb[i]
+        z = (O @ x) * y
+        w = expit(z) * expit(-z)
+        assert np.allclose(grads[i], rho * x - prob.n * ((expit(-z) * y) @ O), atol=1e-12)
+        assert np.allclose(hessians[i], rho * np.eye(prob.d) + prob.n * ((O.T * w) @ O),
+                           atol=1e-12)
 
 
-def test_index_out_of_range(logit_problem):
-    with pytest.raises(IndexError):
-        eval_gradient(logit_problem, logit_problem.n, np.zeros(logit_problem.d))
-    with pytest.raises(IndexError):
-        eval_hessian(logit_problem, -1, np.zeros(logit_problem.d))
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+@pytest.mark.parametrize("columns", [1, 3, 7])
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_stacked_gradients_match_lone_blocks(family, columns, layout, logit_problem):
+    # every column of an (n, C, d) stack, in any memory layout, gets the
+    # bits of a lone (n, d) call on that column's blocks
+    prob = make_quadratic(10, 30, 100.0, seed=1) if family == "quadratic" else logit_problem
+    rng = np.random.default_rng(columns)
+    wide = rng.standard_normal((prob.n, 2 * columns, prob.d))
+    stack = {"contiguous": np.ascontiguousarray(wide[:, :columns]),
+             "strided": wide[:, ::2],
+             "fortran": np.asfortranarray(wide[:, :columns])}[layout]
+    grads = batch_gradients(prob, stack)
+    assert grads.shape == stack.shape
+    for c in range(columns):
+        lone = batch_gradients(prob, np.ascontiguousarray(stack[:, c]))
+        assert np.array_equal(grads[:, c].view(np.uint64), lone.view(np.uint64))
 
 
 def test_centralized_solve_quadratic_matches_linear_solve():
@@ -170,6 +207,22 @@ def test_centralized_solve_logistic(logit_problem):
     # average local gradient vanishes at the optimum
     stacked = batch_gradients(logit_problem, np.tile(x_star, (logit_problem.n, 1)))
     assert np.linalg.norm(stacked.mean(axis=0)) <= 1e-8
+
+
+@pytest.mark.parametrize("shift", [19, 156, 223])
+def test_centralized_solve_stops_at_roundoff(shift):
+    # logit-rank instances whose gradient cannot reach 1e-12 in floating
+    # point: the damped Newton step stops moving x above it
+    config = preset_configs("logit-rank")[0]
+    prob = build_problem(replace(config.problem, seed=config.problem.seed + shift))
+    x_star = centralized_solve(prob, tol=1e-12)
+    floor = np.finfo(float).eps * np.linalg.norm(global_gradient(prob, np.zeros(prob.d)))
+    assert 1e-12 < np.linalg.norm(global_gradient(prob, x_star)) <= _ROUNDOFF_MULTIPLE * floor
+
+
+def test_centralized_solve_raises_above_roundoff(logit_problem):
+    with pytest.raises(RuntimeError, match="did not reach tol"):
+        centralized_solve(logit_problem, tol=1e-12, max_iters=2)
 
 
 def test_centralized_solve_single_sample_bisection_oracle():
@@ -249,10 +302,12 @@ def test_global_average_consistency(logit_problem):
     prob = logit_problem
     rng = np.random.default_rng(6)
     x = rng.standard_normal(prob.d)
-    avg = np.mean([local_value(prob, i, x) for i in range(prob.n)])
+    avg = np.mean([node_value(prob, i, x) for i in range(prob.n)])
     assert avg == pytest.approx(global_value(prob, x), rel=1e-12)
-    grads = np.mean([eval_gradient(prob, i, x) for i in range(prob.n)], axis=0)
+    grads = batch_gradients(prob, np.tile(x, (prob.n, 1))).mean(axis=0)
     assert np.allclose(grads, global_gradient(prob, x), atol=1e-10)
+    hessians = batch_hessians(prob, np.tile(x, (prob.n, 1))).mean(axis=0)
+    assert np.allclose(hessians, global_hessian(prob, x), atol=1e-10)
 
 
 def test_reproducibility():
