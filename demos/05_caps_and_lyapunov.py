@@ -13,7 +13,6 @@ from decnewton import (
     AlgoParams,
     ConstantSchedule,
     GeometricRamp,
-    MetricWeights,
     RoundMetrics,
     centralized_solve,
     fill_state_metrics,
@@ -33,10 +32,8 @@ x0 = np.zeros((10, 30))
 
 spec = CompressorSpec("rank_k", d=30, K=3)
 delta = delta_bound(spec)
-weights = MetricWeights(sigma=W.sigma, m=15, delta=delta, L1=prob.L1,
-                        L2=prob.L2, mu=prob.mu, M1=40 * prob.mu / 41)
 state = init_state(prob, x0)
-row0 = fill_state_metrics(RoundMetrics(), state, prob, x_star, weights,
+row0 = fill_state_metrics(RoundMetrics(), state, prob, x_star, W.sigma, 15, delta,
                           rel_err_den=float(np.linalg.norm(x0 - x_star) ** 2))
 print(theoretical_caps(prob, W.sigma, 15, delta, row0.u1, row0.u2).render())
 

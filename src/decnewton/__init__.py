@@ -4,7 +4,6 @@ convergence diagnostics at desk scale."""
 
 from .compress import CompressorSpec, compress, delta_bound, payload_bits
 from .diagnostics import (
-    MetricWeights,
     RateFit,
     RoundMetrics,
     Trace,
@@ -42,7 +41,6 @@ from .objectives import (
     Problem,
     QuadraticInstance,
     centralized_solve,
-    estimate_constants,
     make_logistic,
     make_quadratic,
 )

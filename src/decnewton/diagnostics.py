@@ -33,7 +33,6 @@ from .objectives import global_value
 __all__ = [
     "RoundMetrics",
     "Trace",
-    "MetricWeights",
     "RateFit",
     "CapsReport",
     "CSV_COLUMNS",
@@ -137,39 +136,25 @@ class Trace:
         return -1
 
 
-@dataclass(frozen=True)
-class MetricWeights:
-    """Constants entering the Lyapunov weights for one run."""
-
-    sigma: float
-    m: int
-    delta: float
-    L1: float
-    L2: float
-    mu: float
-    M1: float  # local-phase floor
-
-    @classmethod
-    def of(cls, problem, sigma: float, m: int, delta: float) -> "MetricWeights":
-        """Weights for ``problem`` with the local-phase floor M1 = 40 mu / 41."""
-        return cls(sigma=sigma, m=m, delta=delta, L1=problem.L1, L2=problem.L2,
-                   mu=problem.mu, M1=_local_floor(problem.mu))
-
-
 def _local_floor(mu: float) -> float:
     return 40.0 * mu / 41.0
 
 
-def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeights,
-                       rel_err_den: float | None = None, f_star: float | None = None) -> RoundMetrics:
+def fill_state_metrics(row: RoundMetrics, state, problem, x_star, sigma: float, m: int,
+                       delta: float, rel_err_den: float | None = None,
+                       f_star: float | None = None) -> RoundMetrics:
     """Populate the state-derived fields of an existing row in place and
-    return it; ``eps_k`` reads the row's own ``c_k``.
+    return it. The Lyapunov weights take the run's ``sigma``, gossip rounds
+    ``m`` and compressor ``delta``, the problem's ``L1``, ``L2`` and ``mu``,
+    and the local-phase floor M1 = 40 mu / 41; ``eps_k`` reads the row's own
+    ``c_k``.
 
     ``state`` needs attributes x, g (n, d) and optionally H, H_tilde, E
     (n, d, d) plus the cached local gradients/Hessians; the Hessian-side
     metrics come out NaN when those are absent (first-order runs).
     """
     x, g = state.x, state.g
+    L1, L2, mu = problem.L1, problem.L2, problem.mu
     n = x.shape[0]
     xbar = x.sum(axis=0) / n
     gbar = g.sum(axis=0) / n
@@ -185,15 +170,15 @@ def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeigh
     if f_star is None:
         f_star = global_value(problem, np.asarray(x_star))
     gap = global_value(problem, xbar) - f_star
-    q1 = (cons_x ** 2, track_g ** 2 / w.L1 ** 2, n * gap / w.L1)
-    row.u1 = q1[0] + (1 - w.sigma ** 2) ** 2 / 50.0 * q1[1] + 2.0 * w.sigma ** (w.m - 1) * q1[2]
+    q1 = (cons_x ** 2, track_g ** 2 / L1 ** 2, n * gap / L1)
+    row.u1 = q1[0] + (1 - sigma ** 2) ** 2 / 50.0 * q1[1] + 2.0 * sigma ** (m - 1) * q1[2]
 
-    if w.sigma > 0:
-        row.u3 = cons_x + w.sigma ** (-w.m / 4.0) * track_g / w.L1 \
-            + 0.5 * w.sigma ** (-3.0 * w.m / 4.0) * math.sqrt(n) * err_mean
+    if sigma > 0:
+        row.u3 = cons_x + sigma ** (-m / 4.0) * track_g / L1 \
+            + 0.5 * sigma ** (-3.0 * m / 4.0) * math.sqrt(n) * err_mean
     else:
         row.u3 = _NAN  # weights blow up at sigma = 0 (exact averaging)
-    row.delta_k = w.L2 / (2.0 * w.mu) * err_mean
+    row.delta_k = L2 / (2.0 * mu) * err_mean
 
     if getattr(state, "local_grads", None) is not None:
         row.dac_g = float(np.abs(gbar - state.local_grads.sum(axis=0) / n).max())
@@ -205,12 +190,13 @@ def fill_state_metrics(row: RoundMetrics, state, problem, x_star, w: MetricWeigh
         row.track_H = track_H
         row.err_E = _norm(state.E)
         row.diff_Htilde = _norm(H - state.H_tilde)
-        if w.delta >= 1.0:
+        if delta >= 1.0:
             e_weight = 0.0  # exact compressor: E is identically zero
         else:
-            e_weight = w.delta * (1 - w.sigma) / (8.0 * (1 - w.delta))
-        row.u2 = e_weight * row.err_E + (1 - w.sigma) / 4.0 * row.diff_Htilde + track_H
-        row.eps_k = (w.L2 / math.sqrt(n) * cons_x + track_H / math.sqrt(n) + row.c_k * w.mu) / w.M1
+            e_weight = delta * (1 - sigma) / (8.0 * (1 - delta))
+        row.u2 = e_weight * row.err_E + (1 - sigma) / 4.0 * row.diff_Htilde + track_H
+        row.eps_k = (L2 / math.sqrt(n) * cons_x + track_H / math.sqrt(n) + row.c_k * mu) \
+            / _local_floor(mu)
         if getattr(state, "local_hessians", None) is not None:
             row.dac_H = _norm(Hbar - state.local_hessians.sum(axis=0) / n)
     return row

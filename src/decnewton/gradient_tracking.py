@@ -25,9 +25,9 @@ import numpy as np
 
 # fill_state_metrics is unused here but bound for perfbench/tracing.py, which patches it.
 from .diagnostics import fill_state_metrics  # noqa: F401
-from .diagnostics import MetricWeights, RoundMetrics, Trace, relative_error
+from .diagnostics import RoundMetrics, Trace, relative_error
 from .graph import MixingMatrix, consensus_apply
-from .newton import DIVERGENCE_LIMIT, NetworkState, check_run_values, iterate
+from .newton import DIVERGENCE_LIMIT, NetworkState, check_run_values, iterate, positive_int
 from .objectives import Problem, batch_gradients
 
 __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
@@ -45,8 +45,11 @@ class GTParams:
 
     def __post_init__(self):
         check_run_values(self, "alpha")
-        if not isinstance(self.m, int) or self.m < 1:
+        if not positive_int(self.m):
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
+
+    def rounds(self, k: int) -> int:
+        return self.m
 
 
 def gt_step(state: NetworkState, problem: Problem, W: MixingMatrix, params: GTParams, k: int):
@@ -69,9 +72,8 @@ def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
     if x.shape != (problem.n, problem.d):
         raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x.shape}")
     grads = batch_gradients(problem, x)
-    weights = MetricWeights.of(problem, W.sigma, params.m, delta=1.0)
     return iterate(gt_step, NetworkState(x=x, g=grads.copy(), local_grads=grads),
-                   problem, W, params, oracle_xstar, lambda k: weights)
+                   problem, W, params, oracle_xstar, delta=1.0)
 
 
 def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray,

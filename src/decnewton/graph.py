@@ -33,12 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected connected graph with a connectivity-ratio target; ``adjacency()``
-    is the one representation degrees, connectivity and weights come from."""
+    """Undirected graph on ``n`` nodes; ``adjacency()`` is the one
+    representation degrees, connectivity and weights come from."""
 
     n: int
     edges: frozenset
-    tau: float
 
     def adjacency(self) -> np.ndarray:
         """The symmetric 0/1 adjacency matrix; a self-loop or an endpoint
@@ -108,11 +107,11 @@ def generate_topology(n: int, tau: float, seed: int) -> Topology:
     extra = target - len(edges)
     if extra > 0:
         rows, cols = np.triu_indices(n, 1)  # pairs i < j in row-major order
-        pool = Topology(n, frozenset(tree), tau).adjacency()[rows, cols] == 0
+        pool = Topology(n, frozenset(tree)).adjacency()[rows, cols] == 0
         rows, cols = rows[pool], cols[pool]
         picks = np.sort(rng.choice(len(rows), size=extra, replace=False))
         edges.update(zip(rows[picks].tolist(), cols[picks].tolist()))
-    return Topology(n=n, edges=frozenset(edges), tau=tau)
+    return Topology(n=n, edges=frozenset(edges))
 
 
 def _random_spanning_tree(n: int, rng: np.random.Generator) -> list:

@@ -61,7 +61,6 @@ from . import newton
 from .compress import CompressorSpec, delta_bound
 from .diagnostics import (
     CSV_COLUMNS,
-    MetricWeights,
     RoundMetrics,
     Trace,
     fill_state_metrics,
@@ -579,7 +578,6 @@ def caps_report(config: ExperimentConfig) -> str:
     params = config.algorithm
     delta = delta_bound(params.compressor)
     m = params.rounds(0)
-    row = fill_state_metrics(RoundMetrics(), state, problem, x_star,
-                             MetricWeights.of(problem, W.sigma, m, delta))
+    row = fill_state_metrics(RoundMetrics(), state, problem, x_star, W.sigma, m, delta)
     report = theoretical_caps(problem, W.sigma, m, delta, row.u1, row.u2)
     return report.render()

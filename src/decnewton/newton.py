@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .compress import CompressorSpec, compress, delta_bound, payload_bits
-from .diagnostics import MetricWeights, RoundMetrics, Trace, fill_state_metrics
+from .diagnostics import RoundMetrics, Trace, fill_state_metrics
 from .graph import MixingMatrix, consensus_apply, save_matrix
 from .objectives import Problem, batch_gradients, batch_hessians, global_value
 
@@ -121,11 +121,15 @@ class TwoStageSchedule:
         return self.stage1 if k < self.switch_iter else self.stage2
 
 
+def positive_int(value) -> bool:
+    """Whether ``value`` is an int >= 1; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def check_run_values(params, *names):
     """Reject a ``params.max_iters`` that is not an int >= 1, and a NaN,
     infinite or negative ``params.stop_tol`` or other named field."""
-    if isinstance(params.max_iters, bool) or not isinstance(params.max_iters, int) \
-            or params.max_iters < 1:
+    if not positive_int(params.max_iters):
         raise ValueError(f"max_iters must be an integer >= 1, got {params.max_iters!r}")
     for name in (*names, "stop_tol"):
         value = getattr(params, name)
@@ -152,7 +156,7 @@ class AlgoParams:
             raise ValueError(f"variant must be efficient or reference, got {self.variant!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.m != "k" and (not isinstance(self.m, int) or self.m < 1):
+        if self.m != "k" and not positive_int(self.m):
             raise ValueError(f"m must be a positive integer or 'k', got {self.m!r}")
         check_run_values(self, "M")
 
@@ -399,17 +403,20 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
 
 
 def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: np.ndarray,
-            weights, on_step=None) -> Trace:
+            delta: float, on_step=None) -> Trace:
     """Run ``step_fn(state, problem, W, params, k) -> (state, row)`` until
     rel_err <= params.stop_tol, divergence, or params.max_iters; every
-    method's runs go through this loop.
+    method's runs go through this loop. ``params`` also gives the gossip
+    rounds ``params.rounds(k)`` of iteration k; ``delta`` is the compressor's
+    contraction factor (1.0 for a run that compresses nothing).
 
     The loop times ``step_fn`` into ``wall_time``, fills the row's state
-    metrics with ``fill_state_metrics(row, state, problem, x_star, weights(k),
-    rel_err_den=, f_star=)`` and adds up ``bits_cum``. A non-finite x, g or H
-    (the initial state's too), or rel_err past DIVERGENCE_LIMIT, ends the run
-    as "diverged"; a non-finite initial state's row is filled without numpy's
-    warnings, which the note explains. ``on_step(k, state)`` runs after each
+    metrics with ``fill_state_metrics(row, state, problem, x_star, W.sigma,
+    params.rounds(k), delta, rel_err_den=, f_star=)`` and adds up
+    ``bits_cum``. A non-finite x, g or H (the initial state's too), or
+    rel_err past DIVERGENCE_LIMIT, ends the run as "diverged"; a non-finite
+    initial state's row is filled without numpy's warnings, which the note
+    explains. ``on_step(k, state)`` runs after each
     iteration, outside the timed part.
     """
     x_star = np.asarray(x_star, dtype=float)
@@ -417,8 +424,8 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
     f_star = global_value(problem, x_star)
     finite = _finite(state)
     with np.errstate(**({} if finite else {"invalid": "ignore", "over": "ignore"})):
-        rows = [fill_state_metrics(RoundMetrics(iter=0), state, problem, x_star, weights(0),
-                                   rel_err_den=den, f_star=f_star)]
+        rows = [fill_state_metrics(RoundMetrics(iter=0), state, problem, x_star, W.sigma,
+                                   params.rounds(0), delta, rel_err_den=den, f_star=f_star)]
     if not finite:
         return Trace(rows, "diverged", note="non-finite iterate or tracker at iteration 0")
     bits_cum = 0
@@ -427,8 +434,8 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
         t0 = time.perf_counter()
         state, row = step_fn(state, problem, W, params, k)
         row.wall_time = time.perf_counter() - t0
-        fill_state_metrics(row, state, problem, x_star, weights(k), rel_err_den=den,
-                           f_star=f_star)
+        fill_state_metrics(row, state, problem, x_star, W.sigma, params.rounds(k), delta,
+                           rel_err_den=den, f_star=f_star)
         bits_cum += row.bits
         row.bits_cum = bits_cum
         rows.append(row)
@@ -458,18 +465,12 @@ def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
         oracle_xstar: np.ndarray, dump_iters=(), dump_dir=None) -> Trace:
     """Decentralized Newton run; with ``dump_dir``, the stacked iterate is
     written there after each iteration in ``dump_iters``."""
-    base = MetricWeights.of(problem, W.sigma, params.rounds(0), delta_bound(params.compressor))
-
-    def weights(k):
-        m = params.rounds(k)
-        return base if m == base.m else replace(base, m=m)
-
     def dump(k, state):
         if dump_dir is not None and k + 1 in dump_iters:
             save_matrix(f"{dump_dir}/state_x_iter{k + 1:05d}.txt", state.x)
 
-    return iterate(step, init_state(problem, x0), problem, W, params, oracle_xstar, weights,
-                   on_step=dump)
+    return iterate(step, init_state(problem, x0), problem, W, params, oracle_xstar,
+                   delta_bound(params.compressor), on_step=dump)
 
 
 def max_state_deviation(a: NetworkState, b: NetworkState) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "global_gradient",
     "global_hessian",
     "centralized_solve",
-    "estimate_constants",
 ]
 
 
@@ -77,7 +76,6 @@ class Problem:
     L1: float
     L2: float
     mu: float
-    seed: int | None = None
 
     @property
     def kappa_F(self) -> float:
@@ -93,8 +91,8 @@ def make_quadratic(n: int, d: int, kappa_target: float, seed: int, spread: float
     target condition number exactly while every ``Q_i`` stays positive
     definite and the nodes remain genuinely heterogeneous.
     """
-    if kappa_target < 1:
-        raise ValueError(f"kappa_target must be >= 1, got {kappa_target}")
+    if not 1 <= kappa_target < np.inf:  # NaN fails too
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa_target}")
     if d == 1 and kappa_target != 1:
         raise ValueError("a 1-dimensional quadratic cannot have kappa > 1")
     if not 0 <= spread < 0.5:
@@ -116,21 +114,21 @@ def make_quadratic(n: int, d: int, kappa_target: float, seed: int, spread: float
     p = rng.standard_normal((n, d))
     data = QuadraticInstance(Q=Q, p=p)
     L1, L2, mu = _constants_quadratic(data)
-    return Problem(family="quadratic", n=n, d=d, data=data, L1=L1, L2=L2, mu=mu, seed=seed)
+    return Problem(family="quadratic", n=n, d=d, data=data, L1=L1, L2=L2, mu=mu)
 
 
 def make_logistic(n: int, d: int, m_per_node: int, rho: float, seed: int) -> Problem:
     """Regularized logistic regression with standard Gaussian features."""
     if m_per_node < 1:
         raise ValueError(f"m_per_node must be >= 1, got {m_per_node}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0 < rho < np.inf:  # NaN fails too
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((n, m_per_node, d))
     labels = rng.choice(np.array([-1.0, 1.0]), size=(n, m_per_node))
     data = LogisticInstance(samples=samples, labels=labels, rho=rho)
     L1, L2, mu = _constants_logistic(data)
-    return Problem(family="logistic", n=n, d=d, data=data, L1=L1, L2=L2, mu=mu, seed=seed)
+    return Problem(family="logistic", n=n, d=d, data=data, L1=L1, L2=L2, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +256,6 @@ def centralized_solve(problem: Problem, tol: float = 1e-12, max_iters: int = 100
         f"centralized Newton did not reach tol={tol} or the roundoff floor {floor:.3e} "
         f"in {max_iters} iterations (final ||grad||={norm:.3e}); instance may be ill-posed"
     )
-
-
-def estimate_constants(problem: Problem):
-    """Return (L1, L2, mu) recomputed from the instance data."""
-    if problem.family == "quadratic":
-        return _constants_quadratic(problem.data)
-    return _constants_logistic(problem.data)
 
 
 def _constants_quadratic(data: QuadraticInstance):

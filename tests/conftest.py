@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,22 @@ def hessians_non_finite_on_call(monkeypatch, call, value):
         return H
 
     monkeypatch.setattr(newton, "batch_hessians", patched)
+
+
+def strip_wall_time(text: str) -> str:
+    """A trace CSV's text with every ``wall_time`` value replaced by ``_``."""
+    lines = text.splitlines()
+    idx = lines[1].split(",").index("wall_time")
+    out = [lines[0], lines[1]]
+    for line in lines[2:]:
+        parts = line.split(",")
+        parts[idx] = "_"
+        out.append(",".join(parts))
+    return "\n".join(out)
+
+
+def trace_sha256(path) -> str:
+    """sha256 of a trace CSV without its wall_time values: the bits a run
+    must reproduce from commit to commit."""
+    with open(path) as fh:
+        return hashlib.sha256(strip_wall_time(fh.read()).encode()).hexdigest()

@@ -4,11 +4,16 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The shared fixtures run
 the benchmark presets once and individual criteria read off their traces.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import decnewton
+from conftest import strip_wall_time, trace_sha256
 from decnewton.compress import CompressorSpec, compress
 from decnewton.diagnostics import fit_rate, stage_two_window
 from decnewton.gradient_tracking import GTParams, gt_run, tune_alpha
@@ -21,6 +26,7 @@ from decnewton.harness import (
     build_problem,
     preset_configs,
     run_experiment,
+    write_trace_csv,
 )
 from decnewton.newton import (
     AlgoParams,
@@ -52,6 +58,46 @@ def preset_traces():
             trace, _ = run_experiment(config)
             traces[config.label] = trace
     return traces
+
+
+# sha256 of each preset trace CSV without wall_time (``trace_sha256``): a
+# change that moves any bit of a trace, fingerprint and status lines
+# included, fails here. The hashes hold for this numpy/OpenBLAS (numpy 2 with
+# OpenBLAS 0.3.31, Haswell kernels). The logistic traces also depend on the
+# BLAS thread count, so they are rerun in a child interpreter with BLAS on one
+# thread, as the benchmark runs; the quadratic ones are the same at one and
+# two threads and come from ``preset_traces``.
+PRESET_TRACE_SHA256 = {
+    "quad-k1e1-m15": "dae60033247a802bd3da8f167073ab88e01b7669410da074af5a6b3d34a7e7fd",
+    "quad-k1e1-m20": "a6c09a7807bf0051ec95477c385222a8766cddfadfa0fd59db9d441a9cbc35d2",
+    "quad-k1e1-mk": "f29740e112159ee0f45aa932d60f5799f75c079e09d8b996ab79ee0b71ff92d2",
+    "quad-k1e2-m15": "f9759b5f191b6f75069806ef158bdd98a2717acb072f3c8242e6c64e66d6e000",
+    "quad-k1e2-m20": "103fdc69a1f962598ad0136142bda0c279bc29bc63b98c5edae33c3fe5baa86c",
+    "quad-k1e2-mk": "4c214e0edfbd50c5bd6fb6cc5869f2a634730c1f0038ab58b38e1923ddc7b241",
+    "quad-k1e4-m15": "18d8f42a6b23a63a0e8fd3291c8adad525fb5e4a00e0fee8223d46b96538193f",
+    "quad-k1e4-m20": "054e57a8708efd2db4be2cadf33c11ae32ae61b42e80e6a8cbd8bc5ccc1bd18a",
+    "quad-k1e4-mk": "2c9343480874ba640daf0b1e1c906c800ab1907bef1c7587443b2951d1876ebc",
+    "logit-topk-m15": "f31883e23680144e70124d447593f5c68e5204859d070c4d60cb5bbc23441c0b",
+    "logit-rank-m15": "e117e3d9ca572bb4d6264b434c54a262f722e3540864f60f4de256b6dc1ce277",
+}
+ONE_THREAD_PRESETS = ("logit-topk", "logit-rank")
+
+
+def test_preset_traces_keep_their_bits(preset_traces, tmp_path):
+    src = os.path.dirname(os.path.dirname(decnewton.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from decnewton.harness import preset_configs, run_experiment; "
+                    "[run_experiment(c, out_dir=sys.argv[1]) "
+                    "for name in sys.argv[2:] for c in preset_configs(name)]",
+                    str(tmp_path), *ONE_THREAD_PRESETS], env=env, check=True)
+    for label, trace in preset_traces.items():
+        if not (tmp_path / f"{label}.csv").exists():
+            write_trace_csv(trace, tmp_path / f"{label}.csv")
+    got = {label: trace_sha256(tmp_path / f"{label}.csv") for label in preset_traces}
+    assert got == PRESET_TRACE_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -316,17 +362,6 @@ def test_a9_consensus_contraction():
                   f"random stacked vectors across 10 topologies (worst excess {worst:.1e})")
 
 
-def _strip_wall(text: str) -> str:
-    lines = text.splitlines()
-    idx = lines[1].split(",").index("wall_time")
-    out = [lines[0], lines[1]]
-    for line in lines[2:]:
-        parts = line.split(",")
-        parts[idx] = "_"
-        out.append(",".join(parts))
-    return "\n".join(out)
-
-
 def test_a10_determinism(tmp_path):
     ok = True
     details = []
@@ -334,7 +369,7 @@ def test_a10_determinism(tmp_path):
         config = next(c for c in preset_configs(name) if c.label == label)
         _, p1 = run_experiment(config, out_dir=str(tmp_path / "one"))
         _, p2 = run_experiment(config, out_dir=str(tmp_path / "two"))
-        same = _strip_wall(open(p1).read()) == _strip_wall(open(p2).read())
+        same = strip_wall_time(open(p1).read()) == strip_wall_time(open(p2).read())
         ok = ok and same
         details.append(f"{label}: {'identical' if same else 'DIFFERENT'}")
     report(10, ok, "repeated preset runs byte-identical modulo wall_time ("

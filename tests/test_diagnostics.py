@@ -1,12 +1,11 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import quad_params
 from decnewton.diagnostics import (
-    MetricWeights,
     RoundMetrics,
     Trace,
     fill_state_metrics,
@@ -51,9 +50,7 @@ def test_metrics_vanish_at_exact_optimum(quad_problem, quad_xstar):
         E=np.zeros((n, d, d)),
         local_grads=batch_gradients(quad_problem, np.tile(quad_xstar, (n, 1))),
     )
-    w = MetricWeights(sigma=0.9, m=15, delta=0.05, L1=quad_problem.L1,
-                      L2=0.0, mu=quad_problem.mu, M1=1.0)
-    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
+    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, 0.9, 15, 0.05,
                              rel_err_den=1.0)
     assert row.rel_err <= 1e-25
     assert row.u1 == pytest.approx(0.0, abs=1e-12)
@@ -69,9 +66,7 @@ def test_u2_vanishes_for_consensual_uncompressed_hessians(quad_problem, quad_xst
         H=np.tile(Qbar, (n, 1, 1)), H_tilde=np.tile(Qbar, (n, 1, 1)),
         E=np.zeros((n, d, d)),
     )
-    w = MetricWeights(sigma=0.9, m=15, delta=0.05, L1=quad_problem.L1,
-                      L2=0.0, mu=quad_problem.mu, M1=1.0)
-    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
+    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, 0.9, 15, 0.05,
                              rel_err_den=1.0)
     scale = np.linalg.norm(Qbar)
     assert row.u2 <= 1e-12 * scale
@@ -85,10 +80,8 @@ def test_u1_u3_scalar_hand_evaluation():
     g = np.array([[2.0], [-2.75]])
     state = NetworkState(x=x, g=g)
     sigma, m = 0.8, 4
-    w = MetricWeights(sigma=sigma, m=m, delta=0.05, L1=prob.L1, L2=prob.L2,
-                      mu=prob.mu, M1=1.0)
     x_star = np.array([-(0.5 * (1.0 - 2.0)) / (0.5 * (2.0 + 3.0))])  # -pbar/qbar
-    row = fill_state_metrics(RoundMetrics(c_k=0.0), state, prob, x_star, w,
+    row = fill_state_metrics(RoundMetrics(c_k=0.0), state, prob, x_star, sigma, m, 0.05,
                              rel_err_den=1.0)
 
     xbar = 0.125
@@ -108,22 +101,24 @@ def test_u1_u3_scalar_hand_evaluation():
 
 
 def test_eps_k_formula(quad_problem, quad_xstar):
-    n, d = quad_problem.n, quad_problem.d
-    state = init_state(quad_problem, np.zeros((n, d)))
-    w = MetricWeights(sigma=0.9, m=15, delta=0.05, L1=quad_problem.L1,
-                      L2=2.0, mu=quad_problem.mu, M1=0.7)
+    # L2 = 2.0 so the consensus term counts; a quadratic's own L2 is 0
+    problem = replace(quad_problem, L2=2.0)
+    n, d = problem.n, problem.d
+    state = init_state(problem, np.zeros((n, d)))
     ck = 1e-3
-    row = fill_state_metrics(RoundMetrics(c_k=ck), state, quad_problem, quad_xstar, w,
+    row = fill_state_metrics(RoundMetrics(c_k=ck), state, problem, quad_xstar, 0.9, 15, 0.05,
                              rel_err_den=1.0)
     track_H = np.linalg.norm(state.H - state.H.mean(axis=0))
     expected = (2.0 / math.sqrt(n) * row.cons_x + track_H / math.sqrt(n)
-                + ck * quad_problem.mu) / 0.7
+                + ck * problem.mu) / (40 * problem.mu / 41)
     assert row.eps_k == pytest.approx(expected, rel=1e-12)
 
 
-def _linalg_norm_metrics(row, state, problem, x_star, w, rel_err_den=None, f_star=None):
+def _linalg_norm_metrics(row, state, problem, x_star, sigma, m, delta, rel_err_den=None,
+                         f_star=None):
     """fill_state_metrics as first written, with np.linalg.norm and .mean."""
     x, g = state.x, state.g
+    L1, L2, mu, M1 = problem.L1, problem.L2, problem.mu, 40.0 * problem.mu / 41.0
     n = x.shape[0]
     xbar = x.mean(axis=0)
     gbar = g.mean(axis=0)
@@ -138,14 +133,14 @@ def _linalg_norm_metrics(row, state, problem, x_star, w, rel_err_den=None, f_sta
     if f_star is None:
         f_star = global_value(problem, np.asarray(x_star))
     gap = global_value(problem, xbar) - f_star
-    q1 = (cons_x ** 2, track_g ** 2 / w.L1 ** 2, n * gap / w.L1)
-    row.u1 = q1[0] + (1 - w.sigma ** 2) ** 2 / 50.0 * q1[1] + 2.0 * w.sigma ** (w.m - 1) * q1[2]
-    if w.sigma > 0:
-        row.u3 = cons_x + w.sigma ** (-w.m / 4.0) * track_g / w.L1 \
-            + 0.5 * w.sigma ** (-3.0 * w.m / 4.0) * math.sqrt(n) * err_mean
+    q1 = (cons_x ** 2, track_g ** 2 / L1 ** 2, n * gap / L1)
+    row.u1 = q1[0] + (1 - sigma ** 2) ** 2 / 50.0 * q1[1] + 2.0 * sigma ** (m - 1) * q1[2]
+    if sigma > 0:
+        row.u3 = cons_x + sigma ** (-m / 4.0) * track_g / L1 \
+            + 0.5 * sigma ** (-3.0 * m / 4.0) * math.sqrt(n) * err_mean
     else:
         row.u3 = float("nan")
-    row.delta_k = w.L2 / (2.0 * w.mu) * err_mean
+    row.delta_k = L2 / (2.0 * mu) * err_mean
     if getattr(state, "local_grads", None) is not None:
         row.dac_g = float(np.max(np.abs(gbar - state.local_grads.mean(axis=0))))
     H = getattr(state, "H", None)
@@ -155,9 +150,9 @@ def _linalg_norm_metrics(row, state, problem, x_star, w, rel_err_den=None, f_sta
         row.track_H = track_H
         row.err_E = float(np.linalg.norm(state.E))
         row.diff_Htilde = float(np.linalg.norm(H - state.H_tilde))
-        e_weight = 0.0 if w.delta >= 1.0 else w.delta * (1 - w.sigma) / (8.0 * (1 - w.delta))
-        row.u2 = e_weight * row.err_E + (1 - w.sigma) / 4.0 * row.diff_Htilde + track_H
-        row.eps_k = (w.L2 / math.sqrt(n) * cons_x + track_H / math.sqrt(n) + row.c_k * w.mu) / w.M1
+        e_weight = 0.0 if delta >= 1.0 else delta * (1 - sigma) / (8.0 * (1 - delta))
+        row.u2 = e_weight * row.err_E + (1 - sigma) / 4.0 * row.diff_Htilde + track_H
+        row.eps_k = (L2 / math.sqrt(n) * cons_x + track_H / math.sqrt(n) + row.c_k * mu) / M1
         if getattr(state, "local_hessians", None) is not None:
             row.dac_H = float(np.linalg.norm(Hbar - state.local_hessians.mean(axis=0)))
     return row
@@ -182,13 +177,12 @@ def test_fill_state_metrics_matches_linalg_norm_oracle(quad_problem, quad_xstar,
         delta = 0.05
         state.H, state.E, state.H_tilde, state.local_hessians = (
             s * rng.standard_normal((n, d, d)) for s in scale[2:])
-    w = MetricWeights(sigma=sigma, m=seed * 5, delta=delta, L1=problem.L1, L2=problem.L2,
-                      mu=problem.mu, M1=0.7)
     for den, f_star in ((None, None), (0.0, 0.3), (float(rng.uniform(1, 100)), None)):
         kwargs = dict(rel_err_den=den, f_star=f_star)
-        got = fill_state_metrics(RoundMetrics(iter=4, c_k=1e-3), state, problem, x_star, w, **kwargs)
-        want = _linalg_norm_metrics(RoundMetrics(iter=4, c_k=1e-3), state, problem, x_star, w,
-                                    **kwargs)
+        got = fill_state_metrics(RoundMetrics(iter=4, c_k=1e-3), state, problem, x_star,
+                                 sigma, seed * 5, delta, **kwargs)
+        want = _linalg_norm_metrics(RoundMetrics(iter=4, c_k=1e-3), state, problem, x_star,
+                                    sigma, seed * 5, delta, **kwargs)
         for f in fields(RoundMetrics):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert type(a) is type(b) and (a == b or (a != a and b != b)), f.name
@@ -252,9 +246,7 @@ def test_stage2_m_threshold_values():
 def test_theoretical_caps_report(quad_problem, quad_graph, quad_xstar):
     _, W = quad_graph
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
-    w = MetricWeights(sigma=W.sigma, m=15, delta=0.05, L1=quad_problem.L1,
-                      L2=quad_problem.L2, mu=quad_problem.mu, M1=1.0)
-    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
+    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, W.sigma, 15, 0.05,
                              rel_err_den=1.0)
     report = theoretical_caps(quad_problem, W.sigma, 15, 0.05, row.u1, row.u2)
     assert report.gamma_cap == pytest.approx(gamma_cap(0.05, W.sigma))
@@ -294,10 +286,8 @@ def test_u1_monotone_under_stage1_caps(quad_problem, quad_graph, quad_xstar):
     # by more than one percent per iteration
     _, W = quad_graph
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
-    w = MetricWeights(sigma=W.sigma, m=15, delta=0.05, L1=quad_problem.L1,
-                      L2=quad_problem.L2, mu=quad_problem.mu, M1=1.0)
     den = float(np.linalg.norm(np.zeros((quad_problem.n, quad_problem.d)) - quad_xstar) ** 2)
-    row0 = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, w,
+    row0 = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, W.sigma, 15, 0.05,
                               rel_err_den=den)
     caps = theoretical_caps(quad_problem, W.sigma, 15, 0.05, row0.u1, row0.u2)
     params = quad_params(

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import trace_sha256
 from decnewton.diagnostics import fit_rate
 from decnewton.gradient_tracking import GTParams, gt_columns, gt_run, gt_step, tune_alpha
 from decnewton.graph import generate_topology, metropolis_weights
@@ -229,17 +230,21 @@ def test_tune_alpha_matches_sequential_golden_section(kappa, m, target, budget, 
     assert tune_alpha(*args) == _sequential_golden_section(*args)
 
 
-def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch):
+def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):
     # the gt-tuned benchmark run, full budget: a gradient kernel whose bits
-    # move the search or the final run shows here
+    # move the search or the final run shows here. The alpha and the trace's
+    # sha256 without wall_time hold for this numpy/OpenBLAS (numpy 2 with
+    # OpenBLAS 0.3.31, Haswell kernels), at one BLAS thread or two.
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
     config = replace(config, method="gt", gt_alpha_mode="tuned", label="gt-tuned",
                      algorithm=GTParams(alpha=1.0, m=1))
-    trace, _ = run_experiment(config)
+    trace, path = run_experiment(config, out_dir=str(tmp_path))
     assert trace.rows[-1].alpha_k == 0.006771071029423611
     assert (trace.status, trace.iterations, trace.rows[-1].bits_cum) == ("converged", 1856,
                                                                           71270400)
+    assert trace_sha256(path) == (
+        "bb7851c5c1b4c798861d856af356a9aa7e5ec4d4ef97c1ab09d36b96234b33b8")
 
 
 def test_rate_degrades_monotonically_in_kappa():
@@ -262,6 +267,9 @@ def test_params_validation():
         GTParams(alpha=-0.1)
     with pytest.raises(ValueError):
         GTParams(alpha=0.1, m=0)
+    with pytest.raises(ValueError, match="m must"):  # render_config would write m = True
+        GTParams(alpha=0.1, m=True)
+    assert GTParams(alpha=0.1, m=3).rounds(7) == 3
 
 
 @pytest.mark.parametrize("field,value", [

@@ -142,7 +142,7 @@ def test_metropolis_matches_per_edge_oracle(n, tau):
 @pytest.mark.parametrize("edges", [frozenset(), frozenset({(0, 1), (2, 3)})],
                          ids=["no-edges", "two-components"])
 def test_metropolis_rejects_disconnected(edges):
-    top = Topology(n=4 if edges else 3, edges=edges, tau=0.1)
+    top = Topology(n=4 if edges else 3, edges=edges)
     assert top.adjacency().sum() == 2 * len(edges)
     assert not top.is_connected()
     with pytest.raises(ValueError, match="must be connected"):
@@ -155,7 +155,7 @@ def test_metropolis_rejects_disconnected(edges):
 def test_metropolis_rejects_malformed_edges(edges):
     # a per-edge loop and the adjacency matrix would count these differently
     with pytest.raises(ValueError, match=r"distinct nodes in range\(3\)"):
-        metropolis_weights(Topology(n=3, edges=frozenset(edges), tau=1.0))
+        metropolis_weights(Topology(n=3, edges=frozenset(edges)))
 
 
 def test_is_connected_matches_bfs_oracle():
@@ -167,7 +167,7 @@ def test_is_connected_matches_bfs_oracle():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.6)
         edges = frozenset(p for p, k in zip(pairs, keep) if k)
-        connected = Topology(n=n, edges=edges, tau=1.0).is_connected()
+        connected = Topology(n=n, edges=edges).is_connected()
         assert connected == bfs_connected(n, edges)
         outcomes.add(connected)
     assert outcomes == {True, False}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import hessians_non_finite_on_call
+from conftest import hessians_non_finite_on_call, strip_wall_time
 from decnewton import harness
 from decnewton.cli import main
 from decnewton.compress import CompressorSpec
@@ -79,18 +79,6 @@ stop_tol = 1e-8
 [output]
 label = small-gt
 """
-
-
-def strip_wall_time(text: str) -> str:
-    lines = text.splitlines()
-    out = [lines[0]]
-    idx = lines[1].split(",").index("wall_time")
-    for line in lines[1:]:
-        parts = line.split(",")
-        if parts[0] != "iter":
-            parts[idx] = "_"
-        out.append(",".join(parts))
-    return "\n".join(out)
 
 
 def test_config_round_trip():
@@ -338,15 +326,21 @@ def test_cli_run_rejects_repetitions_below_one(tmp_path, capsys):
     (GT_CFG, "alpha = tuned", "alpha = inf", "alpha"),
     (GT_CFG, "max_iters = 3000", "max_iters = 0", "max_iters"),
     (GT_CFG, "stop_tol = 1e-8", "stop_tol = inf", "stop_tol"),
+    (QUAD_CFG, "kappa = 50.0", "kappa = inf", "kappa"),
+    (QUAD_CFG, "kappa = 50.0", "kappa = nan", "kappa"),
+    (LOGIT_CFG, "rho = 0.001", "rho = inf", "rho"),
+    (LOGIT_CFG, "rho = 0.001", "rho = nan", "rho"),
 ], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
         "stop_tol-negative", "ramp-nan", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
-        "gt-max_iters-0", "gt-stop_tol-inf"])
-def test_cli_run_rejects_bad_run_values(tmp_path, capsys, base, old, new, field):
+        "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "rho-inf", "rho-nan"])
+def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, base, old, new, field):
     cfg_path = tmp_path / "bad.cfg"
+    assert old in base
     cfg_path.write_text(base.replace(old, new))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and re.search(rf"\b{field}\b", err[0])
+    assert not recwarn.list  # numpy warnings from a bad value that got too far
     assert not list(tmp_path.rglob("*.csv"))
 
 

@@ -60,6 +60,8 @@ def test_params_validation():
         AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=0.1, m=0)
     with pytest.raises(ValueError):
         AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=0.1, m=1, M=-1)
+    with pytest.raises(ValueError, match="m must"):  # render_config would write m = True
+        AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=0.1, m=True)
     growing = AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=0.1, m="k")
     assert growing.rounds(0) == 1
     assert growing.rounds(7) == 7

@@ -10,7 +10,6 @@ from decnewton.objectives import (
     batch_gradients,
     batch_hessians,
     centralized_solve,
-    estimate_constants,
     global_gradient,
     global_hessian,
     global_value,
@@ -244,17 +243,16 @@ def test_centralized_solve_single_sample_bisection_oracle():
     assert np.linalg.norm(x_star - expected) <= 1e-9
 
 
-def test_estimate_constants_identity_quadratic():
-    from decnewton.objectives import Problem, QuadraticInstance
+def test_stored_constants_identity_quadratic():
+    # kappa = 1 without jitter: every Q_i is the identity up to the rounding
+    # of U I U^T
+    prob = make_quadratic(3, 4, 1.0, seed=0, spread=0.0)
+    assert (prob.L1, prob.L2, prob.mu) == pytest.approx((1.0, 0.0, 1.0), rel=1e-14)
 
-    data = QuadraticInstance(Q=np.tile(np.eye(4), (3, 1, 1)), p=np.zeros((3, 4)))
-    prob = Problem(family="quadratic", n=3, d=4, data=data, L1=1, L2=0, mu=1)
-    assert estimate_constants(prob) == (1.0, 0.0, 1.0)
 
-
-def test_estimate_constants_quadratic_kappa():
+def test_stored_constants_quadratic_kappa():
     prob = make_quadratic(6, 10, 10.0, seed=12)
-    L1, L2, mu = estimate_constants(prob)
+    L1, L2, mu = prob.L1, prob.L2, prob.mu
     assert L2 == 0.0
     assert L1 / mu >= 10.0 * (1 - 1e-10)
     # matches an eigensolver on the instance data
@@ -262,8 +260,8 @@ def test_estimate_constants_quadratic_kappa():
     assert mu == pytest.approx(np.linalg.eigvalsh(prob.data.Q.mean(axis=0))[0])
 
 
-def test_estimate_constants_logistic(logit_problem):
-    L1, L2, mu = estimate_constants(logit_problem)
+def test_stored_constants_logistic(logit_problem):
+    L1, L2, mu = logit_problem.L1, logit_problem.L2, logit_problem.mu
     assert mu == logit_problem.data.rho
     assert L1 > mu
     assert L2 > 0
@@ -328,5 +326,10 @@ def test_validation_errors():
         make_logistic(4, 6, 0, rho=0.1, seed=0)
     with pytest.raises(ValueError):
         make_logistic(4, 6, 5, rho=0.0, seed=0)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="kappa"):
+            make_quadratic(4, 6, value, seed=0)
+        with pytest.raises(ValueError, match="rho"):
+            make_logistic(4, 6, 5, rho=value, seed=0)
     with pytest.raises(ValueError):
         centralized_solve(make_quadratic(4, 6, 2.0, seed=0), tol=0.0)
