@@ -24,7 +24,7 @@ rate guarantees hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,28 +46,6 @@ __all__ = [
     "stage2_cg_cap",
     "stage2_m_threshold",
     "theoretical_caps",
-]
-
-# Fixed trace-CSV schema, in column order. Extra RoundMetrics fields are
-# in-process diagnostics and never serialized.
-CSV_COLUMNS = [
-    "iter",
-    "rel_err",
-    "cons_x",
-    "track_g",
-    "track_H",
-    "err_E",
-    "diff_Htilde",
-    "u1",
-    "u2",
-    "u3",
-    "eps_k",
-    "delta_k",
-    "alpha_k",
-    "c_k",
-    "fallback_count",
-    "bits_cum",
-    "wall_time",
 ]
 
 _NAN = float("nan")
@@ -102,6 +80,12 @@ class RoundMetrics:
     dac_H: float = _NAN
     cg_max_rel_residual: float = 0.0
     hess_asymmetry: float = _NAN
+
+
+# Fixed trace-CSV schema, in column order: the RoundMetrics fields up to
+# wall_time. The later fields are in-process diagnostics and never serialized.
+CSV_COLUMNS = [f.name for f in fields(RoundMetrics)]
+del CSV_COLUMNS[CSV_COLUMNS.index("wall_time") + 1:]
 
 
 @dataclass

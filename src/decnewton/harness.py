@@ -118,7 +118,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.family not in _FAMILY_FIELDS:
             raise ValueError(f"[problem] family must be quadratic or logistic, got {self.family!r}")
-        for key in ("kappa", "rho", "m_per_node"):
+        for key in sum(_FAMILY_FIELDS.values(), ()):
             needed = key in _FAMILY_FIELDS[self.family]
             if needed == (getattr(self, key) is None):
                 raise ValueError(f"[problem] {key} is {'required' if needed else 'not read'} "
@@ -149,67 +149,92 @@ class ExperimentConfig:
         if not self.label or re.search(r"[\s,=/\\]", self.label):
             raise ValueError(f"[output] label must be non-empty with no whitespace, ',', '=', '/' "
                              f"or '\\', got {self.label!r}")
-        params_class = {"newton": AlgoParams, "gt": GTParams}.get(self.method, ())  # () matches none
-        if not isinstance(self.algorithm, params_class):
+        if not isinstance(self.algorithm, _METHOD_PARAMS.get(self.method, ())):  # () matches none
             raise ValueError(f"[algorithm] method must be newton (AlgoParams) or gt (GTParams), "
                              f"got {self.method!r} with {type(self.algorithm).__name__}")
         if self.gt_alpha_mode not in (("fixed", "tuned") if self.method == "gt" else ("fixed",)):
             raise ValueError(f"[algorithm] alpha mode must be fixed, or tuned with method = gt; "
                              f"got {self.gt_alpha_mode!r} with method = {self.method}")
-        if self.repetitions < 1:
-            raise ValueError(f"[output] repetitions must be >= 1, got {self.repetitions}")
+        if not newton.positive_int(self.repetitions):
+            raise ValueError(f"[output] repetitions must be an integer >= 1, got {self.repetitions!r}")
 
 
 # ---------------------------------------------------------------------------
 # config text <-> ExperimentConfig
 
-_SCHEDULE_RE = re.compile(r"^(const|ramp|stage)\(([^)]*)\)$")
-_COMPRESSOR_RE = re.compile(r"^(rank_k|top_k)\((\d+)\)$")
+_METHOD_PARAMS = {"newton": AlgoParams, "gt": GTParams}
+
+# a field's (parse text, render value) pair
+_INT, _FLOAT, _TEXT = (int, str), (float, repr), (str, str)
+
+# the name(arg, ...) forms of schedules and compressors: name -> arg -> (parse, render)
+_SCHEDULES = {"const": ConstantSchedule, "ramp": GeometricRamp, "stage": TwoStageSchedule}
+_SCHEDULE_ARGS = {name: {f.name: _INT if f.type == "int" else _FLOAT for f in fields(cls)}
+                  for name, cls in _SCHEDULES.items()}  # switch_iter is the one int
+_COMPRESSOR_ARGS = {"rank_k": {"K": _INT}, "top_k": {"K": _INT}, "identity": {}}
+
+
+def _call_text(name: str, args) -> str:
+    """``name(a, b, ...)``, or the bare name when there are no arguments."""
+    return f"{name}({', '.join(args)})" if args else name
+
+
+def _read_call(text: str, forms: dict, what: str):
+    """Read ``name(a, b, ...)``, or a bare ``name``, as the name and its
+    parsed arguments; the name must be one of ``forms`` and take all its args."""
+    match = re.fullmatch(r"(\w+)(?:\(([^)]*)\))?", text)
+    name = match[1] if match else None
+    args = [a.strip() for a in match[2].split(",")] if match and match[2] is not None else []
+    if name not in forms or len(args) != len(forms[name]):
+        expected = ", ".join(_call_text(form, form_args) for form, form_args in forms.items())
+        raise ValueError(f"bad {what} {text!r}; expected one of {expected}")
+    return name, [parse(arg) for (parse, _), arg in zip(forms[name].values(), args)]
+
+
+def _write_call(name: str, obj, forms: dict) -> str:
+    """The text ``_read_call`` reads as the ``name`` form with ``obj``'s fields."""
+    return _call_text(name, [render(getattr(obj, arg)) for arg, (_, render) in forms[name].items()])
 
 
 def _parse_schedule(text: str):
-    match = _SCHEDULE_RE.match(text)
-    if not match:
-        raise ValueError(
-            f"bad schedule {text!r}; expected const(v), ramp(base, growth, cap), or stage(v1, K, v2)"
-        )
-    kind, argstr = match.groups()
-    args = [a.strip() for a in argstr.split(",")]
-    if kind == "const":
-        (v,) = args
-        return ConstantSchedule(float(v))
-    if kind == "ramp":
-        base, growth, cap = args
-        return GeometricRamp(float(base), float(growth), float(cap))
-    v1, k, v2 = args
-    return TwoStageSchedule(float(v1), int(k), float(v2))
+    name, args = _read_call(text, _SCHEDULE_ARGS, "schedule")
+    return _SCHEDULES[name](*args)
 
 
 def _render_schedule(sched) -> str:
-    if isinstance(sched, ConstantSchedule):
-        return f"const({sched.value!r})"
-    if isinstance(sched, GeometricRamp):
-        return f"ramp({sched.base!r}, {sched.growth!r}, {sched.cap!r})"
-    if isinstance(sched, TwoStageSchedule):
-        return f"stage({sched.stage1!r}, {sched.switch_iter}, {sched.stage2!r})"
-    raise TypeError(f"unknown schedule type {type(sched).__name__}")
+    name = {cls: name for name, cls in _SCHEDULES.items()}[type(sched)]
+    return _write_call(name, sched, _SCHEDULE_ARGS)
 
 
 def _parse_compressor(text: str, d: int) -> CompressorSpec:
-    if text == "identity":
-        return CompressorSpec(kind="identity", d=d)
-    match = _COMPRESSOR_RE.match(text)
-    if not match:
-        raise ValueError(f"bad compressor {text!r}; expected rank_k(K), top_k(K), or identity")
-    return CompressorSpec(kind=match.group(1), d=d, K=int(match.group(2)))
+    kind, args = _read_call(text, _COMPRESSOR_ARGS, "compressor")
+    return CompressorSpec(kind, d, *args)
 
 
-def _render_compressor(spec: CompressorSpec) -> str:
-    if spec.kind == "identity":
-        return "identity"
-    return f"{spec.kind}({spec.K})"
-
-
+# Every config field once: the dataclass it fills -> field -> (parse, render),
+# in the order render_config writes them. AlgoParams and GTParams are the
+# [algorithm] fields of method = newton and method = gt. A field whose value
+# is None, or whose text is empty, is left out of the config text. A tuned gt
+# alpha reads as 1.0 until run_experiment tunes it.
+_FIELDS = {
+    ProblemSpec: {"family": _TEXT, "n": _INT, "d": _INT, "kappa": _FLOAT, "rho": _FLOAT,
+                  "m_per_node": _INT, "seed": _INT},
+    GraphSpec: {"tau": _FLOAT, "seed": _INT},
+    AlgoParams: {"m": (lambda text: text if text == "k" else int(text), str),
+                 "gamma": _FLOAT, "M": _FLOAT,
+                 "alpha": (_parse_schedule, _render_schedule),
+                 "cg_tol": (_parse_schedule, _render_schedule),
+                 "compressor": (_parse_compressor,  # d from [problem]
+                                lambda spec: _write_call(spec.kind, spec, _COMPRESSOR_ARGS)),
+                 "variant": _TEXT, "max_iters": _INT, "stop_tol": _FLOAT},
+    GTParams: {"alpha": (lambda text: 1.0 if text == "tuned" else float(text), repr),
+               "m": _INT, "max_iters": _INT, "stop_tol": _FLOAT},
+    ExperimentConfig: {
+        "label": _TEXT, "csv": _TEXT,
+        "dump_iters": (lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
+                       lambda iters: ",".join(map(str, iters))),
+        "repetitions": (int, lambda n: "" if n == 1 else str(n))},  # one run: no line
+}
 _SECTIONS = ("problem", "graph", "algorithm", "output")
 
 
@@ -230,43 +255,33 @@ def parse_config(source) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}]; expected one of {list(_SECTIONS)}")
-    unread = {section: dict(parser[section]) for section in parser.sections()}
+    unread = {section: dict(parser[section]) if parser.has_section(section) else {}
+              for section in _SECTIONS}
 
-    def read(cls, section, **casts):
-        """Pop and cast the given fields of [section] named in ``casts``; a
-        missing one is an error only where ``cls`` has no default for it."""
-        given = unread.get(section, {})
+    def read(section, cls):
+        """Pop and parse the ``_FIELDS[cls]`` fields of [section]; a missing
+        one is an error only where ``cls`` has no default for it."""
         required = {field.name for field in fields(cls) if field.default is MISSING}
         values = {}
-        for key, cast in casts.items():
-            if key in given:
-                raw = given.pop(key)
+        for key, (parse, _) in _FIELDS[cls].items():
+            if key in unread[section]:
+                raw = unread[section].pop(key)
                 try:
-                    values[key] = cast(raw)
+                    values[key] = parse(raw, problem.d) if parse is _parse_compressor else parse(raw)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
             elif key in required:
                 raise ValueError(f"config missing field {key!r} in section [{section}]")
         return values
 
-    problem = ProblemSpec(**read(ProblemSpec, "problem", family=str, n=int, d=int, seed=int,
-                                 kappa=float, rho=float, m_per_node=int))
-    graph = GraphSpec(**read(GraphSpec, "graph", tau=float, seed=int))
-    method = read(ExperimentConfig, "algorithm", method=str)["method"]
-    tuned = method == "gt" and unread["algorithm"].get("alpha") == "tuned"
-    if method == "newton":
-        algorithm = AlgoParams(**read(
-            AlgoParams, "algorithm", compressor=lambda text: _parse_compressor(text, problem.d),
-            alpha=_parse_schedule, gamma=float, m=lambda text: text if text == "k" else int(text),
-            M=float, cg_tol=_parse_schedule, max_iters=int, stop_tol=float, variant=str))
-    elif method == "gt":
-        algorithm = GTParams(**read(  # a tuned alpha replaces the 1.0 before the run
-            GTParams, "algorithm", alpha=lambda text: 1.0 if tuned else float(text),
-            m=int, max_iters=int, stop_tol=float))
-    else:
+    problem = ProblemSpec(**read("problem", ProblemSpec))
+    graph = GraphSpec(**read("graph", GraphSpec))
+    method = unread["algorithm"].pop("method", None)
+    if method not in _METHOD_PARAMS:
         raise ValueError(f"[algorithm] method must be newton or gt, got {method!r}")
-    output = read(ExperimentConfig, "output", label=str, csv=str, repetitions=int,
-                  dump_iters=lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()))
+    tuned = unread["algorithm"].get("alpha") == "tuned"  # newton rejects it as a schedule
+    algorithm = _METHOD_PARAMS[method](**read("algorithm", _METHOD_PARAMS[method]))
+    output = read("output", ExperimentConfig)
 
     left = [f"[{section}] {key}" for section, rest in unread.items() for key in rest]
     if left:
@@ -279,46 +294,18 @@ def parse_config(source) -> ExperimentConfig:
 def render_config(config: ExperimentConfig) -> str:
     """Canonical config text; parse(render(c)) round-trips and the text is
     what gets fingerprinted."""
-    p, g = config.problem, config.graph
-    lines = ["[problem]", f"family = {p.family}", f"n = {p.n}", f"d = {p.d}"]
-    if p.kappa is not None:
-        lines.append(f"kappa = {p.kappa!r}")
-    if p.rho is not None:
-        lines.append(f"rho = {p.rho!r}")
-    if p.m_per_node is not None:
-        lines.append(f"m_per_node = {p.m_per_node}")
-    lines += [f"seed = {p.seed}", "", "[graph]", f"tau = {g.tau!r}", f"seed = {g.seed}", ""]
-    lines.append("[algorithm]")
-    lines.append(f"method = {config.method}")
-    a = config.algorithm
-    if config.method == "newton":
-        lines += [
-            f"m = {a.m}",
-            f"gamma = {a.gamma!r}",
-            f"M = {a.M!r}",
-            f"alpha = {_render_schedule(a.alpha)}",
-            f"cg_tol = {_render_schedule(a.cg_tol)}",
-            f"compressor = {_render_compressor(a.compressor)}",
-            f"variant = {a.variant}",
-            f"max_iters = {a.max_iters}",
-            f"stop_tol = {a.stop_tol!r}",
-        ]
-    else:
-        alpha_txt = "tuned" if config.gt_alpha_mode == "tuned" else repr(a.alpha)
-        lines += [
-            f"alpha = {alpha_txt}",
-            f"m = {a.m}",
-            f"max_iters = {a.max_iters}",
-            f"stop_tol = {a.stop_tol!r}",
-        ]
-    lines += ["", "[output]", f"label = {config.label}"]
-    if config.csv:
-        lines.append(f"csv = {config.csv}")
-    if config.dump_iters:
-        lines.append("dump_iters = " + ",".join(str(i) for i in config.dump_iters))
-    if config.repetitions != 1:
-        lines.append(f"repetitions = {config.repetitions}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, spec in zip(_SECTIONS, (config.problem, config.graph, config.algorithm, config)):
+        lines = [f"[{section}]"] + ([f"method = {config.method}"] if section == "algorithm" else [])
+        for key, (_, render) in _FIELDS[type(spec)].items():
+            value = getattr(spec, key)
+            if key == "alpha" and config.gt_alpha_mode == "tuned":
+                value, render = "tuned", str
+            text = "" if value is None else render(value)
+            if text:
+                lines.append(f"{key} = {text}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
@@ -427,8 +414,8 @@ def write_trace_csv(trace: Trace, path) -> None:
 def read_trace_csv(path) -> Trace:
     """Read a trace whose header names any subset of the RoundMetrics fields.
     Raises ValueError naming the file, and the line where there is one, on
-    a missing header or data, an unknown column, a row of the wrong length
-    or a value that does not parse."""
+    a missing header or data, an unknown or duplicated column, a row of the
+    wrong length or a value that does not parse."""
     with open(path) as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     label, fingerprint, status = "", "", ""
@@ -444,9 +431,11 @@ def read_trace_csv(path) -> Trace:
         raise ValueError(f"trace file {path} has no data rows")
     header_no, header_line = lines[0]
     header = header_line.split(",")
-    for name in header:
+    for i, name in enumerate(header):
         if name not in _FIELD_CASTS:
             raise ValueError(f"{path}:{header_no}: unknown trace column {name!r}")
+        if name in header[:i]:
+            raise ValueError(f"{path}:{header_no}: duplicated trace column {name!r}")
     rows = []
     for no, line in lines[1:]:
         vals = line.split(",")

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,7 +370,7 @@ def test_a10_determinism(tmp_path):
         config = next(c for c in preset_configs(name) if c.label == label)
         _, p1 = run_experiment(config, out_dir=str(tmp_path / "one"))
         _, p2 = run_experiment(config, out_dir=str(tmp_path / "two"))
-        same = strip_wall_time(open(p1).read()) == strip_wall_time(open(p2).read())
+        same = strip_wall_time(Path(p1).read_text()) == strip_wall_time(Path(p2).read_text())
         ok = ok and same
         details.append(f"{label}: {'identical' if same else 'DIFFERENT'}")
     report(10, ok, "repeated preset runs byte-identical modulo wall_time ("

@@ -28,7 +28,7 @@ from decnewton.harness import (
     run_experiment,
     write_trace_csv,
 )
-from decnewton.newton import AlgoParams, ConstantSchedule
+from decnewton.newton import AlgoParams, ConstantSchedule, GeometricRamp, TwoStageSchedule
 
 QUAD_CFG = """
 [problem]
@@ -103,6 +103,9 @@ def test_config_errors_name_the_field():
         parse_config(QUAD_CFG.replace("ramp(0.05, 1.1, 1.0)", "warp(1)"))
     with pytest.raises(ValueError, match=r"\[output\] repetitions"):
         parse_config(QUAD_CFG + "repetitions = 0\n")
+    for schedule in ("const(1, 2)", "ramp(1)", "stage(0.3, 10)"):  # each form takes all its args
+        with pytest.raises(ValueError, match=r"\[algorithm\] alpha"):
+            parse_config(QUAD_CFG.replace("ramp(0.05, 1.1, 1.0)", schedule))
 
 
 def test_missing_optional_fields_take_the_dataclass_defaults():
@@ -187,6 +190,51 @@ def test_method_params_and_alpha_mode_change_together():
     assert parse_config(render_config(gt)) == gt
 
 
+_PIN_QUAD = ProblemSpec("quadratic", n=4, d=6, seed=2, kappa=1e3)
+
+
+@pytest.mark.parametrize("config,text", [
+    (ExperimentConfig(
+        ProblemSpec("logistic", n=12, d=5, seed=7, rho=0.01, m_per_node=40), GraphSpec(0.3, 8),
+        "newton", AlgoParams(CompressorSpec("identity", d=5), TwoStageSchedule(0.25, 40, 1.0), 0.1,
+                             m="k", M=0.5, cg_tol=GeometricRamp(1e-3, 0.5, 1e-2), max_iters=300,
+                             stop_tol=1e-9, variant="reference"),
+        label="pin-stage", csv="out/pin-stage.csv", dump_iters=(0, 5, 10), repetitions=3),
+     "[problem]\nfamily = logistic\nn = 12\nd = 5\nrho = 0.01\nm_per_node = 40\nseed = 7\n\n"
+     "[graph]\ntau = 0.3\nseed = 8\n\n"
+     "[algorithm]\nmethod = newton\nm = k\ngamma = 0.1\nM = 0.5\nalpha = stage(0.25, 40, 1.0)\n"
+     "cg_tol = ramp(0.001, 0.5, 0.01)\ncompressor = identity\nvariant = reference\n"
+     "max_iters = 300\nstop_tol = 1e-09\n\n"
+     "[output]\nlabel = pin-stage\ncsv = out/pin-stage.csv\ndump_iters = 0,5,10\nrepetitions = 3\n"),
+    (ExperimentConfig(_PIN_QUAD, GraphSpec(0.5, 9), "newton",
+                      AlgoParams(CompressorSpec("top_k", d=6, K=7), ConstantSchedule(0.8), 0.0, m=3),
+                      label="pin-topk"),
+     "[problem]\nfamily = quadratic\nn = 4\nd = 6\nkappa = 1000.0\nseed = 2\n\n"
+     "[graph]\ntau = 0.5\nseed = 9\n\n"
+     "[algorithm]\nmethod = newton\nm = 3\ngamma = 0.0\nM = 0.0\nalpha = const(0.8)\n"
+     "cg_tol = const(1e-10)\ncompressor = top_k(7)\nvariant = efficient\nmax_iters = 2000\n"
+     "stop_tol = 1e-10\n\n"
+     "[output]\nlabel = pin-topk\n"),
+    (ExperimentConfig(_PIN_QUAD, GraphSpec(0.5, 9), "gt", GTParams(0.02, m=2, max_iters=100),
+                      label="pin-gt-fixed", repetitions=2),
+     "[problem]\nfamily = quadratic\nn = 4\nd = 6\nkappa = 1000.0\nseed = 2\n\n"
+     "[graph]\ntau = 0.5\nseed = 9\n\n"
+     "[algorithm]\nmethod = gt\nalpha = 0.02\nm = 2\nmax_iters = 100\nstop_tol = 1e-10\n\n"
+     "[output]\nlabel = pin-gt-fixed\nrepetitions = 2\n"),
+    (ExperimentConfig(_PIN_QUAD, GraphSpec(0.5, 9), "gt", GTParams(1.0, stop_tol=1e-7),
+                      gt_alpha_mode="tuned", label="pin-gt-tuned", csv="pin.csv"),
+     "[problem]\nfamily = quadratic\nn = 4\nd = 6\nkappa = 1000.0\nseed = 2\n\n"
+     "[graph]\ntau = 0.5\nseed = 9\n\n"
+     "[algorithm]\nmethod = gt\nalpha = tuned\nm = 1\nmax_iters = 5000\nstop_tol = 1e-07\n\n"
+     "[output]\nlabel = pin-gt-tuned\ncsv = pin.csv\n"),
+], ids=["stage-identity-reference-mk-output", "top_k", "gt-fixed", "gt-tuned"])
+def test_render_config_text_is_pinned(config, text):
+    # the config text is what the trace fingerprint hashes: these forms,
+    # which no preset reaches, keep the text they had when first pinned
+    assert render_config(config) == text
+    assert parse_config(text) == config
+
+
 def _readme_example():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -218,7 +266,7 @@ def test_run_experiment_writes_csv(tmp_path):
     config = parse_config(QUAD_CFG)
     trace, path = run_experiment(config, out_dir=str(tmp_path))
     assert trace.status == "converged"
-    text = open(path).read()
+    text = Path(path).read_text()
     lines = text.splitlines()
     assert lines[0].startswith("# decnewton-trace label=small-quad")
     assert lines[1] == ",".join(CSV_COLUMNS)
@@ -234,7 +282,7 @@ def test_csv_determinism_modulo_wall_time(tmp_path):
     config = parse_config(QUAD_CFG)
     _, p1 = run_experiment(config, out_dir=str(tmp_path / "a"))
     _, p2 = run_experiment(config, out_dir=str(tmp_path / "b"))
-    assert strip_wall_time(open(p1).read()) == strip_wall_time(open(p2).read())
+    assert strip_wall_time(Path(p1).read_text()) == strip_wall_time(Path(p2).read_text())
 
 
 def test_gt_experiment_with_tuned_alpha(tmp_path):
@@ -260,7 +308,7 @@ def test_compare_summary(tmp_path):
     out = tmp_path / "summary.csv"
     rows = compare([p1, p2], out, tol=1e-6)
     assert len(rows) == 2
-    text = open(out).read().splitlines()
+    text = out.read_text().splitlines()
     assert text[0].startswith("label,status,iterations,final_rel_err")
     assert len(text) == 3
     with pytest.raises(ValueError):
@@ -311,6 +359,23 @@ def test_cli_run_rejects_repetitions_below_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "repetitions" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("value", ["2.0", "2.5", "True"])
+def test_cli_run_rejects_non_integer_repetitions(tmp_path, capsys, value):
+    cfg_path = tmp_path / "rep.cfg"
+    cfg_path.write_text(QUAD_CFG + f"repetitions = {value}\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "[output] repetitions" in err[0]
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("value", [0, 2.0, 2.5, True])
+def test_repetitions_in_code_must_be_a_positive_int(value):
+    # 2.0 would render as text parse_config rejects, and True would run once
+    with pytest.raises(ValueError, match=r"\[output\] repetitions"):
+        replace(parse_config(QUAD_CFG), repetitions=value)
 
 
 @pytest.mark.parametrize("base,old,new,field", [
@@ -459,8 +524,9 @@ def test_cli_list_and_compare(tmp_path, capsys):
     ("iter,rel_error\n0,1.0\n", "bad.csv:1"),
     ("iter,rel_err\n0,1.0\n\n1,abc\n", "bad.csv:4"),
     ("iter,rel_err\n0.5,1.0\n", "bad.csv:2"),
+    ("# decnewton-trace label=x\niter,rel_err,rel_err\n0,1.0,0.5\n", "bad.csv:2: duplicated"),
 ], ids=["empty", "comment-only", "header-only", "cut-short-row", "renamed-column",
-        "bad-float", "bad-int"])
+        "bad-float", "bad-int", "duplicated-column"])
 def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
