@@ -96,12 +96,17 @@ def _rank_k(A: np.ndarray, K: int) -> np.ndarray:
 
 
 def _top_k(A: np.ndarray, K: int) -> np.ndarray:
+    """Every entry above the K-th largest magnitude, then the entries at that
+    magnitude in ascending row-major order until K are kept: the set a stable
+    sort on -|a| picks, without sorting."""
     flat = A.reshape(*A.shape[:-2], -1)
-    # Stable sort on -|a| keeps the lowest linear index among tied magnitudes.
-    order = np.argsort(-np.abs(flat), axis=-1, kind="stable")[..., :K]
-    out = np.zeros_like(flat)
-    np.put_along_axis(out, order, np.take_along_axis(flat, order, axis=-1), axis=-1)
-    return out.reshape(A.shape)
+    mag = np.abs(flat)
+    cut = flat.shape[-1] - K
+    kth = np.partition(mag, cut, axis=-1)[..., cut:cut + 1]
+    tied = mag == kth
+    keep = mag > kth
+    keep |= tied & (np.cumsum(tied, axis=-1) <= K - keep.sum(axis=-1, keepdims=True))
+    return np.where(keep, flat, 0.0).reshape(A.shape)
 
 
 def delta_bound(spec: CompressorSpec) -> float:

@@ -193,7 +193,8 @@ def relative_error(x: np.ndarray, x_star: np.ndarray, den: float):
     n = x.shape[0]
     if x.ndim == 2:
         return (_norm(x - x_star[None, :]) ** 2 / n) / den if den > 0 else 0.0
-    v = np.swapaxes(x - x_star, 0, 1).reshape(x.shape[1], -1)  # each run's x - x*, flattened
+    # each run's x - x*, written run by run into one C-ordered (C, n, d) array
+    v = np.subtract(x.transpose(1, 0, 2), x_star, order="C").reshape(x.shape[1], -1)
     return [(math.sqrt(sq) ** 2 / n) / den if den > 0 else 0.0
             for sq in np.vecdot(v, v).tolist()]  # v @ v per run, the dot _norm takes
 

@@ -11,8 +11,12 @@ mean local gradient at every iteration. The constant step size is the only
 knob that matters; ``tune_alpha`` picks it by golden-section search on a log
 grid, scoring candidates by iterations-to-target (with a smooth penalty for
 runs that fall short). Its candidates run side by side on ``(n, C, d)``
-stacks sharing each gossip round's matrix product, keeping only ``rel_err``:
-one stack of up to 7 points looks three steps ahead.
+stacks sharing each gossip round's matrix product, keeping only ``rel_err``.
+A stack holds every point the search may ask for in its next three steps,
+following both outcomes of each comparison it cannot decide yet (up to 7
+points). A running candidate leaves its stack as soon as no comparison the
+search can still reach needs its score: a run that converged at iteration j
+beats one still going at j or later.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .objectives import Problem, batch_gradients
 __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_SPECULATION = 3  # golden-section steps per candidate stack, 2 ** steps - 1 points
+_SPECULATION = 3  # golden-section steps per candidate stack, at most 2 ** steps - 1 points
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,12 @@ def gt_step(state: NetworkState, problem: Problem, W: MixingMatrix, params: GTPa
     """One tracking iteration from ``state``; returns the new state and its
     metrics row, as ``newton.step`` does. Bits count the x and g exchanges, m * d * 64
     each per node. An ``(n, C, d)`` state with ``(C, 1)`` alphas steps C runs."""
-    x_new = consensus_apply(W, params.m, state.x - params.alpha * state.g)
+    descent = params.alpha * state.g
+    x_new = consensus_apply(W, params.m, np.subtract(state.x, descent, out=descent))
     grads_new = batch_gradients(problem, x_new)
-    g_new = consensus_apply(W, params.m, state.g + grads_new - state.local_grads)
+    tracker = state.g + grads_new
+    tracker -= state.local_grads
+    g_new = consensus_apply(W, params.m, tracker)
     return (NetworkState(x=x_new, g=g_new, local_grads=grads_new),
             RoundMetrics(iter=k + 1, alpha_k=params.alpha,
                          bits=problem.n * 2 * params.m * problem.d * 64))
@@ -77,9 +84,15 @@ def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
 
 
 def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray,
-               oracle_xstar: np.ndarray, max_iters: int, stop_tol: float) -> list:
+               oracle_xstar: np.ndarray, max_iters: int, stop_tol: float, reads=None) -> list:
     """``gt_run`` at each of ``alphas`` on one ``(n, C, d)`` stack, a run leaving
-    it when it stops: each run's status and rel_errs, bit for bit as alone."""
+    it when it stops: each run's status and rel_errs, bit for bit as alone.
+
+    ``reads(k, status, errs)``, if given, is called after each stacked
+    iteration k but the last (k steps taken), with every run's status so far
+    (``"max_iters"`` while it runs) and rel_errs, and returns the runs its
+    caller still reads; the other running ones leave the stack as
+    ``"dropped"``."""
     x0, x_star = np.asarray(x0, dtype=float), np.asarray(oracle_xstar, dtype=float)
     if x0.shape != (problem.n, problem.d):
         raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x0.shape}")
@@ -96,13 +109,19 @@ def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray
             break
         state, _ = gt_step(state, problem, W, params, k)
         x, g = state.x, state.g
-        total = np.add.reduce(x, None) + np.add.reduce(g, None)
-        finite = ([True] * len(live) if math.isfinite(total)  # no entry is inf or NaN
-                  else np.isfinite(x).all(axis=(0, 2)) & np.isfinite(g).all(axis=(0, 2)))
+        # x needs no test of its own: a non-finite x has a non-finite rel_err, which diverges.
+        # A finite sum of g means that no entry of g is inf or NaN.
+        finite = ([True] * len(live) if math.isfinite(np.add.reduce(g, None))
+                  else np.isfinite(g).all(axis=(0, 2)))
         for col, rel, ok in zip(live, relative_error(x, x_star, den), finite):
             errs[col].append(rel)
             status[col] = ("diverged" if not (ok and rel <= DIVERGENCE_LIMIT) else
                            "converged" if rel <= stop_tol else "max_iters")
+        if reads is not None and k + 1 < max_iters:
+            read = reads(k + 1, status, errs)
+            for col in live:
+                if status[col] == "max_iters" and col not in read:
+                    status[col] = "dropped"
         keep = [j for j, col in enumerate(live) if status[col] == "max_iters"]
         if len(keep) < len(live):
             live, params = [live[j] for j in keep], SimpleNamespace(alpha=params.alpha[keep], m=m)
@@ -112,7 +131,10 @@ def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray
 
 
 def _score(status: str, errs: list, log_alpha: float, lo: float, target: float) -> float:
-    """``tune_alpha``'s score of the run at ``10 ** log_alpha``, ``errs[k]`` its rel_err at k."""
+    """``tune_alpha``'s score of the run at ``10 ** log_alpha``, ``errs[k]`` its rel_err at k;
+    a dropped run lost every comparison it was in and scores +inf."""
+    if status == "dropped":
+        return math.inf
     if status == "diverged":
         return 1e12 * (1.0 + log_alpha - lo)
     if errs[-1] <= target:
@@ -144,16 +166,74 @@ def _golden_section(scores: dict, lo: float, hi: float, evals: int) -> float:
     return c if fc <= fd else d
 
 
-def _next_points(scores: dict, lo: float, hi: float, evals: int, steps: int) -> list:
-    """The points the search asks for in its next ``steps`` steps, either way
-    each comparison goes: a point scored -inf wins its comparison, +inf loses."""
-    try:
-        _golden_section(scores, lo, hi, evals)
-        return []
-    except KeyError as missing:
-        point = missing.args[0]
-    return [point, *(p for f in ((-math.inf, math.inf) if steps > 1 else ())
-                     for p in _next_points({**scores, point: f}, lo, hi, evals, steps - 1))]
+def _walk(scores: dict, running: dict, lo: float, hi: float, evals: int, depth: int):
+    """Follow the golden-section search from its start through both outcomes
+    of every comparison it cannot decide yet.
+
+    A comparison is decided when both scores are known, or when one score is
+    known and at most the iteration ``running[p]`` the other run ``p`` is
+    still going at: a run still going at k scores above k. Returns the points
+    the search may ask for that are neither scored nor running, at most
+    ``depth`` on each path, and the running points some path still compares
+    undecided. A path ends at a point past its ``depth``, whose comparison
+    reads only the partner it meets.
+    """
+    asked, read = {}, set()
+
+    def outcomes(c, d):  # the values ``fc <= fd`` can take
+        fc, fd = scores.get(c), scores.get(d)
+        if fc is not None and fd is not None:
+            return (fc <= fd,)
+        if fc is not None and fc <= running.get(d, -math.inf):
+            return (True,)
+        if fd is not None and fd <= running.get(c, -math.inf):
+            return (False,)
+        return (True, False)
+
+    def visit(a, b, c, d, new, left, depth):
+        for p in new:
+            if p not in scores and p not in running:
+                if not depth:
+                    read.update(q for q in (c, d) if q in running)
+                    return
+                asked[p] = None
+                depth -= 1
+        ways = outcomes(c, d)
+        if len(ways) == 2:
+            read.update(q for q in (c, d) if q in running)
+        for c_wins in ways if left > 1 else ():
+            if c_wins:  # as _golden_section: b, d = d, c, then the new c
+                e = d - _INV_PHI * (d - a)
+                visit(a, d, e, c, (e,), left - 1, depth)
+            else:
+                e = c + _INV_PHI * (b - c)
+                visit(c, b, d, e, (e,), left - 1, depth)
+
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    visit(lo, hi, c, d, (c, d), max(evals - 1, 1), depth)
+    return list(asked), read
+
+
+def _pruner(points: list, scores: dict, lo: float, hi: float, evals: int, target: float):
+    """``gt_columns``' ``reads`` for a stack of ``points``: scores each run as
+    it stops, and walks the search again when one stops or k reaches a
+    converged score, keeping the running points some path still compares."""
+    read, stopped, checks = set(range(len(points))), 0, set(scores.values())
+
+    def reads(k, status, errs):
+        nonlocal read, stopped
+        running = status.count("max_iters")
+        if k not in checks and len(points) - running == stopped:
+            return read
+        scores.update((p, _score(s, e, p, lo, target))
+                      for p, s, e in zip(points, status, errs) if s != "max_iters")
+        walked = _walk(scores, {p: k for p, s in zip(points, status) if s == "max_iters"},
+                       lo, hi, evals, 0)[1]
+        read = {col for col, p in enumerate(points) if p in walked}
+        stopped = len(points) - len(read)  # the runs not read leave the stack now
+        return read
+
+    return reads
 
 
 def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
@@ -168,16 +248,21 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
     run to notice, while 2/L1 <= 2/lambda_max(average Hessian) keeps the
     near-centralized regime contractive.
 
-    Candidates run as stacks (``gt_columns``): each next point with the points
-    the two steps after it could ask for, so one stack of up to 7 looks three
-    steps ahead; the first holds the first pair and both points the first step
-    could ask for.
+    Candidates run as stacks (``gt_columns``). A stack holds the points the
+    search may ask for in its next three steps, both ways round for each
+    comparison not yet decided: up to 7, and the first pair with both points
+    the first step could ask for at the start. A comparison is decided when
+    both scores are known, or when one run converged at iteration j and the
+    other is still going at j or later. A running candidate that no
+    comparison on a reachable path still needs is dropped: it loses every
+    comparison it is in, so it scores +inf. The tuned alpha is the
+    sequential search's.
     """
     hi = math.log10(2.0 / problem.L1)
     lo = hi - 5.0
     scores = {}
-    while points := list(dict.fromkeys(_next_points(scores, lo, hi, evals, _SPECULATION))):
+    while points := _walk(scores, {}, lo, hi, evals, _SPECULATION)[0]:
         columns = gt_columns(problem, W, [10.0 ** p for p in points], m, x0, oracle_xstar,
-                             budget, target)
+                             budget, target, _pruner(points, scores, lo, hi, evals, target))
         scores.update((p, _score(*column, p, lo, target)) for p, column in zip(points, columns))
     return float(10.0 ** _golden_section(scores, lo, hi, evals))

@@ -171,11 +171,17 @@ def consensus_apply(W: MixingMatrix, m: int, blocks) -> np.ndarray:
     if blocks.shape[0] != W.n:
         raise ValueError(f"expected {W.n} node blocks, got {blocks.shape[0]}")
     # One matrix product on the (n, block size) view; the means are written
-    # as sums over n, the arithmetic np.mean does, without its call overhead.
+    # as sums over n, the arithmetic np.mean does, without its call overhead,
+    # and the correction mean(flat) - mean(out) is built in place.
     n = W.n
     flat = blocks.reshape(n, blocks.size // n)
     out = W.power(m) @ flat
-    out += flat.sum(axis=0) / n - out.sum(axis=0) / n
+    shift = np.add.reduce(flat, axis=0)
+    shift /= n
+    drift = np.add.reduce(out, axis=0)
+    drift /= n
+    shift -= drift
+    out += shift
     return out.reshape(blocks.shape)
 
 

@@ -118,6 +118,10 @@ class ProblemSpec:
     def __post_init__(self):
         if self.family not in _FAMILY_FIELDS:
             raise ValueError(f"[problem] family must be quadratic or logistic, got {self.family!r}")
+        for key, least in (("n", 2), ("d", 1)):  # a network needs two nodes
+            value = getattr(self, key)
+            if not (newton.positive_int(value) and value >= least):
+                raise ValueError(f"[problem] {key} must be an integer >= {least}, got {value!r}")
         for key in sum(_FAMILY_FIELDS.values(), ()):
             needed = key in _FAMILY_FIELDS[self.family]
             if needed == (getattr(self, key) is None):

@@ -39,6 +39,28 @@ def test_top_k_tie_break_lowest_linear_index():
     assert np.array_equal(dense, [[1.0, -1.0], [0.0, 0.0]])
 
 
+def _stable_argsort_top_k(A, K):
+    """top_k as first written: a stable argsort on -|a| per matrix."""
+    flat = A.reshape(*A.shape[:-2], -1)
+    order = np.argsort(-np.abs(flat), axis=-1, kind="stable")[..., :K]
+    out = np.zeros_like(flat)
+    np.put_along_axis(out, order, np.take_along_axis(flat, order, axis=-1), axis=-1)
+    return out.reshape(A.shape)
+
+
+@pytest.mark.parametrize("K", [1, 7, 35, 36])  # d = 6: d^2 - 1 and d^2 too
+def test_top_k_matches_stable_argsort_on_ties(K):
+    rng = np.random.default_rng(K)
+    stack = np.round(2.0 * rng.standard_normal((12, 6, 6)))  # few magnitudes, many ties
+    stack[4:8] += np.swapaxes(stack[4:8], 1, 2)  # symmetric: off-diagonal magnitudes in pairs
+    stack[8, 2] = stack[9, :, 3] = 0.0  # a zero row, a zero column
+    stack[10] = 0.0  # every entry tied
+    stack *= rng.choice([-1.0, 1.0], size=stack.shape)  # signed zeros
+    for A in (stack, stack[5], stack[10]):
+        out = compress(CompressorSpec("top_k", d=6, K=K), A)
+        assert np.array_equal(out.view(np.uint64), _stable_argsort_top_k(A, K).view(np.uint64))
+
+
 def test_rank_one_matrix_recovered_exactly():
     rng = np.random.default_rng(2)
     u = rng.standard_normal(8)

@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import trace_sha256
+from decnewton import gradient_tracking
 from decnewton.diagnostics import fit_rate
-from decnewton.gradient_tracking import GTParams, gt_columns, gt_run, gt_step, tune_alpha
+from decnewton.gradient_tracking import (
+    _INV_PHI,
+    GTParams,
+    _walk,
+    gt_columns,
+    gt_run,
+    gt_step,
+    tune_alpha,
+)
 from decnewton.graph import generate_topology, metropolis_weights
 from decnewton.harness import SEED_ENV_VAR, preset_configs, run_experiment
 from decnewton.newton import NetworkState
@@ -175,15 +184,18 @@ def test_start_of_the_wrong_shape_is_rejected(setup, caller):
             tune_alpha(prob, W, x0[:, :-1], x_star, evals=2, budget=5)
 
 
-def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals):
+def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals, compared=None):
     """tune_alpha as first written: a lone, fully filled gt_run per point,
-    each comparison made before the next point is chosen."""
+    each comparison made before the next point is chosen. ``compared`` gets
+    the pair of run statuses each comparison reads."""
     hi = math.log10(2.0 / problem.L1)
     lo = hi - 5.0
+    status = {}
 
     def score(log_alpha):
         params = GTParams(alpha=10.0 ** log_alpha, m=m, max_iters=budget, stop_tol=target)
         trace = gt_run(problem, W, params, x0, x_star)
+        status[log_alpha] = trace.status
         if trace.status == "diverged":
             return 1e12 * (1.0 + log_alpha - lo)
         if trace.final_rel_err <= target:
@@ -204,6 +216,8 @@ def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals)
     d = a + inv_phi * (b - a)
     fc, fd = score(c), score(d)
     for _ in range(evals - 2):
+        if compared is not None:
+            compared.add(tuple(sorted((status[c], status[d]))))
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -212,22 +226,73 @@ def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals)
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = score(d)
+    if compared is not None:
+        compared.add(tuple(sorted((status[c], status[d]))))
     best = c if fc <= fd else d
     return float(10.0 ** best)
 
 
-@pytest.mark.parametrize("kappa,m,target,budget,evals", [
-    (100.0, 1, 1e-8, 300, 22),     # the gt-tuned benchmark instance, short budget
-    (100.0, 1, 1e-6, 300, 7),      # five steps: the last stack looks past the end
-    (10.0, 20, 1e-6, 1500, 22),    # test_a4's instances, kappa = 1e4 on a
-    (10000.0, 20, 1e-6, 600, 22),  # shorter budget to keep the test short
-], ids=["gt-tuned", "odd-evals", "a4-k1e1", "a4-k1e4"])
-def test_tune_alpha_matches_sequential_golden_section(kappa, m, target, budget, evals):
-    prob = make_quadratic(10, 30, kappa, seed=1)
-    W = metropolis_weights(generate_topology(10, 0.2, seed=11))
+def _search_instance(kappa, seed, unstable):
+    """The n = 10, d = 30 quadratic of ``seed`` with its graph and x*.
+    ``unstable`` understates L1 tenfold and takes a denser graph, so the
+    top decade of tune_alpha's grid diverges."""
+    prob = make_quadratic(10, 30, kappa, seed=seed)
     x_star = centralized_solve(prob, tol=1e-12)
+    if not unstable:
+        return prob, metropolis_weights(generate_topology(10, 0.2, seed=11)), x_star
+    return (replace(prob, L1=prob.L1 / 10),
+            metropolis_weights(generate_topology(10, 0.5, seed=10 + seed)), x_star)
+
+
+CONVERGED_VS_BUDGET = ("converged", "max_iters")
+CONVERGED_VS_DIVERGED = ("converged", "diverged")
+
+
+@pytest.mark.parametrize("kappa,seed,unstable,m,target,budget,evals,compares", [
+    (100.0, 1, False, 1, 1e-8, 300, 22, ()),     # the gt-tuned benchmark instance, short budget
+    (100.0, 1, False, 1, 1e-6, 300, 7, ()),      # five steps: the last stack looks past the end
+    (10.0, 1, False, 20, 1e-6, 1500, 22, ()),    # test_a4's instances, kappa = 1e4 on a
+    (10000.0, 1, False, 20, 1e-6, 600, 22, ()),  # shorter budget to keep the test short
+    # a run converged at j decides its comparison with one still going at
+    # j or later: the other run leaves the stack there
+    (100.0, 1, True, 1, 1e-6, 300, 22, (CONVERGED_VS_BUDGET, CONVERGED_VS_DIVERGED)),
+    (100.0, 2, True, 1, 1e-6, 150, 22, (CONVERGED_VS_BUDGET,)),
+    (10000.0, 2, True, 1, 0.05, 600, 22, (CONVERGED_VS_BUDGET, CONVERGED_VS_DIVERGED)),
+], ids=["gt-tuned", "odd-evals", "a4-k1e1", "a4-k1e4", "k1e2-diverging-top",
+        "k1e2-short-budget", "k1e4-diverging-top"])
+def test_tune_alpha_matches_sequential_golden_section(kappa, seed, unstable, m, target, budget,
+                                                      evals, compares):
+    prob, W, x_star = _search_instance(kappa, seed, unstable)
     args = (prob, W, np.zeros((10, 30)), x_star, m, target, budget, evals)
+    compared = set()
+    assert tune_alpha(*args) == _sequential_golden_section(*args, compared)
+    assert compared.issuperset(compares)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("budget", [150, 300, 450, 600])
+@pytest.mark.parametrize("unstable", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kappa", [100.0, 10000.0])
+def test_pruned_search_sweep(kappa, seed, unstable, budget):
+    # kappa = 1e4 reaches 0.05 within 600 iterations only at the larger step sizes
+    prob, W, x_star = _search_instance(kappa, seed, unstable)
+    args = (prob, W, np.zeros((10, 30)), x_star, 1, 1e-6 if kappa < 1e3 else 0.05, budget, 22)
     assert tune_alpha(*args) == _sequential_golden_section(*args)
+
+
+def test_search_decides_only_what_a_running_score_bound_decides():
+    # one comparison (evals = 2), between the grid's first pair c < d; a run
+    # still going at iteration k scores above k, and a tie goes to c
+    lo, hi = -5.0, 0.0
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    assert _walk({d: 5.0}, {c: 5}, lo, hi, 2, 0)[1] == set()  # fc > 5 = fd
+    assert _walk({d: 5.0}, {c: 4}, lo, hi, 2, 0)[1] == {c}    # fc = 5 would win the tie
+    assert _walk({c: 5.0}, {d: 5}, lo, hi, 2, 0)[1] == set()
+    assert _walk({c: 5.0, d: 7.0}, {}, lo, hi, 2, 3) == ([], set())
+    assert _walk({}, {c: 9, d: 9}, lo, hi, 2, 0)[1] == {c, d}
+    assert _walk({}, {c: 9}, lo, hi, 2, 0)[1] == {c}  # d, not yet run, meets c
+    assert _walk({}, {}, lo, hi, 2, 1)[0] == [c]
 
 
 def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):
@@ -236,10 +301,20 @@ def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):
     # sha256 without wall_time hold for this numpy/OpenBLAS (numpy 2 with
     # OpenBLAS 0.3.31, Haswell kernels), at one BLAS thread or two.
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    stacks = []
+
+    def recorded(*args, **kwargs):
+        columns = gt_columns(*args, **kwargs)
+        stacks.append(max(len(errs) - 1 for _, errs in columns))  # the stack's iterations
+        return columns
+
+    monkeypatch.setattr(gradient_tracking, "gt_columns", recorded)
     config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
     config = replace(config, method="gt", gt_alpha_mode="tuned", label="gt-tuned",
                      algorithm=GTParams(alpha=1.0, m=1))
     trace, path = run_experiment(config, out_dir=str(tmp_path))
+    # 12,953 stacked iterations, also in 7 stacks, while every column ran to its stop
+    assert (len(stacks), sum(stacks)) == (7, 11777)
     assert trace.rows[-1].alpha_k == 0.006771071029423611
     assert (trace.status, trace.iterations, trace.rows[-1].bits_cum) == ("converged", 1856,
                                                                           71270400)

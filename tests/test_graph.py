@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decnewton.graph import (
@@ -319,6 +319,18 @@ def test_sigma_exact_above_200_nodes():
     # which underestimated sigma here by about 9e-5
     mix = metropolis_weights(generate_topology(500, 0.005, seed=1))
     B = mix.W - np.full((500, 500), 1 / 500)
+    assert mix.sigma == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(B))), abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 500), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+@example(n=500, density=0.0, seed=3)  # a spanning tree: sigma closest to 1
+@example(n=500, density=1.0, seed=4)  # the complete graph: sigma 0
+def test_sigma_matches_eigvalsh_on_random_graphs(n, density, seed):
+    # tau from a spanning tree's share of the pairs (2/n) up to the complete graph
+    tau = min(1.0, 2.0 / n + density * (1.0 - 2.0 / n))
+    mix = metropolis_weights(generate_topology(n, tau, seed=seed))
+    B = mix.W - np.full((n, n), 1.0 / n)
     assert mix.sigma == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(B))), abs=1e-12)
 
 

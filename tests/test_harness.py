@@ -371,6 +371,26 @@ def test_cli_run_rejects_non_integer_repetitions(tmp_path, capsys, value):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("old,new,field", [
+    ("n = 6", "n = 0", "n"), ("n = 6", "n = -3", "n"), ("n = 6", "n = 1", "n"),
+    ("d = 8", "d = 0", "d"),
+])
+def test_cli_run_rejects_a_network_or_block_too_small(tmp_path, capsys, old, new, field):
+    # n = 0 used to reach make_quadratic: two numpy warnings, then an error naming no field
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(QUAD_CFG.replace(f"\n{old}\n", f"\n{new}\n"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"[problem] {field}" in err[0]
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("field,value", [("n", 1), ("n", 6.0), ("n", True), ("d", 0), ("d", 8.0)])
+def test_problem_size_in_code_must_be_an_int(field, value):
+    with pytest.raises(ValueError, match=rf"\[problem\] {field}"):
+        replace(parse_config(QUAD_CFG).problem, **{field: value})
+
+
 @pytest.mark.parametrize("value", [0, 2.0, 2.5, True])
 def test_repetitions_in_code_must_be_a_positive_int(value):
     # 2.0 would render as text parse_config rejects, and True would run once
