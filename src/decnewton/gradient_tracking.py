@@ -8,15 +8,15 @@ iteration:
 
 with ``g`` initialized to the local gradients so the tracker mean equals the
 mean local gradient at every iteration. The constant step size is the only
-knob that matters; ``tune_alpha`` picks it by golden-section search on a log
-grid, scoring candidates by iterations-to-target (with a smooth penalty for
-runs that fall short). Its candidates run side by side on ``(n, C, d)``
-stacks sharing each gossip round's matrix product, keeping only ``rel_err``.
-A stack holds every point the search may ask for in its next three steps,
-following both outcomes of each comparison it cannot decide yet (up to 7
-points). A running candidate leaves its stack as soon as no comparison the
-search can still reach needs its score: a run that converged at iteration j
-beats one still going at j or later.
+knob that matters; ``tune_alpha`` picks it by a grid-and-zoom search over
+log10(alpha), scoring candidates by iterations-to-target (with a smooth
+penalty for runs that fall short). It runs four stacks of candidates, each
+side by side on ``(n, C, d)`` arrays that share each gossip round's matrix
+product and keep only ``rel_err``: 11 points 0.5 decade apart, then three
+zooms around the best score so far, each at 1/5 of the spacing before. A
+running candidate leaves its stack once it cannot win: a run still going at
+iteration j scores above j, so it loses to a run that converged at j and to
+an earlier stack's best score of at most j.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .objectives import Problem, batch_gradients
 
 __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_SPECULATION = 3  # golden-section steps per candidate stack, at most 2 ** steps - 1 points
+_GRID = 1250  # tune_alpha's 5 decades in steps of 0.004 decade, its last stack's spacing
+_SPACINGS = (125, 25, 5, 1)  # each stack's spacing, in grid steps
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray
 
 def _score(status: str, errs: list, log_alpha: float, lo: float, target: float) -> float:
     """``tune_alpha``'s score of the run at ``10 ** log_alpha``, ``errs[k]`` its rel_err at k;
-    a dropped run lost every comparison it was in and scores +inf."""
+    a dropped run left its stack because it could not win, and scores +inf."""
     if status == "dropped":
         return math.inf
     if status == "diverged":
@@ -150,119 +150,45 @@ def _score(status: str, errs: list, log_alpha: float, lo: float, target: float) 
     return 1e9 * (1.0 + log_alpha - lo)  # flat or growing tail
 
 
-def _golden_section(scores: dict, lo: float, hi: float, evals: int) -> float:
-    """Golden-section search for the lowest of ``scores``; KeyError: a point not scored yet."""
-    a, b, c, d = lo, hi, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = scores[c], scores[d]
-    for _ in range(evals - 2):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = scores[c]
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = scores[d]
-    return c if fc <= fd else d
-
-
-def _walk(scores: dict, running: dict, lo: float, hi: float, evals: int, depth: int):
-    """Follow the golden-section search from its start through both outcomes
-    of every comparison it cannot decide yet.
-
-    A comparison is decided when both scores are known, or when one score is
-    known and at most the iteration ``running[p]`` the other run ``p`` is
-    still going at: a run still going at k scores above k. Returns the points
-    the search may ask for that are neither scored nor running, at most
-    ``depth`` on each path, and the running points some path still compares
-    undecided. A path ends at a point past its ``depth``, whose comparison
-    reads only the partner it meets.
-    """
-    asked, read = {}, set()
-
-    def outcomes(c, d):  # the values ``fc <= fd`` can take
-        fc, fd = scores.get(c), scores.get(d)
-        if fc is not None and fd is not None:
-            return (fc <= fd,)
-        if fc is not None and fc <= running.get(d, -math.inf):
-            return (True,)
-        if fd is not None and fd <= running.get(c, -math.inf):
-            return (False,)
-        return (True, False)
-
-    def visit(a, b, c, d, new, left, depth):
-        for p in new:
-            if p not in scores and p not in running:
-                if not depth:
-                    read.update(q for q in (c, d) if q in running)
-                    return
-                asked[p] = None
-                depth -= 1
-        ways = outcomes(c, d)
-        if len(ways) == 2:
-            read.update(q for q in (c, d) if q in running)
-        for c_wins in ways if left > 1 else ():
-            if c_wins:  # as _golden_section: b, d = d, c, then the new c
-                e = d - _INV_PHI * (d - a)
-                visit(a, d, e, c, (e,), left - 1, depth)
-            else:
-                e = c + _INV_PHI * (b - c)
-                visit(c, b, d, e, (e,), left - 1, depth)
-
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    visit(lo, hi, c, d, (c, d), max(evals - 1, 1), depth)
-    return list(asked), read
-
-
-def _pruner(points: list, scores: dict, lo: float, hi: float, evals: int, target: float):
-    """``gt_columns``' ``reads`` for a stack of ``points``: scores each run as
-    it stops, and walks the search again when one stops or k reaches a
-    converged score, keeping the running points some path still compares."""
-    read, stopped, checks = set(range(len(points))), 0, set(scores.values())
-
-    def reads(k, status, errs):
-        nonlocal read, stopped
-        running = status.count("max_iters")
-        if k not in checks and len(points) - running == stopped:
-            return read
-        scores.update((p, _score(s, e, p, lo, target))
-                      for p, s, e in zip(points, status, errs) if s != "max_iters")
-        walked = _walk(scores, {p: k for p, s in zip(points, status) if s == "max_iters"},
-                       lo, hi, evals, 0)[1]
-        read = {col for col, p in enumerate(points) if p in walked}
-        stopped = len(points) - len(read)  # the runs not read leave the stack now
-        return read
-
-    return reads
-
-
 def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
                oracle_xstar: np.ndarray, m: int = 1, target: float = 1e-6,
-               budget: int = 1500, evals: int = 22) -> float:
-    """Golden-section search over log10(alpha) for the fastest run to target.
+               budget: int = 1500) -> float:
+    """Grid-and-zoom search over log10(alpha) for the fastest run to target.
 
     Candidates that converge within the budget score by iteration count.
     Candidates still running score by iterations-to-target extrapolated from
-    the tail slope of log(rel_err). The grid tops out at 2/L1: steps beyond
-    that can be unstable with a growth rate too slow for any budget-limited
-    run to notice, while 2/L1 <= 2/lambda_max(average Hessian) keeps the
-    near-centralized regime contractive.
+    the tail slope of log(rel_err). The range is the 5 decades below 2/L1:
+    steps beyond that can be unstable with a growth rate too slow for any
+    budget-limited run to notice, while 2/L1 <= 2/lambda_max(average Hessian)
+    keeps the near-centralized regime contractive.
 
-    Candidates run as stacks (``gt_columns``). A stack holds the points the
-    search may ask for in its next three steps, both ways round for each
-    comparison not yet decided: up to 7, and the first pair with both points
-    the first step could ask for at the start. A comparison is decided when
-    both scores are known, or when one run converged at iteration j and the
-    other is still going at j or later. A running candidate that no
-    comparison on a reachable path still needs is dropped: it loses every
-    comparison it is in, so it scores +inf. The tuned alpha is the
-    sequential search's.
+    The first stack runs 11 points 0.5 decade apart over the range. Each of
+    three more stacks runs the points within 5 spacings of the best score so
+    far, at 1/5 of the spacing before (0.1, 0.02, then 0.004 decade), that lie
+    in the range and have no score yet. Each stack runs through
+    ``gt_columns``; once some run converged at iteration j, or j reaches the
+    best score of an earlier stack, every run still going leaves it: it scores
+    above j, so it cannot win, and scores +inf. Ties go to the larger alpha.
     """
     hi = math.log10(2.0 / problem.L1)
     lo = hi - 5.0
+
+    def log_alpha(i):  # grid index i: 0 at lo, _GRID at hi, 250 a decade
+        return hi - (_GRID - i) / 250
+
     scores = {}
-    while points := _walk(scores, {}, lo, hi, evals, _SPECULATION)[0]:
-        columns = gt_columns(problem, W, [10.0 ** p for p in points], m, x0, oracle_xstar,
-                             budget, target, _pruner(points, scores, lo, hi, evals, target))
-        scores.update((p, _score(*column, p, lo, target)) for p, column in zip(points, columns))
-    return float(10.0 ** _golden_section(scores, lo, hi, evals))
+    best, beat = _GRID // 2, math.inf  # the first stack spans the range
+    for spacing in _SPACINGS:
+        points = [i for i in range(best - 5 * spacing, best + 5 * spacing + 1, spacing)
+                  if 0 <= i <= _GRID and i not in scores]
+
+        def reads(k, status, errs):
+            return () if k >= beat or "converged" in status else range(len(points))
+
+        columns = gt_columns(problem, W, [10.0 ** log_alpha(i) for i in points], m, x0,
+                             oracle_xstar, budget, target, reads)
+        scores.update((i, _score(*column, log_alpha(i), lo, target))
+                      for i, column in zip(points, columns))
+        best = min(scores, key=lambda i: (scores[i], -i))
+        beat = scores[best]
+    return float(10.0 ** log_alpha(best))

@@ -101,6 +101,12 @@ SEED_ENV_VAR = "DECNEWTON_SEED"
 STATUS_CODE = {"converged": 0, "max_iters": 2, "diverged": 3}
 
 
+def _check_int(section: str, key: str, value, least: int):
+    """Reject a ``value`` that is not an int >= ``least``; a bool is not a count."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
+        raise ValueError(f"[{section}] {key} must be an integer >= {least}, got {value!r}")
+
+
 # the ProblemSpec fields each family needs; the other family's stay None
 _FAMILY_FIELDS = {"quadratic": ("kappa",), "logistic": ("rho", "m_per_node")}
 
@@ -118,10 +124,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.family not in _FAMILY_FIELDS:
             raise ValueError(f"[problem] family must be quadratic or logistic, got {self.family!r}")
-        for key, least in (("n", 2), ("d", 1)):  # a network needs two nodes
-            value = getattr(self, key)
-            if not (newton.positive_int(value) and value >= least):
-                raise ValueError(f"[problem] {key} must be an integer >= {least}, got {value!r}")
+        for key, least in (("n", 2), ("d", 1), ("seed", 0)):  # a network needs two nodes
+            _check_int("problem", key, getattr(self, key), least)
         for key in sum(_FAMILY_FIELDS.values(), ()):
             needed = key in _FAMILY_FIELDS[self.family]
             if needed == (getattr(self, key) is None):
@@ -133,6 +137,9 @@ class ProblemSpec:
 class GraphSpec:
     tau: float
     seed: int
+
+    def __post_init__(self):
+        _check_int("graph", "seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -159,8 +166,7 @@ class ExperimentConfig:
         if self.gt_alpha_mode not in (("fixed", "tuned") if self.method == "gt" else ("fixed",)):
             raise ValueError(f"[algorithm] alpha mode must be fixed, or tuned with method = gt; "
                              f"got {self.gt_alpha_mode!r} with method = {self.method}")
-        if not newton.positive_int(self.repetitions):
-            raise ValueError(f"[output] repetitions must be an integer >= 1, got {self.repetitions!r}")
+        _check_int("output", "repetitions", self.repetitions, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +326,22 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 # building and running
 
 def build_problem(spec: ProblemSpec):
-    if spec.family == "quadratic":
-        return make_quadratic(spec.n, spec.d, spec.kappa, spec.seed)
-    return make_logistic(spec.n, spec.d, spec.m_per_node, spec.rho, spec.seed)
+    """The instance of ``spec``; a ValueError names the [problem] field it rejects."""
+    try:
+        if spec.family == "quadratic":
+            return make_quadratic(spec.n, spec.d, spec.kappa, spec.seed)
+        return make_logistic(spec.n, spec.d, spec.m_per_node, spec.rho, spec.seed)
+    except ValueError as exc:
+        raise ValueError(f"[problem] {exc}") from exc
 
 
 def build_mixing(spec: GraphSpec, n: int):
-    topology = generate_topology(n, spec.tau, spec.seed)
+    """The topology of ``spec`` and its Metropolis weights; a ValueError names
+    the [graph] field it rejects."""
+    try:
+        topology = generate_topology(n, spec.tau, spec.seed)
+    except ValueError as exc:
+        raise ValueError(f"[graph] {exc}") from exc
     return topology, metropolis_weights(topology)
 
 
@@ -369,8 +384,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     else:
         params = config.algorithm
         if config.gt_alpha_mode == "tuned":
+            # at the run's own target, above roundoff (diagnostics.stage_two_window's
+            # floor), so the run converges where its alpha scored
             alpha = tune_alpha(problem, W, x0, x_star, m=params.m,
-                               target=max(params.stop_tol, 1e-8),
+                               target=max(params.stop_tol, 1e-24),
                                budget=min(params.max_iters, 3000))
             params = replace(params, alpha=alpha)
         trace = gt_run(problem, W, params, x0, x_star)

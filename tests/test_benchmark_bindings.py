@@ -99,9 +99,9 @@ def test_tune_alpha_calls_through_bindings(quad_problem, quad_graph, quad_xstar,
         return columns
 
     monkeypatch.setattr(gradient_tracking, "gt_columns", recorded)
-    tune_alpha(quad_problem, quad_graph[1], quad_x0, quad_xstar, evals=4, budget=40)
+    tune_alpha(quad_problem, quad_graph[1], quad_x0, quad_xstar, budget=40)
     iters = sum(stacks)
-    assert len(stacks) == 2 and iters > 0  # the first pair with the first step, then the last
+    assert len(stacks) == 4 and iters > 0  # the grid, then three zooms
     assert layer_calls == {"graph.consensus_apply": 2 * iters,
                            "diagnostics.fill_state_metrics": 0,
                            "gradient_tracking.gt_step": iters}

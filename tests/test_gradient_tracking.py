@@ -8,16 +8,14 @@ from conftest import trace_sha256
 from decnewton import gradient_tracking
 from decnewton.diagnostics import fit_rate
 from decnewton.gradient_tracking import (
-    _INV_PHI,
     GTParams,
-    _walk,
     gt_columns,
     gt_run,
     gt_step,
     tune_alpha,
 )
 from decnewton.graph import generate_topology, metropolis_weights
-from decnewton.harness import SEED_ENV_VAR, preset_configs, run_experiment
+from decnewton.harness import SEED_ENV_VAR, build_problem, preset_configs, run_experiment
 from decnewton.newton import NetworkState
 from decnewton.objectives import (
     batch_gradients,
@@ -129,10 +127,9 @@ def test_tuning_filler_matches_full_fill(setup, alpha_L1, max_iters, status):
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
 def test_stacked_columns_match_lone_runs(setup, family):
-    # one stack of 7, tune_alpha's widest, whose columns converge, reach
-    # max_iters and diverge (rel_err past DIVERGENCE_LIMIT, or a first step
-    # that overflows) at different iterations, so later columns keep stepping
-    # after others leave
+    # one stack of 7, whose columns converge, reach max_iters and diverge
+    # (rel_err past DIVERGENCE_LIMIT, or a first step that overflows) at
+    # different iterations, so later columns keep stepping after others leave
     if family == "quadratic":
         prob, W, x_star, x0 = setup
         alphas_L1 = (0.3, 1.0, 0.01, 3.0, 20.0, 1e308, 0.1)
@@ -181,34 +178,59 @@ def test_start_of_the_wrong_shape_is_rejected(setup, caller):
         if caller == "gt_run":
             gt_run(prob, W, GTParams(alpha=0.01), x0[:, :-1], x_star)
         else:
-            tune_alpha(prob, W, x0[:, :-1], x_star, evals=2, budget=5)
+            tune_alpha(prob, W, x0[:, :-1], x_star, budget=5)
 
 
-def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals, compared=None):
-    """tune_alpha as first written: a lone, fully filled gt_run per point,
-    each comparison made before the next point is chosen. ``compared`` gets
-    the pair of run statuses each comparison reads."""
+def _trace_score(trace, log_alpha, lo, target):
+    """tune_alpha's score of a fully filled run at ``10 ** log_alpha``, written
+    apart from ``gradient_tracking._score``."""
+    if trace.status == "diverged":
+        return 1e12 * (1.0 + log_alpha - lo)
+    if trace.final_rel_err <= target:
+        return float(trace.iterations)
+    tail = [r for r in trace.rows[len(trace.rows) // 2:] if r.rel_err > 0]
+    if len(tail) >= 5:
+        ks = np.array([r.iter for r in tail], dtype=float)
+        ys = np.log([r.rel_err for r in tail])
+        slope = float(np.polyfit(ks, ys, 1)[0])
+        if slope < 0:
+            shortfall = math.log(trace.final_rel_err) - math.log(target)
+            return float(trace.iterations + shortfall / -slope)
+    return 1e9 * (1.0 + log_alpha - lo)
+
+
+def _lone_score(problem, W, x0, x_star, m, target, budget, log_alpha):
+    params = GTParams(alpha=10.0 ** log_alpha, m=m, max_iters=budget, stop_tol=target)
+    lo = math.log10(2.0 / problem.L1) - 5.0
+    return _trace_score(gt_run(problem, W, params, x0, x_star), log_alpha, lo, target)
+
+
+def _sequential_zoom(problem, W, x0, x_star, m, target, budget):
+    """tune_alpha's grid and zooms with a lone, fully filled gt_run per point
+    and no run leaving early: 11 points 0.5 decade apart over the 5 decades
+    below 2/L1, then three stacks at 0.1, 0.02 and 0.004 decade within 5
+    spacings of the best score so far, the larger alpha winning a tie."""
+    hi = math.log10(2.0 / problem.L1)
+    scores = {}  # log10(alpha) -> score
+    best = hi - 2.5
+    for step in (125, 25, 5, 1):  # in 0.004 decade
+        i_best = round((best - hi) * 250) + 1250
+        for i in range(i_best - 5 * step, i_best + 5 * step + 1, step):
+            p = hi - (1250 - i) / 250
+            if 0 <= i <= 1250 and p not in scores:
+                scores[p] = _lone_score(problem, W, x0, x_star, m, target, budget, p)
+        best = min(scores, key=lambda p: (scores[p], -p))
+    return float(10.0 ** best)
+
+
+def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals):
+    """The golden-section search tune_alpha ran before the zoom, a lone run per
+    point: a quality oracle for the zoom."""
     hi = math.log10(2.0 / problem.L1)
     lo = hi - 5.0
-    status = {}
 
     def score(log_alpha):
-        params = GTParams(alpha=10.0 ** log_alpha, m=m, max_iters=budget, stop_tol=target)
-        trace = gt_run(problem, W, params, x0, x_star)
-        status[log_alpha] = trace.status
-        if trace.status == "diverged":
-            return 1e12 * (1.0 + log_alpha - lo)
-        if trace.final_rel_err <= target:
-            return float(trace.iterations)
-        tail = [r for r in trace.rows[len(trace.rows) // 2:] if r.rel_err > 0]
-        if len(tail) >= 5:
-            ks = np.array([r.iter for r in tail], dtype=float)
-            ys = np.log([r.rel_err for r in tail])
-            slope = float(np.polyfit(ks, ys, 1)[0])
-            if slope < 0:
-                shortfall = math.log(trace.final_rel_err) - math.log(target)
-                return float(trace.iterations + shortfall / -slope)
-        return 1e9 * (1.0 + log_alpha - lo)
+        return _lone_score(problem, W, x0, x_star, m, target, budget, log_alpha)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -216,8 +238,6 @@ def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals,
     d = a + inv_phi * (b - a)
     fc, fd = score(c), score(d)
     for _ in range(evals - 2):
-        if compared is not None:
-            compared.add(tuple(sorted((status[c], status[d]))))
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -226,8 +246,6 @@ def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals,
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = score(d)
-    if compared is not None:
-        compared.add(tuple(sorted((status[c], status[d]))))
     best = c if fc <= fd else d
     return float(10.0 ** best)
 
@@ -235,7 +253,7 @@ def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals,
 def _search_instance(kappa, seed, unstable):
     """The n = 10, d = 30 quadratic of ``seed`` with its graph and x*.
     ``unstable`` understates L1 tenfold and takes a denser graph, so the
-    top decade of tune_alpha's grid diverges."""
+    top decade of tune_alpha's range diverges."""
     prob = make_quadratic(10, 30, kappa, seed=seed)
     x_star = centralized_solve(prob, tol=1e-12)
     if not unstable:
@@ -244,29 +262,38 @@ def _search_instance(kappa, seed, unstable):
             metropolis_weights(generate_topology(10, 0.5, seed=10 + seed)), x_star)
 
 
-CONVERGED_VS_BUDGET = ("converged", "max_iters")
-CONVERGED_VS_DIVERGED = ("converged", "diverged")
-
-
-@pytest.mark.parametrize("kappa,seed,unstable,m,target,budget,evals,compares", [
-    (100.0, 1, False, 1, 1e-8, 300, 22, ()),     # the gt-tuned benchmark instance, short budget
-    (100.0, 1, False, 1, 1e-6, 300, 7, ()),      # five steps: the last stack looks past the end
-    (10.0, 1, False, 20, 1e-6, 1500, 22, ()),    # test_a4's instances, kappa = 1e4 on a
-    (10000.0, 1, False, 20, 1e-6, 600, 22, ()),  # shorter budget to keep the test short
-    # a run converged at j decides its comparison with one still going at
-    # j or later: the other run leaves the stack there
-    (100.0, 1, True, 1, 1e-6, 300, 22, (CONVERGED_VS_BUDGET, CONVERGED_VS_DIVERGED)),
-    (100.0, 2, True, 1, 1e-6, 150, 22, (CONVERGED_VS_BUDGET,)),
-    (10000.0, 2, True, 1, 0.05, 600, 22, (CONVERGED_VS_BUDGET, CONVERGED_VS_DIVERGED)),
-], ids=["gt-tuned", "odd-evals", "a4-k1e1", "a4-k1e4", "k1e2-diverging-top",
-        "k1e2-short-budget", "k1e4-diverging-top"])
-def test_tune_alpha_matches_sequential_golden_section(kappa, seed, unstable, m, target, budget,
-                                                      evals, compares):
+@pytest.mark.parametrize("kappa,seed,unstable,m,target,budget,seen", [
+    # nothing converges within the budget: every run is scored by extrapolation
+    (100.0, 1, False, 1, 1e-8, 300, {"max_iters"}),  # the gt-tuned instance, short budget
+    (100.0, 1, False, 1, 1e-6, 300, {"max_iters"}),
+    # test_a4's instances, kappa = 1e4 on a shorter budget to keep the test short.
+    # At kappa = 10 the top of the range wins the grid, and every later run
+    # still going when k reaches its score leaves its stack.
+    (10.0, 1, False, 20, 1e-6, 1500, {"converged", "dropped"}),
+    (10000.0, 1, False, 20, 1e-6, 600, {"max_iters"}),
+    # the top of the range diverges, and a run converged at j drops the runs
+    # still going at j
+    (100.0, 1, True, 1, 1e-6, 300, {"converged", "diverged", "dropped", "max_iters"}),
+    (100.0, 2, True, 1, 1e-6, 150, {"converged", "diverged", "dropped", "max_iters"}),
+    (10000.0, 2, True, 1, 0.05, 600, {"converged", "diverged", "dropped"}),
+    # a loose target: runs tie on iterations, and the larger alpha wins
+    (10.0, 1, False, 1, 1e-2, 300, {"converged", "dropped"}),
+], ids=["gt-tuned", "k1e2-target-1e-6", "a4-k1e1", "a4-k1e4", "k1e2-diverging-top",
+        "k1e2-short-budget", "k1e4-diverging-top", "k1e1-ties"])
+def test_tune_alpha_matches_sequential_zoom(monkeypatch, kappa, seed, unstable, m, target,
+                                            budget, seen):
     prob, W, x_star = _search_instance(kappa, seed, unstable)
-    args = (prob, W, np.zeros((10, 30)), x_star, m, target, budget, evals)
-    compared = set()
-    assert tune_alpha(*args) == _sequential_golden_section(*args, compared)
-    assert compared.issuperset(compares)
+    args = (prob, W, np.zeros((10, 30)), x_star, m, target, budget)
+    stacks = []
+
+    def recorded(*call):
+        columns = gt_columns(*call)
+        stacks.append({status for status, _ in columns})
+        return columns
+
+    monkeypatch.setattr(gradient_tracking, "gt_columns", recorded)
+    assert tune_alpha(*args) == _sequential_zoom(*args)
+    assert len(stacks) == 4 and set().union(*stacks) == seen
 
 
 @pytest.mark.slow
@@ -274,25 +301,38 @@ def test_tune_alpha_matches_sequential_golden_section(kappa, seed, unstable, m, 
 @pytest.mark.parametrize("unstable", [False, True])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("kappa", [100.0, 10000.0])
-def test_pruned_search_sweep(kappa, seed, unstable, budget):
+def test_zoom_scores_within_one_percent_of_golden_section(kappa, seed, unstable, budget):
     # kappa = 1e4 reaches 0.05 within 600 iterations only at the larger step sizes
     prob, W, x_star = _search_instance(kappa, seed, unstable)
-    args = (prob, W, np.zeros((10, 30)), x_star, 1, 1e-6 if kappa < 1e3 else 0.05, budget, 22)
-    assert tune_alpha(*args) == _sequential_golden_section(*args)
+    args = (prob, W, np.zeros((10, 30)), x_star, 1, 1e-6 if kappa < 1e3 else 0.05, budget)
+    zoom, golden = tune_alpha(*args), _sequential_golden_section(*args, 22)
+    assert _lone_score(*args, math.log10(zoom)) <= 1.01 * _lone_score(*args, math.log10(golden))
 
 
-def test_search_decides_only_what_a_running_score_bound_decides():
-    # one comparison (evals = 2), between the grid's first pair c < d; a run
-    # still going at iteration k scores above k, and a tie goes to c
-    lo, hi = -5.0, 0.0
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    assert _walk({d: 5.0}, {c: 5}, lo, hi, 2, 0)[1] == set()  # fc > 5 = fd
-    assert _walk({d: 5.0}, {c: 4}, lo, hi, 2, 0)[1] == {c}    # fc = 5 would win the tie
-    assert _walk({c: 5.0}, {d: 5}, lo, hi, 2, 0)[1] == set()
-    assert _walk({c: 5.0, d: 7.0}, {}, lo, hi, 2, 3) == ([], set())
-    assert _walk({}, {c: 9, d: 9}, lo, hi, 2, 0)[1] == {c, d}
-    assert _walk({}, {c: 9}, lo, hi, 2, 0)[1] == {c}  # d, not yet run, meets c
-    assert _walk({}, {}, lo, hi, 2, 1)[0] == [c]
+def test_search_decides_only_what_a_running_score_bound_decides(setup, monkeypatch):
+    # a run still going at iteration k scores above k: a stack reads its runs
+    # still going until one of its runs converged or k reaches the best score
+    # of an earlier stack, then none of them
+    prob, W, x_star, x0 = setup
+    budget, best, stacks = 2000, math.inf, []
+
+    def probed(problem, W, alphas, m, x0, x_star, max_iters, stop_tol, reads):
+        nonlocal best
+        going = ["max_iters"] * len(alphas)
+        ks = (1, max_iters - 1) if best == math.inf else (best - 1, best)
+        stacks.append((set(range(len(alphas))), *(set(reads(k, going, None)) for k in ks),
+                       set(reads(1, ["converged"] + going[1:], None))))
+        columns = gt_columns(problem, W, alphas, m, x0, x_star, max_iters, stop_tol, reads)
+        best = min([best] + [len(errs) - 1 for status, errs in columns if status == "converged"])
+        return columns
+
+    monkeypatch.setattr(gradient_tracking, "gt_columns", probed)
+    tune_alpha(prob, W, x0, x_star, m=1, target=1e-6, budget=budget)
+    assert len(stacks) == 4 and best < budget
+    (every, early, late, converged), *zooms = stacks
+    assert len(every) == 11 and early == late == every and not converged  # no earlier score
+    for every, before, beaten, converged in zooms:
+        assert before == every and not beaten and not converged
 
 
 def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):
@@ -313,13 +353,44 @@ def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):
     config = replace(config, method="gt", gt_alpha_mode="tuned", label="gt-tuned",
                      algorithm=GTParams(alpha=1.0, m=1))
     trace, path = run_experiment(config, out_dir=str(tmp_path))
-    # 12,953 stacked iterations, also in 7 stacks, while every column ran to its stop
-    assert (len(stacks), sum(stacks)) == (7, 11777)
-    assert trace.rows[-1].alpha_k == 0.006771071029423611
-    assert (trace.status, trace.iterations, trace.rows[-1].bits_cum) == ("converged", 1856,
-                                                                          71270400)
+    # 9,783 stacked iterations, also in 4 stacks, while every column ran to its stop
+    assert (len(stacks), sum(stacks)) == (4, 7309)
+    assert trace.rows[-1].alpha_k == 0.005998101768101717
+    assert (trace.status, trace.iterations, trace.rows[-1].bits_cum) == ("converged", 1726,
+                                                                          66278400)
     assert trace_sha256(path) == (
-        "bb7851c5c1b4c798861d856af356a9aa7e5ec4d4ef97c1ab09d36b96234b33b8")
+        "64bb25cd44358473f3d24b666f977a9d730236999032f653f0102277bb8acf5d")
+
+
+def _tuned_gt_config(max_iters, stop_tol):
+    config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e1-m15")
+    return replace(config, method="gt", gt_alpha_mode="tuned", label="gt-k1e1",
+                   algorithm=GTParams(alpha=1.0, m=1, max_iters=max_iters, stop_tol=stop_tol))
+
+
+def test_tuned_run_converges_at_its_alpha_tuning_score(monkeypatch):
+    # tuning runs at the final run's stop_tol, so the run stops where its alpha scored
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    scored = {}
+
+    def recorded(problem, W, alphas, *args):
+        columns = gt_columns(problem, W, alphas, *args)
+        scored.update((a, (status, len(errs) - 1)) for a, (status, errs) in zip(alphas, columns))
+        return columns
+
+    monkeypatch.setattr(gradient_tracking, "gt_columns", recorded)
+    trace, _ = run_experiment(_tuned_gt_config(4000, 1e-9))
+    assert trace.status == "converged"
+    assert scored[trace.rows[-1].alpha_k] == ("converged", trace.iterations)
+
+
+def test_tuned_run_with_zero_stop_tol_runs(monkeypatch):
+    # tuning aims at the roundoff floor instead of taking log(0)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    config = _tuned_gt_config(60, 0.0)
+    trace, _ = run_experiment(config)
+    assert (trace.status, trace.iterations) == ("max_iters", 60)
+    assert 0.0 < trace.rows[-1].alpha_k <= 2.0 / build_problem(config.problem).L1
 
 
 def test_rate_degrades_monotonically_in_kappa():
@@ -329,7 +400,7 @@ def test_rate_degrades_monotonically_in_kappa():
     for kappa in (10.0, 100.0, 10000.0):
         prob = make_quadratic(10, 30, kappa, seed=1)
         x_star = centralized_solve(prob, tol=1e-12)
-        alpha = tune_alpha(prob, W, x0, x_star, m=1, target=1e-6, budget=1200, evals=16)
+        alpha = tune_alpha(prob, W, x0, x_star, m=1, target=1e-6, budget=1200)
         trace = gt_run(prob, W, GTParams(alpha=alpha, m=1, max_iters=1200, stop_tol=0.0),
                        x0, x_star)
         lo = trace.rows[len(trace.rows) // 3].iter

@@ -391,6 +391,20 @@ def test_problem_size_in_code_must_be_an_int(field, value):
         replace(parse_config(QUAD_CFG).problem, **{field: value})
 
 
+@pytest.mark.parametrize("section", ["problem", "graph"])
+@pytest.mark.parametrize("value", [-1, 1.5, True])
+def test_seed_in_code_must_be_a_non_negative_int(section, value):
+    # numpy would reject -1 only when the instance is built, without the field's name
+    with pytest.raises(ValueError, match=rf"\[{section}\] seed must be an integer >= 0"):
+        replace(getattr(parse_config(QUAD_CFG), section), seed=value)
+
+
+def test_seed_env_override_must_be_a_non_negative_int(monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "-4")
+    with pytest.raises(ValueError, match=r"\[problem\] seed"):
+        run_experiment(parse_config(QUAD_CFG))
+
+
 @pytest.mark.parametrize("value", [0, 2.0, 2.5, True])
 def test_repetitions_in_code_must_be_a_positive_int(value):
     # 2.0 would render as text parse_config rejects, and True would run once
@@ -411,20 +425,30 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
     (GT_CFG, "alpha = tuned", "alpha = inf", "alpha"),
     (GT_CFG, "max_iters = 3000", "max_iters = 0", "max_iters"),
     (GT_CFG, "stop_tol = 1e-8", "stop_tol = inf", "stop_tol"),
-    (QUAD_CFG, "kappa = 50.0", "kappa = inf", "kappa"),
-    (QUAD_CFG, "kappa = 50.0", "kappa = nan", "kappa"),
-    (LOGIT_CFG, "rho = 0.001", "rho = inf", "rho"),
-    (LOGIT_CFG, "rho = 0.001", "rho = nan", "rho"),
+    # the instance fields name their section
+    (QUAD_CFG, "kappa = 50.0", "kappa = inf", r"\[problem\] kappa"),
+    (QUAD_CFG, "kappa = 50.0", "kappa = nan", r"\[problem\] kappa"),
+    (QUAD_CFG, "kappa = 50.0", "kappa = 0.5", r"\[problem\] kappa"),
+    (LOGIT_CFG, "rho = 0.001", "rho = inf", r"\[problem\] rho"),
+    (LOGIT_CFG, "rho = 0.001", "rho = nan", r"\[problem\] rho"),
+    (LOGIT_CFG, "rho = 0.001", "rho = 0.0", r"\[problem\] rho"),
+    (LOGIT_CFG, "m_per_node = 100", "m_per_node = 0", r"\[problem\] m_per_node"),
+    (QUAD_CFG, "seed = 3", "seed = -1", r"\[problem\] seed"),
+    (QUAD_CFG, "seed = 5", "seed = -1", r"\[graph\] seed"),
+    (QUAD_CFG, "tau = 0.4", "tau = 0.0", r"\[graph\] tau"),
+    (QUAD_CFG, "tau = 0.4", "tau = 1.5", r"\[graph\] tau"),
 ], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
         "stop_tol-negative", "ramp-nan", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
-        "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "rho-inf", "rho-nan"])
+        "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "kappa-below-1",
+        "rho-inf", "rho-nan", "rho-0", "m_per_node-0", "problem-seed-negative",
+        "graph-seed-negative", "tau-0", "tau-above-1"])
 def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, base, old, new, field):
     cfg_path = tmp_path / "bad.cfg"
-    assert old in base
+    assert base.count(old) == 1
     cfg_path.write_text(base.replace(old, new))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and re.search(rf"\b{field}\b", err[0])
+    assert len(err) == 1 and err[0].startswith("error:") and re.search(rf"(?<!\w){field}\b", err[0])
     assert not recwarn.list  # numpy warnings from a bad value that got too far
     assert not list(tmp_path.rglob("*.csv"))
 

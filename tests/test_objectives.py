@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from decnewton.harness import build_problem, preset_configs
+from decnewton.harness import SEED_ENV_VAR, build_problem, preset_configs
 from decnewton.objectives import (
     _ROUNDOFF_MULTIPLE,
     batch_gradients,
@@ -333,3 +337,30 @@ def test_validation_errors():
             make_logistic(4, 6, 5, rho=value, seed=0)
     with pytest.raises(ValueError):
         centralized_solve(make_quadratic(4, 6, 2.0, seed=0), tol=0.0)
+
+
+_SCIPY_SPECIAL_PROBE = """
+import sys
+from dataclasses import replace
+from decnewton.harness import preset_configs, run_experiment
+
+def three_iterations(config):
+    run_experiment(replace(config, algorithm=replace(config.algorithm, max_iters=3)))
+
+three_iterations(next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15"))
+print("scipy.special" in sys.modules)
+three_iterations(preset_configs("logit-topk")[0])
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_only_logistic_runs_load_scipy_special():
+    # scipy.special adds about 25 MiB to a process's resident set; a
+    # quadratic run never calls expit, so it must not pay for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop(SEED_ENV_VAR, None)
+    out = subprocess.run([sys.executable, "-c", _SCIPY_SPECIAL_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout.split()
+    assert out == ["False", "True"]
