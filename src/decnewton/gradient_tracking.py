@@ -84,15 +84,12 @@ def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
 
 
 def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray,
-               oracle_xstar: np.ndarray, max_iters: int, stop_tol: float, reads=None) -> list:
-    """``gt_run`` at each of ``alphas`` on one ``(n, C, d)`` stack, a run leaving
-    it when it stops: each run's status and rel_errs, bit for bit as alone.
-
-    ``reads(k, status, errs)``, if given, is called after each stacked
-    iteration k but the last (k steps taken), with every run's status so far
-    (``"max_iters"`` while it runs) and rel_errs, and returns the runs its
-    caller still reads; the other running ones leave the stack as
-    ``"dropped"``."""
+               oracle_xstar: np.ndarray, max_iters: int, stop_tol: float,
+               horizon: float = math.inf) -> list:
+    """``gt_run`` at each of ``alphas`` on one ``(n, C, d)`` stack: each run's status
+    and rel_errs, bit for bit as alone up to where it left. A run leaves when it
+    stops, and the runs race: once one has converged at some k < ``max_iters``, or
+    k reaches ``horizon``, the runs still going leave as ``"dropped"``."""
     x0, x_star = np.asarray(x0, dtype=float), np.asarray(oracle_xstar, dtype=float)
     if x0.shape != (problem.n, problem.d):
         raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x0.shape}")
@@ -117,11 +114,9 @@ def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray
             errs[col].append(rel)
             status[col] = ("diverged" if not (ok and rel <= DIVERGENCE_LIMIT) else
                            "converged" if rel <= stop_tol else "max_iters")
-        if reads is not None and k + 1 < max_iters:
-            read = reads(k + 1, status, errs)
-            for col in live:
-                if status[col] == "max_iters" and col not in read:
-                    status[col] = "dropped"
+        if k + 1 < max_iters and (k + 1 >= horizon or "converged" in status):
+            status = ["dropped" if s == "max_iters" else s for s in status]
+            break
         keep = [j for j, col in enumerate(live) if status[col] == "max_iters"]
         if len(keep) < len(live):
             live, params = [live[j] for j in keep], SimpleNamespace(alpha=params.alpha[keep], m=m)
@@ -165,10 +160,10 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
     The first stack runs 11 points 0.5 decade apart over the range. Each of
     three more stacks runs the points within 5 spacings of the best score so
     far, at 1/5 of the spacing before (0.1, 0.02, then 0.004 decade), that lie
-    in the range and have no score yet. Each stack runs through
-    ``gt_columns``; once some run converged at iteration j, or j reaches the
-    best score of an earlier stack, every run still going leaves it: it scores
-    above j, so it cannot win, and scores +inf. Ties go to the larger alpha.
+    in the range and have no score yet. Each stack races through ``gt_columns``
+    with the earlier stacks' best score as its ``horizon``: a run still going at
+    iteration j scores above j, so it cannot win, and scores +inf. Ties go to
+    the larger alpha.
     """
     hi = math.log10(2.0 / problem.L1)
     lo = hi - 5.0
@@ -177,18 +172,13 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
         return hi - (_GRID - i) / 250
 
     scores = {}
-    best, beat = _GRID // 2, math.inf  # the first stack spans the range
+    best = _GRID // 2  # the first stack spans the range, with no score to beat
     for spacing in _SPACINGS:
         points = [i for i in range(best - 5 * spacing, best + 5 * spacing + 1, spacing)
                   if 0 <= i <= _GRID and i not in scores]
-
-        def reads(k, status, errs):
-            return () if k >= beat or "converged" in status else range(len(points))
-
         columns = gt_columns(problem, W, [10.0 ** log_alpha(i) for i in points], m, x0,
-                             oracle_xstar, budget, target, reads)
+                             oracle_xstar, budget, target, scores.get(best, math.inf))
         scores.update((i, _score(*column, log_alpha(i), lo, target))
                       for i, column in zip(points, columns))
         best = min(scores, key=lambda i: (scores[i], -i))
-        beat = scores[best]
     return float(10.0 ** log_alpha(best))

@@ -167,6 +167,9 @@ class ExperimentConfig:
             raise ValueError(f"[algorithm] alpha mode must be fixed, or tuned with method = gt; "
                              f"got {self.gt_alpha_mode!r} with method = {self.method}")
         _check_int("output", "repetitions", self.repetitions, 1)
+        if any(k < 0 for k in self.dump_iters) or (self.dump_iters and self.method == "gt"):
+            raise ValueError(f"[output] dump_iters must list iterations >= 0 of a newton run, "
+                             f"got {self.dump_iters!r} with method = {self.method}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +350,7 @@ def build_mixing(spec: GraphSpec, n: int):
 
 def _instance(config: ExperimentConfig):
     """Apply DECNEWTON_SEED; returns that config, the instance, its mixing
-    matrix, the zero start x0 and the centralized oracle minimizer."""
+    matrix and the zero start x0."""
     override = os.environ.get(SEED_ENV_VAR)
     if override:
         seed = int(override)
@@ -355,8 +358,7 @@ def _instance(config: ExperimentConfig):
                          graph=replace(config.graph, seed=seed))
     problem = build_problem(config.problem)
     _, W = build_mixing(config.graph, config.problem.n)
-    x_star = centralized_solve(problem, tol=1e-12)
-    return config, problem, W, np.zeros((problem.n, problem.d)), x_star
+    return config, problem, W, np.zeros((problem.n, problem.d))
 
 
 def repetitions(config: ExperimentConfig) -> list:
@@ -376,11 +378,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     Returns (trace, csv_path); csv_path is None when no destination was
     given. The trace label/fingerprint identify the run in summaries.
     """
-    config, problem, W, x0, x_star = _instance(config)
+    config, problem, W, x0 = _instance(config)
+    x_star = centralized_solve(problem, tol=1e-12)
+    if config.dump_iters and out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)  # the dumps are written during the run
     if config.method == "newton":
-        dump_dir = out_dir if config.dump_iters else None
         trace = newton.run(problem, W, config.algorithm, x0, x_star,
-                           dump_iters=config.dump_iters, dump_dir=dump_dir)
+                           dump_iters=config.dump_iters, dump_dir=out_dir)
     else:
         params = config.algorithm
         if config.gt_alpha_mode == "tuned":
@@ -561,7 +565,7 @@ def run_preset(name: str, out_dir: str):
 
 def _run_equivalence_preset(out_dir: str):
     config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
-    _, problem, W, x0, _ = _instance(config)
+    _, problem, W, x0 = _instance(config)
     deviations = newton.run_lockstep(problem, W, config.algorithm, x0, iters=200)
     path = os.path.join(out_dir, "alg-equivalence.csv")
     with open(path, "w") as fh:
@@ -583,7 +587,8 @@ def caps_report(config: ExperimentConfig) -> str:
     topology, and initialization (x0 = 0 blocks)."""
     if config.method != "newton":
         raise ValueError("caps report applies to newton configs only")
-    _, problem, W, x0, x_star = _instance(config)
+    _, problem, W, x0 = _instance(config)
+    x_star = centralized_solve(problem, tol=1e-12)
     state = newton.init_state(problem, x0)
     params = config.algorithm
     delta = delta_bound(params.compressor)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -186,14 +186,6 @@ class NetworkState:
     d_dir: np.ndarray | None = None
     local_grads: np.ndarray | None = None
     local_hessians: np.ndarray | None = None
-
-    def arrays(self) -> dict:
-        out = {"x": self.x, "g": self.g}
-        for name in ("H", "H_tilde", "E", "H_tilde_w", "d_dir"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
 
 
 def init_state(problem: Problem, x0: np.ndarray) -> NetworkState:
@@ -463,51 +455,37 @@ def _finite(state: NetworkState) -> bool:
 
 def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
         oracle_xstar: np.ndarray, dump_iters=(), dump_dir=None) -> Trace:
-    """Decentralized Newton run; with ``dump_dir``, the stacked iterate is
-    written there after each iteration in ``dump_iters``."""
+    """Decentralized Newton run; with ``dump_dir``, the stacked iterate after
+    k iterations is written there for each k in ``dump_iters`` (0: the start)."""
     def dump(k, state):
-        if dump_dir is not None and k + 1 in dump_iters:
-            save_matrix(f"{dump_dir}/state_x_iter{k + 1:05d}.txt", state.x)
+        if dump_dir is not None and k in dump_iters:
+            save_matrix(f"{dump_dir}/state_x_iter{k:05d}.txt", state.x)
 
-    return iterate(step, init_state(problem, x0), problem, W, params, oracle_xstar,
-                   delta_bound(params.compressor), on_step=dump)
+    state = init_state(problem, x0)
+    dump(0, state)
+    return iterate(step, state, problem, W, params, oracle_xstar, delta_bound(params.compressor),
+                   on_step=lambda k, state: dump(k + 1, state))
 
 
 def max_state_deviation(a: NetworkState, b: NetworkState) -> float:
-    """Largest entrywise difference across all shared state arrays."""
-    arrays_a, arrays_b = a.arrays(), b.arrays()
+    """Largest entrywise difference across the state arrays both hold."""
     dev = 0.0
-    for name, arr in arrays_a.items():
-        if name in arrays_b:
-            dev = max(dev, float(np.max(np.abs(arr - arrays_b[name]))))
+    for field in fields(NetworkState):
+        arr_a, arr_b = getattr(a, field.name), getattr(b, field.name)
+        if arr_a is not None and arr_b is not None:
+            dev = max(dev, float(np.max(np.abs(arr_a - arr_b))))
     return dev
 
 
 def run_lockstep(problem: Problem, W: MixingMatrix, params: AlgoParams,
-                 x0: np.ndarray, iters: int, resync: bool = True):
-    """Compare the two variants in lockstep; returns per-iteration deviations.
-
-    With ``resync`` (the default) both steps start from the same state each
-    iteration and the trajectory continues from the efficient output, so the
-    deviations measure the post-state equivalence of single steps. Without
-    resync the trajectories evolve independently; note that rank/top
-    truncation is discontinuous (near-crossing singular values), so any
-    roundoff-level divergence can be amplified arbitrarily inside the
-    error-feedback stores over a long horizon even though the iterates
-    themselves stay put.
-    """
+                 x0: np.ndarray, iters: int):
+    """Step both variants from the same state each iteration and continue from
+    the efficient one; returns each step's ``max_state_deviation``."""
     eff_params, ref_params = (replace(params, variant=v) for v in VARIANTS)
-    ref = init_state(problem, x0)
-    eff = init_state(problem, x0) if not resync else None
+    state = init_state(problem, x0)
     deviations = []
     for k in range(iters):
-        if resync:
-            ref_next, _ = step(ref, problem, W, ref_params, k)
-            eff_next, _ = step(ref, problem, W, eff_params, k)
-            deviations.append(max_state_deviation(ref_next, eff_next))
-            ref = eff_next
-        else:
-            ref, _ = step(ref, problem, W, ref_params, k)
-            eff, _ = step(eff, problem, W, eff_params, k)
-            deviations.append(max_state_deviation(ref, eff))
+        ref, _ = step(state, problem, W, ref_params, k)
+        state, _ = step(state, problem, W, eff_params, k)
+        deviations.append(max_state_deviation(ref, state))
     return deviations

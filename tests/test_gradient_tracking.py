@@ -127,9 +127,12 @@ def test_tuning_filler_matches_full_fill(setup, alpha_L1, max_iters, status):
 
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
 def test_stacked_columns_match_lone_runs(setup, family):
-    # one stack of 7, whose columns converge, reach max_iters and diverge
+    # a stack of 7, whose lone runs converge, reach max_iters and diverge
     # (rel_err past DIVERGENCE_LIMIT, or a first step that overflows) at
-    # different iterations, so later columns keep stepping after others leave
+    # different iterations, so later columns keep stepping after others leave.
+    # The first convergence, or the horizon, ends the race: the runs still
+    # going leave as dropped there. The stack of the runs that converge nowhere
+    # runs to the budget.
     if family == "quadratic":
         prob, W, x_star, x0 = setup
         alphas_L1 = (0.3, 1.0, 0.01, 3.0, 20.0, 1e308, 0.1)
@@ -141,14 +144,27 @@ def test_stacked_columns_match_lone_runs(setup, family):
         alphas_L1 = (1.0, 3.0, 0.01, 20.0, 1e4, 1e308, 0.3)
     alphas = [a / prob.L1 for a in alphas_L1]
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = gt_columns(prob, W, alphas, 2, x0, x_star, 400, 1e-6)
-        lone = [gt_run(prob, W, GTParams(alpha=a, m=2, max_iters=400, stop_tol=1e-6), x0, x_star)
-                for a in alphas]
-    assert {t.status for t in lone} == {"converged", "max_iters", "diverged"}
-    assert len({t.iterations for t in lone}) >= 4
-    for (status, errs), trace in zip(columns, lone):
-        assert (status, len(errs) - 1) == (trace.status, trace.iterations)
-        assert np.array_equal(np.array(errs).view(np.uint64), _bits(trace))
+        lone = {a: gt_run(prob, W, GTParams(alpha=a, m=2, max_iters=400, stop_tol=1e-6), x0,
+                          x_star) for a in alphas}
+    assert {t.status for t in lone.values()} == {"converged", "max_iters", "diverged"}
+    assert len({t.iterations for t in lone.values()}) >= 4
+    first = min(t.iterations for t in lone.values() if t.status == "converged")
+    nowhere = [a for a in alphas if lone[a].status != "converged"]
+    seen = []
+    for stack, horizon, end in [(alphas, math.inf, first), (alphas, 40, 40),
+                                (nowhere, math.inf, 400)]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = gt_columns(prob, W, stack, 2, x0, x_star, 400, 1e-6, horizon)
+        for a, (status, errs) in zip(stack, columns):
+            trace = lone[a]
+            if trace.iterations > end:
+                assert (status, len(errs) - 1) == ("dropped", end)
+            else:
+                assert (status, len(errs) - 1) == (trace.status, trace.iterations)
+            assert np.array_equal(np.array(errs).view(np.uint64), _bits(trace)[:len(errs)])
+        seen.append({status for status, _ in columns})
+    assert seen == [{"converged", "diverged", "dropped"}, {"diverged", "dropped"},
+                    {"max_iters", "diverged"}]
 
 
 @pytest.mark.filterwarnings("error")
@@ -310,29 +326,30 @@ def test_zoom_scores_within_one_percent_of_golden_section(kappa, seed, unstable,
 
 
 def test_search_decides_only_what_a_running_score_bound_decides(setup, monkeypatch):
-    # a run still going at iteration k scores above k: a stack reads its runs
-    # still going until one of its runs converged or k reaches the best score
-    # of an earlier stack, then none of them
+    # a run still going at iteration k scores above k: a stack races until one
+    # of its runs converged or k reaches the best score of an earlier stack,
+    # its horizon, and then every run still going leaves it
     prob, W, x_star, x0 = setup
     budget, best, stacks = 2000, math.inf, []
 
-    def probed(problem, W, alphas, m, x0, x_star, max_iters, stop_tol, reads):
+    def probed(problem, W, alphas, m, x0, x_star, max_iters, stop_tol, horizon):
         nonlocal best
-        going = ["max_iters"] * len(alphas)
-        ks = (1, max_iters - 1) if best == math.inf else (best - 1, best)
-        stacks.append((set(range(len(alphas))), *(set(reads(k, going, None)) for k in ks),
-                       set(reads(1, ["converged"] + going[1:], None))))
-        columns = gt_columns(problem, W, alphas, m, x0, x_star, max_iters, stop_tol, reads)
+        columns = gt_columns(problem, W, alphas, m, x0, x_star, max_iters, stop_tol, horizon)
+        stacks.append((horizon, best, columns))
         best = min([best] + [len(errs) - 1 for status, errs in columns if status == "converged"])
         return columns
 
     monkeypatch.setattr(gradient_tracking, "gt_columns", probed)
     tune_alpha(prob, W, x0, x_star, m=1, target=1e-6, budget=budget)
     assert len(stacks) == 4 and best < budget
-    (every, early, late, converged), *zooms = stacks
-    assert len(every) == 11 and early == late == every and not converged  # no earlier score
-    for every, before, beaten, converged in zooms:
-        assert before == every and not beaten and not converged
+    for horizon, earlier_best, columns in stacks:
+        assert horizon == earlier_best  # inf for the grid: no earlier score
+        ends = {status: [len(errs) - 1 for s, errs in columns if s == status]
+                for status in ("converged", "dropped", "diverged", "max_iters")}
+        end = min(ends["converged"] + [horizon])  # one convergence ends the stack
+        assert ends["dropped"] and set(ends["dropped"]) == {end}
+        assert set(ends["converged"]) <= {end} and not ends["max_iters"]
+        assert all(k < end for k in ends["diverged"])
 
 
 def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import textwrap
@@ -136,9 +137,10 @@ LOGIT_CFG = render_config(preset_configs("logit-topk")[0])
      r"\[algorithm\] compressor"),
     (GT_CFG.replace("method = gt\n", "method = gt\nvariant = reference\n"),
      r"\[algorithm\] variant"),
+    (GT_CFG + "dump_iters = 5\n", r"\[output\] dump_iters"),  # gt runs write no dumps
 ], ids=["problem-field", "graph-field", "algorithm-fields", "output-field", "unknown-section",
         "default-section", "rho-on-quadratic", "kappa-on-logistic", "gt-gamma",
-        "gt-compressor", "gt-variant"])
+        "gt-compressor", "gt-variant", "gt-dump_iters"])
 def test_config_rejects_fields_it_does_not_read(tmp_path, capsys, text, named):
     with pytest.raises(ValueError, match=named):
         parse_config(text)
@@ -176,8 +178,10 @@ def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
     # render_config writes no tuned alpha for newton: the fingerprint could
     # not tell the two runs apart
     (QUAD_CFG, {"gt_alpha_mode": "tuned"}, r"\[algorithm\] alpha mode"),
+    (QUAD_CFG, {"dump_iters": (3, -1)}, r"\[output\] dump_iters"),
+    (GT_CFG, {"dump_iters": (0,)}, r"\[output\] dump_iters"),
 ], ids=["newton-as-GT", "newton-params-as-gt", "gt-params-as-newton", "alpha-mode-case",
-        "tuned-newton"])
+        "tuned-newton", "negative-dump", "gt-dump"])
 def test_config_rejects_runs_that_do_not_exist(base, change, named):
     with pytest.raises(ValueError, match=named):
         replace(parse_config(base), **change)
@@ -437,11 +441,14 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
     (QUAD_CFG, "seed = 5", "seed = -1", r"\[graph\] seed"),
     (QUAD_CFG, "tau = 0.4", "tau = 0.0", r"\[graph\] tau"),
     (QUAD_CFG, "tau = 0.4", "tau = 1.5", r"\[graph\] tau"),
+    # no iteration -1 is ever written
+    (QUAD_CFG, "label = small-quad", "label = small-quad\ndump_iters = 2,-1",
+     r"\[output\] dump_iters"),
 ], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
         "stop_tol-negative", "ramp-nan", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
         "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "kappa-below-1",
         "rho-inf", "rho-nan", "rho-0", "m_per_node-0", "problem-seed-negative",
-        "graph-seed-negative", "tau-0", "tau-above-1"])
+        "graph-seed-negative", "tau-0", "tau-above-1", "dump_iters-negative"])
 def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, base, old, new, field):
     cfg_path = tmp_path / "bad.cfg"
     assert base.count(old) == 1
@@ -483,19 +490,47 @@ def test_preset_configs_shapes():
         preset_configs("nope")
 
 
+def _k1e4_m15_shifted(shift):
+    """quad-k1e4-m15 with both seeds shifted by ``shift``, and its trace."""
+    config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e4-m15")
+    config = replace(config, problem=replace(config.problem, seed=config.problem.seed + shift),
+                     graph=replace(config.graph, seed=config.graph.seed + shift))
+    return config, run_experiment(config)[0]
+
+
 def test_kappa_1e4_shifted_instance_converges():
     # quad-k1e4-m15 with both seeds shifted by 89 meets nearly indefinite
     # tracked Hessians around iteration 50. An iterative solve that stops with
     # a large residual there (CG reached 34 * ||g_i||) makes the run diverge;
     # the Cholesky check rejects those systems and the nodes fall back.
-    config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e4-m15")
-    config = replace(config, problem=replace(config.problem, seed=config.problem.seed + 89),
-                     graph=replace(config.graph, seed=config.graph.seed + 89))
-    trace, _ = run_experiment(config)
+    config, trace = _k1e4_m15_shifted(89)
     assert trace.status == "converged"
     assert trace.final_rel_err <= config.algorithm.stop_tol
     assert sum(row.fallback_count for row in trace.rows) > 0
     assert all(row.cg_max_rel_residual <= row.c_k for row in trace.rows[1:])
+
+
+def test_kappa_1e4_shift_6_falls_back_and_keeps_the_cg_contract():
+    # problem seed 7, graph seed 17: 12 node-solves over iterations 52-63
+    # fall back to g_i / L1, and the solved ones keep their residual bound
+    config, trace = _k1e4_m15_shifted(6)
+    assert (config.problem.seed, config.graph.seed) == (7, 17)
+    assert (trace.status, trace.iterations) == ("converged", 73)
+    assert trace.final_rel_err <= config.algorithm.stop_tol
+    assert sum(row.fallback_count for row in trace.rows) == 12
+    assert max(row.cg_max_rel_residual / row.c_k for row in trace.rows[1:]) <= 0.1  # 0.087
+
+
+def test_cli_run_dumps_into_a_new_out_dir(tmp_path, capsys):
+    # the dumps are written during the run, before the trace CSV
+    cfg_path = tmp_path / "dump.cfg"
+    cfg_path.write_text(QUAD_CFG + "dump_iters = 2,5\n")
+    out = tmp_path / "new" / "dir"
+    code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert code == harness.STATUS_CODE[read_trace_csv(out / "small-quad.csv").status]
+    assert "status=converged" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "small-quad.csv", "state_x_iter00002.txt", "state_x_iter00005.txt"]
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -589,6 +624,10 @@ def test_cli_equivalence_preset(tmp_path, capsys):
     assert text[0] == "iter,max_state_deviation"
     assert len(text) == 201
     assert all(float(line.split(",")[1]) <= 1e-9 for line in text[1:])
+    # every deviation bit for bit, on this numpy/OpenBLAS (numpy 2 with OpenBLAS
+    # 0.3.31, Haswell kernels) at one BLAS thread or two
+    assert hashlib.sha256((tmp_path / "alg-equivalence.csv").read_bytes()).hexdigest() == (
+        "52d5e931de5dea3155b977196d2d33ba5f9d613c85d1056ec465634c8ccc56fa")
 
 
 def test_cli_caps_report(tmp_path, capsys):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from decnewton.newton import (
     CGBreakdownError,
     ConstantSchedule,
     GeometricRamp,
+    NetworkState,
     VARIANTS,
     TwoStageSchedule,
     _solve_directions,
@@ -209,17 +210,31 @@ def test_identity_compressor_gamma_zero_is_local_accumulation():
         assert np.allclose(state.H, expected, atol=1e-12)
 
 
+def free_running_deviations(problem, W, params, iters):
+    """``max_state_deviation`` of the two variants after each of ``iters``
+    steps, each variant stepping from its own state."""
+    ref = eff = init_state(problem, np.zeros((problem.n, problem.d)))
+    deviations = []
+    for k in range(iters):
+        ref, _ = step(ref, problem, W, replace(params, variant="reference"), k)
+        eff, _ = step(eff, problem, W, replace(params, variant="efficient"), k)
+        deviations.append(max_state_deviation(ref, eff))
+    return deviations
+
+
 def test_gamma_zero_variants_bit_identical(quad_problem, quad_graph):
-    _, W = quad_graph
-    x0 = np.zeros((quad_problem.n, quad_problem.d))
-    params = quad_params(gamma=0.0)
-    ref_params = replace(params, variant="reference")
-    ref = init_state(quad_problem, x0)
-    eff = init_state(quad_problem, x0)
-    for k in range(30):
-        ref, _ = step(ref, quad_problem, W, ref_params, k)
-        eff, _ = step(eff, quad_problem, W, params, k)
-    assert max_state_deviation(ref, eff) == 0.0
+    deviations = free_running_deviations(quad_problem, quad_graph[1], quad_params(gamma=0.0), 30)
+    assert max(deviations) == 0.0
+
+
+@pytest.mark.parametrize("name", [field.name for field in fields(NetworkState)])
+def test_max_state_deviation_reads_every_field(quad_problem, name):
+    a = init_state(quad_problem, np.ones((quad_problem.n, quad_problem.d)))
+    changed = getattr(a, name).copy()
+    value = float(changed.flat[7])
+    changed.flat[7] = value - 0.375
+    assert max_state_deviation(a, replace(a, **{name: changed})) == value - (value - 0.375)
+    assert max_state_deviation(a, replace(a, **{name: None})) == 0.0  # a field one state lacks
 
 
 def test_consensus_start_matches_centralized_damped_newton():
@@ -404,11 +419,8 @@ def test_lockstep_equivalence_per_step(quad_problem, quad_graph):
 
 def test_lockstep_free_running_identity_compressor(quad_problem, quad_graph):
     # without truncation discontinuities the trajectories track each other
-    _, W = quad_graph
-    x0 = np.zeros((quad_problem.n, quad_problem.d))
-    deviations = run_lockstep(quad_problem, W, quad_params(kind="identity", K=0),
-                              x0, iters=100, resync=False)
-    assert max(deviations) <= 1e-9
+    params = quad_params(kind="identity", K=0)
+    assert max(free_running_deviations(quad_problem, quad_graph[1], params, 100)) <= 1e-9
 
 
 def test_bits_accounting(quad_problem, quad_graph):
@@ -584,9 +596,11 @@ def test_state_dump_files(tmp_path, quad_problem, quad_graph, quad_xstar):
     _, W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     params = quad_params(max_iters=6, stop_tol=0.0)
-    run(quad_problem, W, params, x0, quad_xstar, dump_iters=(2, 5), dump_dir=str(tmp_path))
+    run(quad_problem, W, params, x0, quad_xstar, dump_iters=(0, 2, 5), dump_dir=str(tmp_path))
     from decnewton.graph import load_matrix
 
     dumped = load_matrix(tmp_path / "state_x_iter00002.txt")
     assert dumped.shape == (quad_problem.n, quad_problem.d)
     assert (tmp_path / "state_x_iter00005.txt").exists()
+    assert np.array_equal(load_matrix(tmp_path / "state_x_iter00000.txt"), x0)  # the start
+    assert len(list(tmp_path.iterdir())) == 3

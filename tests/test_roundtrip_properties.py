@@ -60,7 +60,8 @@ def configs(draw):
         problem=problem, graph=graph, method=method, algorithm=algorithm,
         gt_alpha_mode=gt_alpha_mode, label=draw(LABELS),
         csv=draw(st.one_of(st.none(), LABELS.map(lambda name: f"out/{name}.csv"))),
-        dump_iters=tuple(draw(st.lists(st.integers(0, 10**4), max_size=4))),
+        dump_iters=tuple(draw(st.lists(st.integers(0, 10**4), max_size=4)))  # gt writes none
+        if method == "newton" else (),
         repetitions=draw(st.integers(1, 20)))
 
 
