@@ -1,58 +1,40 @@
 """Regularized logistic regression with compressed Hessian tracking.
 
-n = 30 nodes, 100 Gaussian samples each, d = 20, ridge 0.001. Compares
-Top-20 and Rank-3 compression at several consensus depths m against a tuned
-gradient-tracking baseline, reporting iterations, transmitted bits, and wall
-time to reach a 1e-8 relative error. More consensus rounds per iteration
-means fewer iterations but more traffic.
+n = 30 nodes, 100 Gaussian samples each, d = 20, ridge 0.001. Runs the
+``logit-topk`` (Top-20) and ``logit-rank`` (Rank-3) presets at several
+consensus depths m against a tuned gradient-tracking baseline, reporting
+iterations, transmitted bits, and wall time to reach a 1e-8 relative error.
+More consensus rounds per iteration means fewer iterations but more traffic.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from decnewton import (
-    AlgoParams,
-    ConstantSchedule,
-    GeometricRamp,
-    GTParams,
-    centralized_solve,
-    generate_topology,
-    gt_run,
-    make_logistic,
-    metropolis_weights,
-    run,
-    tune_alpha,
-)
-from decnewton.compress import CompressorSpec
+from decnewton import GTParams, centralized_solve
+from decnewton.harness import build_mixing, build_problem, preset_configs, run_experiment
 
-TOL = 1e-8
-prob = make_logistic(30, 20, 100, rho=0.001, seed=2)
-W = metropolis_weights(generate_topology(30, 0.2, seed=12))
-x_star = centralized_solve(prob, tol=1e-12)
-x0 = np.zeros((30, 20))
-print(f"network: n=30, tau=0.2, sigma={W.sigma:.4f};  |x*| = {np.linalg.norm(x_star):.3f}")
+configs = preset_configs("logit-topk") + preset_configs("logit-rank")
+base = configs[0]
+TOL = base.algorithm.stop_tol
+_, W = build_mixing(base.graph, base.problem.n)
+x_star = centralized_solve(build_problem(base.problem), tol=1e-12)
+print(f"network: n={base.problem.n}, tau={base.graph.tau}, sigma={W.sigma:.4f};  "
+      f"|x*| = {np.linalg.norm(x_star):.3f}")
 
-rows = []
-for kind, K, base in (("top_k", 20, 0.2), ("rank_k", 3, 0.1)):
+runs = []
+for config in configs:
+    spec = config.algorithm.compressor
     for m in (3, 5, 15):
-        params = AlgoParams(
-            compressor=CompressorSpec(kind, d=20, K=K),
-            alpha=GeometricRamp(base, 1.1, 1.0),
-            gamma=0.06, m=m, M=0.0,
-            cg_tol=ConstantSchedule(1e-10),
-            max_iters=2000, stop_tol=TOL,
-        )
-        trace = run(prob, W, params, x0, x_star)
-        wall = sum(r.wall_time for r in trace.rows)
-        rows.append((f"{kind} K={K} m={m}", trace.iters_to(TOL),
-                     trace.bits_to(TOL), wall))
-
-alpha = tune_alpha(prob, W, x0, x_star, m=1, target=TOL, budget=2500)
-gt = gt_run(prob, W, GTParams(alpha=alpha, m=1, max_iters=20000, stop_tol=TOL), x0, x_star)
-rows.append(("gradient tracking", gt.iters_to(TOL), gt.bits_to(TOL),
-             sum(r.wall_time for r in gt.rows)))
+        trace, _ = run_experiment(replace(config, algorithm=replace(config.algorithm, m=m)))
+        runs.append((f"{spec.kind} K={spec.K} m={m}", trace))
+gt, _ = run_experiment(replace(base, method="gt", gt_alpha_mode="tuned", algorithm=GTParams(
+    alpha=1.0, m=1, max_iters=2500, stop_tol=TOL)))
+runs.append(("gradient tracking", gt))
 
 print(f"\n{'method':>22} {'iters':>7} {'megabits':>10} {'seconds':>9}")
-for label, iters, bits, wall in rows:
+for label, trace in runs:
+    iters, bits = trace.iters_to(TOL), trace.bits_to(TOL)
     iters_txt = str(iters) if iters > 0 else "not reached"
     bits_txt = f"{bits / 1e6:.2f}" if bits > 0 else "--"
-    print(f"{label:>22} {iters_txt:>7} {bits_txt:>10} {wall:>9.2f}")
+    print(f"{label:>22} {iters_txt:>7} {bits_txt:>10} {sum(r.wall_time for r in trace.rows):>9.2f}")

@@ -36,7 +36,7 @@ A gradient-tracking config replaces the algorithm block with
 centralized Newton oracle. Traces append to CSV with a fixed column order;
 the first line is a comment carrying the label, the config fingerprint, and
 the final status. Setting the environment variable DECNEWTON_SEED overrides
-every seed in the config.
+every seed in the config; a config with ``repetitions`` above 1 then fails.
 
 Each field goes in the section shown. Any other field or section, a value
 under ``[DEFAULT]`` and a field the family or method does not read (``rho``
@@ -366,6 +366,10 @@ def repetitions(config: ExperimentConfig) -> list:
     seeds shifted by the repetition index and the label suffixed ``-rep<i>``."""
     if config.repetitions == 1:
         return [config]
+    if os.environ.get(SEED_ENV_VAR):
+        raise ValueError(f"{SEED_ENV_VAR} sets every seed, so [output] repetitions = "
+                         f"{config.repetitions} would run one instance {config.repetitions} "
+                         f"times; unset one of them")
     return [replace(config, problem=replace(config.problem, seed=config.problem.seed + rep),
                     graph=replace(config.graph, seed=config.graph.seed + rep),
                     label=f"{config.label}-rep{rep}", repetitions=1)
@@ -375,16 +379,25 @@ def repetitions(config: ExperimentConfig) -> list:
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     """Build the instance, solve the oracle, run, and write the trace CSV.
 
-    Returns (trace, csv_path); csv_path is None when no destination was
-    given. The trace label/fingerprint identify the run in summaries.
+    The trace goes to ``[output] csv``, else to ``<out_dir>/<label>.csv``,
+    and the ``dump_iters`` dumps go in that file's directory. Returns
+    (trace, csv_path); csv_path is None when no destination was given. The
+    trace label/fingerprint identify the run in summaries.
     """
+    csv_path = config.csv
+    if csv_path is None and out_dir is not None:
+        csv_path = os.path.join(out_dir, f"{config.label}.csv")
+    if config.dump_iters and csv_path is None:
+        raise ValueError("[output] dump_iters writes its dumps next to the trace CSV; "
+                         "set [output] csv or pass an output directory")
+    trace_dir = os.path.dirname(csv_path or "") or "."
     config, problem, W, x0 = _instance(config)
     x_star = centralized_solve(problem, tol=1e-12)
-    if config.dump_iters and out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)  # the dumps are written during the run
+    if config.dump_iters:
+        os.makedirs(trace_dir, exist_ok=True)  # the dumps are written during the run
     if config.method == "newton":
         trace = newton.run(problem, W, config.algorithm, x0, x_star,
-                           dump_iters=config.dump_iters, dump_dir=out_dir)
+                           dump_iters=config.dump_iters, dump_dir=trace_dir)
     else:
         params = config.algorithm
         if config.gt_alpha_mode == "tuned":
@@ -397,11 +410,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
         trace = gt_run(problem, W, params, x0, x_star)
     trace.label = config.label
     trace.fingerprint = config_fingerprint(config)
-    csv_path = config.csv
-    if csv_path is None and out_dir is not None:
-        csv_path = os.path.join(out_dir, f"{config.label}.csv")
     if csv_path is not None:
-        os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
+        os.makedirs(trace_dir, exist_ok=True)
         write_trace_csv(trace, csv_path)
     return trace, csv_path
 

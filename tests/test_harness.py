@@ -533,6 +533,40 @@ def test_cli_run_dumps_into_a_new_out_dir(tmp_path, capsys):
         "small-quad.csv", "state_x_iter00002.txt", "state_x_iter00005.txt"]
 
 
+def test_run_experiment_dumps_next_to_the_csv(tmp_path, monkeypatch):
+    # the csv path alone places the dumps; no out_dir is needed
+    monkeypatch.chdir(tmp_path)
+    config = replace(parse_config(QUAD_CFG), csv="sub/t.csv", dump_iters=(2, 5))
+    trace, path = run_experiment(config)
+    assert trace.status == "converged" and path == "sub/t.csv"
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == [
+        "state_x_iter00002.txt", "state_x_iter00005.txt", "t.csv"]
+
+
+def test_run_experiment_rejects_dumps_with_no_trace_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("the oracle was solved")
+
+    monkeypatch.setattr(harness, "centralized_solve", unreached)
+    with pytest.raises(ValueError, match=r"\[output\] dump_iters"):
+        run_experiment(replace(parse_config(QUAD_CFG), dump_iters=(2,)))
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_run_rejects_seed_override_with_repetitions(tmp_path, capsys, monkeypatch):
+    # every repetition would run the one instance the override names
+    monkeypatch.setenv(SEED_ENV_VAR, "5")
+    cfg_path = tmp_path / "rep.cfg"
+    cfg_path.write_text(QUAD_CFG + "repetitions = 3\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert SEED_ENV_VAR in err[0] and "[output] repetitions" in err[0]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_run_and_exit_codes(tmp_path):
     cfg_path = tmp_path / "quad.cfg"
     cfg_path.write_text(QUAD_CFG)
