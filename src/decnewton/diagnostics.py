@@ -187,16 +187,18 @@ def fill_state_metrics(row: RoundMetrics, state, problem, x_star, sigma: float, 
 
 
 def relative_error(x: np.ndarray, x_star: np.ndarray, den: float):
-    """``(1/n) ||x - x*_stacked||^2 / den`` for the (n, d) stack ``x``, with
-    ``den`` the squared initial distance; 0.0 when ``den <= 0``. For C runs
-    stacked ``(n, C, d)``, each run's value in a list, bit for bit as alone."""
-    n = x.shape[0]
-    if x.ndim == 2:
-        return (_norm(x - x_star[None, :]) ** 2 / n) / den if den > 0 else 0.0
-    # each run's x - x*, written run by run into one C-ordered (C, n, d) array
-    v = np.subtract(x.transpose(1, 0, 2), x_star, order="C").reshape(x.shape[1], -1)
-    return [(math.sqrt(sq) ** 2 / n) / den if den > 0 else 0.0
-            for sq in np.vecdot(v, v).tolist()]  # v @ v per run, the dot _norm takes
+    """``(1/n) ||x - x*_stacked||^2 / den`` of each run of the ``(n, C, d)`` stack ``x`` in a
+    list, or of the ``(n, d)`` block ``x``; ``den`` is the start's, and <= 0 gives 0.0."""
+    errs = [(sq / x.shape[0]) / den if den > 0 else 0.0 for sq in squared_distances(x, x_star)]
+    return errs if x.ndim == 3 else errs[0]
+
+
+def squared_distances(x: np.ndarray, x_star: np.ndarray) -> list:
+    """``||x - x*_stacked||^2`` of each run of an ``(n, C, d)`` stack or ``(n, d)`` block; each
+    run's x - x* is written C-ordered and takes ``_norm``'s dot, so it gets its bits alone."""
+    stack = x if x.ndim == 3 else x[:, None]
+    v = np.subtract(stack.transpose(1, 0, 2), x_star, order="C").reshape(stack.shape[1], -1)
+    return [math.sqrt(sq) ** 2 for sq in np.vecdot(v, v).tolist()]  # v @ v per run
 
 
 def _norm(a: np.ndarray) -> float:

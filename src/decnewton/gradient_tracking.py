@@ -29,9 +29,10 @@ import numpy as np
 
 # fill_state_metrics is unused here but bound for perfbench/tracing.py, which patches it.
 from .diagnostics import fill_state_metrics  # noqa: F401
-from .diagnostics import RoundMetrics, Trace, relative_error
+from .diagnostics import RoundMetrics, Trace, relative_error, squared_distances
 from .graph import MixingMatrix, consensus_apply
-from .newton import DIVERGENCE_LIMIT, NetworkState, check_run_values, iterate, positive_int
+from .newton import (NetworkState, _finite, check_run_values, exchange_bits, iterate,
+                     positive_int, run_status, start_state)
 from .objectives import Problem, batch_gradients
 
 __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
@@ -58,8 +59,8 @@ class GTParams:
 
 def gt_step(state: NetworkState, problem: Problem, W: MixingMatrix, params: GTParams, k: int):
     """One tracking iteration from ``state``; returns the new state and its
-    metrics row, as ``newton.step`` does. Bits count the x and g exchanges, m * d * 64
-    each per node. An ``(n, C, d)`` state with ``(C, 1)`` alphas steps C runs."""
+    metrics row, as ``newton.step`` does; bits count the x and g exchanges
+    only. An ``(n, C, d)`` state with ``(C, 1)`` alphas steps C runs."""
     descent = params.alpha * state.g
     x_new = consensus_apply(W, params.m, np.subtract(state.x, descent, out=descent))
     grads_new = batch_gradients(problem, x_new)
@@ -68,19 +69,14 @@ def gt_step(state: NetworkState, problem: Problem, W: MixingMatrix, params: GTPa
     g_new = consensus_apply(W, params.m, tracker)
     return (NetworkState(x=x_new, g=g_new, local_grads=grads_new),
             RoundMetrics(iter=k + 1, alpha_k=params.alpha,
-                         bits=problem.n * 2 * params.m * problem.d * 64))
+                         bits=problem.n * exchange_bits(params.m, problem.d)))
 
 
 def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
            oracle_xstar: np.ndarray) -> Trace:
     """Full gradient-tracking run: ``gt_step`` through ``newton.iterate``, with
     the shared trace schema; Hessian-side metrics are NaN (no curvature state)."""
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (problem.n, problem.d):
-        raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x.shape}")
-    grads = batch_gradients(problem, x)
-    return iterate(gt_step, NetworkState(x=x, g=grads.copy(), local_grads=grads),
-                   problem, W, params, oracle_xstar, delta=1.0)
+    return iterate(gt_step, start_state(problem, x0), problem, W, params, oracle_xstar, delta=1.0)
 
 
 def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray,
@@ -89,16 +85,14 @@ def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray
     """``gt_run`` at each of ``alphas`` on one ``(n, C, d)`` stack: each run's status
     and rel_errs, bit for bit as alone up to where it left. A run leaves when it
     stops, and the runs race: once one has converged at some k < ``max_iters``, or
-    k reaches ``horizon``, the runs still going leave as ``"dropped"``."""
-    x0, x_star = np.asarray(x0, dtype=float), np.asarray(oracle_xstar, dtype=float)
-    if x0.shape != (problem.n, problem.d):
-        raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x0.shape}")
-    den = float(np.linalg.norm(x0 - x_star[None, :]) ** 2)
-    grads = batch_gradients(problem, x0)
-    errs = [[relative_error(x0, x_star, den)] for _ in alphas]
-    live = list(range(len(alphas))) if np.isfinite(x0).all() and np.isfinite(grads).all() else []
+    k reaches ``horizon``, the runs still going leave as ``"dropped"``. Like every
+    run, they start from ``newton.start_state`` and stop by ``newton.run_status``."""
+    start, x_star = start_state(problem, x0), np.asarray(oracle_xstar, dtype=float)
+    den = squared_distances(start.x, x_star)[0]
+    errs = [[relative_error(start.x, x_star, den)] for _ in alphas]
+    live = list(range(len(alphas))) if _finite(start) else []
     status = ["max_iters" if live else "diverged"] * len(alphas)
-    x, g = (np.repeat(a[:, None], len(alphas), axis=1) for a in (x0, grads))
+    x, g = (np.repeat(a[:, None], len(alphas), axis=1) for a in (start.x, start.g))
     state = NetworkState(x=x, g=g, local_grads=g.copy())
     params = SimpleNamespace(alpha=np.array(alphas, dtype=float)[:, None], m=m)
     for k in range(max_iters):
@@ -112,8 +106,7 @@ def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray
                   else np.isfinite(g).all(axis=(0, 2)))
         for col, rel, ok in zip(live, relative_error(x, x_star, den), finite):
             errs[col].append(rel)
-            status[col] = ("diverged" if not (ok and rel <= DIVERGENCE_LIMIT) else
-                           "converged" if rel <= stop_tol else "max_iters")
+            status[col] = run_status(ok, rel, stop_tol)
         if k + 1 < max_iters and (k + 1 >= horizon or "converged" in status):
             status = ["dropped" if s == "max_iters" else s for s in status]
             break

@@ -67,7 +67,7 @@ from .diagnostics import (
     theoretical_caps,
 )
 from .gradient_tracking import GTParams, gt_run, tune_alpha
-from .graph import generate_topology, metropolis_weights
+from .graph import generate_topology, metropolis_weights, save_matrix
 from .newton import AlgoParams, ConstantSchedule, GeometricRamp, TwoStageSchedule
 from .objectives import centralized_solve, make_logistic, make_quadratic
 
@@ -167,6 +167,9 @@ class ExperimentConfig:
             raise ValueError(f"[algorithm] alpha mode must be fixed, or tuned with method = gt; "
                              f"got {self.gt_alpha_mode!r} with method = {self.method}")
         _check_int("output", "repetitions", self.repetitions, 1)
+        if self.csv is not None and (os.path.basename(self.csv) in ("", ".", "..") or self.repetitions > 1):
+            raise ValueError(f"[output] csv must name one file for one run; got {self.csv!r} "
+                             f"with [output] repetitions = {self.repetitions}")
         if any(k < 0 for k in self.dump_iters) or (self.dump_iters and self.method == "gt"):
             raise ValueError(f"[output] dump_iters must list iterations >= 0 of a newton run, "
                              f"got {self.dump_iters!r} with method = {self.method}")
@@ -379,8 +382,8 @@ def repetitions(config: ExperimentConfig) -> list:
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     """Build the instance, solve the oracle, run, and write the trace CSV.
 
-    The trace goes to ``[output] csv``, else to ``<out_dir>/<label>.csv``,
-    and the ``dump_iters`` dumps go in that file's directory. Returns
+    The trace goes to ``[output] csv``, else to ``<out_dir>/<label>.csv``, and
+    the ``dump_iters`` dumps next to it as ``<label>.state_x_iter<k>.txt``. Returns
     (trace, csv_path); csv_path is None when no destination was given. The
     trace label/fingerprint identify the run in summaries.
     """
@@ -393,11 +396,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     trace_dir = os.path.dirname(csv_path or "") or "."
     config, problem, W, x0 = _instance(config)
     x_star = centralized_solve(problem, tol=1e-12)
-    if config.dump_iters:
-        os.makedirs(trace_dir, exist_ok=True)  # the dumps are written during the run
+    os.makedirs(trace_dir, exist_ok=True)  # "." when there is no trace path
+
+    def dump(k, state):  # the stacked iterate after k iterations (0: the start)
+        if k in config.dump_iters:
+            save_matrix(f"{trace_dir}/{config.label}.state_x_iter{k:05d}.txt", state.x)
+
     if config.method == "newton":
-        trace = newton.run(problem, W, config.algorithm, x0, x_star,
-                           dump_iters=config.dump_iters, dump_dir=trace_dir)
+        trace = newton.run(problem, W, config.algorithm, x0, x_star, on_step=dump)
     else:
         params = config.algorithm
         if config.gt_alpha_mode == "tuned":
@@ -411,7 +417,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     trace.label = config.label
     trace.fingerprint = config_fingerprint(config)
     if csv_path is not None:
-        os.makedirs(trace_dir, exist_ok=True)
         write_trace_csv(trace, csv_path)
     return trace, csv_path
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .compress import CompressorSpec, compress, delta_bound, payload_bits
-from .diagnostics import RoundMetrics, Trace, fill_state_metrics
-from .graph import MixingMatrix, consensus_apply, save_matrix
+from .diagnostics import RoundMetrics, Trace, fill_state_metrics, squared_distances
+from .graph import MixingMatrix, consensus_apply
 from .objectives import Problem, batch_gradients, batch_hessians, global_value
 
 __all__ = [
@@ -188,30 +188,26 @@ class NetworkState:
     local_hessians: np.ndarray | None = None
 
 
+def start_state(problem: Problem, x0: np.ndarray) -> NetworkState:
+    """Every run's start: x0, and the gradient tracker seeded by the local gradients."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (problem.n, problem.d):
+        raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x0.shape}")
+    grads = batch_gradients(problem, x0)
+    return NetworkState(x=x0.copy(), g=grads.copy(), local_grads=grads)
+
+
 def init_state(problem: Problem, x0: np.ndarray) -> NetworkState:
-    """Start from x0 with trackers seeded by the true local derivatives.
+    """``start_state`` with the Hessian tracker seeded by the true local Hessians.
 
     The compression stores start at zero: E0 = Htilde0 = 0, which makes the
     efficient variant's accumulator W @ Htilde0 = 0 trivially consistent.
     The direction starts at zero, so the first x-update is pure consensus.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.n, problem.d):
-        raise ValueError(f"x0 must have shape ({problem.n}, {problem.d}), got {x0.shape}")
-    grads = batch_gradients(problem, x0)
-    hessians = batch_hessians(problem, x0)
-    shape3 = (problem.n, problem.d, problem.d)
-    return NetworkState(
-        x=x0.copy(),
-        g=grads.copy(),
-        H=hessians.copy(),
-        H_tilde=np.zeros(shape3),
-        E=np.zeros(shape3),
-        H_tilde_w=np.zeros(shape3),
-        d_dir=np.zeros_like(x0),
-        local_grads=grads,
-        local_hessians=hessians,
-    )
+    state = start_state(problem, x0)
+    H = batch_hessians(problem, state.x)
+    return replace(state, H=H.copy(), H_tilde=np.zeros_like(H), E=np.zeros_like(H),
+                   H_tilde_w=np.zeros_like(H), d_dir=np.zeros_like(state.x), local_hessians=H)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +340,11 @@ def _positive_definite(A: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # one iteration
 
+def exchange_bits(m: int, d: int) -> int:
+    """Bits one node sends for x and g over ``m`` gossip rounds: 2m float64 d-vectors."""
+    return 2 * m * d * 64
+
+
 def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoParams, k: int):
     """One iteration from ``state``; returns the new state and its metrics row.
 
@@ -384,7 +385,7 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
     )
     row = RoundMetrics(
         iter=k + 1, alpha_k=alpha, c_k=params.cg_tol.at(k),
-        bits=n * (2 * m * d * 64 + hess_bits),
+        bits=n * (exchange_bits(m, d) + hess_bits),
         fallback_count=fallbacks, cg_max_rel_residual=max_rel, hess_asymmetry=asym,
     )
     return new_state, row
@@ -396,24 +397,24 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
 
 def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: np.ndarray,
             delta: float, on_step=None) -> Trace:
-    """Run ``step_fn(state, problem, W, params, k) -> (state, row)`` until
-    rel_err <= params.stop_tol, divergence, or params.max_iters; every
-    method's runs go through this loop. ``params`` also gives the gossip
-    rounds ``params.rounds(k)`` of iteration k; ``delta`` is the compressor's
-    contraction factor (1.0 for a run that compresses nothing).
+    """Run ``step_fn(state, problem, W, params, k) -> (state, row)`` from the start
+    ``state`` until ``run_status`` stops it or params.max_iters; every method's runs
+    go through this loop. ``params`` also gives the gossip rounds ``params.rounds(k)``
+    of iteration k; ``delta`` is the compressor's contraction factor (1.0 for a run
+    that compresses nothing).
 
-    The loop times ``step_fn`` into ``wall_time``, fills the row's state
-    metrics with ``fill_state_metrics(row, state, problem, x_star, W.sigma,
-    params.rounds(k), delta, rel_err_den=, f_star=)`` and adds up
-    ``bits_cum``. A non-finite x, g or H (the initial state's too), or
-    rel_err past DIVERGENCE_LIMIT, ends the run as "diverged"; a non-finite
-    initial state's row is filled without numpy's warnings, which the note
-    explains. ``on_step(k, state)`` runs after each
-    iteration, outside the timed part.
+    The loop times ``step_fn`` into ``wall_time``, fills the row's state metrics
+    with ``fill_state_metrics(row, state, problem, x_star, W.sigma, params.rounds(k),
+    delta, rel_err_den=, f_star=)`` and adds up ``bits_cum``. A non-finite start
+    ends the run as "diverged" at iteration 0; its row is filled without numpy's
+    warnings, which the note explains. ``on_step(k, state)`` sees the start (k = 0)
+    before that test and the state after each iteration k, outside the timed part.
     """
     x_star = np.asarray(x_star, dtype=float)
-    den = float(np.linalg.norm(state.x - x_star[None, :]) ** 2)
+    den = squared_distances(state.x, x_star)[0]
     f_star = global_value(problem, x_star)
+    if on_step is not None:
+        on_step(0, state)
     finite = _finite(state)
     with np.errstate(**({} if finite else {"invalid": "ignore", "over": "ignore"})):
         rows = [fill_state_metrics(RoundMetrics(iter=0), state, problem, x_star, W.sigma,
@@ -432,18 +433,24 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
         row.bits_cum = bits_cum
         rows.append(row)
         if on_step is not None:
-            on_step(k, state)
+            on_step(k + 1, state)
         finite = _finite(state)
-        if not finite or not row.rel_err <= DIVERGENCE_LIMIT:
-            status = "diverged"
+        status = run_status(finite, row.rel_err, params.stop_tol)
+        if status == "diverged":
             cause = (f"relative error {row.rel_err:.3e} exceeded {DIVERGENCE_LIMIT:.0e}"
                      if finite else "non-finite iterate or tracker")
             note = f"{cause} at iteration {k + 1}"
-            break
-        if row.rel_err <= params.stop_tol:
-            status = "converged"
+        if status != "max_iters":
             break
     return Trace(rows=rows, status=status, note=note)
+
+
+def run_status(finite: bool, rel_err: float, stop_tol: float) -> str:
+    """Every run's status after a step: "diverged" (state not ``finite``, rel_err NaN or
+    past DIVERGENCE_LIMIT), "converged" (rel_err <= stop_tol), else "max_iters" (going on)."""
+    if not (finite and rel_err <= DIVERGENCE_LIMIT):
+        return "diverged"
+    return "converged" if rel_err <= stop_tol else "max_iters"
 
 
 def _finite(state: NetworkState) -> bool:
@@ -454,17 +461,10 @@ def _finite(state: NetworkState) -> bool:
 
 
 def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
-        oracle_xstar: np.ndarray, dump_iters=(), dump_dir=None) -> Trace:
-    """Decentralized Newton run; with ``dump_dir``, the stacked iterate after
-    k iterations is written there for each k in ``dump_iters`` (0: the start)."""
-    def dump(k, state):
-        if dump_dir is not None and k in dump_iters:
-            save_matrix(f"{dump_dir}/state_x_iter{k:05d}.txt", state.x)
-
-    state = init_state(problem, x0)
-    dump(0, state)
-    return iterate(step, state, problem, W, params, oracle_xstar, delta_bound(params.compressor),
-                   on_step=lambda k, state: dump(k + 1, state))
+        oracle_xstar: np.ndarray, on_step=None) -> Trace:
+    """Decentralized Newton run from ``init_state(problem, x0)``; ``on_step`` is ``iterate``'s."""
+    return iterate(step, init_state(problem, x0), problem, W, params, oracle_xstar,
+                   delta_bound(params.compressor), on_step=on_step)
 
 
 def max_state_deviation(a: NetworkState, b: NetworkState) -> float:

@@ -11,6 +11,8 @@ from decnewton.diagnostics import (
     fill_state_metrics,
     fit_rate,
     gamma_cap,
+    relative_error,
+    squared_distances,
     stage2_m_threshold,
     stage_two_window,
     theoretical_caps,
@@ -186,6 +188,22 @@ def test_fill_state_metrics_matches_linalg_norm_oracle(quad_problem, quad_xstar,
         for f in fields(RoundMetrics):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert type(a) is type(b) and (a == b or (a != a and b != b)), f.name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relative_error_of_a_block_is_its_one_column_stack(seed):
+    # one formula: an (n, d) block is a one-run stack, and each run of a wider
+    # stack is bit for bit the run alone
+    rng = np.random.default_rng(seed)
+    x0, x, x_star = (10.0 ** rng.uniform(-4, 4) * rng.standard_normal(shape)
+                     for shape in ((7, 11), (7, 11), (11,)))
+    den = squared_distances(x0, x_star)[0]
+    assert den == float(np.linalg.norm(x0 - x_star)) ** 2
+    block = relative_error(x, x_star, den)
+    assert type(block) is float and [block] == relative_error(x[:, None], x_star, den)
+    stack = np.stack([x0, x, 2.0 * x], axis=1)
+    assert relative_error(stack, x_star, den)[1] == block
+    assert relative_error(x, x_star, 0.0) == 0.0
 
 
 def test_fit_rate_exact_geometric():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import trace_sha256
-from decnewton import gradient_tracking
+from decnewton import gradient_tracking, newton
+from decnewton.compress import CompressorSpec
 from decnewton.diagnostics import fit_rate
 from decnewton.gradient_tracking import (
     GTParams,
@@ -16,7 +17,7 @@ from decnewton.gradient_tracking import (
 )
 from decnewton.graph import generate_topology, metropolis_weights
 from decnewton.harness import SEED_ENV_VAR, build_problem, preset_configs, run_experiment
-from decnewton.newton import NetworkState
+from decnewton.newton import AlgoParams, ConstantSchedule, NetworkState
 from decnewton.objectives import (
     batch_gradients,
     centralized_solve,
@@ -187,14 +188,19 @@ def test_stacked_columns_on_non_finite_start(setup):
         assert np.array_equal(np.array(errs).view(np.uint64), _bits(lone))  # one NaN row
 
 
-@pytest.mark.parametrize("caller", ["gt_run", "tune_alpha"])
+@pytest.mark.parametrize("caller", ["gt_run", "gt_columns", "tune_alpha", "newton.run"])
 def test_start_of_the_wrong_shape_is_rejected(setup, caller):
     prob, W, x_star, x0 = setup
     with pytest.raises(ValueError, match="x0 must have shape"):
         if caller == "gt_run":
             gt_run(prob, W, GTParams(alpha=0.01), x0[:, :-1], x_star)
-        else:
+        elif caller == "gt_columns":
+            gt_columns(prob, W, [0.01, 0.02], 1, x0[:-1], x_star, 5, 1e-6)
+        elif caller == "tune_alpha":
             tune_alpha(prob, W, x0[:, :-1], x_star, budget=5)
+        else:
+            params = AlgoParams(CompressorSpec("identity", d=prob.d), ConstantSchedule(1.0), 0.1)
+            newton.run(prob, W, params, x0[:, :-1], x_star)
 
 
 def _trace_score(trace, log_alpha, lo, target):

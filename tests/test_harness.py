@@ -14,6 +14,7 @@ from decnewton.cli import main
 from decnewton.compress import CompressorSpec
 from decnewton.diagnostics import CSV_COLUMNS
 from decnewton.gradient_tracking import GTParams
+from decnewton.graph import load_matrix
 from decnewton.harness import (
     SEED_ENV_VAR,
     ExperimentConfig,
@@ -203,13 +204,13 @@ _PIN_QUAD = ProblemSpec("quadratic", n=4, d=6, seed=2, kappa=1e3)
         "newton", AlgoParams(CompressorSpec("identity", d=5), TwoStageSchedule(0.25, 40, 1.0), 0.1,
                              m="k", M=0.5, cg_tol=GeometricRamp(1e-3, 0.5, 1e-2), max_iters=300,
                              stop_tol=1e-9, variant="reference"),
-        label="pin-stage", csv="out/pin-stage.csv", dump_iters=(0, 5, 10), repetitions=3),
+        label="pin-stage", dump_iters=(0, 5, 10), repetitions=3),
      "[problem]\nfamily = logistic\nn = 12\nd = 5\nrho = 0.01\nm_per_node = 40\nseed = 7\n\n"
      "[graph]\ntau = 0.3\nseed = 8\n\n"
      "[algorithm]\nmethod = newton\nm = k\ngamma = 0.1\nM = 0.5\nalpha = stage(0.25, 40, 1.0)\n"
      "cg_tol = ramp(0.001, 0.5, 0.01)\ncompressor = identity\nvariant = reference\n"
      "max_iters = 300\nstop_tol = 1e-09\n\n"
-     "[output]\nlabel = pin-stage\ncsv = out/pin-stage.csv\ndump_iters = 0,5,10\nrepetitions = 3\n"),
+     "[output]\nlabel = pin-stage\ndump_iters = 0,5,10\nrepetitions = 3\n"),
     (ExperimentConfig(_PIN_QUAD, GraphSpec(0.5, 9), "newton",
                       AlgoParams(CompressorSpec("top_k", d=6, K=7), ConstantSchedule(0.8), 0.0, m=3),
                       label="pin-topk"),
@@ -348,12 +349,17 @@ def test_compare_reports_gt_wall_time(tmp_path):
 
 
 def test_cli_repetitions(tmp_path):
-    cfg = QUAD_CFG + "repetitions = 2\n"
+    # each repetition writes its own trace and its own dumps, named by its label
+    cfg = QUAD_CFG + "repetitions = 2\ndump_iters = 2\n"
     cfg_path = tmp_path / "rep.cfg"
     cfg_path.write_text(cfg)
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "small-quad-rep0.csv").exists()
-    assert (tmp_path / "small-quad-rep1.csv").exists()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "small-quad-rep0.csv", "small-quad-rep0.state_x_iter00002.txt",
+        "small-quad-rep1.csv", "small-quad-rep1.state_x_iter00002.txt"]
+    dumps = [load_matrix(out / f"small-quad-rep{rep}.state_x_iter00002.txt") for rep in (0, 1)]
+    assert not np.array_equal(*dumps)  # two instances, two iterates
 
 
 def test_cli_run_rejects_repetitions_below_one(tmp_path, capsys):
@@ -444,12 +450,21 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
     # no iteration -1 is ever written
     (QUAD_CFG, "label = small-quad", "label = small-quad\ndump_iters = 2,-1",
      r"\[output\] dump_iters"),
+    # one csv file would hold only the last repetition's trace
+    (QUAD_CFG, "label = small-quad", "label = small-quad\ncsv = t.csv\nrepetitions = 3",
+     r"\[output\] csv.*\[output\] repetitions"),
+    # caught before the run, not when the trace is written
+    (QUAD_CFG, "label = small-quad", "label = small-quad\ncsv =", r"\[output\] csv"),
+    (QUAD_CFG, "label = small-quad", "label = small-quad\ncsv = nodir/", r"\[output\] csv"),
 ], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
         "stop_tol-negative", "ramp-nan", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
         "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "kappa-below-1",
         "rho-inf", "rho-nan", "rho-0", "m_per_node-0", "problem-seed-negative",
-        "graph-seed-negative", "tau-0", "tau-above-1", "dump_iters-negative"])
-def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, base, old, new, field):
+        "graph-seed-negative", "tau-0", "tau-above-1", "dump_iters-negative",
+        "csv-with-repetitions", "csv-empty", "csv-directory"])
+def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, monkeypatch,
+                                        base, old, new, field):
+    monkeypatch.chdir(tmp_path)  # a relative csv path stays in tmp_path
     cfg_path = tmp_path / "bad.cfg"
     assert base.count(old) == 1
     cfg_path.write_text(base.replace(old, new))
@@ -530,7 +545,7 @@ def test_cli_run_dumps_into_a_new_out_dir(tmp_path, capsys):
     assert code == harness.STATUS_CODE[read_trace_csv(out / "small-quad.csv").status]
     assert "status=converged" in capsys.readouterr().out
     assert sorted(p.name for p in out.iterdir()) == [
-        "small-quad.csv", "state_x_iter00002.txt", "state_x_iter00005.txt"]
+        "small-quad.csv", "small-quad.state_x_iter00002.txt", "small-quad.state_x_iter00005.txt"]
 
 
 def test_run_experiment_dumps_next_to_the_csv(tmp_path, monkeypatch):
@@ -540,7 +555,20 @@ def test_run_experiment_dumps_next_to_the_csv(tmp_path, monkeypatch):
     trace, path = run_experiment(config)
     assert trace.status == "converged" and path == "sub/t.csv"
     assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == [
-        "state_x_iter00002.txt", "state_x_iter00005.txt", "t.csv"]
+        "small-quad.state_x_iter00002.txt", "small-quad.state_x_iter00005.txt", "t.csv"]
+
+
+def test_non_finite_start_writes_its_dump_and_diverges_at_iteration_0(tmp_path, monkeypatch):
+    # the start is dumped before the test that ends the run
+    hessians_non_finite_on_call(monkeypatch, 1, np.inf)
+    config = replace(parse_config(QUAD_CFG), csv=str(tmp_path / "t.csv"), dump_iters=(0, 1))
+    trace, _ = run_experiment(config)
+    assert (trace.status, trace.iterations) == ("diverged", 0)
+    assert read_trace_csv(tmp_path / "t.csv").status == "diverged"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "small-quad.state_x_iter00000.txt", "t.csv"]
+    assert np.array_equal(load_matrix(tmp_path / "small-quad.state_x_iter00000.txt"),
+                          np.zeros((6, 8)))
 
 
 def test_run_experiment_rejects_dumps_with_no_trace_path(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import hessians_non_finite_on_call, quad_params
 from decnewton.compress import CompressorSpec, compress, payload_bits
+from decnewton.diagnostics import relative_error, squared_distances
 from decnewton.gradient_tracking import GTParams, gt_run
 from decnewton.graph import generate_topology, metropolis_weights
 from decnewton.newton import (
@@ -592,15 +593,15 @@ def test_growing_consensus_mode(quad_problem, quad_graph, quad_xstar):
     assert trace.status == "converged"
 
 
-def test_state_dump_files(tmp_path, quad_problem, quad_graph, quad_xstar):
+def test_on_step_sees_the_start_and_each_iteration(quad_problem, quad_graph, quad_xstar):
+    # on_step(k, state) gets the state of trace row k, the start (k = 0) included
     _, W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
-    params = quad_params(max_iters=6, stop_tol=0.0)
-    run(quad_problem, W, params, x0, quad_xstar, dump_iters=(0, 2, 5), dump_dir=str(tmp_path))
-    from decnewton.graph import load_matrix
-
-    dumped = load_matrix(tmp_path / "state_x_iter00002.txt")
-    assert dumped.shape == (quad_problem.n, quad_problem.d)
-    assert (tmp_path / "state_x_iter00005.txt").exists()
-    assert np.array_equal(load_matrix(tmp_path / "state_x_iter00000.txt"), x0)  # the start
-    assert len(list(tmp_path.iterdir())) == 3
+    seen = []
+    trace = run(quad_problem, W, quad_params(max_iters=6, stop_tol=0.0), x0, quad_xstar,
+                on_step=lambda k, state: seen.append((k, state.x.copy())))
+    assert [k for k, _ in seen] == [row.iter for row in trace.rows] == list(range(7))
+    assert np.array_equal(seen[0][1], x0)
+    den = squared_distances(x0, quad_xstar)[0]
+    assert [relative_error(x, quad_xstar, den) for _, x in seen] == [
+        row.rel_err for row in trace.rows]

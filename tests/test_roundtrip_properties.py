@@ -56,13 +56,13 @@ def configs(draw):
         alpha = 1.0 if gt_alpha_mode == "tuned" else draw(st.floats(0.0, 10.0))
         algorithm = GTParams(alpha=alpha, m=draw(st.integers(1, 50)),
                              max_iters=max_iters, stop_tol=stop_tol)
+    csv = draw(st.one_of(st.none(), LABELS.map(lambda name: f"out/{name}.csv")))
     return ExperimentConfig(
         problem=problem, graph=graph, method=method, algorithm=algorithm,
-        gt_alpha_mode=gt_alpha_mode, label=draw(LABELS),
-        csv=draw(st.one_of(st.none(), LABELS.map(lambda name: f"out/{name}.csv"))),
+        gt_alpha_mode=gt_alpha_mode, label=draw(LABELS), csv=csv,
         dump_iters=tuple(draw(st.lists(st.integers(0, 10**4), max_size=4)))  # gt writes none
         if method == "newton" else (),
-        repetitions=draw(st.integers(1, 20)))
+        repetitions=draw(st.integers(1, 20)) if csv is None else 1)  # a csv holds one run
 
 
 @settings(max_examples=40, deadline=None)
