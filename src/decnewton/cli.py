@@ -71,10 +71,11 @@ def _dispatch(args) -> int:
         return worst
 
     if args.command == "preset":
-        code, messages = harness.run_preset(args.name, args.out)
-        for msg in messages:
+        worst = 0
+        for code, msg in harness.run_preset(args.name, args.out):
             print(msg)
-        return code
+            worst = max(worst, code)
+        return worst
 
     if args.command == "list-presets":
         for name, description in harness.list_presets():
@@ -87,8 +88,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "caps":
-        config = harness.parse_config(args.config)
-        print(harness.caps_report(config))
+        print(harness.caps_report(harness.repetitions(harness.parse_config(args.config))[0]))
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")

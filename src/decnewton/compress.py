@@ -53,6 +53,8 @@ class CompressorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown compressor kind {self.kind!r}, expected one of {_KINDS}")
+        if isinstance(self.K, bool) or not isinstance(self.K, int):
+            raise ValueError(f"compressor K must be an integer, got {self.K!r}")
         if self.d < 1:
             raise ValueError(f"matrix side length must be positive, got d={self.d}")
         if self.kind == "rank_k" and not 1 <= self.K <= self.d:

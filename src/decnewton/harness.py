@@ -35,8 +35,8 @@ A gradient-tracking config replaces the algorithm block with
 ``stop_tol``. Every run starts from x0 = 0 blocks and measures against a
 centralized Newton oracle. Traces append to CSV with a fixed column order;
 the first line is a comment carrying the label, the config fingerprint, and
-the final status. Setting the environment variable DECNEWTON_SEED overrides
-every seed in the config; a config with ``repetitions`` above 1 then fails.
+the final status. The ``run``, ``preset`` and ``caps`` commands let DECNEWTON_SEED
+override both seeds (``repetitions``); ``run_experiment`` runs the config it is given.
 
 Each field goes in the section shown. Any other field or section, a value
 under ``[DEFAULT]`` and a field the family or method does not read (``rho``
@@ -170,9 +170,10 @@ class ExperimentConfig:
         if self.csv is not None and (os.path.basename(self.csv) in ("", ".", "..") or self.repetitions > 1):
             raise ValueError(f"[output] csv must name one file for one run; got {self.csv!r} "
                              f"with [output] repetitions = {self.repetitions}")
-        if any(k < 0 for k in self.dump_iters) or (self.dump_iters and self.method == "gt"):
-            raise ValueError(f"[output] dump_iters must list iterations >= 0 of a newton run, "
-                             f"got {self.dump_iters!r} with method = {self.method}")
+        for k in self.dump_iters:
+            _check_int("output", "dump_iters", k, 0)
+        if self.dump_iters and self.method == "gt":
+            raise ValueError(f"[output] dump_iters is for newton runs, got {self.dump_iters!r} with method = gt")
 
 
 # ---------------------------------------------------------------------------
@@ -352,27 +353,32 @@ def build_mixing(spec: GraphSpec, n: int):
 
 
 def _instance(config: ExperimentConfig):
-    """Apply DECNEWTON_SEED; returns that config, the instance, its mixing
-    matrix and the zero start x0."""
-    override = os.environ.get(SEED_ENV_VAR)
-    if override:
-        seed = int(override)
-        config = replace(config, problem=replace(config.problem, seed=seed),
-                         graph=replace(config.graph, seed=seed))
+    """The instance of ``config``, its mixing matrix and the zero start x0."""
     problem = build_problem(config.problem)
     _, W = build_mixing(config.graph, config.problem.n)
-    return config, problem, W, np.zeros((problem.n, problem.d))
+    return problem, W, np.zeros((problem.n, problem.d))
 
 
 def repetitions(config: ExperimentConfig) -> list:
     """The runs of ``config``: itself, or one copy per repetition with both
-    seeds shifted by the repetition index and the label suffixed ``-rep<i>``."""
+    seeds shifted by the repetition index and the label suffixed ``-rep<i>``;
+    when DECNEWTON_SEED is set (read here only), itself with both seeds replaced."""
+    override = os.environ.get(SEED_ENV_VAR)
+    if override:
+        try:
+            seed = int(override)
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer >= 0, got {override!r}")
+        if config.repetitions > 1:
+            raise ValueError(f"{SEED_ENV_VAR} sets every seed, so [output] repetitions = "
+                             f"{config.repetitions} would run one instance {config.repetitions} "
+                             f"times; unset one of them")
+        return [replace(config, problem=replace(config.problem, seed=seed),
+                        graph=replace(config.graph, seed=seed))]
     if config.repetitions == 1:
         return [config]
-    if os.environ.get(SEED_ENV_VAR):
-        raise ValueError(f"{SEED_ENV_VAR} sets every seed, so [output] repetitions = "
-                         f"{config.repetitions} would run one instance {config.repetitions} "
-                         f"times; unset one of them")
     return [replace(config, problem=replace(config.problem, seed=config.problem.seed + rep),
                     graph=replace(config.graph, seed=config.graph.seed + rep),
                     label=f"{config.label}-rep{rep}", repetitions=1)
@@ -394,7 +400,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
         raise ValueError("[output] dump_iters writes its dumps next to the trace CSV; "
                          "set [output] csv or pass an output directory")
     trace_dir = os.path.dirname(csv_path or "") or "."
-    config, problem, W, x0 = _instance(config)
+    problem, W, x0 = _instance(config)
     x_star = centralized_solve(problem, tol=1e-12)
     os.makedirs(trace_dir, exist_ok=True)  # "." when there is no trace path
 
@@ -564,23 +570,21 @@ EQUIVALENCE_TOL = 1e-9
 
 
 def run_preset(name: str, out_dir: str):
-    """Run every config of a preset; returns (exit_code, message lines)."""
+    """Run every config of a preset, each expanded through ``repetitions``;
+    yields (exit_code, summary message) as each run ends."""
     configs = preset_configs(name)
     os.makedirs(out_dir, exist_ok=True)
-    if name == "alg-equivalence":
-        return _run_equivalence_preset(out_dir)
-    messages = []
-    worst = 0
-    for config in configs:
-        trace, path = run_experiment(config, out_dir=out_dir)
-        messages.append(summary(trace, path))
-        worst = max(worst, STATUS_CODE[trace.status])
-    return worst, messages
+    if name == "alg-equivalence":  # a check, with no configs
+        yield _run_equivalence_preset(out_dir)
+    for run in [run for config in configs for run in repetitions(config)]:
+        trace, path = run_experiment(run, out_dir=out_dir)
+        yield STATUS_CODE[trace.status], summary(trace, path)
 
 
 def _run_equivalence_preset(out_dir: str):
     config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
-    _, problem, W, x0 = _instance(config)
+    config = repetitions(config)[0]
+    problem, W, x0 = _instance(config)
     deviations = newton.run_lockstep(problem, W, config.algorithm, x0, iters=200)
     path = os.path.join(out_dir, "alg-equivalence.csv")
     with open(path, "w") as fh:
@@ -591,7 +595,7 @@ def _run_equivalence_preset(out_dir: str):
     ok = worst <= EQUIVALENCE_TOL
     msg = (f"alg-equivalence: max deviation {worst:.3e} over 200 iterations "
            f"({'within' if ok else 'EXCEEDS'} {EQUIVALENCE_TOL:g}) -> {path}")
-    return (0 if ok else 2), [msg]
+    return (0 if ok else 2), msg
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +606,7 @@ def caps_report(config: ExperimentConfig) -> str:
     topology, and initialization (x0 = 0 blocks)."""
     if config.method != "newton":
         raise ValueError("caps report applies to newton configs only")
-    _, problem, W, x0 = _instance(config)
+    problem, W, x0 = _instance(config)
     x_star = centralized_solve(problem, tol=1e-12)
     state = newton.init_state(problem, x0)
     params = config.algorithm

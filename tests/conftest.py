@@ -14,11 +14,19 @@ from decnewton import (
     newton,
 )
 from decnewton.compress import CompressorSpec
+from decnewton.harness import SEED_ENV_VAR
 from decnewton.objectives import batch_hessians
 
 # Shared quadratic benchmark setup: n=10 nodes, tau=0.2, d=30, rank-3
 # compression, gamma=0.03, alpha ramping 0.02 * 1.1^k up to 1, m=15.
 QUAD = dict(n=10, d=30, tau=0.2, problem_seed=1, graph_seed=11)
+
+
+@pytest.fixture(autouse=True)
+def _no_seed_override(monkeypatch):
+    """Unset DECNEWTON_SEED, so that a test that runs a ``decnewton`` command
+    runs the config it wrote; a test that wants the override sets it."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 @pytest.fixture(scope="session")

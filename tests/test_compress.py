@@ -228,6 +228,14 @@ def test_spec_validation():
         compress(CompressorSpec("top_k", d=5, K=2), np.zeros((2, 3, 5, 5)))
 
 
+@pytest.mark.parametrize("kind,K", [("rank_k", 2.5), ("rank_k", True), ("top_k", 2.0),
+                                    ("top_k", False), ("identity", 0.0)])
+def test_spec_count_must_be_an_int(kind, K):
+    # rank_k(2.5) failed only in compress, and K=True ran as K = 1
+    with pytest.raises(ValueError, match=r"compressor K must be an integer"):
+        CompressorSpec(kind, 4, K)
+
+
 @pytest.mark.parametrize("kind,K", [("rank_k", 2), ("top_k", 4), ("identity", 0)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("stacked", [False, True])

@@ -1,18 +1,15 @@
 """The demos run in-process against the current library API.
 
-Demos 03-05 run preset configs through ``run_experiment``, which reads
-DECNEWTON_SEED, so the variable is unset here. Demo 04 (logistic compression,
-about 2 s) is the one logistic caller of ``tune_alpha``, so its last line pins
-the tuned gradient-tracking run. Demo 03 (the kappa sweep, about 6 s) is in
-the slow suite; it pins its three tuned gradient-tracking rows.
+Demos 03-05 run preset configs through ``run_experiment``. Demo 04 (logistic
+compression, about 2 s) is the one logistic caller of ``tune_alpha``, so its
+last line pins the tuned gradient-tracking run. Demo 03 (the kappa sweep,
+about 6 s) is in the slow suite; it pins its three tuned gradient-tracking rows.
 """
 
 import runpy
 from pathlib import Path
 
 import pytest
-
-from decnewton.harness import SEED_ENV_VAR
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -28,8 +25,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     pytest.param("04_logistic_compression", "gradient tracking      80       6.14", (), id="04"),
     pytest.param("05_caps_and_lyapunov", "converged at iteration 45 with rel_err", (), id="05"),
 ])
-def test_demo_runs(capsys, monkeypatch, name, last_line, rows):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_demo_runs(capsys, name, last_line, rows):
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
     assert last_line in lines[-1]

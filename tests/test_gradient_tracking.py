@@ -16,7 +16,7 @@ from decnewton.gradient_tracking import (
     tune_alpha,
 )
 from decnewton.graph import generate_topology, metropolis_weights
-from decnewton.harness import SEED_ENV_VAR, build_problem, preset_configs, run_experiment
+from decnewton.harness import build_problem, preset_configs, run_experiment
 from decnewton.newton import AlgoParams, ConstantSchedule, NetworkState
 from decnewton.objectives import (
     batch_gradients,
@@ -363,7 +363,6 @@ def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):
     # move the search or the final run shows here. The alpha and the trace's
     # sha256 without wall_time hold for this numpy/OpenBLAS (numpy 2 with
     # OpenBLAS 0.3.31, Haswell kernels), at one BLAS thread or two.
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     stacks = []
 
     def recorded(*args, **kwargs):
@@ -393,7 +392,6 @@ def _tuned_gt_config(max_iters, stop_tol):
 
 def test_tuned_run_converges_at_its_alpha_tuning_score(monkeypatch):
     # tuning runs at the final run's stop_tol, so the run stops where its alpha scored
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     scored = {}
 
     def recorded(problem, W, alphas, *args):
@@ -407,9 +405,8 @@ def test_tuned_run_converges_at_its_alpha_tuning_score(monkeypatch):
     assert scored[trace.rows[-1].alpha_k] == ("converged", trace.iterations)
 
 
-def test_tuned_run_with_zero_stop_tol_runs(monkeypatch):
+def test_tuned_run_with_zero_stop_tol_runs():
     # tuning aims at the roundoff floor instead of taking log(0)
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     config = _tuned_gt_config(60, 0.0)
     trace, _ = run_experiment(config)
     assert (trace.status, trace.iterations) == ("max_iters", 60)

@@ -27,6 +27,7 @@ from decnewton.harness import (
     preset_configs,
     read_trace_csv,
     render_config,
+    repetitions,
     run_experiment,
     write_trace_csv,
 )
@@ -181,8 +182,11 @@ def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
     (QUAD_CFG, {"gt_alpha_mode": "tuned"}, r"\[algorithm\] alpha mode"),
     (QUAD_CFG, {"dump_iters": (3, -1)}, r"\[output\] dump_iters"),
     (GT_CFG, {"dump_iters": (0,)}, r"\[output\] dump_iters"),
+    # 1.5 would write no dump and True the dump of iteration 1
+    (QUAD_CFG, {"dump_iters": (1.5,)}, r"\[output\] dump_iters"),
+    (QUAD_CFG, {"dump_iters": (True,)}, r"\[output\] dump_iters"),
 ], ids=["newton-as-GT", "newton-params-as-gt", "gt-params-as-newton", "alpha-mode-case",
-        "tuned-newton", "negative-dump", "gt-dump"])
+        "tuned-newton", "negative-dump", "gt-dump", "float-dump", "bool-dump"])
 def test_config_rejects_runs_that_do_not_exist(base, change, named):
     with pytest.raises(ValueError, match=named):
         replace(parse_config(base), **change)
@@ -297,12 +301,73 @@ def test_gt_experiment_with_tuned_alpha(tmp_path):
     assert trace.final_rel_err <= 1e-8
 
 
+def _reseeded(config, seed):
+    return replace(config, problem=replace(config.problem, seed=seed),
+                   graph=replace(config.graph, seed=seed))
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
-    config = parse_config(QUAD_CFG)
-    base, _ = run_experiment(config, out_dir=str(tmp_path / "x"))
+    # decnewton run writes the trace of the config with both seeds replaced
+    cfg_path = tmp_path / "quad.cfg"
+    cfg_path.write_text(QUAD_CFG)
     monkeypatch.setenv(SEED_ENV_VAR, "99")
-    other, _ = run_experiment(config, out_dir=str(tmp_path / "y"))
-    assert base.rows[-1].rel_err != other.rows[-1].rel_err  # different instance
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 0
+    monkeypatch.delenv(SEED_ENV_VAR)
+    config = parse_config(QUAD_CFG)
+    _, reseeded = run_experiment(_reseeded(config, 99), out_dir=str(tmp_path / "reseeded"))
+    _, base = run_experiment(config, out_dir=str(tmp_path / "base"))
+    written = strip_wall_time((tmp_path / "cli" / "small-quad.csv").read_text())
+    assert written == strip_wall_time(Path(reseeded).read_text())
+    assert written != strip_wall_time(Path(base).read_text())
+
+
+def test_run_experiment_runs_the_config_it_is_given(tmp_path, monkeypatch):
+    # only the commands read DECNEWTON_SEED, where they expand a config
+    config = parse_config(QUAD_CFG)
+    _, p1 = run_experiment(config, out_dir=str(tmp_path / "a"))
+    monkeypatch.setenv(SEED_ENV_VAR, "99")
+    _, p2 = run_experiment(config, out_dir=str(tmp_path / "b"))
+    assert strip_wall_time(Path(p1).read_text()) == strip_wall_time(Path(p2).read_text())
+
+
+@pytest.mark.parametrize("value,seed", [("0", 0), (" 7 ", 7), ("+3", 3)])
+def test_seed_env_override_reads_what_int_reads(monkeypatch, value, seed):
+    monkeypatch.setenv(SEED_ENV_VAR, value)
+    config = parse_config(QUAD_CFG)
+    assert repetitions(config) == [_reseeded(config, seed)]  # the label unchanged
+
+
+def test_cli_preset_applies_the_seed_variable(tmp_path, monkeypatch):
+    # each preset run, and the equivalence check, is built from the reseeded config
+    built = []
+
+    def record(config):
+        built.append((config.label, config.problem.seed, config.graph.seed))
+        raise RuntimeError("instance recorded")
+
+    monkeypatch.setattr(harness, "_instance", record)
+    monkeypatch.setenv(SEED_ENV_VAR, "7")
+    for name in ("logit-topk", "alg-equivalence"):
+        assert main(["preset", name, "--out", str(tmp_path)]) == 1
+    assert built == [("logit-topk-m15", 7, 7), ("quad-k1e2-m15", 7, 7)]
+
+
+def test_cli_preset_prints_each_run_as_it_ends(tmp_path, capsys, monkeypatch):
+    # a run that fails leaves the summaries of the runs before it on stdout
+    printed_before = []
+
+    def third_fails(config, out_dir=None):
+        printed_before.append(capsys.readouterr().out.splitlines())
+        if len(printed_before) == 3:
+            raise RuntimeError("the third run failed")
+        return run_experiment(config, out_dir=out_dir)
+
+    monkeypatch.setattr(harness, "run_experiment", third_fails)
+    assert main(["preset", "quad-kappa", "--out", str(tmp_path)]) == 1
+    assert [len(lines) for lines in printed_before] == [0, 1, 1]
+    assert printed_before[1][0].startswith("quad-k1e1-m15: status=converged")
+    assert printed_before[2][0].startswith("quad-k1e1-m20: status=converged")
+    assert capsys.readouterr().err == "error: the third run failed\n"
 
 
 def test_compare_summary(tmp_path):
@@ -409,10 +474,21 @@ def test_seed_in_code_must_be_a_non_negative_int(section, value):
         replace(getattr(parse_config(QUAD_CFG), section), seed=value)
 
 
-def test_seed_env_override_must_be_a_non_negative_int(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "-4")
-    with pytest.raises(ValueError, match=r"\[problem\] seed"):
-        run_experiment(parse_config(QUAD_CFG))
+def test_seed_env_override_must_be_a_non_negative_int(tmp_path, capsys, monkeypatch):
+    # the error names the variable, not int() or the config's valid seeds,
+    # before any instance is built
+    def unreached(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(harness, "build_problem", unreached)
+    cfg_path = tmp_path / "quad.cfg"
+    cfg_path.write_text(QUAD_CFG)
+    for value in ("abc", "1.5", "-1"):
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {SEED_ENV_VAR} must be an integer >= 0, got {value!r}"]
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("value", [0, 2.0, 2.5, True])
@@ -699,6 +775,22 @@ def test_cli_caps_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gamma <=" in out
     assert "cg tol" in out
+
+
+def test_cli_caps_applies_the_seed_variable(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "quad.cfg"
+    cfg_path.write_text(QUAD_CFG)
+    assert main(["caps", "--config", str(cfg_path)]) == 0
+    base = capsys.readouterr().out
+    monkeypatch.setenv(SEED_ENV_VAR, "99")
+    assert main(["caps", "--config", str(cfg_path)]) == 0
+    reseeded = capsys.readouterr().out
+    assert reseeded != base
+    assert reseeded == harness.caps_report(_reseeded(parse_config(QUAD_CFG), 99)) + "\n"
+    # as for run, the variable would give every repetition one instance
+    cfg_path.write_text(QUAD_CFG + "repetitions = 2\n")
+    assert main(["caps", "--config", str(cfg_path)]) == 1
+    assert "[output] repetitions" in capsys.readouterr().err
 
 
 def test_trace_csv_round_trip_values(tmp_path):

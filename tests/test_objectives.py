@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from decnewton.harness import SEED_ENV_VAR, build_problem, preset_configs
+from decnewton.harness import build_problem, preset_configs
 from decnewton.objectives import (
     _ROUNDOFF_MULTIPLE,
     batch_gradients,
@@ -360,7 +360,6 @@ def test_only_logistic_runs_load_scipy_special():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    env.pop(SEED_ENV_VAR, None)
     out = subprocess.run([sys.executable, "-c", _SCIPY_SPECIAL_PROBE], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout.split()
     assert out == ["False", "True"]
