@@ -201,12 +201,18 @@ def squared_distances(x: np.ndarray, x_star: np.ndarray) -> list:
     return [math.sqrt(sq) ** 2 for sq in np.vecdot(v, v).tolist()]  # v @ v per run
 
 
+# OpenBLAS splits a dot product of more entries than this across its threads.
+_DOT_CHUNK = 10_000
+
+
 def _norm(a: np.ndarray) -> float:
-    """Frobenius norm of any array, as np.linalg.norm(a) computes it (the
-    square root of the dot product of the flattened array with itself),
-    without its call overhead."""
+    """Frobenius norm of any array: the square root of the dot product of the
+    flattened array with itself, as np.linalg.norm(a) computes it, without its
+    call overhead. A longer array adds up the dots of its ``_DOT_CHUNK``-entry
+    chunks in order, so its bits do not depend on the BLAS thread count."""
     v = a.ravel(order="K")
-    return math.sqrt(v @ v)
+    chunks = [v[i:i + _DOT_CHUNK] for i in range(0, v.size, _DOT_CHUNK)]
+    return math.sqrt(sum(c @ c for c in chunks))
 
 
 # ---------------------------------------------------------------------------

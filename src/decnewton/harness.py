@@ -461,9 +461,13 @@ def read_trace_csv(path) -> Trace:
     """Read a trace whose header names any subset of the RoundMetrics fields.
     Raises ValueError naming the file, and the line where there is one, on
     a missing header or data, an unknown or duplicated column, a row of the
-    wrong length or a value that does not parse."""
+    wrong length, a value that does not parse or a missing final newline (the
+    writer ends every line with one, so its absence marks a cut file)."""
     with open(path) as fh:
-        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+        text = fh.read()
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if text and not text.endswith("\n"):
+        raise ValueError(f"{path}:{len(text.splitlines())}: no newline at the end; the file is cut")
     label, fingerprint, status = "", "", ""
     if lines and lines[0][1].startswith("#"):
         meta = dict(tok.split("=", 1) for tok in lines[0][1][1:].split() if "=" in tok)

@@ -137,7 +137,9 @@ def make_logistic(n: int, d: int, m_per_node: int, rho: float, seed: int) -> Pro
 # vector times a matrix, broadcast over any candidate axes: one BLAS call per
 # node and column, so a column of an (n, C, d) stack gets the bits it gets alone.
 # Blocks are made C-contiguous first: a row that is not unit-stride would take
-# numpy's own loop instead of BLAS, and other bits.
+# numpy's own loop instead of BLAS, and other bits. F and its derivatives take
+# the same products at x on every node and add them up in node order: no product
+# is large enough for BLAS to split, so the bits ignore the BLAS thread count.
 
 
 def _expit(z: np.ndarray) -> np.ndarray:
@@ -159,6 +161,18 @@ def _margins(data: LogisticInstance, xb: np.ndarray) -> np.ndarray:
     return (xb[..., None, :] @ np.swapaxes(O, -1, -2)) * _per_node(data.labels, xb)[..., None, :]
 
 
+def _neg_loss_grads(data: LogisticInstance, xb: np.ndarray) -> np.ndarray:
+    """sum_j sigmoid(-z_ij) y_ij o_ij, each node's sample-loss gradient negated: (n, ..., d)."""
+    s = _expit(-_margins(data, xb)) * _per_node(data.labels, xb)[..., None, :]
+    return (s @ _per_node(data.samples, xb))[..., 0, :]
+
+
+def _loss_hessians(data: LogisticInstance, xb: np.ndarray) -> np.ndarray:
+    """sum_j sigmoid'(z_ij) o_ij o_ij^T, each node's sample-loss Hessian: (n, d, d)."""
+    z = _margins(data, xb)[:, 0, :]
+    return (data.samples * (_expit(z) * _expit(-z))[..., None]).transpose(0, 2, 1) @ data.samples
+
+
 def batch_gradients(problem: Problem, xb: np.ndarray) -> np.ndarray:
     """Gradients of every f_i at its own block: xb (n, d) -> (n, d), or at C
     blocks each, (n, C, d) -> (n, C, d), every column bit for bit as alone.
@@ -169,8 +183,7 @@ def batch_gradients(problem: Problem, xb: np.ndarray) -> np.ndarray:
     data = problem.data
     if problem.family == "quadratic":
         return (xb[..., None, :] @ _per_node(data.Q, xb))[..., 0, :] + _per_node(data.p, xb)
-    s = _expit(-_margins(data, xb)) * _per_node(data.labels, xb)[..., None, :]
-    return data.rho * xb - problem.n * (s @ _per_node(data.samples, xb))[..., 0, :]
+    return data.rho * xb - problem.n * _neg_loss_grads(data, xb)
 
 
 def batch_hessians(problem: Problem, xb: np.ndarray) -> np.ndarray:
@@ -178,12 +191,7 @@ def batch_hessians(problem: Problem, xb: np.ndarray) -> np.ndarray:
     xb = np.ascontiguousarray(xb, dtype=float)
     if problem.family == "quadratic":
         return problem.data.Q.copy()
-    O, rho = problem.data.samples, problem.data.rho
-    z = _margins(problem.data, xb)[:, 0, :]
-    w = _expit(z) * _expit(-z)
-    H = problem.n * ((O * w[..., None]).transpose(0, 2, 1) @ O)
-    H += rho * np.eye(problem.d)[None, :, :]
-    return H
+    return problem.n * _loss_hessians(problem.data, xb) + problem.data.rho * np.eye(problem.d)
 
 
 def global_value(problem: Problem, x: np.ndarray) -> float:
@@ -191,28 +199,24 @@ def global_value(problem: Problem, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if problem.family == "quadratic":
         return float(0.5 * x @ problem.data.Qbar @ x + problem.data.pbar @ x)
-    O, y, rho = problem.data.samples, problem.data.labels, problem.data.rho
-    z = np.einsum("nmd,d->nm", O, x) * y
-    return float(0.5 * rho * x @ x + np.logaddexp(0.0, -z).sum())
+    z = _margins(problem.data, np.broadcast_to(x, (problem.n, problem.d)))
+    return float(0.5 * problem.data.rho * x @ x + np.logaddexp(0.0, -z).sum())
 
 
 def global_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if problem.family == "quadratic":
         return problem.data.Qbar @ x + problem.data.pbar
-    O, y, rho = problem.data.samples, problem.data.labels, problem.data.rho
-    z = np.einsum("nmd,d->nm", O, x) * y
-    return rho * x - np.einsum("nm,nmd->d", _expit(-z) * y, O)
+    neg_grads = _neg_loss_grads(problem.data, np.broadcast_to(x, (problem.n, problem.d)))
+    return problem.data.rho * x - np.add.reduce(neg_grads, axis=0)
 
 
 def global_hessian(problem: Problem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if problem.family == "quadratic":
         return problem.data.Qbar
-    O, y, rho = problem.data.samples, problem.data.labels, problem.data.rho
-    z = np.einsum("nmd,d->nm", O, x) * y
-    w = _expit(z) * _expit(-z)
-    return rho * np.eye(problem.d) + np.einsum("nm,nmd,nme->de", w, O, O)
+    hessians = _loss_hessians(problem.data, np.broadcast_to(x, (problem.n, problem.d)))
+    return problem.data.rho * np.eye(problem.d) + np.add.reduce(hessians, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,43 +230,39 @@ _ROUNDOFF_MULTIPLE = 1e4
 def centralized_solve(problem: Problem, tol: float = 1e-12, max_iters: int = 100) -> np.ndarray:
     """Minimize F with a damped Newton iteration until ||grad F|| <= tol.
 
-    ``tol`` can lie below the roundoff floor of the sums in grad F, where the
-    line search stops moving x: logit-rank instances stall at 60 to 470 times
-    ``eps * ||grad F(0)||``. When x stops moving, or at ``max_iters``, a gradient
-    within ``_ROUNDOFF_MULTIPLE`` times that is accepted too; above it is an error.
+    A Newton decrement within F's own roundoff (``4 eps |F|``) is below what the Armijo
+    test can see, so that step is taken in full. ``tol`` can lie below the roundoff
+    floor of grad F: when such a step stops lowering ||grad F||, x stops moving, or at
+    ``max_iters``, ||grad F|| <= ``_ROUNDOFF_MULTIPLE * eps * ||grad F(0)||`` is accepted too.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     x = np.zeros(problem.d)
-    fx = global_value(problem, x)
-    grad = global_gradient(problem, x)
+    fx, grad = global_value(problem, x), global_gradient(problem, x)
     floor = _ROUNDOFF_MULTIPLE * np.finfo(float).eps * float(np.linalg.norm(grad))
     for _ in range(max_iters):
-        if np.linalg.norm(grad) <= tol:
+        norm = float(np.linalg.norm(grad))
+        if norm <= tol:
             return x
-        H = global_hessian(problem, x)
-        step = np.linalg.solve(H, grad)
-        t = 1.0
+        step = np.linalg.solve(global_hessian(problem, x), grad)
         decrement = float(grad @ step)
-        for _ in range(60):
-            trial = x - t * step
-            f_trial = global_value(problem, trial)
-            if f_trial <= fx - 1e-4 * t * decrement:
-                break
-            t *= 0.5
+        t, roundoff = 1.0, decrement <= 4 * np.finfo(float).eps * abs(fx)
+        if not roundoff:
+            for _ in range(60):
+                if global_value(problem, x - t * step) <= fx - 1e-4 * t * decrement:
+                    break
+                t *= 0.5
         x_new = x - t * step
-        if np.array_equal(x_new, x):
-            break  # stalled: every later iteration would repeat this one
-        x = x_new
-        fx = global_value(problem, x)
-        grad = global_gradient(problem, x)
+        grad_new = global_gradient(problem, x_new)
+        if np.array_equal(x_new, x) or roundoff and np.linalg.norm(grad_new) >= norm:
+            break  # stalled: no later step can lower ||grad F||
+        x, fx, grad = x_new, global_value(problem, x_new), grad_new
     norm = float(np.linalg.norm(grad))
     if norm <= tol or norm <= floor:
         return x
-    raise RuntimeError(
-        f"centralized Newton did not reach tol={tol} or the roundoff floor {floor:.3e} "
-        f"in {max_iters} iterations (final ||grad||={norm:.3e}); instance may be ill-posed"
-    )
+    raise RuntimeError(f"centralized Newton did not reach tol={tol} or the roundoff floor "
+                       f"{floor:.3e} in {max_iters} iterations (final ||grad||={norm:.3e}); "
+                       "instance may be ill-posed")
 
 
 def _constants_quadratic(data: QuadraticInstance):

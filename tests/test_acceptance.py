@@ -64,10 +64,9 @@ def preset_traces():
 # sha256 of each preset trace CSV without wall_time (``trace_sha256``): a
 # change that moves any bit of a trace, fingerprint and status lines
 # included, fails here. The hashes hold for this numpy/OpenBLAS (numpy 2 with
-# OpenBLAS 0.3.31, Haswell kernels). The logistic traces also depend on the
-# BLAS thread count, so they are rerun in a child interpreter with BLAS on one
-# thread, as the benchmark runs; the quadratic ones are the same at one and
-# two threads and come from ``preset_traces``.
+# OpenBLAS 0.3.31, Haswell kernels) at one BLAS thread or two. The logistic
+# traces come from a child interpreter with BLAS on one thread, as the
+# benchmark runs them; the quadratic ones come from ``preset_traces``.
 PRESET_TRACE_SHA256 = {
     "quad-k1e1-m15": "dae60033247a802bd3da8f167073ab88e01b7669410da074af5a6b3d34a7e7fd",
     "quad-k1e1-m20": "a6c09a7807bf0051ec95477c385222a8766cddfadfa0fd59db9d441a9cbc35d2",
@@ -78,27 +77,60 @@ PRESET_TRACE_SHA256 = {
     "quad-k1e4-m15": "18d8f42a6b23a63a0e8fd3291c8adad525fb5e4a00e0fee8223d46b96538193f",
     "quad-k1e4-m20": "054e57a8708efd2db4be2cadf33c11ae32ae61b42e80e6a8cbd8bc5ccc1bd18a",
     "quad-k1e4-mk": "2c9343480874ba640daf0b1e1c906c800ab1907bef1c7587443b2951d1876ebc",
-    "logit-topk-m15": "f31883e23680144e70124d447593f5c68e5204859d070c4d60cb5bbc23441c0b",
-    "logit-rank-m15": "e117e3d9ca572bb4d6264b434c54a262f722e3540864f60f4de256b6dc1ce277",
+    "logit-topk-m15": "2c331d98bde6e54c1526cf0cbe7c6da3e24e5871f8b2a6cc65cd9c6cf1a299ca",
+    "logit-rank-m15": "b9e84901f0cdc680180de1780799b666e2a0b5847453b038ce38591d96cccd9d",
 }
-ONE_THREAD_PRESETS = ("logit-topk", "logit-rank")
+LOGISTIC_PRESETS = ("logit-topk", "logit-rank")
+_CHILD_RUN = """
+import sys
+from decnewton.harness import build_problem, preset_configs, run_experiment
+from decnewton.objectives import centralized_solve
+for config in (c for name in sys.argv[2:] for c in preset_configs(name)):
+    run_experiment(config, out_dir=sys.argv[1])
+    print(config.label, centralized_solve(build_problem(config.problem)).tobytes().hex())
+"""
 
 
-def test_preset_traces_keep_their_bits(preset_traces, tmp_path):
+def run_logistic_presets(out_dir, threads: int) -> dict:
+    """Run the logistic presets in a child interpreter with BLAS on ``threads``
+    threads, writing their trace CSVs to ``out_dir``: {label: x* as hex}."""
     src = os.path.dirname(os.path.dirname(decnewton.__file__))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "MKL_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    subprocess.run([sys.executable, "-c",
-                    "import sys; from decnewton.harness import preset_configs, run_experiment; "
-                    "[run_experiment(c, out_dir=sys.argv[1]) "
-                    "for name in sys.argv[2:] for c in preset_configs(name)]",
-                    str(tmp_path), *ONE_THREAD_PRESETS], env=env, check=True)
+    out = subprocess.run([sys.executable, "-c", _CHILD_RUN, str(out_dir), *LOGISTIC_PRESETS],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return dict(line.split() for line in out.splitlines())
+
+
+@pytest.fixture(scope="module")
+def one_thread_logistic(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("one-thread")
+    return out_dir, run_logistic_presets(out_dir, 1)
+
+
+def test_preset_traces_keep_their_bits(preset_traces, one_thread_logistic, tmp_path):
+    one_dir, _ = one_thread_logistic
+    got = {}
     for label, trace in preset_traces.items():
-        if not (tmp_path / f"{label}.csv").exists():
-            write_trace_csv(trace, tmp_path / f"{label}.csv")
-    got = {label: trace_sha256(tmp_path / f"{label}.csv") for label in preset_traces}
+        path = one_dir / f"{label}.csv"
+        if not path.exists():
+            path = tmp_path / f"{label}.csv"
+            write_trace_csv(trace, path)
+        got[label] = trace_sha256(path)
     assert got == PRESET_TRACE_SHA256
+
+
+def test_logistic_traces_ignore_the_blas_thread_count(one_thread_logistic, tmp_path):
+    # every per-node product is too small for OpenBLAS to split over threads,
+    # and a norm past its dot split adds fixed chunks: two threads give the
+    # one-thread oracle and traces bit for bit
+    one_dir, one_stars = one_thread_logistic
+    assert sorted(one_stars) == ["logit-rank-m15", "logit-topk-m15"]
+    assert run_logistic_presets(tmp_path, 2) == one_stars
+    for label in one_stars:
+        assert (strip_wall_time((tmp_path / f"{label}.csv").read_text())
+                == strip_wall_time((one_dir / f"{label}.csv").read_text())), label
 
 
 @pytest.fixture(scope="module")

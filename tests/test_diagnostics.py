@@ -6,8 +6,10 @@ import pytest
 
 from conftest import quad_params
 from decnewton.diagnostics import (
+    _DOT_CHUNK,
     RoundMetrics,
     Trace,
+    _norm,
     fill_state_metrics,
     fit_rate,
     gamma_cap,
@@ -188,6 +190,18 @@ def test_fill_state_metrics_matches_linalg_norm_oracle(quad_problem, quad_xstar,
         for f in fields(RoundMetrics):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert type(a) is type(b) and (a == b or (a != a and b != b)), f.name
+
+
+def test_norms_past_the_blas_split_add_fixed_chunks_in_order():
+    # OpenBLAS splits a dot of more than _DOT_CHUNK entries over its threads,
+    # so a longer norm adds up fixed chunks in order; a quadratic (10, 30, 30)
+    # stack keeps the one dot np.linalg.norm takes
+    rng = np.random.default_rng(4)
+    short = rng.standard_normal((10, 30, 30))
+    assert _norm(short) == float(np.linalg.norm(short))
+    long = rng.standard_normal((30, 20, 20))  # a logistic Hessian stack: 12,000 entries
+    head, tail = long.ravel()[:_DOT_CHUNK], long.ravel()[_DOT_CHUNK:]
+    assert _norm(long) == math.sqrt(float(head @ head) + float(tail @ tail))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -742,8 +742,9 @@ def test_cli_list_and_compare(tmp_path, capsys):
     ("iter,rel_err\n0,1.0\n\n1,abc\n", "bad.csv:4"),
     ("iter,rel_err\n0.5,1.0\n", "bad.csv:2"),
     ("# decnewton-trace label=x\niter,rel_err,rel_err\n0,1.0,0.5\n", "bad.csv:2: duplicated"),
+    ("iter,rel_err\n0,1.0\n1,0.5", "bad.csv:3: no newline"),
 ], ids=["empty", "comment-only", "header-only", "cut-short-row", "renamed-column",
-        "bad-float", "bad-int", "duplicated-column"])
+        "bad-float", "bad-int", "duplicated-column", "no-final-newline"])
 def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
@@ -752,6 +753,24 @@ def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, text, where):
     assert main(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and where in err
+
+
+def test_cli_compare_rejects_a_trace_cut_inside_its_last_field(tmp_path, capsys):
+    # 5 bytes cut from the end fall inside the last row's wall_time, which
+    # still parses as a float: only the missing final newline shows the cut
+    cfg_path = tmp_path / "quad.cfg"
+    cfg_path.write_text(QUAD_CFG)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    whole = tmp_path / "small-quad.csv"
+    cut = tmp_path / "cut.csv"
+    cut.write_bytes(whole.read_bytes()[:-5])
+    last_line = len(cut.read_text().splitlines())
+    assert float(cut.read_text().splitlines()[-1].split(",")[-1]) >= 0
+    assert main(["compare", str(whole), str(cut), "--out", str(tmp_path / "cmp.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"cut.csv:{last_line}: no newline at the end" in err
+    assert not (tmp_path / "cmp.csv").exists()
 
 
 def test_cli_equivalence_preset(tmp_path, capsys):

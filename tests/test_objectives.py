@@ -214,13 +214,25 @@ def test_centralized_solve_logistic(logit_problem):
 
 @pytest.mark.parametrize("shift", [19, 156, 223])
 def test_centralized_solve_stops_at_roundoff(shift):
-    # logit-rank instances whose gradient cannot reach 1e-12 in floating
-    # point: the damped Newton step stops moving x above it
+    # logit-rank instances on which the Armijo test, run on F's roundoff,
+    # once halved the step to nothing above 1e-12: full steps reach 1e-12,
+    # and a tol below the roundoff floor of grad F stops at that floor
     config = preset_configs("logit-rank")[0]
     prob = build_problem(replace(config.problem, seed=config.problem.seed + shift))
-    x_star = centralized_solve(prob, tol=1e-12)
+    assert np.linalg.norm(global_gradient(prob, centralized_solve(prob, tol=1e-12))) <= 1e-12
+    x_star = centralized_solve(prob, tol=1e-16)
     floor = np.finfo(float).eps * np.linalg.norm(global_gradient(prob, np.zeros(prob.d)))
-    assert 1e-12 < np.linalg.norm(global_gradient(prob, x_star)) <= _ROUNDOFF_MULTIPLE * floor
+    assert 1e-16 < np.linalg.norm(global_gradient(prob, x_star)) <= _ROUNDOFF_MULTIPLE * floor
+
+
+@pytest.mark.parametrize("rho", [1e2, 1e3, 1e4])
+def test_centralized_solve_solves_one_sample_per_node(rho):
+    # kappa 1.07 to 1.9: near x* the Newton decrement (about ||grad||^2 / rho)
+    # falls below F's roundoff, where the Armijo test can neither pass nor fail
+    for seed in range(1, 21):
+        prob = make_logistic(10, 20, 1, rho=rho, seed=seed)
+        x_star = centralized_solve(prob, tol=1e-12)
+        assert np.linalg.norm(global_gradient(prob, x_star)) <= 1e-12, seed
 
 
 def test_centralized_solve_raises_above_roundoff(logit_problem):
