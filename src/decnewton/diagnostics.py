@@ -106,18 +106,19 @@ class Trace:
     def iterations(self) -> int:
         return self.rows[-1].iter
 
+    def _first_within(self, tol: float):
+        """The first row with rel_err <= tol, or None if no row reaches it."""
+        return next((r for r in self.rows if r.rel_err <= tol), None)
+
     def iters_to(self, tol: float) -> int:
         """First iteration index with rel_err <= tol, or -1 if never reached."""
-        for r in self.rows:
-            if r.rel_err <= tol:
-                return r.iter
-        return -1
+        row = self._first_within(tol)
+        return -1 if row is None else row.iter
 
     def bits_to(self, tol: float) -> int:
-        for r in self.rows:
-            if r.rel_err <= tol:
-                return r.bits_cum
-        return -1
+        """Cumulative bits at ``iters_to(tol)``, or -1 if never reached."""
+        row = self._first_within(tol)
+        return -1 if row is None else row.bits_cum
 
 
 def _local_floor(mu: float) -> float:

@@ -131,6 +131,8 @@ class ProblemSpec:
             if needed == (getattr(self, key) is None):
                 raise ValueError(f"[problem] {key} is {'required' if needed else 'not read'} "
                                  f"for a {self.family} problem")
+        if self.m_per_node is not None:
+            _check_int("problem", "m_per_node", self.m_per_node, 1)
 
 
 @dataclass(frozen=True)
@@ -353,10 +355,11 @@ def build_mixing(spec: GraphSpec, n: int):
 
 
 def _instance(config: ExperimentConfig):
-    """The instance of ``config``, its mixing matrix and the zero start x0."""
+    """The instance of ``config``, its mixing matrix, the zero start x0 and the
+    exact minimiser x* every run of it is scored against."""
     problem = build_problem(config.problem)
     _, W = build_mixing(config.graph, config.problem.n)
-    return problem, W, np.zeros((problem.n, problem.d))
+    return problem, W, np.zeros((problem.n, problem.d)), centralized_solve(problem)
 
 
 def repetitions(config: ExperimentConfig) -> list:
@@ -400,8 +403,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
         raise ValueError("[output] dump_iters writes its dumps next to the trace CSV; "
                          "set [output] csv or pass an output directory")
     trace_dir = os.path.dirname(csv_path or "") or "."
-    problem, W, x0 = _instance(config)
-    x_star = centralized_solve(problem, tol=1e-12)
+    problem, W, x0, x_star = _instance(config)
     os.makedirs(trace_dir, exist_ok=True)  # "." when there is no trace path
 
     def dump(k, state):  # the stacked iterate after k iterations (0: the start)
@@ -506,6 +508,8 @@ def compare(trace_paths, out_path, tol: float = 1e-6):
     final relative error, iterations/bits to tol, total wall time."""
     if len(trace_paths) < 2:
         raise ValueError("compare needs at least two trace files")
+    if not (np.isfinite(tol) and tol >= 0):  # a NaN or negative tol is reached by no row
+        raise ValueError(f"compare's tol must be finite and non-negative, got {tol!r}")
     header = ["label", "status", "iterations", "final_rel_err",
               f"iters_to_{tol:g}", f"bits_to_{tol:g}", "wall_time_total"]
     rows = []
@@ -588,7 +592,7 @@ def run_preset(name: str, out_dir: str):
 def _run_equivalence_preset(out_dir: str):
     config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
     config = repetitions(config)[0]
-    problem, W, x0 = _instance(config)
+    problem, W, x0, _ = _instance(config)
     deviations = newton.run_lockstep(problem, W, config.algorithm, x0, iters=200)
     path = os.path.join(out_dir, "alg-equivalence.csv")
     with open(path, "w") as fh:
@@ -610,8 +614,7 @@ def caps_report(config: ExperimentConfig) -> str:
     topology, and initialization (x0 = 0 blocks)."""
     if config.method != "newton":
         raise ValueError("caps report applies to newton configs only")
-    problem, W, x0 = _instance(config)
-    x_star = centralized_solve(problem, tol=1e-12)
+    problem, W, x0, x_star = _instance(config)
     state = newton.init_state(problem, x0)
     params = config.algorithm
     delta = delta_bound(params.compressor)

@@ -369,7 +369,7 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
     n, d = state.x.shape
     if params.variant == "reference":
         H_hat_w = consensus_apply(W, 1, H_hat)
-        hess_bits = d * d * 64
+        hess_bits = payload_bits(CompressorSpec("identity", d=d))  # the dense reconstruction
     else:
         H_hat_w = state.H_tilde_w + consensus_apply(W, 1, Q2)
         hess_bits = 2 * payload_bits(params.compressor)

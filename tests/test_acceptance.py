@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import decnewton
-from conftest import strip_wall_time, trace_sha256
+from conftest import QUAD, preset, quad_params, strip_wall_time, trace_sha256
 from decnewton.compress import CompressorSpec, compress
 from decnewton.diagnostics import fit_rate, stage_two_window
 from decnewton.gradient_tracking import GTParams, gt_run, tune_alpha
@@ -23,8 +24,7 @@ from decnewton.harness import (
     ExperimentConfig,
     GraphSpec,
     ProblemSpec,
-    build_mixing,
-    build_problem,
+    _instance,
     preset_configs,
     run_experiment,
     write_trace_csv,
@@ -35,13 +35,10 @@ from decnewton.newton import (
     GeometricRamp,
     _solve_directions,
     init_state,
-    run,
     run_lockstep,
     step,
 )
-from decnewton.objectives import centralized_solve, make_quadratic
 
-QUAD_GRAPH_SEED = 11
 GT_ITER_CAP = 4000
 
 
@@ -134,35 +131,17 @@ def test_logistic_traces_ignore_the_blas_thread_count(one_thread_logistic, tmp_p
 
 
 @pytest.fixture(scope="module")
-def quad_setup():
-    W = metropolis_weights(generate_topology(10, 0.2, seed=QUAD_GRAPH_SEED))
-    problems = {k: make_quadratic(10, 30, k, seed=1) for k in (10.0, 100.0, 10000.0)}
-    stars = {k: centralized_solve(p, tol=1e-12) for k, p in problems.items()}
-    return W, problems, stars
-
-
-def _ramp_params(m, max_iters=170):
-    return AlgoParams(
-        compressor=CompressorSpec("rank_k", d=30, K=3),
-        alpha=GeometricRamp(0.02, 1.1, 1.0),
-        gamma=0.03, m=m, M=0.0,
-        cg_tol=ConstantSchedule(1e-10),
-        max_iters=max_iters, stop_tol=0.0,
-    )
-
-
-@pytest.fixture(scope="module")
-def stage2_fits(quad_setup):
-    """Fitted stage-two contraction factors: (kappa, m) -> rho_hat."""
-    W, problems, stars = quad_setup
-    x0 = np.zeros((10, 30))
+def stage2_fits():
+    """Fitted stage-two contraction factors of 170-iteration runs of the
+    quad-kappa configs at m = 20 and at kappa = 1e2, m = 15: (kappa, m) -> rho_hat."""
     fits = {}
-    for kappa in (10.0, 100.0, 10000.0):
-        trace = run(problems[kappa], W, _ramp_params(20), x0, stars[kappa])
-        fits[(kappa, 20)] = fit_rate(trace, stage_two_window(trace)).rho_hat
-    trace15 = run(problems[100.0], W, _ramp_params(15), x0, stars[100.0])
-    fits[(100.0, 15)] = fit_rate(trace15, stage_two_window(trace15)).rho_hat
-    return fits, W.sigma
+    for c in preset_configs("quad-kappa"):
+        if c.algorithm.m == 20 or c == QUAD:
+            trace, _ = run_experiment(replace(c, algorithm=replace(c.algorithm, max_iters=170,
+                                                                   stop_tol=0.0)))
+            fit = fit_rate(trace, stage_two_window(trace))
+            fits[(c.problem.kappa, c.algorithm.m)] = fit.rho_hat
+    return fits
 
 
 def test_a1_compressor_contraction():
@@ -203,12 +182,9 @@ def test_a1_compressor_contraction():
                   f"3000 Gaussian matrices, {elapsed:.1f}s < 10s")
 
 
-def test_a2_algorithm_equivalence(quad_setup):
-    W, problems, _ = quad_setup
+def test_a2_algorithm_equivalence(quad_problem, quad_graph, quad_x0):
     t0 = time.perf_counter()
-    deviations = run_lockstep(problems[100.0], W,
-                              _ramp_params(15, max_iters=200),
-                              np.zeros((10, 30)), iters=200)
+    deviations = run_lockstep(quad_problem, quad_graph[1], QUAD.algorithm, quad_x0, iters=200)
     elapsed = time.perf_counter() - t0
     worst = max(deviations)
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -242,22 +218,19 @@ def test_a3_runtime_budget():
     report("3-runtime", elapsed < 60.0, f"the three convergence runs take {elapsed:.1f}s < 60s")
 
 
-def test_a4_kappa_independence(quad_setup, stage2_fits):
-    fits, _ = stage2_fits
-    rhos = [fits[(k, 20)] for k in (10.0, 100.0, 10000.0)]
+def test_a4_kappa_independence(stage2_fits):
+    rhos = [stage2_fits[(k, 20)] for k in (10.0, 100.0, 10000.0)]
     spread = max(rhos) / min(rhos)
     newton_ok = spread <= 1.5
 
-    W, problems, stars = quad_setup
-    x0 = np.zeros((10, 30))
     iters = {}
-    for kappa in (10.0, 10000.0):
-        prob, x_star = problems[kappa], stars[kappa]
+    for config in (preset("quad-k1e1-m20"), preset("quad-k1e4-m20")):
+        prob, W, x0, x_star = _instance(config)
         alpha = tune_alpha(prob, W, x0, x_star, m=20, target=1e-6, budget=1500)
         trace = gt_run(prob, W, GTParams(alpha=alpha, m=20, max_iters=GT_ITER_CAP,
                                          stop_tol=1e-6), x0, x_star)
         reached = trace.iters_to(1e-6)
-        iters[kappa] = reached if reached > 0 else GT_ITER_CAP  # censored at the cap
+        iters[config.problem.kappa] = reached if reached > 0 else GT_ITER_CAP  # censored at the cap
     gt_ok = iters[10000.0] >= 10 * iters[10.0]
     ok = newton_ok and gt_ok
     report(4, ok, f"stage-two rho at m=20 for kappa 10/1e2/1e4: "
@@ -266,12 +239,11 @@ def test_a4_kappa_independence(quad_setup, stage2_fits):
                   f">= {iters[10000.0]} at kappa=1e4 ({iters[10000.0] / iters[10.0]:.0f}x >= 10x)")
 
 
-def test_a5_m_dependence(stage2_fits):
-    fits, sigma = stage2_fits
-    rho15 = fits[(100.0, 15)]
-    rho20 = fits[(100.0, 20)]
+def test_a5_m_dependence(stage2_fits, quad_graph):
+    rho15 = stage2_fits[(100.0, 15)]
+    rho20 = stage2_fits[(100.0, 20)]
     ratio = rho20 / rho15
-    target = sigma ** 2.5
+    target = quad_graph[1].sigma ** 2.5
     ok = rho20 < rho15 and target / 3.0 <= ratio <= 3.0 * target
     report(5, ok, f"rho(m=20)={rho20:.3f} < rho(m=15)={rho15:.3f}; "
                   f"ratio {ratio:.3f} within 3x of sigma^(5/2)={target:.3f}")
@@ -312,7 +284,7 @@ def _decay_config(family):
     )
 
 
-def test_a7_compression_state_decay(preset_traces):
+def test_a7_compression_state_decay(quad_problem, quad_graph, quad_x0):
     finals = {}
     for family in ("quadratic", "logistic"):
         trace, _ = run_experiment(_decay_config(family))
@@ -321,18 +293,11 @@ def test_a7_compression_state_decay(preset_traces):
     decay_ok = all(e <= 1e-6 and h <= 1e-6 for e, h in finals.values())
 
     # identity compressor keeps the error store at exactly zero
-    config = preset_configs("quad-kappa")[3]  # kappa=1e2, m=15
-    problem = build_problem(config.problem)
-    _, W = build_mixing(config.graph, config.problem.n)
-    params = AlgoParams(
-        compressor=CompressorSpec("identity", d=30),
-        alpha=GeometricRamp(0.02, 1.1, 1.0), gamma=0.03, m=15, M=0.0,
-        cg_tol=ConstantSchedule(1e-10), max_iters=50, stop_tol=0.0,
-    )
-    state = init_state(problem, np.zeros((10, 30)))
+    params = quad_params(compressor=CompressorSpec("identity", d=quad_problem.d))
+    state = init_state(quad_problem, quad_x0)
     exact_zero = True
     for k in range(50):
-        state, _ = step(state, problem, W, params, k)
+        state, _ = step(state, quad_problem, quad_graph[1], params, k)
         exact_zero = exact_zero and not state.E.any()
     ok = decay_ok and exact_zero
     q, l = finals["quadratic"], finals["logistic"]
@@ -398,8 +363,8 @@ def test_a9_consensus_contraction():
 def test_a10_determinism(tmp_path):
     ok = True
     details = []
-    for name, label in (("quad-kappa", "quad-k1e2-m15"), ("logit-topk", "logit-topk-m15")):
-        config = next(c for c in preset_configs(name) if c.label == label)
+    for label in ("quad-k1e2-m15", "logit-topk-m15"):
+        config = preset(label)
         _, p1 = run_experiment(config, out_dir=str(tmp_path / "one"))
         _, p2 = run_experiment(config, out_dir=str(tmp_path / "two"))
         same = strip_wall_time(Path(p1).read_text()) == strip_wall_time(Path(p2).read_text())

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import trace_sha256
+from conftest import QUAD, trace_sha256
 from decnewton import gradient_tracking, newton
 from decnewton.compress import CompressorSpec
 from decnewton.diagnostics import fit_rate
@@ -16,23 +16,20 @@ from decnewton.gradient_tracking import (
     tune_alpha,
 )
 from decnewton.graph import generate_topology, metropolis_weights
-from decnewton.harness import build_problem, preset_configs, run_experiment
+from decnewton.harness import _instance, build_problem, preset_configs, run_experiment
 from decnewton.newton import AlgoParams, ConstantSchedule, NetworkState
-from decnewton.objectives import (
-    batch_gradients,
-    centralized_solve,
-    global_gradient,
-    make_logistic,
-    make_quadratic,
-)
+from decnewton.objectives import batch_gradients, centralized_solve, global_gradient, make_logistic
+
+
+def _kappa_preset(kappa):
+    """The quad-kappa preset config of ``kappa`` at m = 15."""
+    return next(c for c in preset_configs("quad-kappa") if c.problem.kappa == kappa)
 
 
 @pytest.fixture(scope="module")
 def setup():
-    prob = make_quadratic(10, 30, 10.0, seed=1)
-    W = metropolis_weights(generate_topology(10, 0.2, seed=11))
-    x_star = centralized_solve(prob, tol=1e-12)
-    x0 = np.zeros((prob.n, prob.d))
+    """The kappa = 10 benchmark instance: (problem, W, x*, x0)."""
+    prob, W, x0, x_star = _instance(_kappa_preset(10.0))
     return prob, W, x_star, x0
 
 
@@ -273,13 +270,13 @@ def _sequential_golden_section(problem, W, x0, x_star, m, target, budget, evals)
 
 
 def _search_instance(kappa, seed, unstable):
-    """The n = 10, d = 30 quadratic of ``seed`` with its graph and x*.
-    ``unstable`` understates L1 tenfold and takes a denser graph, so the
-    top decade of tune_alpha's range diverges."""
-    prob = make_quadratic(10, 30, kappa, seed=seed)
-    x_star = centralized_solve(prob, tol=1e-12)
+    """The quad-kappa instance of ``kappa`` with problem seed ``seed``: its
+    problem, graph and x*. ``unstable`` understates L1 tenfold and takes a
+    denser graph, so the top decade of tune_alpha's range diverges."""
+    config = _kappa_preset(kappa)
+    prob, W, _, x_star = _instance(replace(config, problem=replace(config.problem, seed=seed)))
     if not unstable:
-        return prob, metropolis_weights(generate_topology(10, 0.2, seed=11)), x_star
+        return prob, W, x_star
     return (replace(prob, L1=prob.L1 / 10),
             metropolis_weights(generate_topology(10, 0.5, seed=10 + seed)), x_star)
 
@@ -371,8 +368,7 @@ def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):
         return columns
 
     monkeypatch.setattr(gradient_tracking, "gt_columns", recorded)
-    config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
-    config = replace(config, method="gt", gt_alpha_mode="tuned", label="gt-tuned",
+    config = replace(QUAD, method="gt", gt_alpha_mode="tuned", label="gt-tuned",
                      algorithm=GTParams(alpha=1.0, m=1))
     trace, path = run_experiment(config, out_dir=str(tmp_path))
     # 9,783 stacked iterations, also in 4 stacks, while every column ran to its stop
@@ -385,8 +381,7 @@ def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):
 
 
 def _tuned_gt_config(max_iters, stop_tol):
-    config = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e1-m15")
-    return replace(config, method="gt", gt_alpha_mode="tuned", label="gt-k1e1",
+    return replace(_kappa_preset(10.0), method="gt", gt_alpha_mode="tuned", label="gt-k1e1",
                    algorithm=GTParams(alpha=1.0, m=1, max_iters=max_iters, stop_tol=stop_tol))
 
 
@@ -414,12 +409,9 @@ def test_tuned_run_with_zero_stop_tol_runs():
 
 
 def test_rate_degrades_monotonically_in_kappa():
-    W = metropolis_weights(generate_topology(10, 0.2, seed=11))
-    x0 = np.zeros((10, 30))
     rhos = []
     for kappa in (10.0, 100.0, 10000.0):
-        prob = make_quadratic(10, 30, kappa, seed=1)
-        x_star = centralized_solve(prob, tol=1e-12)
+        prob, W, x0, x_star = _instance(_kappa_preset(kappa))
         alpha = tune_alpha(prob, W, x0, x_star, m=1, target=1e-6, budget=1200)
         trace = gt_run(prob, W, GTParams(alpha=alpha, m=1, max_iters=1200, stop_tol=0.0),
                        x0, x_star)

@@ -460,10 +460,13 @@ def test_cli_run_rejects_a_network_or_block_too_small(tmp_path, capsys, old, new
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("field,value", [("n", 1), ("n", 6.0), ("n", True), ("d", 0), ("d", 8.0)])
+@pytest.mark.parametrize("field,value", [("n", 1), ("n", 6.0), ("n", True), ("d", 0), ("d", 8.0),
+                                         ("m_per_node", 2.5), ("m_per_node", True)])
 def test_problem_size_in_code_must_be_an_int(field, value):
+    # a float or bool m_per_node used to fail inside numpy, naming no field
+    base = LOGIT_CFG if field == "m_per_node" else QUAD_CFG
     with pytest.raises(ValueError, match=rf"\[problem\] {field}"):
-        replace(parse_config(QUAD_CFG).problem, **{field: value})
+        replace(parse_config(base).problem, **{field: value})
 
 
 @pytest.mark.parametrize("section", ["problem", "graph"])
@@ -753,6 +756,18 @@ def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, text, where):
     assert main(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and where in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_cli_compare_rejects_a_bad_tol(tmp_path, capsys, tol):
+    # these used to exit 0 with iters_to_nan or iters_to_-1 columns full of -1
+    good = tmp_path / "good.csv"
+    good.write_text("iter,rel_err\n0,1.0\n")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", str(good), str(good), f"--tol={tol}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "tol" in err[0]
+    assert not out.exists()
 
 
 def test_cli_compare_rejects_a_trace_cut_inside_its_last_field(tmp_path, capsys):

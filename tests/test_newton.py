@@ -368,7 +368,7 @@ def test_straight_line_numpy_oracle_with_compression(variant):
 
 def test_identity_compressor_stores(quad_problem, quad_graph):
     _, W = quad_graph
-    params = quad_params(kind="identity", K=0)
+    params = quad_params(compressor=CompressorSpec("identity", d=quad_problem.d))
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     prev_H = state.H.copy()
     for k in range(20):
@@ -420,7 +420,7 @@ def test_lockstep_equivalence_per_step(quad_problem, quad_graph):
 
 def test_lockstep_free_running_identity_compressor(quad_problem, quad_graph):
     # without truncation discontinuities the trajectories track each other
-    params = quad_params(kind="identity", K=0)
+    params = quad_params(compressor=CompressorSpec("identity", d=quad_problem.d))
     assert max(free_running_deviations(quad_problem, quad_graph[1], params, 100)) <= 1e-9
 
 
