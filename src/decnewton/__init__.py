@@ -25,12 +25,10 @@ from .graph import (
 )
 from .newton import (
     AlgoParams,
-    CGBreakdownError,
     ConstantSchedule,
     GeometricRamp,
     NetworkState,
     TwoStageSchedule,
-    cg_solve,
     init_state,
     run,
     run_lockstep,

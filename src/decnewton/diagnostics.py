@@ -374,18 +374,16 @@ def theoretical_caps(problem, sigma: float, m: int, delta: float,
 
     def stage1(u2t):
         M_lower = root_term + u2t
-        M1 = mu + M_lower - root_term - u2t  # = mu at the minimal M
         M2 = L1 + M_lower + root_term + u2t
-        a = alpha_cap(M1, M2, L1, sigma, m)
-        return M_lower, M1, M2, a
+        return M_lower, M2, alpha_cap(mu, M2, L1, sigma, m)  # M1 = mu at the minimal M
 
     # provisional pass with u2~_0 ~ u2_0, then refine C once
-    _, M1p, M2p, alpha_p = stage1(u2_0)
+    _, M2p, alpha_p = stage1(u2_0)
     g_cap = gamma_cap(delta, sigma)
     C = _compression_offset(L2, sigma, m, u1_0, mu, alpha_p, M2p, g_cap)
     u2t = max(u2_0 - C, C) if math.isfinite(C) else u2_0
-    M_lower, M1, M2, a_cap = stage1(u2t)
-    c1 = stage1_cg_cap(M1, M2, kappa)
+    M_lower, M2, a_cap = stage1(u2t)
+    c1 = stage1_cg_cap(mu, M2, kappa)
     C = _compression_offset(L2, sigma, m, u1_0, mu, a_cap, M2, g_cap)
     if math.isfinite(C):
         u2t = max(u2_0 - C, C)
@@ -396,7 +394,7 @@ def theoretical_caps(problem, sigma: float, m: int, delta: float,
     return CapsReport(
         n=n, sigma=sigma, m=m, delta=delta, L1=L1, L2=L2, mu=mu, kappa_F=kappa,
         u1_0=u1_0, u2_0=u2_0, C=C, u2_tilde_0=u2t,
-        M_lower=M_lower, M1_stage1=M1, M2_stage1=M2,
+        M_lower=M_lower, M1_stage1=mu, M2_stage1=M2,
         alpha_cap_stage1=a_cap, cg_cap_stage1=c1, gamma_cap=g_cap,
         m_threshold_stage2=stage2_m_threshold(kappa, sigma),
         cg_cap_stage2=stage2_cg_cap(mu, kappa, sigma, m),

@@ -168,6 +168,8 @@ class ExperimentConfig:
         if self.gt_alpha_mode not in (("fixed", "tuned") if self.method == "gt" else ("fixed",)):
             raise ValueError(f"[algorithm] alpha mode must be fixed, or tuned with method = gt; "
                              f"got {self.gt_alpha_mode!r} with method = {self.method}")
+        if self.method == "newton" and (cd := self.algorithm.compressor.d) != self.problem.d:
+            raise ValueError(f"[algorithm] compressor is for d = {cd}, but [problem] d = {self.problem.d}")
         _check_int("output", "repetitions", self.repetitions, 1)
         if self.csv is not None and (os.path.basename(self.csv) in ("", ".", "..") or self.repetitions > 1):
             raise ValueError(f"[output] csv must name one file for one run; got {self.csv!r} "

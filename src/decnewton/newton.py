@@ -47,10 +47,7 @@ __all__ = [
     "TwoStageSchedule",
     "AlgoParams",
     "NetworkState",
-    "CGBreakdownError",
-    "CGResult",
     "init_state",
-    "cg_solve",
     "step",
     "VARIANTS",
     "iterate",
@@ -63,12 +60,6 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e6
 
 VARIANTS = ("efficient", "reference")
-
-# Roundoff-restart guard for ``cg_solve``: recompute the true residual and
-# continue for at most this many sweeps of <= d iterations each. Badly
-# conditioned systems (condition number ~1e4) need tens of sweeps in floating
-# point to approach relative residuals of 1e-10, and may still miss them.
-CG_MAX_SWEEPS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +87,8 @@ class GeometricRamp:
     cap: float = 1.0
 
     def __post_init__(self):
-        if not (self.base > 0 and self.growth > 0 and self.cap > 0):  # NaN fails too
-            raise ValueError("ramp parameters must be positive")
+        if not all(0 < v < math.inf for v in (self.base, self.growth, self.cap)):  # NaN fails too
+            raise ValueError("ramp parameters must be positive and finite")
 
     def at(self, k: int) -> float:
         if self.growth > 1.0 and k * math.log(self.growth) >= math.log(self.cap / self.base):
@@ -211,84 +202,7 @@ def init_state(problem: Problem, x0: np.ndarray) -> NetworkState:
 
 
 # ---------------------------------------------------------------------------
-# conjugate gradients
-
-
-class CGBreakdownError(RuntimeError):
-    """Nonpositive curvature or non-finite arithmetic: the system is not SPD."""
-
-
-@dataclass(frozen=True)
-class CGResult:
-    direction: np.ndarray
-    residual_norm: float
-    iterations: int
-    sweeps: int
-
-
-def cg_solve(H_reg: np.ndarray, g: np.ndarray, c: float,
-             max_sweeps: int = CG_MAX_SWEEPS, x0: np.ndarray | None = None) -> CGResult:
-    """Solve H_reg d = g to relative residual c with conjugate gradients.
-
-    The iteration itself solves exactly (``_solve_directions``); this is
-    the matrix-free iterative solver for a single node's system.
-
-    Each sweep runs at most d iterations (exact-arithmetic termination);
-    if roundoff leaves the true residual above target, the sweep restarts
-    from the recomputed residual, up to ``max_sweeps`` times or until two
-    consecutive sweeps stop improving (the roundoff floor). ``c = 0`` solves
-    to that floor. ``x0`` warm-starts the iterate. Raises CGBreakdownError on
-    nonpositive curvature.
-    """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"cg tolerance must lie in [0, 1], got {c}")
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(H_reg)):
-        raise CGBreakdownError("non-finite entries in CG input")
-    d = g.shape[0]
-    gnorm = float(np.linalg.norm(g))
-    x = np.zeros_like(g) if x0 is None else np.array(x0, dtype=float)
-    if gnorm == 0.0:
-        return CGResult(direction=np.zeros_like(g), residual_norm=0.0, iterations=0, sweeps=0)
-    target = c * gnorm
-    floor = 1e-14 * gnorm
-    tol = max(target, floor)
-    total_iters = 0
-    res = gnorm
-    stalled = 0
-    for sweep in range(1, max_sweeps + 1):
-        r = g - H_reg @ x
-        res = float(np.linalg.norm(r))
-        if res <= tol:
-            return CGResult(x, res, total_iters, sweep - 1)
-        prev_res = res
-        p = r.copy()
-        rs = float(r @ r)
-        for _ in range(d):
-            Hp = H_reg @ p
-            curv = float(p @ Hp)
-            if not np.isfinite(curv) or curv <= 0.0:
-                raise CGBreakdownError(
-                    f"nonpositive curvature {curv:.3e} at CG iteration {total_iters}"
-                )
-            a = rs / curv
-            x += a * p
-            r -= a * Hp
-            total_iters += 1
-            rs_new = float(r @ r)
-            if np.sqrt(rs_new) <= 0.5 * tol:
-                break
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        if not np.all(np.isfinite(x)):
-            raise CGBreakdownError("CG iterate became non-finite")
-        res = float(np.linalg.norm(g - H_reg @ x))
-        if res <= tol:
-            return CGResult(x, res, total_iters, sweep)
-        stalled = stalled + 1 if res >= 0.9 * prev_res else 0
-        if stalled >= 2:
-            break
-    return CGResult(x, res, total_iters, max_sweeps)
+# direction solve
 
 
 def _solve_directions(H: np.ndarray, g: np.ndarray, M: float, L1: float):
@@ -335,6 +249,10 @@ def _positive_definite(A: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+# perfbench/tracing.py binds this name and no run calls it; delete it with that patch point.
+cg_solve = _solve_directions
 
 
 # ---------------------------------------------------------------------------

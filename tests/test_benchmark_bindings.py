@@ -109,11 +109,14 @@ def test_tune_alpha_calls_through_bindings(quad_problem, quad_graph, quad_xstar,
 
 @pytest.mark.parametrize("variant", ["efficient", "reference"])
 def test_newton_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar, quad_x0,
-                                           layer_calls, variant):
+                                           patch_points, monkeypatch, variant):
+    # newton.cg_solve is an alias of the direction solve that no run calls: the
+    # tracer's hook for it reads CG result fields the solve does not return
+    calls = count_calls(patch_points, monkeypatch, LAYERS + ("newton.cg_solve",))
     iters = 3
     trace = run(quad_problem, quad_graph[1],
                 quad_params(max_iters=iters, stop_tol=0.0, variant=variant), quad_x0, quad_xstar)
     assert trace.iterations == iters
-    assert layer_calls == {"graph.consensus_apply": 4 * iters,
-                           "diagnostics.fill_state_metrics": len(trace.rows),
-                           "gradient_tracking.gt_step": 0}
+    assert calls == {"graph.consensus_apply": 4 * iters,
+                     "diagnostics.fill_state_metrics": len(trace.rows),
+                     "gradient_tracking.gt_step": 0, "newton.cg_solve": 0}

@@ -4,12 +4,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import quad_params
+from conftest import preset, quad_params
+from decnewton.compress import delta_bound
 from decnewton.diagnostics import (
     _DOT_CHUNK,
     RoundMetrics,
     Trace,
     _norm,
+    alpha_cap,
     fill_state_metrics,
     fit_rate,
     gamma_cap,
@@ -19,6 +21,7 @@ from decnewton.diagnostics import (
     stage_two_window,
     theoretical_caps,
 )
+from decnewton.harness import _instance
 from decnewton.newton import (
     AlgoParams,
     ConstantSchedule,
@@ -287,6 +290,20 @@ def test_theoretical_caps_report(quad_problem, quad_graph, quad_xstar):
     assert report.cg_cap_stage2 == pytest.approx(W.sigma**7.5 / (41.0 * quad_problem.kappa_F))
     text = report.render()
     assert "alpha <=" in text and "gamma <=" in text and "K  >=" in text
+
+
+def test_stage_one_M1_is_mu_on_a_logistic_preset():
+    # M_lower is about 4e11 here, so mu + M_lower - root_term - u2~_0 cancels to 0.000977
+    config = preset("logit-topk-m15")
+    problem, W, x0, x_star = _instance(config)
+    m, delta = config.algorithm.m, delta_bound(config.algorithm.compressor)
+    row = fill_state_metrics(RoundMetrics(), init_state(problem, x0), problem, x_star, W.sigma,
+                             m, delta)
+    report = theoretical_caps(problem, W.sigma, m, delta, row.u1, row.u2)
+    assert report.M_lower > 1e11
+    assert report.M1_stage1 == problem.mu
+    assert report.alpha_cap_stage1 == alpha_cap(problem.mu, report.M2_stage1, problem.L1,
+                                                 W.sigma, m)
 
 
 def test_identity_compressor_tracking_decay():

@@ -185,8 +185,15 @@ def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
     # 1.5 would write no dump and True the dump of iteration 1
     (QUAD_CFG, {"dump_iters": (1.5,)}, r"\[output\] dump_iters"),
     (QUAD_CFG, {"dump_iters": (True,)}, r"\[output\] dump_iters"),
+    # the step would fail on the first Hessian compression, naming no field
+    (QUAD_CFG, {"problem": ProblemSpec("quadratic", n=6, d=20, seed=3, kappa=50.0)},
+     r"\[algorithm\] compressor is for d = 8, but \[problem\] d = 20"),
+    (QUAD_CFG, {"algorithm": AlgoParams(CompressorSpec("identity", d=4), ConstantSchedule(0.5),
+                                        0.05)},
+     r"\[algorithm\] compressor is for d = 4, but \[problem\] d = 8"),
 ], ids=["newton-as-GT", "newton-params-as-gt", "gt-params-as-newton", "alpha-mode-case",
-        "tuned-newton", "negative-dump", "gt-dump", "float-dump", "bool-dump"])
+        "tuned-newton", "negative-dump", "gt-dump", "float-dump", "bool-dump",
+        "problem-d-not-compressor-d", "compressor-d-not-problem-d"])
 def test_config_rejects_runs_that_do_not_exist(base, change, named):
     with pytest.raises(ValueError, match=named):
         replace(parse_config(base), **change)
@@ -509,6 +516,7 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
     (QUAD_CFG, "stop_tol = 1e-10", "stop_tol = nan", "stop_tol"),
     (QUAD_CFG, "stop_tol = 1e-10", "stop_tol = -1e-10", "stop_tol"),
     (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "ramp(nan, 1.1, 1.0)", "alpha"),
+    (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "ramp(0.05, 1.1, inf)", r"\[algorithm\] alpha"),
     (QUAD_CFG, "const(1e-10)", "const(nan)", "cg_tol"),
     (GT_CFG, "alpha = tuned", "alpha = nan", "alpha"),
     (GT_CFG, "alpha = tuned", "alpha = inf", "alpha"),
@@ -536,7 +544,7 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
     (QUAD_CFG, "label = small-quad", "label = small-quad\ncsv =", r"\[output\] csv"),
     (QUAD_CFG, "label = small-quad", "label = small-quad\ncsv = nodir/", r"\[output\] csv"),
 ], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
-        "stop_tol-negative", "ramp-nan", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
+        "stop_tol-negative", "ramp-nan", "ramp-cap-inf", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
         "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "kappa-below-1",
         "rho-inf", "rho-nan", "rho-0", "m_per_node-0", "problem-seed-negative",
         "graph-seed-negative", "tau-0", "tau-above-1", "dump_iters-negative",
