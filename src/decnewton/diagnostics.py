@@ -125,6 +125,15 @@ def _local_floor(mu: float) -> float:
     return 40.0 * mu / 41.0
 
 
+def _weight(sigma: float, exponent: float) -> float:
+    """``sigma ** exponent``, or inf where it overflows a float (sigma < 1 and a
+    large negative exponent, as at m in the tens of thousands)."""
+    try:
+        return sigma ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def fill_state_metrics(row: RoundMetrics, state, problem, x_star, sigma: float, m: int,
                        delta: float, rel_err_den: float | None = None,
                        f_star: float | None = None) -> RoundMetrics:
@@ -159,8 +168,8 @@ def fill_state_metrics(row: RoundMetrics, state, problem, x_star, sigma: float, 
     row.u1 = q1[0] + (1 - sigma ** 2) ** 2 / 50.0 * q1[1] + 2.0 * sigma ** (m - 1) * q1[2]
 
     if sigma > 0:
-        row.u3 = cons_x + sigma ** (-m / 4.0) * track_g / L1 \
-            + 0.5 * sigma ** (-3.0 * m / 4.0) * math.sqrt(n) * err_mean
+        row.u3 = cons_x + _weight(sigma, -m / 4.0) * track_g / L1 \
+            + 0.5 * _weight(sigma, -3.0 * m / 4.0) * math.sqrt(n) * err_mean
     else:
         row.u3 = _NAN  # weights blow up at sigma = 0 (exact averaging)
     row.delta_k = L2 / (2.0 * mu) * err_mean
@@ -285,9 +294,11 @@ def gamma_cap(delta: float, sigma: float) -> float:
 
 
 def alpha_cap(M1: float, M2: float, L1: float, sigma: float, m: int) -> float:
-    """Step-size bound for the global phase."""
+    """Step-size bound for the global phase. Where ``sigma ** (m - 1)`` underflows
+    to 0 the first term takes its limit, inf, and the second is the bound."""
+    den = 100.0 * L1 * M2 * sigma ** (m - 1)
     return min(
-        M1 ** 2 * (1 - sigma ** 2) ** 3 / (100.0 * L1 * M2 * sigma ** (m - 1)),
+        M1 ** 2 * (1 - sigma ** 2) ** 3 / den if den > 0 else math.inf,
         M1 ** 2 / (200.0 * L1 * M2),
     )
 
@@ -407,7 +418,7 @@ def _compression_offset(L2, sigma, m, u1_0, mu, alpha, M2, gamma):
     if L2 == 0.0 or u1_0 <= 0.0:
         return 0.0
     denom = math.sqrt(max(1.0 - mu * alpha / (2.0 * M2), 0.0)) - (1.0 - gamma * (1 - sigma) / 2.0)
-    num = 3.75 * L2 * math.sqrt(sigma ** (-(m - 1)) * u1_0)
+    num = 3.75 * L2 * math.sqrt(_weight(sigma, -(m - 1)) * u1_0)
     if denom == 0.0:
         return math.inf
     return num / denom
@@ -416,7 +427,7 @@ def _compression_offset(L2, sigma, m, u1_0, mu, alpha, M2, gamma):
 def _phase_switch_iterations(kappa, mu, n, sigma, m, L2, u1_0, u2t, phi):
     inner = u2t
     if L2 > 0.0 and u1_0 > 0.0 and sigma > 0.0:
-        inner = u2t + 52.0 * L2 * kappa * math.sqrt(kappa) * sigma ** (-5.0 * m / 4.0) \
+        inner = u2t + 52.0 * L2 * kappa * math.sqrt(kappa) * _weight(sigma, -5.0 * m / 4.0) \
             / ((1.0 - sigma ** (m / 2.0)) * (1.0 - sigma ** 2)) * math.sqrt(u1_0)
     if inner <= 0.0 or phi <= 0.0 or phi >= 1.0:
         return math.nan

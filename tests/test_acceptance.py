@@ -62,6 +62,8 @@ def preset_traces():
 # change that moves any bit of a trace, fingerprint and status lines
 # included, fails here. The hashes hold for this numpy/OpenBLAS (numpy 2 with
 # OpenBLAS 0.3.31, Haswell kernels) at one BLAS thread or two. The logistic
+# ones also depend on numpy's float64 ``exp``, which the sigmoid parts take: its
+# bits follow the SIMD loop numpy picks for the CPU, not glibc's. The logistic
 # traces come from a child interpreter with BLAS on one thread, as the
 # benchmark runs them; the quadratic ones come from ``preset_traces``.
 PRESET_TRACE_SHA256 = {
@@ -74,8 +76,8 @@ PRESET_TRACE_SHA256 = {
     "quad-k1e4-m15": "18d8f42a6b23a63a0e8fd3291c8adad525fb5e4a00e0fee8223d46b96538193f",
     "quad-k1e4-m20": "054e57a8708efd2db4be2cadf33c11ae32ae61b42e80e6a8cbd8bc5ccc1bd18a",
     "quad-k1e4-mk": "2c9343480874ba640daf0b1e1c906c800ab1907bef1c7587443b2951d1876ebc",
-    "logit-topk-m15": "2c331d98bde6e54c1526cf0cbe7c6da3e24e5871f8b2a6cc65cd9c6cf1a299ca",
-    "logit-rank-m15": "b9e84901f0cdc680180de1780799b666e2a0b5847453b038ce38591d96cccd9d",
+    "logit-topk-m15": "bb39b7977abd660160bc30c4d0872439bb537f529d1eefcdfe08264366fdf34e",
+    "logit-rank-m15": "20ee086bbaab41883af83b0b9e07495159e590ea663fdc71e7148beb5ccedeff",
 }
 LOGISTIC_PRESETS = ("logit-topk", "logit-rank")
 _CHILD_RUN = """

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import preset, quad_params
+from conftest import QUAD, preset, quad_params
 from decnewton.compress import delta_bound
 from decnewton.diagnostics import (
     _DOT_CHUNK,
@@ -21,7 +21,7 @@ from decnewton.diagnostics import (
     stage_two_window,
     theoretical_caps,
 )
-from decnewton.harness import _instance
+from decnewton.harness import _instance, caps_report
 from decnewton.newton import (
     AlgoParams,
     ConstantSchedule,
@@ -290,6 +290,38 @@ def test_theoretical_caps_report(quad_problem, quad_graph, quad_xstar):
     assert report.cg_cap_stage2 == pytest.approx(W.sigma**7.5 / (41.0 * quad_problem.kappa_F))
     text = report.render()
     assert "alpha <=" in text and "gamma <=" in text and "K  >=" in text
+
+
+def test_metrics_at_a_consensus_depth_past_the_float_range(quad_problem, quad_graph, quad_xstar):
+    # sigma = 0.9555 here: at m = 25000, sigma^(-3m/4) overflows a float and
+    # sigma^(m-1) underflows to 0, so u3 is inf and u1 drops its gap term
+    _, W = quad_graph
+    state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
+    deep = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, W.sigma, 25000,
+                              0.05, rel_err_den=1.0)
+    shallow = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, W.sigma, 15,
+                                 0.05, rel_err_den=1.0)
+    assert deep.u3 == math.inf
+    assert deep.u1 == shallow.cons_x ** 2 + (1 - W.sigma ** 2) ** 2 / 50.0 \
+        * (shallow.track_g ** 2 / quad_problem.L1 ** 2)
+    for name in ("rel_err", "cons_x", "track_g", "u2", "eps_k", "delta_k"):
+        assert getattr(deep, name) == getattr(shallow, name), name
+
+
+@pytest.mark.parametrize("m", [17000, 25000])
+def test_caps_at_a_consensus_depth_past_the_float_range(quad_problem, quad_graph, quad_xstar, m):
+    # sigma^(m-1) underflows to 0 by m = 17000, and sigma^(-(m-1)) overflows
+    # by 25000: alpha's first cap takes its limit, inf, and the second is the cap
+    _, W = quad_graph
+    assert W.sigma ** (m - 1) == 0.0
+    delta = delta_bound(QUAD.algorithm.compressor)
+    state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
+    row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, W.sigma, m, delta)
+    report = theoretical_caps(quad_problem, W.sigma, m, delta, row.u1, row.u2)
+    M1, M2, L1 = report.M1_stage1, report.M2_stage1, quad_problem.L1
+    assert report.alpha_cap_stage1 == M1 ** 2 / (200.0 * L1 * M2)
+    text = caps_report(replace(QUAD, algorithm=quad_params(m=m)))
+    assert text == report.render()
 
 
 def test_stage_one_M1_is_mu_on_a_logistic_preset():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import hessians_non_finite_on_call, strip_wall_time
+from conftest import QUAD, hessians_non_finite_on_call, quad_params, strip_wall_time
 from decnewton import harness
 from decnewton.cli import main
 from decnewton.compress import CompressorSpec
@@ -700,6 +700,19 @@ def test_cli_run_and_exit_codes(tmp_path):
     # usage / missing file -> exit 1
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def test_cli_run_at_a_consensus_depth_past_the_float_range(tmp_path, capsys):
+    # sigma = 0.9555 on this instance: sigma^(-3m/4) overflows a float at
+    # m = 25000, which ends as u3 = inf, not as a traceback
+    config = replace(QUAD, algorithm=quad_params(m=25000, max_iters=3))
+    cfg_path = tmp_path / "deep.cfg"
+    cfg_path.write_text(render_config(config))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"{config.label}: status=max_iters iterations=3 rel_err=")
+    trace = read_trace_csv(tmp_path / f"{config.label}.csv")
+    assert [row.u3 for row in trace.rows] == [np.inf] * 4
 
 
 def test_divergence_note_reaches_summary_and_cli(tmp_path, capsys):
