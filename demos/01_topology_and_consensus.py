@@ -14,14 +14,13 @@ rng = np.random.default_rng(0)
 print("connectivity ratio vs spectral gap (n = 20)")
 print(f"{'tau':>6} {'edges':>6} {'sigma':>8}")
 for tau in (0.1, 0.2, 0.5, 1.0):
-    top = generate_topology(20, tau, seed=7)
-    mix = metropolis_weights(top)
-    print(f"{tau:>6.2f} {len(top.edges):>6d} {mix.sigma:>8.4f}")
+    A = generate_topology(20, tau, seed=7)  # the adjacency matrix
+    mix = metropolis_weights(A)
+    print(f"{tau:>6.2f} {int(A.sum()) // 2:>6d} {mix.sigma:>8.4f}")
 
 print()
 print("multi-step consensus: measured contraction vs sigma^m (n = 10, tau = 0.2)")
-top = generate_topology(10, 0.2, seed=11)
-mix = metropolis_weights(top)
+mix = metropolis_weights(generate_topology(10, 0.2, seed=11))
 blocks = rng.standard_normal((10, 5))
 dev0 = np.linalg.norm(blocks - blocks.mean(axis=0))
 print(f"sigma = {mix.sigma:.4f}, initial disagreement {dev0:.3f}")

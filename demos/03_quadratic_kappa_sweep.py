@@ -14,7 +14,7 @@ from decnewton import GTParams, fit_rate, stage_two_window
 from decnewton.harness import build_mixing, preset_configs, run_experiment
 
 configs = preset_configs("quad-kappa")  # kappa by kappa: m = 15, 20, k
-_, W = build_mixing(configs[0].graph, configs[0].problem.n)
+W = build_mixing(configs[0].graph, configs[0].problem.n)
 print(f"network: n={configs[0].problem.n}, tau={configs[0].graph.tau}, sigma={W.sigma:.4f}")
 
 print(f"\n{'kappa':>8} {'method':>14} {'iters to 1e-9':>14} {'fitted rate':>12}")

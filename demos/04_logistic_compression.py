@@ -17,7 +17,7 @@ from decnewton.harness import build_mixing, build_problem, preset_configs, run_e
 configs = preset_configs("logit-topk") + preset_configs("logit-rank")
 base = configs[0]
 TOL = base.algorithm.stop_tol
-_, W = build_mixing(base.graph, base.problem.n)
+W = build_mixing(base.graph, base.problem.n)
 x_star = centralized_solve(build_problem(base.problem), tol=1e-12)
 print(f"network: n={base.problem.n}, tau={base.graph.tau}, sigma={W.sigma:.4f};  "
       f"|x*| = {np.linalg.norm(x_star):.3f}")

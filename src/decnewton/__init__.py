@@ -15,7 +15,6 @@ from .diagnostics import (
 from .gradient_tracking import GTParams, gt_run, gt_step, tune_alpha
 from .graph import (
     MixingMatrix,
-    Topology,
     consensus_apply,
     generate_topology,
     load_matrix,

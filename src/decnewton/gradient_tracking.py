@@ -31,8 +31,8 @@ import numpy as np
 from .diagnostics import fill_state_metrics  # noqa: F401
 from .diagnostics import RoundMetrics, Trace, relative_error, squared_distances
 from .graph import MixingMatrix, consensus_apply
-from .newton import (NetworkState, _finite, check_run_values, exchange_bits, iterate,
-                     positive_int, run_status, start_state)
+from .newton import (NetworkState, _finite, check_run_values, exchange_bits, int_at_least,
+                     iterate, run_status, start_state)
 from .objectives import Problem, batch_gradients
 
 __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
@@ -50,7 +50,7 @@ class GTParams:
 
     def __post_init__(self):
         check_run_values(self, "alpha")
-        if not positive_int(self.m):
+        if not int_at_least(self.m, 1):
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
 
     def rounds(self, k: int) -> int:

@@ -1,15 +1,15 @@
-"""Random connected topologies, Metropolis mixing matrices, multi-step consensus.
+"""Random connected graphs, Metropolis mixing matrices, multi-step consensus.
 
-A topology is an undirected connected graph on ``n`` nodes with a target
-edge count of ``round(tau * n * (n - 1) / 2)``. Its adjacency matrix is the one
-representation degrees, connectivity and weights come from. The mixing matrix
-``W`` follows the Metropolis-Hastings rule: symmetric, doubly stochastic, and
-supported exactly on the graph (plus self-loops). The key spectral
-quantity is ``sigma``, the second largest singular value of ``W``,
-equivalently ``||W - W_inf||`` where ``W_inf = (1/n) 11^T`` is the averaging
-projector. Applying ``W^m`` blockwise contracts the disagreement
-``||x - W_inf x||`` by ``sigma**m`` per call while leaving the block average
-unchanged.
+A graph is its symmetric 0/1 adjacency matrix ``A``: an undirected connected
+graph on ``n`` nodes, sampled with a target edge count of
+``round(tau * n * (n - 1) / 2)``. Degrees, connectivity and weights all come
+from ``A``. The mixing matrix ``W`` follows the Metropolis-Hastings rule:
+symmetric, doubly stochastic, and supported exactly on the graph (plus
+self-loops). The key spectral quantity is ``sigma``, the second largest
+singular value of ``W``, equivalently ``||W - W_inf||`` where
+``W_inf = (1/n) 11^T`` is the averaging projector. Applying ``W^m`` blockwise
+contracts the disagreement ``||x - W_inf x||`` by ``sigma**m`` per call while
+leaving the block average unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Topology",
     "MixingMatrix",
     "generate_topology",
     "metropolis_weights",
@@ -29,35 +28,6 @@ __all__ = [
     "save_matrix",
     "load_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Undirected graph on ``n`` nodes; ``adjacency()`` is the one
-    representation degrees, connectivity and weights come from."""
-
-    n: int
-    edges: frozenset
-
-    def adjacency(self) -> np.ndarray:
-        """The symmetric 0/1 adjacency matrix; a self-loop or an endpoint
-        outside ``range(n)`` raises ``ValueError``."""
-        ends = np.array(list(self.edges), dtype=int).reshape(-1, 2)
-        if ((ends < 0) | (ends >= self.n)).any() or (ends[:, 0] == ends[:, 1]).any():
-            raise ValueError(f"edges must join two distinct nodes in range({self.n})")
-        A = np.zeros((self.n, self.n))
-        A[ends[:, 0], ends[:, 1]] = A[ends[:, 1], ends[:, 0]] = 1.0
-        return A
-
-    def is_connected(self, A: np.ndarray | None = None) -> bool:
-        """Breadth-first search from node 0 over ``A`` (default: the adjacency)."""
-        A = (self.adjacency() if A is None else A) > 0
-        seen = np.zeros(self.n, dtype=bool)
-        frontier = np.arange(self.n) == 0
-        while frontier.any():
-            seen |= frontier
-            frontier = A[frontier].any(axis=0) & ~seen
-        return bool(seen.all())
 
 
 @dataclass
@@ -85,8 +55,8 @@ class MixingMatrix:
         return self._power[1]
 
 
-def generate_topology(n: int, tau: float, seed: int) -> Topology:
-    """Sample a connected graph with round(tau*n*(n-1)/2) edges.
+def generate_topology(n: int, tau: float, seed: int) -> np.ndarray:
+    """The adjacency matrix of a connected graph with round(tau*n*(n-1)/2) edges.
 
     A uniformly random spanning tree (Pruefer decoding) guarantees
     connectivity; the remaining edges are drawn uniformly without
@@ -102,16 +72,17 @@ def generate_topology(n: int, tau: float, seed: int) -> Topology:
             f"tau={tau} yields {target} edges, below the {n - 1} needed for connectivity"
         )
     rng = np.random.default_rng(seed)
-    tree = _random_spanning_tree(n, rng)
-    edges = set(tree)
-    extra = target - len(edges)
+    A = np.zeros((n, n))
+    rows, cols = np.array(_random_spanning_tree(n, rng)).T
+    A[rows, cols] = A[cols, rows] = 1.0
+    extra = target - (n - 1)
     if extra > 0:
         rows, cols = np.triu_indices(n, 1)  # pairs i < j in row-major order
-        pool = Topology(n, frozenset(tree)).adjacency()[rows, cols] == 0
+        pool = A[rows, cols] == 0
         rows, cols = rows[pool], cols[pool]
         picks = np.sort(rng.choice(len(rows), size=extra, replace=False))
-        edges.update(zip(rows[picks].tolist(), cols[picks].tolist()))
-    return Topology(n=n, edges=frozenset(edges))
+        A[rows[picks], cols[picks]] = A[cols[picks], rows[picks]] = 1.0
+    return A
 
 
 def _random_spanning_tree(n: int, rng: np.random.Generator) -> list:
@@ -130,30 +101,44 @@ def _random_spanning_tree(n: int, rng: np.random.Generator) -> list:
     return edges
 
 
-def metropolis_weights(topology: Topology) -> MixingMatrix:
+def _connected(A: np.ndarray) -> bool:
+    """Breadth-first search from node 0 over the adjacency matrix ``A``."""
+    seen = np.zeros(len(A), dtype=bool)
+    frontier = np.arange(len(A)) == 0
+    while frontier.any():
+        seen |= frontier
+        frontier = A[frontier].any(axis=0) & ~seen
+    return bool(seen.all())
+
+
+def metropolis_weights(A) -> MixingMatrix:
     """Metropolis-Hastings weights: w_ij = 1/(1+max(deg_i, deg_j)) on edges.
 
-    The diagonal absorbs the slack so every row sums to one; the result is
-    non-negative, symmetric, doubly stochastic, and supported exactly on the
-    graph plus self-loops.
+    ``A`` is the adjacency matrix of a connected graph: square, symmetric,
+    0/1, with a zero diagonal; a ValueError names the rule it breaks. The
+    diagonal of ``W`` absorbs the slack so every row sums to one; the result
+    is non-negative, symmetric, doubly stochastic, and supported exactly on
+    the graph plus self-loops.
     """
-    A = topology.adjacency()
-    if not topology.is_connected(A):
-        raise ValueError("topology must be connected")
+    A = np.asarray(A, dtype=float)
+    rule = ("square" if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size
+            else "0/1" if not ((A == 0) | (A == 1)).all()  # NaN fails here
+            else "symmetric" if not np.array_equal(A, A.T)
+            else "zero on the diagonal" if A.diagonal().any()
+            else "of a connected graph" if not _connected(A) else None)
+    if rule:
+        raise ValueError(f"adjacency matrix must be {rule}")
     deg = A.sum(axis=1)
     W = A / (1.0 + np.maximum.outer(deg, deg))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return MixingMatrix(W=W, sigma=second_singular_value(W))
 
 
-def second_singular_value(W) -> float:
-    """Largest singular value of W - (1/n) 11^T, from a full SVD.
-
-    Accepts a raw matrix or a MixingMatrix.
-    """
-    A = W.W if isinstance(W, MixingMatrix) else np.asarray(W, dtype=float)
-    n = A.shape[0]
-    B = A - np.full((n, n), 1.0 / n)
+def second_singular_value(W: np.ndarray) -> float:
+    """Largest singular value of W - (1/n) 11^T, from a full SVD."""
+    W = np.asarray(W, dtype=float)
+    n = W.shape[0]
+    B = W - np.full((n, n), 1.0 / n)
     return float(np.linalg.svd(B, compute_uv=False)[0])
 
 

@@ -103,7 +103,7 @@ STATUS_CODE = {"converged": 0, "max_iters": 2, "diverged": 3}
 
 def _check_int(section: str, key: str, value, least: int):
     """Reject a ``value`` that is not an int >= ``least``; a bool is not a count."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
+    if not newton.int_at_least(value, least):
         raise ValueError(f"[{section}] {key} must be an integer >= {least}, got {value!r}")
 
 
@@ -347,20 +347,20 @@ def build_problem(spec: ProblemSpec):
 
 
 def build_mixing(spec: GraphSpec, n: int):
-    """The topology of ``spec`` and its Metropolis weights; a ValueError names
-    the [graph] field it rejects."""
+    """The Metropolis mixing matrix of the graph ``spec`` samples on ``n``
+    nodes; a ValueError names the [graph] field it rejects."""
     try:
-        topology = generate_topology(n, spec.tau, spec.seed)
+        adjacency = generate_topology(n, spec.tau, spec.seed)
     except ValueError as exc:
         raise ValueError(f"[graph] {exc}") from exc
-    return topology, metropolis_weights(topology)
+    return metropolis_weights(adjacency)
 
 
 def _instance(config: ExperimentConfig):
     """The instance of ``config``, its mixing matrix, the zero start x0 and the
     exact minimiser x* every run of it is scored against."""
     problem = build_problem(config.problem)
-    _, W = build_mixing(config.graph, config.problem.n)
+    W = build_mixing(config.graph, config.problem.n)
     return problem, W, np.zeros((problem.n, problem.d)), centralized_solve(problem)
 
 

@@ -71,8 +71,8 @@ class ConstantSchedule:
     value: float
 
     def __post_init__(self):
-        if math.isnan(self.value):
-            raise ValueError("schedule value must not be NaN")
+        if not 0 <= self.value < math.inf:  # NaN fails too
+            raise ValueError(f"schedule value must be finite and >= 0, got {self.value!r}")
 
     def at(self, k: int) -> float:
         return self.value
@@ -105,22 +105,25 @@ class TwoStageSchedule:
     stage2: float = 1.0
 
     def __post_init__(self):
-        if math.isnan(self.stage1) or math.isnan(self.stage2):
-            raise ValueError("schedule values must not be NaN")
+        if not all(0 <= v < math.inf for v in (self.stage1, self.stage2)):  # NaN fails too
+            raise ValueError(f"schedule values must be finite and >= 0, got "
+                             f"{self.stage1!r} and {self.stage2!r}")
+        if not int_at_least(self.switch_iter, 0):
+            raise ValueError(f"switch_iter must be an integer >= 0, got {self.switch_iter!r}")
 
     def at(self, k: int) -> float:
         return self.stage1 if k < self.switch_iter else self.stage2
 
 
-def positive_int(value) -> bool:
-    """Whether ``value`` is an int >= 1; a bool is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def int_at_least(value, least: int) -> bool:
+    """Whether ``value`` is an int >= ``least``; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def check_run_values(params, *names):
     """Reject a ``params.max_iters`` that is not an int >= 1, and a NaN,
     infinite or negative ``params.stop_tol`` or other named field."""
-    if not positive_int(params.max_iters):
+    if not int_at_least(params.max_iters, 1):
         raise ValueError(f"max_iters must be an integer >= 1, got {params.max_iters!r}")
     for name in (*names, "stop_tol"):
         value = getattr(params, name)
@@ -147,7 +150,7 @@ class AlgoParams:
             raise ValueError(f"variant must be efficient or reference, got {self.variant!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.m != "k" and not positive_int(self.m):
+        if self.m != "k" and not int_at_least(self.m, 1):
             raise ValueError(f"m must be a positive integer or 'k', got {self.m!r}")
         check_run_values(self, "M")
 

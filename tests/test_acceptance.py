@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The shared fixtures run
 the benchmark presets once and individual criteria read off their traces.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from decnewton.harness import (
     GraphSpec,
     ProblemSpec,
     _instance,
+    caps_report,
     preset_configs,
     run_experiment,
     write_trace_csv,
@@ -80,6 +82,26 @@ PRESET_TRACE_SHA256 = {
     "logit-rank-m15": "20ee086bbaab41883af83b0b9e07495159e590ea663fdc71e7148beb5ccedeff",
 }
 LOGISTIC_PRESETS = ("logit-topk", "logit-rank")
+
+# sha256 of each newton preset's ``caps_report`` text. ``sigma``, the problem
+# constants and the start's Lyapunov terms feed every cap, and the text prints
+# them to 6 significant digits: a change at that precision shows here (a
+# 1e-5 relative change of sigma does), one in the last bit only in the trace
+# pins above. The logistic pins also depend on numpy's float64 ``exp``, as the
+# logistic trace pins do.
+PRESET_CAPS_SHA256 = {
+    "quad-k1e1-m15": "79501bf56c0a4818074b200c5e0a3f41b20a554e130354efd35cae2352888b96",
+    "quad-k1e1-m20": "9441c4fbdbc87a9840216a7f01808f1a991ea6c4cca3941d980677118143d2d3",
+    "quad-k1e1-mk": "0c38c9356eddd271ef0cda1c89b4c1a7e7793d1c622c599cc9bfa1213d8d827d",
+    "quad-k1e2-m15": "d54e93311b2c5e5672772c4e4b710a63bebcdf0203b0bf72a2294489167c61a0",
+    "quad-k1e2-m20": "ed372d7c0707b60ca36bfef454c8d7844c6af5cee35793eaad751ebbf50f6796",
+    "quad-k1e2-mk": "b2fe208a49d89f105de56ecfc5d5c8c3e0f3335686d24095a887175184c64fb2",
+    "quad-k1e4-m15": "9cfd842d0b2810cf21a56b8c4e64e98a8c8cb8f9062f7118ef585d3049e8cdcd",
+    "quad-k1e4-m20": "bee87575254b7823b821d0d307a42935e781100251be0496e7ce0a7e23f82871",
+    "quad-k1e4-mk": "d307824a5be7bce3acee152f362b2d832180c14275ac09ef9a174723f86efe7e",
+    "logit-topk-m15": "19fe2faea6706dd1f23638334b2f5bed9a934ef0d54758e3b188ae9f74c5c570",
+    "logit-rank-m15": "02393583810dbe0359e474ccf87dc0a29a924531770bd38a39a976f5e5bf3fe6",
+}
 _CHILD_RUN = """
 import sys
 from decnewton.harness import build_problem, preset_configs, run_experiment
@@ -118,6 +140,12 @@ def test_preset_traces_keep_their_bits(preset_traces, one_thread_logistic, tmp_p
             write_trace_csv(trace, path)
         got[label] = trace_sha256(path)
     assert got == PRESET_TRACE_SHA256
+
+
+def test_preset_caps_keep_their_text():
+    got = {config.label: hashlib.sha256(caps_report(config).encode()).hexdigest()
+           for name in ("quad-kappa", *LOGISTIC_PRESETS) for config in preset_configs(name)}
+    assert got == PRESET_CAPS_SHA256
 
 
 def test_logistic_traces_ignore_the_blas_thread_count(one_thread_logistic, tmp_path):
@@ -186,7 +214,7 @@ def test_a1_compressor_contraction():
 
 def test_a2_algorithm_equivalence(quad_problem, quad_graph, quad_x0):
     t0 = time.perf_counter()
-    deviations = run_lockstep(quad_problem, quad_graph[1], QUAD.algorithm, quad_x0, iters=200)
+    deviations = run_lockstep(quad_problem, quad_graph, QUAD.algorithm, quad_x0, iters=200)
     elapsed = time.perf_counter() - t0
     worst = max(deviations)
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -245,7 +273,7 @@ def test_a5_m_dependence(stage2_fits, quad_graph):
     rho15 = stage2_fits[(100.0, 15)]
     rho20 = stage2_fits[(100.0, 20)]
     ratio = rho20 / rho15
-    target = quad_graph[1].sigma ** 2.5
+    target = quad_graph.sigma ** 2.5
     ok = rho20 < rho15 and target / 3.0 <= ratio <= 3.0 * target
     report(5, ok, f"rho(m=20)={rho20:.3f} < rho(m=15)={rho15:.3f}; "
                   f"ratio {ratio:.3f} within 3x of sigma^(5/2)={target:.3f}")
@@ -299,7 +327,7 @@ def test_a7_compression_state_decay(quad_problem, quad_graph, quad_x0):
     state = init_state(quad_problem, quad_x0)
     exact_zero = True
     for k in range(50):
-        state, _ = step(state, quad_problem, quad_graph[1], params, k)
+        state, _ = step(state, quad_problem, quad_graph, params, k)
         exact_zero = exact_zero and not state.E.any()
     ok = decay_ok and exact_zero
     q, l = finals["quadratic"], finals["logistic"]

@@ -79,7 +79,7 @@ def test_run_experiment_sets_up_through_bindings(patch_points, monkeypatch):
 def test_gt_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar, quad_x0,
                                        layer_calls):
     iters = 7
-    trace = gt_run(quad_problem, quad_graph[1], GTParams(alpha=1e-3, m=2, max_iters=iters,
+    trace = gt_run(quad_problem, quad_graph, GTParams(alpha=1e-3, m=2, max_iters=iters,
                                                          stop_tol=0.0), quad_x0, quad_xstar)
     assert trace.iterations == iters
     assert layer_calls == {"graph.consensus_apply": 2 * iters,
@@ -99,7 +99,7 @@ def test_tune_alpha_calls_through_bindings(quad_problem, quad_graph, quad_xstar,
         return columns
 
     monkeypatch.setattr(gradient_tracking, "gt_columns", recorded)
-    tune_alpha(quad_problem, quad_graph[1], quad_x0, quad_xstar, budget=40)
+    tune_alpha(quad_problem, quad_graph, quad_x0, quad_xstar, budget=40)
     iters = sum(stacks)
     assert len(stacks) == 4 and iters > 0  # the grid, then three zooms
     assert layer_calls == {"graph.consensus_apply": 2 * iters,
@@ -114,7 +114,7 @@ def test_newton_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar,
     # tracer's hook for it reads CG result fields the solve does not return
     calls = count_calls(patch_points, monkeypatch, LAYERS + ("newton.cg_solve",))
     iters = 3
-    trace = run(quad_problem, quad_graph[1],
+    trace = run(quad_problem, quad_graph,
                 quad_params(max_iters=iters, stop_tol=0.0, variant=variant), quad_x0, quad_xstar)
     assert trace.iterations == iters
     assert calls == {"graph.consensus_apply": 4 * iters,

@@ -296,7 +296,7 @@ def test_rank_k_matches_svd_truncation_on_tracker_stacks(preset, label):
     # the two stacks newton.step compresses, over the first 15 iterations
     config = next(c for c in preset_configs(preset) if c.label == label)
     problem = build_problem(config.problem)
-    _, W = build_mixing(config.graph, problem.n)
+    W = build_mixing(config.graph, problem.n)
     params = config.algorithm
     state = init_state(problem, np.zeros((problem.n, problem.d)))
     for k in range(15):

@@ -246,7 +246,7 @@ def test_fit_rate_rejects_degenerate_windows():
 
 
 def test_pure_consensus_rate_matches_sigma_m(quad_problem, quad_graph, quad_xstar):
-    _, W = quad_graph
+    W = quad_graph
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal((quad_problem.n, quad_problem.d))
     m = 2
@@ -279,7 +279,7 @@ def test_stage2_m_threshold_values():
 
 
 def test_theoretical_caps_report(quad_problem, quad_graph, quad_xstar):
-    _, W = quad_graph
+    W = quad_graph
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, W.sigma, 15, 0.05,
                              rel_err_den=1.0)
@@ -295,7 +295,7 @@ def test_theoretical_caps_report(quad_problem, quad_graph, quad_xstar):
 def test_metrics_at_a_consensus_depth_past_the_float_range(quad_problem, quad_graph, quad_xstar):
     # sigma = 0.9555 here: at m = 25000, sigma^(-3m/4) overflows a float and
     # sigma^(m-1) underflows to 0, so u3 is inf and u1 drops its gap term
-    _, W = quad_graph
+    W = quad_graph
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     deep = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, W.sigma, 25000,
                               0.05, rel_err_den=1.0)
@@ -312,7 +312,7 @@ def test_metrics_at_a_consensus_depth_past_the_float_range(quad_problem, quad_gr
 def test_caps_at_a_consensus_depth_past_the_float_range(quad_problem, quad_graph, quad_xstar, m):
     # sigma^(m-1) underflows to 0 by m = 17000, and sigma^(-(m-1)) overflows
     # by 25000: alpha's first cap takes its limit, inf, and the second is the cap
-    _, W = quad_graph
+    W = quad_graph
     assert W.sigma ** (m - 1) == 0.0
     delta = delta_bound(QUAD.algorithm.compressor)
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
@@ -365,7 +365,7 @@ def test_identity_compressor_tracking_decay():
 def test_u1_monotone_under_stage1_caps(quad_problem, quad_graph, quad_xstar):
     # constant small step below the cap, M above its bound: u1 never grows
     # by more than one percent per iteration
-    _, W = quad_graph
+    W = quad_graph
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     den = float(np.linalg.norm(np.zeros((quad_problem.n, quad_problem.d)) - quad_xstar) ** 2)
     row0 = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, W.sigma, 15, 0.05,

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import QUAD
 from decnewton.graph import (
-    Topology,
+    _connected,
     _random_spanning_tree,
     consensus_apply,
     generate_topology,
@@ -13,6 +14,19 @@ from decnewton.graph import (
     save_matrix,
     second_singular_value,
 )
+
+
+def adjacency(n, edges):
+    """The 0/1 adjacency matrix of the edge list ``edges`` on ``n`` nodes."""
+    A = np.zeros((n, n))
+    for i, j in edges:
+        A[i, j] = A[j, i] = 1.0
+    return A
+
+
+def edge_set(A):
+    """The edges (i, j), i < j, of the adjacency matrix ``A``."""
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(A)))}
 
 
 def bfs_connected(n, edges):
@@ -32,33 +46,33 @@ def bfs_connected(n, edges):
 
 def test_edge_count_tau_02():
     # 0.2 * 10 * 9 / 2 = 9 edges
-    top = generate_topology(10, 0.2, seed=3)
-    assert len(top.edges) == 9
+    A = generate_topology(10, 0.2, seed=3)
+    assert len(edge_set(A)) == 9
 
 
 def test_tau_one_gives_complete_graph():
-    top = generate_topology(10, 1.0, seed=3)
-    assert len(top.edges) == 45
-    assert top.edges == frozenset((i, j) for i in range(10) for j in range(i + 1, 10))
+    A = generate_topology(10, 1.0, seed=3)
+    assert len(edge_set(A)) == 45
+    assert np.array_equal(A, 1.0 - np.eye(10))
 
 
 def test_connectivity_bfs_oracle():
-    top = generate_topology(30, 0.2, seed=7)
-    assert bfs_connected(30, top.edges)
+    assert bfs_connected(30, edge_set(generate_topology(30, 0.2, seed=7)))
 
 
 @pytest.mark.parametrize("n,tau,seed", [(5, 0.5, 0), (12, 0.3, 4), (25, 0.15, 9)])
 def test_generated_topologies_connected_and_sized(n, tau, seed):
-    top = generate_topology(n, tau, seed)
-    assert bfs_connected(n, top.edges)
-    assert len(top.edges) == round(tau * n * (n - 1) / 2)
-    assert all(i != j for i, j in top.edges)
+    A = generate_topology(n, tau, seed)
+    assert A.shape == (n, n) and np.array_equal(A, A.T) and set(np.unique(A)) == {0.0, 1.0}
+    assert bfs_connected(n, edge_set(A))
+    assert len(edge_set(A)) == round(tau * n * (n - 1) / 2)
+    assert not A.diagonal().any()
 
 
 def test_topology_reproducible():
     a = generate_topology(20, 0.25, seed=42)
     b = generate_topology(20, 0.25, seed=42)
-    assert a.edges == b.edges
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n,tau,seed", [(10, 0.2, 11), (30, 0.2, 12), (300, 0.02, 5),
@@ -71,7 +85,7 @@ def test_extra_edges_match_list_pool(n, tau, seed):
     picks = rng.choice(len(pool), size=int(round(tau * n * (n - 1) / 2)) - len(edges),
                        replace=False)
     edges.update(pool[idx] for idx in sorted(picks))
-    assert generate_topology(n, tau, seed).edges == frozenset(edges)
+    assert np.array_equal(generate_topology(n, tau, seed), adjacency(n, edges))
 
 
 def test_topology_rejects_bad_inputs():
@@ -84,23 +98,22 @@ def test_topology_rejects_bad_inputs():
 
 
 def test_metropolis_two_node_path():
-    top = generate_topology(2, 1.0, seed=0)
-    mix = metropolis_weights(top)
+    mix = metropolis_weights(generate_topology(2, 1.0, seed=0))
     assert np.allclose(mix.W, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
     assert mix.sigma == pytest.approx(0.0, abs=1e-12)
 
 
 def test_metropolis_three_node_complete():
-    top = generate_topology(3, 1.0, seed=0)
-    mix = metropolis_weights(top)
+    mix = metropolis_weights(generate_topology(3, 1.0, seed=0))
     assert np.allclose(mix.W, np.full((3, 3), 1 / 3), atol=1e-15)
     assert mix.sigma == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,tau,seed", [(10, 0.2, 11), (15, 0.4, 2), (30, 0.2, 12)])
 def test_mixing_matrix_properties(n, tau, seed):
-    top = generate_topology(n, tau, seed)
-    mix = metropolis_weights(top)
+    A = generate_topology(n, tau, seed)
+    edges = edge_set(A)
+    mix = metropolis_weights(A)
     W = mix.W
     assert np.all(W >= 0)
     assert np.allclose(W, W.T, atol=1e-15)
@@ -108,7 +121,7 @@ def test_mixing_matrix_properties(n, tau, seed):
     # support matches the topology exactly (plus self-loops)
     for i in range(n):
         for j in range(n):
-            has_edge = (min(i, j), max(i, j)) in top.edges
+            has_edge = (min(i, j), max(i, j)) in edges
             if i == j:
                 assert W[i, j] > 0
             elif has_edge:
@@ -118,15 +131,14 @@ def test_mixing_matrix_properties(n, tau, seed):
     assert 0 <= mix.sigma < 1
 
 
-def _per_edge_metropolis(topology):
+def _per_edge_metropolis(n, edges):
     """The earlier per-edge Metropolis loop: the bit-for-bit oracle for W."""
-    n = topology.n
     deg = np.zeros(n, dtype=int)
-    for i, j in topology.edges:
+    for i, j in edges:
         deg[i] += 1
         deg[j] += 1
     W = np.zeros((n, n))
-    for i, j in topology.edges:
+    for i, j in edges:
         W[i, j] = W[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return W
@@ -135,27 +147,47 @@ def _per_edge_metropolis(topology):
 @pytest.mark.parametrize("n,tau", [(2, 1.0), (10, 0.2), (30, 0.2), (50, 1.0), (300, 0.02)])
 def test_metropolis_matches_per_edge_oracle(n, tau):
     for seed in range(20):
-        top = generate_topology(n, tau, seed)
-        assert np.array_equal(metropolis_weights(top).W, _per_edge_metropolis(top))
+        A = generate_topology(n, tau, seed)
+        assert np.array_equal(metropolis_weights(A).W, _per_edge_metropolis(n, edge_set(A)))
 
 
-@pytest.mark.parametrize("edges", [frozenset(), frozenset({(0, 1), (2, 3)})],
-                         ids=["no-edges", "two-components"])
+@pytest.mark.parametrize("edges", [(), ((0, 1), (2, 3))], ids=["no-edges", "two-components"])
 def test_metropolis_rejects_disconnected(edges):
-    top = Topology(n=4 if edges else 3, edges=edges)
-    assert top.adjacency().sum() == 2 * len(edges)
-    assert not top.is_connected()
-    with pytest.raises(ValueError, match="must be connected"):
-        metropolis_weights(top)
+    A = adjacency(4 if edges else 3, edges)
+    assert A.sum() == 2 * len(edges)
+    assert not _connected(A)
+    with pytest.raises(ValueError, match="must be of a connected graph"):
+        metropolis_weights(A)
 
 
-@pytest.mark.parametrize("edges", [{(0, 1), (1, 2), (1, 1)}, {(0, 1), (1, 3)},
-                                   {(-1, 0), (0, 1), (1, 2)}],
-                         ids=["self-loop", "past-n", "negative"])
-def test_metropolis_rejects_malformed_edges(edges):
-    # a per-edge loop and the adjacency matrix would count these differently
-    with pytest.raises(ValueError, match=r"distinct nodes in range\(3\)"):
-        metropolis_weights(Topology(n=3, edges=frozenset(edges)))
+PATH3 = adjacency(3, [(0, 1), (1, 2)])
+
+
+def _with(A, *entries):
+    """A copy of ``A`` with each (i, j, value) of ``entries`` written in."""
+    A = A.copy()
+    for i, j, value in entries:
+        A[i, j] = value
+    return A
+
+
+@pytest.mark.parametrize("A,rule", [
+    (_with(PATH3, (1, 1, 1.0)), "zero on the diagonal"),
+    (np.pad(PATH3, ((0, 0), (0, 1)), constant_values=1.0), "square"),  # a fourth node's column
+    (_with(PATH3, (0, 2, -1.0), (2, 0, -1.0)), "0/1"),
+    (_with(PATH3, (0, 2, 1.0)), "symmetric"),
+    (_with(PATH3, (0, 1, 2.0), (1, 0, 2.0)), "0/1"),
+    (_with(PATH3, (0, 1, 0.5), (1, 0, 0.5)), "0/1"),
+    (_with(PATH3, (0, 1, np.nan), (1, 0, np.nan)), "0/1"),
+    (np.ones(3), "square"),
+    (np.zeros((0, 0)), "square"),
+], ids=["self-loop", "past-n", "negative", "asymmetric", "weight-2", "weight-half", "nan",
+        "one-dim", "empty"])
+def test_metropolis_rejects_malformed_edges(A, rule):
+    # each input breaks one rule of an adjacency matrix, which the error names;
+    # a per-edge loop and the matrix formula would weigh these differently
+    with pytest.raises(ValueError, match=f"adjacency matrix must be {rule}$"):
+        metropolis_weights(A)
 
 
 def test_is_connected_matches_bfs_oracle():
@@ -166,8 +198,8 @@ def test_is_connected_matches_bfs_oracle():
         n = int(rng.integers(1, 16))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.6)
-        edges = frozenset(p for p, k in zip(pairs, keep) if k)
-        connected = Topology(n=n, edges=edges).is_connected()
+        edges = [p for p, k in zip(pairs, keep) if k]
+        connected = _connected(adjacency(n, edges))
         assert connected == bfs_connected(n, edges)
         outcomes.add(connected)
     assert outcomes == {True, False}
@@ -182,13 +214,8 @@ def test_second_singular_value_of_identity_flags_disconnection():
     assert second_singular_value(np.eye(7)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_second_singular_value_accepts_mixing_matrix(quad_graph):
-    _, mix = quad_graph
-    assert second_singular_value(mix) == pytest.approx(mix.sigma, abs=1e-14)
-
-
 def test_consensus_accepts_block_lists(quad_graph):
-    _, mix = quad_graph
+    mix = quad_graph
     rng = np.random.default_rng(7)
     blocks = [rng.standard_normal((3, 3)) for _ in range(mix.n)]
     out = consensus_apply(mix, 2, blocks)
@@ -197,7 +224,7 @@ def test_consensus_accepts_block_lists(quad_graph):
 
 
 def test_second_singular_value_matches_power_iteration_oracle(quad_graph):
-    _, mix = quad_graph
+    mix = quad_graph
     # independent power-iteration oracle on (W - Winf)^T (W - Winf)
     n = mix.n
     B = mix.W - np.full((n, n), 1 / n)
@@ -212,14 +239,14 @@ def test_second_singular_value_matches_power_iteration_oracle(quad_graph):
 
 
 def test_consensus_fixed_point(quad_graph):
-    _, mix = quad_graph
+    mix = quad_graph
     blocks = np.tile(np.arange(4.0), (mix.n, 1))
     out = consensus_apply(mix, 5, blocks)
     assert np.allclose(out, blocks, atol=1e-12)
 
 
 def test_consensus_preserves_average(quad_graph):
-    _, mix = quad_graph
+    mix = quad_graph
     rng = np.random.default_rng(0)
     blocks = rng.standard_normal((mix.n, 7))
     out = consensus_apply(mix, 3, blocks)
@@ -228,7 +255,7 @@ def test_consensus_preserves_average(quad_graph):
 
 @pytest.mark.parametrize("m", [1, 2, 5, 15])
 def test_consensus_contraction_factor(quad_graph, m):
-    _, mix = quad_graph
+    mix = quad_graph
     rng = np.random.default_rng(m)
     for _ in range(50):
         blocks = rng.standard_normal((mix.n, 6))
@@ -242,8 +269,7 @@ def test_consensus_contraction_property_bulk():
     # 1000 random stacked inputs across a few topologies and m values
     rng = np.random.default_rng(5)
     for seed, m in ((0, 1), (1, 2), (2, 4), (3, 8)):
-        top = generate_topology(8, 0.4, seed=seed)
-        mix = metropolis_weights(top)
+        mix = metropolis_weights(generate_topology(8, 0.4, seed=seed))
         blocks = rng.standard_normal((250, mix.n, 3))
         for b in blocks:
             dev_in = np.linalg.norm(b - b.mean(axis=0))
@@ -285,7 +311,7 @@ def test_consensus_matches_tensordot_and_keeps_average(n, tau, graph_seed, m, la
 
 @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2, 1)])
 def test_consensus_scalar_and_empty_blocks(quad_graph, shape):
-    _, mix = quad_graph
+    mix = quad_graph
     blocks = np.random.default_rng(1).standard_normal((mix.n, *shape))
     out = consensus_apply(mix, 2, blocks)
     assert out.shape == blocks.shape
@@ -293,7 +319,7 @@ def test_consensus_scalar_and_empty_blocks(quad_graph, shape):
 
 
 def test_consensus_rejects_mismatched_blocks(quad_graph):
-    _, mix = quad_graph
+    mix = quad_graph
     blocks = [np.zeros(3)] * (mix.n - 1) + [np.zeros(4)]
     with pytest.raises(ValueError):
         consensus_apply(mix, 1, blocks)
@@ -304,14 +330,15 @@ def test_consensus_rejects_mismatched_blocks(quad_graph):
 
 
 def test_matrix_round_trip(tmp_path, quad_graph):
-    top, mix = quad_graph
+    mix = quad_graph
+    A = generate_topology(QUAD.problem.n, QUAD.graph.tau, QUAD.graph.seed)
     path = tmp_path / "w.txt"
     save_matrix(path, mix.W)
     loaded = load_matrix(path)
     assert np.array_equal(loaded, mix.W)
     path2 = tmp_path / "adj.txt"
-    save_matrix(path2, top.adjacency())
-    assert np.array_equal(load_matrix(path2), top.adjacency())
+    save_matrix(path2, A)
+    assert np.array_equal(load_matrix(path2), A)
 
 
 def test_sigma_exact_above_200_nodes():

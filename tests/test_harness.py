@@ -1,6 +1,8 @@
 import hashlib
 import os
 import re
+import subprocess
+import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
@@ -543,12 +545,20 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
     # caught before the run, not when the trace is written
     (QUAD_CFG, "label = small-quad", "label = small-quad\ncsv =", r"\[output\] csv"),
     (QUAD_CFG, "label = small-quad", "label = small-quad\ncsv = nodir/", r"\[output\] csv"),
+    # schedule values no run can use: every c_k row would breach, or alpha ascends
+    (QUAD_CFG, "const(1e-10)", "const(-1.0)", r"\[algorithm\] cg_tol"),
+    (QUAD_CFG, "const(1e-10)", "const(inf)", r"\[algorithm\] cg_tol"),
+    (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "const(-0.5)", r"\[algorithm\] alpha"),
+    (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "stage(1e-10, -5, 1e-3)", r"\[algorithm\] alpha"),
+    (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "stage(inf, 3, 1.0)", r"\[algorithm\] alpha"),
+    (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "stage(0.1, 2.5, 1.0)", r"\[algorithm\] alpha"),
 ], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
         "stop_tol-negative", "ramp-nan", "ramp-cap-inf", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
         "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "kappa-below-1",
         "rho-inf", "rho-nan", "rho-0", "m_per_node-0", "problem-seed-negative",
         "graph-seed-negative", "tau-0", "tau-above-1", "dump_iters-negative",
-        "csv-with-repetitions", "csv-empty", "csv-directory"])
+        "csv-with-repetitions", "csv-empty", "csv-directory", "cg_tol-negative", "cg_tol-inf",
+        "alpha-negative", "stage-switch-negative", "stage-inf", "stage-switch-float"])
 def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, monkeypatch,
                                         base, old, new, field):
     monkeypatch.chdir(tmp_path)  # a relative csv path stays in tmp_path
@@ -560,6 +570,52 @@ def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, monkeypatch,
     assert len(err) == 1 and err[0].startswith("error:") and re.search(rf"(?<!\w){field}\b", err[0])
     assert not recwarn.list  # numpy warnings from a bad value that got too far
     assert not list(tmp_path.rglob("*.csv"))
+
+
+TINY_CFG = """
+[problem]
+family = quadratic
+n = 4
+d = 3
+kappa = 10.0
+seed = 1
+
+[graph]
+tau = 0.5
+seed = 2
+
+[algorithm]
+method = newton
+m = 2
+gamma = 0.1
+alpha = const(0.5)
+compressor = rank_k(2)
+max_iters = 3
+
+[output]
+label = tiny
+"""
+
+
+@pytest.mark.parametrize("compressor,code,last", [
+    ("rank_k(2)", 2, "tiny: status=max_iters iterations=3 "),
+    ("rank_k(5)", 1, "error: bad value for [algorithm] compressor = 'rank_k(5)': "),
+], ids=["valid", "K-above-d"])
+def test_cli_run_is_the_same_under_python_O(tmp_path, compressor, code, last):
+    # -O strips assert statements: a check that lives in one would let the
+    # bad config through there
+    (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("rank_k(2)", compressor))
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outcomes = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "decnewton.cli", "run", "--config",
+                               "tiny.cfg", "--out", "out"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        outcomes.append((proc.returncode, (proc.stdout + proc.stderr).splitlines()[-1]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code and outcomes[0][1].startswith(last)
 
 
 def test_list_presets_contents():

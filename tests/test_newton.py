@@ -50,6 +50,8 @@ def test_geometric_ramp_values():
 def test_two_stage_schedule():
     sched = TwoStageSchedule(0.01, 5, 1.0)
     assert [sched.at(k) for k in (0, 4, 5, 9)] == [0.01, 0.01, 1.0, 1.0]
+    # the lower limits are valid: a zero value, and stage two from the start
+    assert TwoStageSchedule(0.0, 0, 0.5).at(0) == 0.5
 
 
 def test_params_validation():
@@ -89,6 +91,12 @@ def test_params_reject_bad_run_values(field, value):
     # an infinite cap never saturates and base * growth**k overflows near k = 7450
     (GeometricRamp, (INF, 1.1, 1.0)), (GeometricRamp, (0.1, INF, 1.0)),
     (GeometricRamp, (0.02, 1.1, INF)),
+    # a negative or infinite value, and a switch that is no iteration count
+    (ConstantSchedule, (-1.0,)), (ConstantSchedule, (INF,)),
+    (TwoStageSchedule, (-0.1, 5, 1.0)), (TwoStageSchedule, (0.1, 5, -1.0)),
+    (TwoStageSchedule, (INF, 3, 1.0)), (TwoStageSchedule, (0.1, 3, INF)),
+    (TwoStageSchedule, (1e-10, -5, 1e-3)), (TwoStageSchedule, (0.1, 2.5)),
+    (TwoStageSchedule, (0.1, True)), (TwoStageSchedule, (0.1, None)),
 ])
 def test_schedules_reject_nan(schedule, args):
     with pytest.raises(ValueError):
@@ -158,7 +166,7 @@ def free_running_deviations(problem, W, params, iters):
 
 
 def test_gamma_zero_variants_bit_identical(quad_problem, quad_graph):
-    deviations = free_running_deviations(quad_problem, quad_graph[1], quad_params(gamma=0.0), 30)
+    deviations = free_running_deviations(quad_problem, quad_graph, quad_params(gamma=0.0), 30)
     assert max(deviations) == 0.0
 
 
@@ -301,7 +309,7 @@ def test_straight_line_numpy_oracle_with_compression(variant):
 
 
 def test_identity_compressor_stores(quad_problem, quad_graph):
-    _, W = quad_graph
+    W = quad_graph
     params = quad_params(compressor=CompressorSpec("identity", d=quad_problem.d))
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     prev_H = state.H.copy()
@@ -315,7 +323,7 @@ def test_identity_compressor_stores(quad_problem, quad_graph):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_average_identities_and_mean_dynamics(quad_problem, quad_graph, variant):
-    _, W = quad_graph
+    W = quad_graph
     params = quad_params(variant=variant)
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     for k in range(25):
@@ -335,7 +343,7 @@ def test_average_identities_and_mean_dynamics(quad_problem, quad_graph, variant)
 
 
 def test_efficient_accumulator_tracks_mixed_store(quad_problem, quad_graph):
-    _, W = quad_graph
+    W = quad_graph
     params = quad_params()
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     for k in range(20):
@@ -346,7 +354,7 @@ def test_efficient_accumulator_tracks_mixed_store(quad_problem, quad_graph):
 
 
 def test_lockstep_equivalence_per_step(quad_problem, quad_graph):
-    _, W = quad_graph
+    W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     deviations = run_lockstep(quad_problem, W, quad_params(), x0, iters=60)
     assert max(deviations) <= 1e-9
@@ -355,11 +363,11 @@ def test_lockstep_equivalence_per_step(quad_problem, quad_graph):
 def test_lockstep_free_running_identity_compressor(quad_problem, quad_graph):
     # without truncation discontinuities the trajectories track each other
     params = quad_params(compressor=CompressorSpec("identity", d=quad_problem.d))
-    assert max(free_running_deviations(quad_problem, quad_graph[1], params, 100)) <= 1e-9
+    assert max(free_running_deviations(quad_problem, quad_graph, params, 100)) <= 1e-9
 
 
 def test_bits_accounting(quad_problem, quad_graph):
-    _, W = quad_graph
+    W = quad_graph
     n, d, m = quad_problem.n, quad_problem.d, 15
     spec = CompressorSpec("rank_k", d=d, K=3)
     params = quad_params(m=m)
@@ -371,7 +379,7 @@ def test_bits_accounting(quad_problem, quad_graph):
 
 
 def test_zero_step_size_is_pure_consensus(quad_problem, quad_graph, quad_xstar):
-    _, W = quad_graph
+    W = quad_graph
     rng = np.random.default_rng(8)
     x0 = rng.standard_normal((quad_problem.n, quad_problem.d))
     params = quad_params(alpha=ConstantSchedule(0.0), max_iters=80, stop_tol=0.0)
@@ -386,7 +394,7 @@ def test_zero_step_size_is_pure_consensus(quad_problem, quad_graph, quad_xstar):
 
 
 def test_run_determinism(quad_problem, quad_graph, quad_xstar):
-    _, W = quad_graph
+    W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     t1 = run(quad_problem, W, quad_params(), x0, quad_xstar)
     t2 = run(quad_problem, W, quad_params(), x0, quad_xstar)
@@ -404,7 +412,7 @@ def test_run_rejects_unknown_variant():
 
 
 def test_divergence_detector(quad_problem, quad_graph, quad_xstar):
-    _, W = quad_graph
+    W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     params = quad_params(alpha=ConstantSchedule(50.0), max_iters=200, stop_tol=1e-12)
     trace = run(quad_problem, W, params, x0, quad_xstar)
@@ -417,7 +425,7 @@ def test_non_finite_tracker_diverges_where_it_appears(quad_problem, quad_graph, 
                                                       method):
     # a NaN in one node's linear term is already in the gradient tracker's
     # start g0 = grad f(x0), so the run ends before its first step
-    _, W = quad_graph
+    W = quad_graph
     p = quad_problem.data.p.copy()
     p[3, 0] = np.nan
     prob = replace(quad_problem, data=replace(quad_problem.data, p=p))
@@ -437,7 +445,7 @@ def test_non_finite_hessian_diverges_at_iteration_0(quad_problem, quad_graph, qu
     hessians_non_finite_on_call(monkeypatch, 1, np.inf)
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     with np.errstate(invalid="ignore"):
-        trace = run(quad_problem, quad_graph[1], quad_params(max_iters=5), x0, quad_xstar)
+        trace = run(quad_problem, quad_graph, quad_params(max_iters=5), x0, quad_xstar)
     assert trace.status == "diverged" and trace.iterations == 0
     assert trace.note == "non-finite iterate or tracker at iteration 0"
 
@@ -450,9 +458,9 @@ def test_non_finite_start_diverges_without_warnings(quad_problem, quad_graph, qu
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     x0[2, 1] = np.inf
     if method == "newton":
-        trace = run(quad_problem, quad_graph[1], quad_params(max_iters=5), x0, quad_xstar)
+        trace = run(quad_problem, quad_graph, quad_params(max_iters=5), x0, quad_xstar)
     else:
-        trace = gt_run(quad_problem, quad_graph[1], GTParams(alpha=0.01, max_iters=5), x0,
+        trace = gt_run(quad_problem, quad_graph, GTParams(alpha=0.01, max_iters=5), x0,
                        quad_xstar)
     assert trace.status == "diverged" and trace.iterations == 0
     assert trace.note == "non-finite iterate or tracker at iteration 0"
@@ -463,14 +471,14 @@ def test_non_finite_hessian_diverges_mid_run(quad_problem, quad_graph, quad_xsta
     # the node falls back to g_i / L1, so x and g stay finite
     hessians_non_finite_on_call(monkeypatch, 3, np.nan)
     x0 = np.zeros((quad_problem.n, quad_problem.d))
-    trace = run(quad_problem, quad_graph[1], quad_params(max_iters=20), x0, quad_xstar)
+    trace = run(quad_problem, quad_graph, quad_params(max_iters=20), x0, quad_xstar)
     assert trace.status == "diverged" and trace.iterations == 2
     assert trace.rows[2].fallback_count == 1 and np.isfinite(trace.rows[2].rel_err)
     assert trace.note == "non-finite iterate or tracker at iteration 2"
 
 
 def test_cg_fallback_direction(quad_problem, quad_graph):
-    _, W = quad_graph
+    W = quad_graph
     params = quad_params(cg_tol=ConstantSchedule(0.0))
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     state.H[0] = -np.eye(quad_problem.d)  # force a breakdown on node 0
@@ -510,7 +518,7 @@ def test_solve_directions_reports_asymmetry_and_all_fallbacks():
 
 
 def test_monotone_tail_after_ramp_saturation(quad_problem, quad_graph, quad_xstar):
-    _, W = quad_graph
+    W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     trace = run(quad_problem, W, quad_params(stop_tol=1e-20, max_iters=300), x0, quad_xstar)
     assert trace.status == "converged"
@@ -521,7 +529,7 @@ def test_monotone_tail_after_ramp_saturation(quad_problem, quad_graph, quad_xsta
 
 
 def test_growing_consensus_mode(quad_problem, quad_graph, quad_xstar):
-    _, W = quad_graph
+    W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     trace = run(quad_problem, W, quad_params(m="k", max_iters=300), x0, quad_xstar)
     assert trace.status == "converged"
@@ -529,7 +537,7 @@ def test_growing_consensus_mode(quad_problem, quad_graph, quad_xstar):
 
 def test_on_step_sees_the_start_and_each_iteration(quad_problem, quad_graph, quad_xstar):
     # on_step(k, state) gets the state of trace row k, the start (k = 0) included
-    _, W = quad_graph
+    W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     seen = []
     trace = run(quad_problem, W, quad_params(max_iters=6, stop_tol=0.0), x0, quad_xstar,
