@@ -10,13 +10,13 @@ with ``g`` initialized to the local gradients so the tracker mean equals the
 mean local gradient at every iteration. The constant step size is the only
 knob that matters; ``tune_alpha`` picks it by a grid-and-zoom search over
 log10(alpha), scoring candidates by iterations-to-target (with a smooth
-penalty for runs that fall short). It runs four stacks of candidates, each
-side by side on ``(n, C, d)`` arrays that share each gossip round's matrix
-product and keep only ``rel_err``: 11 points 0.5 decade apart, then three
-zooms around the best score so far, each at 1/5 of the spacing before. A
-running candidate leaves its stack once it cannot win: a run still going at
-iteration j scores above j, so it loses to a run that converged at j and to
-an earlier stack's best score of at most j.
+penalty for runs that fall short). It runs four stacks of candidates side by
+side on ``(n, C, d)`` arrays that share each gossip round's matrix product
+and keep only ``rel_err``: 11 points 0.5 decade apart, raced to the target or
+to 1e-6, whichever is looser, then three zooms around the best score so far,
+each at 1/5 of the spacing before. A running candidate leaves its stack once
+it cannot win: a run still going at iteration j scores above j, so it loses
+to a run that converged at j and to an earlier stack's best score of at most j.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
 
 _GRID = 1250  # tune_alpha's 5 decades in steps of 0.004 decade, its last stack's spacing
 _SPACINGS = (125, 25, 5, 1)  # each stack's spacing, in grid steps
+_COARSE_TARGET = 1e-6  # the grid races to the target or to this, whichever is looser
 
 
 @dataclass(frozen=True)
@@ -143,21 +144,25 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
                budget: int = 1500) -> float:
     """Grid-and-zoom search over log10(alpha) for the fastest run to target.
 
-    Candidates that converge within the budget score by iteration count.
-    Candidates still running score by iterations-to-target extrapolated from
-    the tail slope of log(rel_err). The range is the 5 decades below 2/L1:
+    Candidates that converge within the budget score by iteration count, and
+    those still running by iterations-to-target extrapolated from the slope of
+    log(rel_err) over the run's last half; a budget below 8 leaves fewer than
+    5 points and raises ValueError. The range is the 5 decades below 2/L1:
     steps beyond that can be unstable with a growth rate too slow for any
     budget-limited run to notice, while 2/L1 <= 2/lambda_max(average Hessian)
     keeps the near-centralized regime contractive.
 
-    The first stack runs 11 points 0.5 decade apart over the range. Each of
-    three more stacks runs the points within 5 spacings of the best score so
-    far, at 1/5 of the spacing before (0.1, 0.02, then 0.004 decade), that lie
-    in the range and have no score yet. Each stack races through ``gt_columns``
-    with the earlier stacks' best score as its ``horizon``: a run still going at
-    iteration j scores above j, so it cannot win, and scores +inf. Ties go to
-    the larger alpha.
+    The first stack runs 11 points 0.5 decade apart over the range, to the
+    target or to 1e-6, whichever is looser; it keeps no score to a looser
+    target. Each of three more stacks runs the points within 5 spacings of the
+    best score so far, at 1/5 of the spacing before (0.1, 0.02, 0.004 decade),
+    in the range and with no score yet. Each stack races through ``gt_columns``
+    with the earlier stacks' best score as its ``horizon``: a run still going
+    at j scores above j, so it cannot win, and scores +inf. Ties go to the larger alpha.
     """
+    if budget < 8:  # _score's tail: 5 points in the last half of a run
+        start_state(problem, x0)  # an x0 of the wrong shape fails first
+        raise ValueError(f"budget must be at least 8 to score a run that falls short, got {budget}")
     hi = math.log10(2.0 / problem.L1)
     lo = hi - 5.0
 
@@ -167,11 +172,14 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
     scores = {}
     best = _GRID // 2  # the first stack spans the range, with no score to beat
     for spacing in _SPACINGS:
+        aim = max(target, _COARSE_TARGET) if spacing == _SPACINGS[0] else target
         points = [i for i in range(best - 5 * spacing, best + 5 * spacing + 1, spacing)
                   if 0 <= i <= _GRID and i not in scores]
         columns = gt_columns(problem, W, [10.0 ** log_alpha(i) for i in points], m, x0,
-                             oracle_xstar, budget, target, scores.get(best, math.inf))
-        scores.update((i, _score(*column, log_alpha(i), lo, target))
+                             oracle_xstar, budget, aim, scores.get(best, math.inf))
+        scores.update((i, _score(*column, log_alpha(i), lo, aim))
                       for i, column in zip(points, columns))
         best = min(scores, key=lambda i: (scores[i], -i))
+        if aim > target:  # scores to another target: the first zoom races their best again
+            scores.clear()
     return float(10.0 ** log_alpha(best))

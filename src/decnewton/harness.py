@@ -418,10 +418,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
         params = config.algorithm
         if config.gt_alpha_mode == "tuned":
             # at the run's own target, above roundoff (diagnostics.stage_two_window's
-            # floor), so the run converges where its alpha scored
+            # floor), so the run converges where its alpha scored; over at least the 8
+            # iterations tune_alpha needs to score a run still going
             alpha = tune_alpha(problem, W, x0, x_star, m=params.m,
                                target=max(params.stop_tol, 1e-24),
-                               budget=min(params.max_iters, 3000))
+                               budget=min(max(params.max_iters, 8), 3000))
             params = replace(params, alpha=alpha)
         trace = gt_run(problem, W, params, x0, x_star)
     trace.label = config.label
