@@ -9,14 +9,13 @@ iteration:
 with ``g`` initialized to the local gradients so the tracker mean equals the
 mean local gradient at every iteration. The constant step size is the only
 knob that matters; ``tune_alpha`` picks it by a grid-and-zoom search over
-log10(alpha), scoring candidates by iterations-to-target (with a smooth
-penalty for runs that fall short). It runs four stacks of candidates side by
-side on ``(n, C, d)`` arrays that share each gossip round's matrix product
-and keep only ``rel_err``: 11 points 0.5 decade apart, raced to the target or
-to 1e-6, whichever is looser, then three zooms around the best score so far,
-each at 1/5 of the spacing before. A running candidate leaves its stack once
-it cannot win: a run still going at iteration j scores above j, so it loses
-to a run that converged at j and to an earlier stack's best score of at most j.
+log10(alpha), scoring candidates by iterations-to-target. It runs four stacks
+of candidates side by side on ``(n, C, d)`` arrays that share each gossip
+round's matrix product and keep only ``rel_err``: 11 points 0.5 decade apart,
+raced to the target or to 1e-6, whichever is looser, then three zooms around
+the best score so far, each 5 times finer. A candidate leaves its stack once
+it cannot win: still going at iteration j, it scores above j, so it loses to
+a run that converged at j and to an earlier stack's best score of at most j.
 """
 
 from __future__ import annotations
@@ -144,21 +143,20 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
                budget: int = 1500) -> float:
     """Grid-and-zoom search over log10(alpha) for the fastest run to target.
 
-    Candidates that converge within the budget score by iteration count, and
-    those still running by iterations-to-target extrapolated from the slope of
-    log(rel_err) over the run's last half; a budget below 8 leaves fewer than
-    5 points and raises ValueError. The range is the 5 decades below 2/L1:
-    steps beyond that can be unstable with a growth rate too slow for any
-    budget-limited run to notice, while 2/L1 <= 2/lambda_max(average Hessian)
-    keeps the near-centralized regime contractive.
+    Candidates that converge within the budget score by iteration count, those still
+    running by iterations-to-target extrapolated from the slope of log(rel_err) over
+    the run's last half; a budget below 8 raises ValueError. The range is the 5
+    decades below 2/L1: steps beyond that can be unstable with a growth rate too
+    slow for any budget-limited run to notice, while 2/L1 <= 2/lambda_max(average
+    Hessian) keeps the near-centralized regime contractive.
 
-    The first stack runs 11 points 0.5 decade apart over the range, to the
-    target or to 1e-6, whichever is looser; it keeps no score to a looser
-    target. Each of three more stacks runs the points within 5 spacings of the
-    best score so far, at 1/5 of the spacing before (0.1, 0.02, 0.004 decade),
-    in the range and with no score yet. Each stack races through ``gt_columns``
-    with the earlier stacks' best score as its ``horizon``: a run still going
-    at j scores above j, so it cannot win, and scores +inf. Ties go to the larger alpha.
+    The first stack runs 11 points 0.5 decade apart over the range, to the target or
+    to 1e-6, whichever is looser; scores to a looser aim that a run reached only
+    pick the best point. Each of three more stacks runs the points within 5 spacings
+    of the best score so far, at 1/5 of the spacing before (0.1, 0.02, 0.004
+    decade), in the range and with no score yet. Each races through ``gt_columns``
+    with the earlier stacks' best score as its ``horizon``: a run still going at j
+    scores above j, cannot win, and scores +inf. Ties go to the larger alpha.
     """
     if budget < 8:  # _score's tail: 5 points in the last half of a run
         start_state(problem, x0)  # an x0 of the wrong shape fails first
@@ -177,6 +175,8 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
                   if 0 <= i <= _GRID and i not in scores]
         columns = gt_columns(problem, W, [10.0 ** log_alpha(i) for i in points], m, x0,
                              oracle_xstar, budget, aim, scores.get(best, math.inf))
+        if "converged" not in (status for status, _ in columns):
+            aim = target  # then the race to the target was the same, and its scores stand
         scores.update((i, _score(*column, log_alpha(i), lo, aim))
                       for i, column in zip(points, columns))
         best = min(scores, key=lambda i: (scores[i], -i))

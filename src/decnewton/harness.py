@@ -38,12 +38,12 @@ the first line is a comment carrying the label, the config fingerprint, and
 the final status. The ``run``, ``preset`` and ``caps`` commands let DECNEWTON_SEED
 override both seeds (``repetitions``); ``run_experiment`` runs the config it is given.
 
-Each field goes in the section shown. Any other field or section, a value
-under ``[DEFAULT]`` and a field the family or method does not read (``rho``
-on a quadratic, ``gamma`` or ``variant`` with ``method = gt``) are errors. A
-missing optional field takes its ``AlgoParams`` (newton), ``GTParams`` (gt)
-or ``ExperimentConfig`` default; ``alpha = tuned`` is for gt only. A label is
-non-empty, with no ``,``, ``=``, ``/``, ``\\`` or whitespace.
+Each field goes in the section shown. Any other field or section, a value under
+``[DEFAULT]`` and a field the family or method does not read (``rho`` on a quadratic,
+``gamma`` or ``variant`` with ``method = gt``) are errors. A missing optional field
+takes its ``AlgoParams`` (newton), ``GTParams`` (gt) or ``ExperimentConfig`` default;
+``alpha = tuned`` is for gt only, with ``max_iters`` at least 8. A label is non-empty,
+with no ``,``, ``=``, ``/``, ``\\`` or whitespace.
 """
 
 from __future__ import annotations
@@ -302,6 +302,8 @@ def parse_config(source) -> ExperimentConfig:
         raise ValueError(f"[algorithm] method must be newton or gt, got {method!r}")
     tuned = unread["algorithm"].get("alpha") == "tuned"  # newton rejects it as a schedule
     algorithm = _METHOD_PARAMS[method](**read("algorithm", _METHOD_PARAMS[method]))
+    if tuned and algorithm.max_iters < 8:  # tune_alpha's shortest budget
+        raise ValueError(f"[algorithm] max_iters must be at least 8 with alpha = tuned, got {algorithm.max_iters}")
     output = read("output", ExperimentConfig)
 
     left = [f"[{section}] {key}" for section, rest in unread.items() for key in rest]
@@ -417,9 +419,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
     else:
         params = config.algorithm
         if config.gt_alpha_mode == "tuned":
-            # at the run's own target, above roundoff (diagnostics.stage_two_window's
-            # floor), so the run converges where its alpha scored; over at least the 8
-            # iterations tune_alpha needs to score a run still going
+            # at the run's own target, above roundoff (diagnostics.stage_two_window's floor), so the
+            # run converges where its alpha scored; over 8 at least for perfbench's 3-iteration warm-up
             alpha = tune_alpha(problem, W, x0, x_star, m=params.m,
                                target=max(params.stop_tol, 1e-24),
                                budget=min(max(params.max_iters, 8), 3000))

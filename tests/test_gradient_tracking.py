@@ -232,8 +232,9 @@ def _sequential_zoom(problem, W, x0, x_star, m, target, budget):
     and no run leaving early: 11 points 0.5 decade apart over the 5 decades
     below 2/L1, run to the target or to 1e-6, whichever is looser, then three
     stacks at 0.1, 0.02 and 0.004 decade within 5 spacings of the best score
-    so far, the larger alpha winning a tie. Grid scores to a looser target
-    are dropped once the grid has picked its best point."""
+    so far, the larger alpha winning a tie. When a grid run converged at a
+    looser 1e-6, the grid's scores only pick its best point; when none did,
+    the grid scores at the target."""
     hi = math.log10(2.0 / problem.L1)
     scores = {}  # log10(alpha) -> score
     best = hi - 2.5
@@ -244,6 +245,9 @@ def _sequential_zoom(problem, W, x0, x_star, m, target, budget):
             p = hi - (1250 - i) / 250
             if 0 <= i <= 1250 and p not in scores:
                 scores[p] = _lone_score(problem, W, x0, x_star, m, aim, budget, p)
+        if aim > target and min(scores.values()) > budget:  # no run converged
+            aim = target
+            scores = {p: _lone_score(problem, W, x0, x_star, m, aim, budget, p) for p in scores}
         best = min(scores, key=lambda p: (scores[p], -p))
         if aim > target:
             scores = {}
@@ -290,8 +294,9 @@ def _search_instance(kappa, seed, unstable):
 
 
 @pytest.mark.parametrize("kappa,seed,unstable,m,target,budget,seen", [
-    # nothing converges within the budget: every run is scored by extrapolation
-    # the gt-tuned instance, short budget; its grid races to 1e-6, not to 1e-8
+    # nothing converges within the budget: every run is scored by extrapolation.
+    # The gt-tuned instance, short budget: no grid run reaches 1e-6 either, so the
+    # grid scores at 1e-8.
     (100.0, 1, False, 1, 1e-8, 300, {"max_iters"}),
     (100.0, 1, False, 1, 1e-6, 300, {"max_iters"}),
     # test_a4's instances, kappa = 1e4 on a shorter budget to keep the test short.
@@ -306,8 +311,10 @@ def _search_instance(kappa, seed, unstable):
     (10000.0, 2, True, 1, 0.05, 600, {"converged", "diverged", "dropped"}),
     # a loose target: runs tie on iterations, and the larger alpha wins
     (10.0, 1, False, 1, 1e-2, 300, {"converged", "dropped"}),
+    # a grid run converges at 1e-6: the grid's scores only pick the first zoom's centre
+    (10.0, 1, False, 20, 1e-8, 300, {"converged", "dropped"}),
 ], ids=["gt-tuned", "k1e2-target-1e-6", "a4-k1e1", "a4-k1e4", "k1e2-diverging-top",
-        "k1e2-short-budget", "k1e4-diverging-top", "k1e1-ties"])
+        "k1e2-short-budget", "k1e4-diverging-top", "k1e1-ties", "k1e1-grid-to-1e-6"])
 def test_tune_alpha_matches_sequential_zoom(monkeypatch, kappa, seed, unstable, m, target,
                                             budget, seen):
     prob, W, x_star = _search_instance(kappa, seed, unstable)
@@ -357,6 +364,31 @@ def test_coarse_grid_race_keeps_the_full_race_alpha(monkeypatch, kappa, shift, u
     assert tune_alpha(*args) == coarse
 
 
+@pytest.mark.parametrize("kappa,m,budget", [(100.0, 1, 300), (10000.0, 20, 600)],
+                         ids=["gt-tuned", "a4-k1e4"])
+def test_grid_short_of_the_coarse_target_races_as_to_the_target(monkeypatch, kappa, m, budget):
+    # no grid run reaches 1e-6 within the budget, so none reaches the target: the
+    # race to 1e-6 is the race to the target, and the grid keeps its scores to the
+    # target. Every stack returns the columns of the search with a coarse target of 0.
+    prob, W, x_star = _search_instance(kappa, 1, False)
+    args = (prob, W, np.zeros((10, 30)), x_star, m, 1e-8, budget)
+
+    def search():
+        stacks = []
+
+        def recorded(*call):
+            stacks.append(gt_columns(*call))
+            return stacks[-1]
+
+        monkeypatch.setattr(gradient_tracking, "gt_columns", recorded)
+        return tune_alpha(*args), stacks
+
+    coarse = search()
+    assert {status for stack in coarse[1] for status, _ in stack} == {"max_iters"}
+    monkeypatch.setattr(gradient_tracking, "_COARSE_TARGET", 0.0)
+    assert search() == coarse
+
+
 @pytest.mark.parametrize("budget", [4, 5, 6, 7, 8])
 def test_budget_too_short_to_score_is_rejected(budget):
     # _score fits 5 points of a run's last half: at a budget of 7 or less every run
@@ -364,8 +396,8 @@ def test_budget_too_short_to_score_is_rejected(budget):
     prob = make_quadratic(4, 3, 10.0, 1)
     W = metropolis_weights(generate_topology(4, 0.9, seed=2))
     args = (prob, W, np.zeros((4, 3)), centralized_solve(prob))
-    if budget == 8:
-        assert tune_alpha(*args, budget=budget) == 2.0 / prob.L1
+    if budget == 8:  # the top of the range, 2/L1
+        assert tune_alpha(*args, budget=budget) == 10.0 ** math.log10(2.0 / prob.L1)
     else:
         with pytest.raises(ValueError, match=f"budget must be at least 8.*got {budget}"):
             tune_alpha(*args, budget=budget)
@@ -445,8 +477,9 @@ def test_tuned_run_converges_at_its_alpha_tuning_score(monkeypatch):
 
 
 def test_tuned_run_shorter_than_a_score_tunes_over_eight_iterations():
-    # tune_alpha rejects a budget below 8; a shorter tuned run, such as the benchmark's
-    # three-iteration warm-up, takes the alpha tuned over 8 iterations
+    # tune_alpha rejects a budget below 8, and parse_config a tuned max_iters below 8; a
+    # shorter tuned config built in code, such as the benchmark's three-iteration warm-up,
+    # takes the alpha tuned over 8 iterations
     config = _tuned_gt_config(4, 1e-9)
     trace, _ = run_experiment(config)
     prob, W, x0, x_star = _instance(config)

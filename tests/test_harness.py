@@ -552,13 +552,17 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
     (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "stage(1e-10, -5, 1e-3)", r"\[algorithm\] alpha"),
     (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "stage(inf, 3, 1.0)", r"\[algorithm\] alpha"),
     (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "stage(0.1, 2.5, 1.0)", r"\[algorithm\] alpha"),
+    # too short for tune_alpha to score a run still going
+    (GT_CFG, "max_iters = 3000", "max_iters = 4", r"\[algorithm\] max_iters"),
+    (GT_CFG, "max_iters = 3000", "max_iters = 7", r"\[algorithm\] max_iters"),
 ], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
         "stop_tol-negative", "ramp-nan", "ramp-cap-inf", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
         "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "kappa-below-1",
         "rho-inf", "rho-nan", "rho-0", "m_per_node-0", "problem-seed-negative",
         "graph-seed-negative", "tau-0", "tau-above-1", "dump_iters-negative",
         "csv-with-repetitions", "csv-empty", "csv-directory", "cg_tol-negative", "cg_tol-inf",
-        "alpha-negative", "stage-switch-negative", "stage-inf", "stage-switch-float"])
+        "alpha-negative", "stage-switch-negative", "stage-inf", "stage-switch-float",
+        "gt-tuned-max_iters-4", "gt-tuned-max_iters-7"])
 def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, monkeypatch,
                                         base, old, new, field):
     monkeypatch.chdir(tmp_path)  # a relative csv path stays in tmp_path
