@@ -62,17 +62,11 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "run":
+    if args.command in ("run", "preset"):
+        runs = (harness.run_configs([harness.parse_config(args.config)], args.out)
+                if args.command == "run" else harness.run_preset(args.name, args.out))
         worst = 0
-        for config in harness.repetitions(harness.parse_config(args.config)):
-            trace, path = harness.run_experiment(config, out_dir=args.out)
-            print(harness.summary(trace, path))
-            worst = max(worst, harness.STATUS_CODE[trace.status])
-        return worst
-
-    if args.command == "preset":
-        worst = 0
-        for code, msg in harness.run_preset(args.name, args.out):
+        for code, msg in runs:
             print(msg)
             worst = max(worst, code)
         return worst
@@ -87,11 +81,9 @@ def _dispatch(args) -> int:
         print(f"wrote {len(rows)} summary rows to {args.out}")
         return 0
 
-    if args.command == "caps":
-        print(harness.caps_report(harness.repetitions(harness.parse_config(args.config))[0]))
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
+    # caps; argparse admits no other command
+    print(harness.caps_report(harness.repetitions(harness.parse_config(args.config))[0]))
+    return 0
 
 
 if __name__ == "__main__":

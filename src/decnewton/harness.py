@@ -33,7 +33,7 @@ Configs are plain text with configparser sections::
 A gradient-tracking config replaces the algorithm block with
 ``method = gt``, ``alpha = <float or tuned>``, ``m``, ``max_iters``,
 ``stop_tol``. Every run starts from x0 = 0 blocks and measures against a
-centralized Newton oracle. Traces append to CSV with a fixed column order;
+centralized Newton oracle. Traces are written as CSV with a fixed column order;
 the first line is a comment carrying the label, the config fingerprint, and
 the final status. The ``run``, ``preset`` and ``caps`` commands let DECNEWTON_SEED
 override both seeds (``repetitions``); ``run_experiment`` runs the config it is given.
@@ -82,6 +82,7 @@ __all__ = [
     "build_mixing",
     "repetitions",
     "run_experiment",
+    "run_configs",
     "summary",
     "write_trace_csv",
     "read_trace_csv",
@@ -450,7 +451,10 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-_FIELD_CASTS = {f.name: type(f.default) for f in fields(RoundMetrics)}
+# write_trace_csv's first two lines, and the type of each column in CSV_COLUMNS order
+_TRACE_COMMENT = re.compile(rf"# decnewton-trace label=(\S*) fingerprint=(\S*) status=({'|'.join(STATUS_CODE)})")
+_TRACE_HEADER = ",".join(CSV_COLUMNS)
+_COLUMN_TYPES = [type(f.default) for f in fields(RoundMetrics)][:len(CSV_COLUMNS)]
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -464,47 +468,36 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 
 def read_trace_csv(path) -> Trace:
-    """Read a trace whose header names any subset of the RoundMetrics fields.
-    Raises ValueError naming the file, and the line where there is one, on
-    a missing header or data, an unknown or duplicated column, a row of the
-    wrong length, a value that does not parse or a missing final newline (the
-    writer ends every line with one, so its absence marks a cut file)."""
+    """Read a trace as ``write_trace_csv`` writes it, and nothing else: the
+    ``# decnewton-trace label=... fingerprint=... status=...`` line with a
+    ``STATUS_CODE`` status, the ``CSV_COLUMNS`` header, at least one row of
+    one value per column and a final newline (its absence marks a cut file).
+    Anything else raises a ValueError naming the file, and the line where
+    there is one."""
     with open(path) as fh:
-        text = fh.read()
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if text and not text.endswith("\n"):
-        raise ValueError(f"{path}:{len(text.splitlines())}: no newline at the end; the file is cut")
-    label, fingerprint, status = "", "", ""
-    if lines and lines[0][1].startswith("#"):
-        meta = dict(tok.split("=", 1) for tok in lines[0][1][1:].split() if "=" in tok)
-        label = meta.get("label", "")
-        fingerprint = meta.get("fingerprint", "")
-        status = meta.get("status", "")
-        lines = lines[1:]
-    if not lines or lines[0][1].startswith("#"):
-        raise ValueError(f"trace file {path} has no header line")
-    if len(lines) < 2:
-        raise ValueError(f"trace file {path} has no data rows")
-    header_no, header_line = lines[0]
-    header = header_line.split(",")
-    for i, name in enumerate(header):
-        if name not in _FIELD_CASTS:
-            raise ValueError(f"{path}:{header_no}: unknown trace column {name!r}")
-        if name in header[:i]:
-            raise ValueError(f"{path}:{header_no}: duplicated trace column {name!r}")
+        lines = fh.read().split("\n")
+    if lines.pop():  # the text after the last newline
+        raise ValueError(f"{path}:{len(lines) + 1}: no newline at the end; the file is cut")
+    if len(lines) < 3:
+        raise ValueError(f"trace file {path} has {len(lines)} line(s); a trace has a comment line, a header and rows")
+    if not (meta := _TRACE_COMMENT.fullmatch(lines[0])):
+        raise ValueError(f"{path}:1: not a '# decnewton-trace label=... fingerprint=... "
+                         f"status=<{'|'.join(STATUS_CODE)}>' line: {lines[0]!r}")
+    if lines[1] != _TRACE_HEADER:
+        raise ValueError(f"{path}:2: the header must be the trace columns {_TRACE_HEADER}")
     rows = []
-    for no, line in lines[1:]:
+    for no, line in enumerate(lines[2:], 3):
         vals = line.split(",")
-        if len(vals) != len(header):
-            raise ValueError(f"{path}:{no}: {len(vals)} fields, header has {len(header)}")
-        kwargs = {}
-        for name, raw in zip(header, vals):
+        if len(vals) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}:{no}: {len(vals)} fields, the header has {len(CSV_COLUMNS)}")
+        values = []
+        for name, cast, raw in zip(CSV_COLUMNS, _COLUMN_TYPES, vals):
             try:
-                kwargs[name] = _FIELD_CASTS[name](raw)
+                values.append(cast(raw))
             except ValueError:
                 raise ValueError(f"{path}:{no}: bad {name} value {raw!r}") from None
-        rows.append(RoundMetrics(**kwargs))
-    return Trace(rows=rows, status=status, label=label, fingerprint=fingerprint)
+        rows.append(RoundMetrics(*values))
+    return Trace(rows=rows, label=meta[1], fingerprint=meta[2], status=meta[3])
 
 
 def compare(trace_paths, out_path, tol: float = 1e-6):
@@ -581,16 +574,21 @@ def preset_configs(name: str):
 EQUIVALENCE_TOL = 1e-9
 
 
+def run_configs(configs, out_dir: str):
+    """Run every config, each expanded through ``repetitions`` before the
+    first run; yields (exit_code, summary message) as each run ends."""
+    for run in [run for config in configs for run in repetitions(config)]:
+        trace, path = run_experiment(run, out_dir=out_dir)
+        yield STATUS_CODE[trace.status], summary(trace, path)
+
+
 def run_preset(name: str, out_dir: str):
-    """Run every config of a preset, each expanded through ``repetitions``;
-    yields (exit_code, summary message) as each run ends."""
+    """``run_configs`` over a preset's configs, after its check if it has one."""
     configs = preset_configs(name)
     os.makedirs(out_dir, exist_ok=True)
     if name == "alg-equivalence":  # a check, with no configs
         yield _run_equivalence_preset(out_dir)
-    for run in [run for config in configs for run in repetitions(config)]:
-        trace, path = run_experiment(run, out_dir=out_dir)
-        yield STATUS_CODE[trace.status], summary(trace, path)
+    yield from run_configs(configs, out_dir)
 
 
 def _run_equivalence_preset(out_dir: str):

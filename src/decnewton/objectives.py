@@ -76,10 +76,6 @@ class Problem:
     L2: float
     mu: float
 
-    @property
-    def kappa_F(self) -> float:
-        return self.L1 / self.mu
-
 
 def make_quadratic(n: int, d: int, kappa_target: float, seed: int, spread: float = 0.4) -> Problem:
     """Quadratic instance whose average Hessian has condition number kappa_target.

@@ -6,10 +6,15 @@ file as-is and resolving every binding makes such a rename fail here. A
 binding that still resolves but is no longer called (say, the function was
 inlined into its caller) would read zero in the traced layer numbers, so the
 calls made through the bindings during short runs are counted as well.
+Each workload of ``BENCHMARK.json`` also runs once, briefly and untraced, as
+the benchmark runs it.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +26,9 @@ from decnewton.gradient_tracking import GTParams, gt_columns, gt_run, tune_alpha
 from decnewton.harness import preset_configs, run_experiment
 from decnewton.newton import run
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +127,16 @@ def test_newton_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar,
     assert calls == {"graph.consensus_apply": 4 * iters,
                      "diagnostics.fill_state_metrics": len(trace.rows),
                      "gradient_tracking.gt_step": 0, "newton.cg_solve": 0}
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_benchmark_runs_each_workload_clean(workload):
+    # run.py prints a failing warm-up's traceback to stderr and goes on
+    # without it, so an empty stderr is the only sign that the warm-up ran
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seconds", "0.1", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert list(result["metrics"]) == [metric["name"] for metric in BENCHMARK["end_to_end"]]

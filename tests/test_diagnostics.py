@@ -287,7 +287,7 @@ def test_theoretical_caps_report(quad_problem, quad_graph, quad_xstar):
     assert report.gamma_cap == pytest.approx(gamma_cap(0.05, W.sigma))
     assert report.M_lower > 0
     assert report.alpha_cap_stage1 > 0
-    assert report.cg_cap_stage2 == pytest.approx(W.sigma**7.5 / (41.0 * quad_problem.kappa_F))
+    assert report.cg_cap_stage2 == pytest.approx(W.sigma**7.5 / (41.0 * quad_problem.L1 / quad_problem.mu))
     text = report.render()
     assert "alpha <=" in text and "gamma <=" in text and "K  >=" in text
 

@@ -14,7 +14,7 @@ from conftest import QUAD, hessians_non_finite_on_call, quad_params, strip_wall_
 from decnewton import harness
 from decnewton.cli import main
 from decnewton.compress import CompressorSpec
-from decnewton.diagnostics import CSV_COLUMNS
+from decnewton.diagnostics import CSV_COLUMNS, RoundMetrics, Trace
 from decnewton.gradient_tracking import GTParams
 from decnewton.graph import load_matrix
 from decnewton.harness import (
@@ -817,33 +817,61 @@ def test_cli_list_and_compare(tmp_path, capsys):
     assert (tmp_path / "cmp.csv").exists()
 
 
-@pytest.mark.parametrize("text,where", [
-    ("", "bad.csv"),
-    ("# decnewton-trace label=x status=converged\n", "bad.csv"),
-    ("# decnewton-trace label=x\niter,rel_err\n", "bad.csv"),
-    ("# decnewton-trace label=x\niter,rel_err,bits_cum\n0,1.0,0\n1,0.5\n", "bad.csv:4"),
-    ("iter,rel_error\n0,1.0\n", "bad.csv:1"),
-    ("iter,rel_err\n0,1.0\n\n1,abc\n", "bad.csv:4"),
-    ("iter,rel_err\n0.5,1.0\n", "bad.csv:2"),
-    ("# decnewton-trace label=x\niter,rel_err,rel_err\n0,1.0,0.5\n", "bad.csv:2: duplicated"),
-    ("iter,rel_err\n0,1.0\n1,0.5", "bad.csv:3: no newline"),
+def write_trace(path, rows=(RoundMetrics(rel_err=1.0),)):
+    """A trace file as write_trace_csv writes it, by default one converged row."""
+    write_trace_csv(Trace(rows=list(rows), status="converged", label="x",
+                          fingerprint="0123456789abcdef"), path)
+    return path
+
+
+def _set(line, column, value):
+    """``line``, a written row, with ``column`` holding the text ``value``."""
+    vals = line.split(",")
+    vals[CSV_COLUMNS.index(column)] = value
+    return ",".join(vals)
+
+
+def _text(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+# each case makes the text from the lines of a written two-row trace: comment, header, row 0, row 1
+@pytest.mark.parametrize("edit,where", [
+    (lambda c, h, r0, r1: _text(), "bad.csv has 0 line(s)"),
+    (lambda c, h, r0, r1: _text(c), "bad.csv has 1 line(s)"),
+    (lambda c, h, r0, r1: _text(c, h), "bad.csv has 2 line(s)"),
+    (lambda c, h, r0, r1: _text(c, h, r0, r1.rsplit(",", 1)[0]), "bad.csv:4: 16 fields"),
+    (lambda c, h, r0, r1: _text(c, h.replace(",rel_err,", ",rel_error,"), r0, r1), "bad.csv:2: the header"),
+    (lambda c, h, r0, r1: _text(c, h, r0, _set(r1, "rel_err", "abc")), "bad.csv:4: bad rel_err"),
+    (lambda c, h, r0, r1: _text(c, h, _set(r0, "iter", "0.5"), r1), "bad.csv:3: bad iter"),
+    (lambda c, h, r0, r1: _text(c, h + ",rel_err", r0 + ",0.5", r1 + ",0.5"), "bad.csv:2: the header"),
+    (lambda c, h, r0, r1: _text(c, h, r0, r1)[:-1], "bad.csv:4: no newline"),
+    # forms that used to read with the missing part taken as its default
+    (lambda c, h, r0, r1: _text(c, *(line.rsplit(",", 2)[0] for line in (h, r0, r1))),
+     "bad.csv:2: the header"),
+    (lambda c, h, r0, r1: _text(h, r0, r1), "bad.csv:1: not a '# decnewton-trace"),
+    (lambda c, h, r0, r1: _text(c.replace("status=converged", "status=bogus"), h, r0, r1), "bad.csv:1: not a"),
+    (lambda c, h, r0, r1: _text(c, h, r0, "", r1), "bad.csv:4: 1 fields"),
+    (lambda c, h, r0, r1: _text(c, h + ",dac_g", r0 + ",nan", r1 + ",nan"), "bad.csv:2: the header"),
 ], ids=["empty", "comment-only", "header-only", "cut-short-row", "renamed-column",
-        "bad-float", "bad-int", "duplicated-column", "no-final-newline"])
-def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, text, where):
+        "bad-float", "bad-int", "duplicated-column", "no-final-newline",
+        "bits_cum-and-wall_time-cut", "no-comment-line", "status-bogus", "blank-line", "dac_g-column"])
+def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, edit, where):
+    rows = [RoundMetrics(iter=k, rel_err=0.5 ** k, bits_cum=1000 * k, wall_time=0.01) for k in (0, 1)]
+    lines = write_trace(tmp_path / "written.csv", rows).read_text().splitlines()
     bad = tmp_path / "bad.csv"
-    bad.write_text(text)
-    good = tmp_path / "good.csv"
-    good.write_text("iter,rel_err\n0,1.0\n")
+    bad.write_text(edit(*lines))
+    good = write_trace(tmp_path / "good.csv")
     assert main(["compare", str(good), str(bad), "--out", str(tmp_path / "cmp.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and where in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and where in err[0]
+    assert not (tmp_path / "cmp.csv").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
 def test_cli_compare_rejects_a_bad_tol(tmp_path, capsys, tol):
     # these used to exit 0 with iters_to_nan or iters_to_-1 columns full of -1
-    good = tmp_path / "good.csv"
-    good.write_text("iter,rel_err\n0,1.0\n")
+    good = write_trace(tmp_path / "good.csv")
     out = tmp_path / "cmp.csv"
     assert main(["compare", str(good), str(good), f"--tol={tol}", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
