@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _NAN = float("nan")
+ROUNDOFF_FLOOR = 1e-24  # a rel_err below this is floating-point roundoff, not progress
 
 
 @dataclass(slots=True)
@@ -208,21 +209,26 @@ def squared_distances(x: np.ndarray, x_star: np.ndarray) -> list:
     run's x - x* is written C-ordered and takes ``_norm``'s dot, so it gets its bits alone."""
     stack = x if x.ndim == 3 else x[:, None]
     v = np.subtract(stack.transpose(1, 0, 2), x_star, order="C").reshape(stack.shape[1], -1)
-    return [math.sqrt(sq) ** 2 for sq in np.vecdot(v, v).tolist()]  # v @ v per run
+    return [math.sqrt(sq) ** 2 for sq in _row_dots(v).tolist()]
 
 
 # OpenBLAS splits a dot product of more entries than this across its threads.
 _DOT_CHUNK = 10_000
 
 
+def _row_dots(v: np.ndarray) -> np.ndarray:
+    """``v[r] @ v[r]`` of each row of the 2-D ``v``: a longer row than ``_DOT_CHUNK`` adds up
+    its chunks' dots in order, so its bits do not depend on the BLAS thread count."""
+    dots = np.vecdot(v[:, :_DOT_CHUNK], v[:, :_DOT_CHUNK])
+    for i in range(_DOT_CHUNK, v.shape[1], _DOT_CHUNK):
+        dots += np.vecdot(v[:, i:i + _DOT_CHUNK], v[:, i:i + _DOT_CHUNK])
+    return dots
+
+
 def _norm(a: np.ndarray) -> float:
-    """Frobenius norm of any array: the square root of the dot product of the
-    flattened array with itself, as np.linalg.norm(a) computes it, without its
-    call overhead. A longer array adds up the dots of its ``_DOT_CHUNK``-entry
-    chunks in order, so its bits do not depend on the BLAS thread count."""
-    v = a.ravel(order="K")
-    chunks = [v[i:i + _DOT_CHUNK] for i in range(0, v.size, _DOT_CHUNK)]
-    return math.sqrt(sum(c @ c for c in chunks))
+    """Frobenius norm of any array: the square root of the flattened array's ``_row_dots``,
+    as np.linalg.norm(a) computes it (one dot up to ``_DOT_CHUNK``), without its overhead."""
+    return math.sqrt(_row_dots(a.ravel(order="K")[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +274,7 @@ def fit_rate(trace: Trace, window: tuple, field: str = "rel_err") -> RateFit:
     return RateFit(window=(lo, hi), rho_hat=float(rho), r2=float(r2))
 
 
-def stage_two_window(trace: Trace, floor: float = 1e-24, skip: int = 2) -> tuple:
+def stage_two_window(trace: Trace, floor: float = ROUNDOFF_FLOOR, skip: int = 2) -> tuple:
     """Iteration window where the step-size ramp is saturated at 1 and the
     relative error is still above the floating-point floor."""
     sat = [r.iter for r in trace.rows if r.alpha_k == 1.0]

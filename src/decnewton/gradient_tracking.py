@@ -39,6 +39,7 @@ __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
 _GRID = 1250  # tune_alpha's 5 decades in steps of 0.004 decade, its last stack's spacing
 _SPACINGS = (125, 25, 5, 1)  # each stack's spacing, in grid steps
 _COARSE_TARGET = 1e-6  # the grid races to the target or to this, whichever is looser
+MIN_TUNING_BUDGET = 8  # _score's tail: 5 points in the last half of a run
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,11 @@ def gt_step(state: NetworkState, problem: Problem, W: MixingMatrix, params: GTPa
 
 
 def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
-           oracle_xstar: np.ndarray) -> Trace:
-    """Full gradient-tracking run: ``gt_step`` through ``newton.iterate``, with
-    the shared trace schema; Hessian-side metrics are NaN (no curvature state)."""
-    return iterate(gt_step, start_state(problem, x0), problem, W, params, oracle_xstar, delta=1.0)
+           oracle_xstar: np.ndarray, on_step=None) -> Trace:
+    """Full gradient-tracking run: ``gt_step`` through ``newton.iterate``, with the shared
+    trace schema and ``on_step``; Hessian-side metrics are NaN (no curvature state)."""
+    return iterate(gt_step, start_state(problem, x0), problem, W, params, oracle_xstar,
+                   delta=1.0, on_step=on_step)
 
 
 def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray,
@@ -145,10 +147,10 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
 
     Candidates that converge within the budget score by iteration count, those still
     running by iterations-to-target extrapolated from the slope of log(rel_err) over
-    the run's last half; a budget below 8 raises ValueError. The range is the 5
-    decades below 2/L1: steps beyond that can be unstable with a growth rate too
-    slow for any budget-limited run to notice, while 2/L1 <= 2/lambda_max(average
-    Hessian) keeps the near-centralized regime contractive.
+    the run's last half; a budget below ``MIN_TUNING_BUDGET`` raises ValueError. The
+    range is the 5 decades below 2/L1: steps beyond that can be unstable with a growth
+    rate too slow for any budget-limited run to notice, while 2/L1 <= 2/lambda_max
+    (average Hessian) keeps the near-centralized regime contractive.
 
     The first stack runs 11 points 0.5 decade apart over the range, to the target or
     to 1e-6, whichever is looser; scores to a looser aim that a run reached only
@@ -158,9 +160,9 @@ def tune_alpha(problem: Problem, W: MixingMatrix, x0: np.ndarray,
     with the earlier stacks' best score as its ``horizon``: a run still going at j
     scores above j, cannot win, and scores +inf. Ties go to the larger alpha.
     """
-    if budget < 8:  # _score's tail: 5 points in the last half of a run
+    if budget < MIN_TUNING_BUDGET:
         start_state(problem, x0)  # an x0 of the wrong shape fails first
-        raise ValueError(f"budget must be at least 8 to score a run that falls short, got {budget}")
+        raise ValueError(f"budget must be at least {MIN_TUNING_BUDGET} to score a run that falls short, got {budget}")
     hi = math.log10(2.0 / problem.L1)
     lo = hi - 5.0
 

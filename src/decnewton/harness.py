@@ -36,7 +36,8 @@ A gradient-tracking config replaces the algorithm block with
 centralized Newton oracle. Traces are written as CSV with a fixed column order;
 the first line is a comment carrying the label, the config fingerprint, and
 the final status. The ``run``, ``preset`` and ``caps`` commands let DECNEWTON_SEED
-override both seeds (``repetitions``); ``run_experiment`` runs the config it is given.
+override both seeds (``repetitions``); ``run_experiment`` runs the config it is given,
+of either method, with one run call that writes the ``dump_iters`` dumps.
 
 Each field goes in the section shown. Any other field or section, a value under
 ``[DEFAULT]`` and a field the family or method does not read (``rho`` on a quadratic,
@@ -59,14 +60,9 @@ import numpy as np
 
 from . import newton
 from .compress import CompressorSpec, delta_bound
-from .diagnostics import (
-    CSV_COLUMNS,
-    RoundMetrics,
-    Trace,
-    fill_state_metrics,
-    theoretical_caps,
-)
-from .gradient_tracking import GTParams, gt_run, tune_alpha
+from .diagnostics import (CSV_COLUMNS, ROUNDOFF_FLOOR, RoundMetrics, Trace, fill_state_metrics,
+                          theoretical_caps)
+from .gradient_tracking import MIN_TUNING_BUDGET, GTParams, gt_run, tune_alpha
 from .graph import generate_topology, metropolis_weights, save_matrix
 from .newton import AlgoParams, ConstantSchedule, GeometricRamp, TwoStageSchedule
 from .objectives import centralized_solve, make_logistic, make_quadratic
@@ -177,8 +173,6 @@ class ExperimentConfig:
                              f"with [output] repetitions = {self.repetitions}")
         for k in self.dump_iters:
             _check_int("output", "dump_iters", k, 0)
-        if self.dump_iters and self.method == "gt":
-            raise ValueError(f"[output] dump_iters is for newton runs, got {self.dump_iters!r} with method = gt")
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +297,9 @@ def parse_config(source) -> ExperimentConfig:
         raise ValueError(f"[algorithm] method must be newton or gt, got {method!r}")
     tuned = unread["algorithm"].get("alpha") == "tuned"  # newton rejects it as a schedule
     algorithm = _METHOD_PARAMS[method](**read("algorithm", _METHOD_PARAMS[method]))
-    if tuned and algorithm.max_iters < 8:  # tune_alpha's shortest budget
-        raise ValueError(f"[algorithm] max_iters must be at least 8 with alpha = tuned, got {algorithm.max_iters}")
+    if tuned and algorithm.max_iters < MIN_TUNING_BUDGET:
+        raise ValueError(f"[algorithm] max_iters must be at least {MIN_TUNING_BUDGET} with alpha = tuned, "
+                         f"got {algorithm.max_iters}")
     output = read("output", ExperimentConfig)
 
     left = [f"[{section}] {key}" for section, rest in unread.items() for key in rest]
@@ -415,18 +410,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None):
         if k in config.dump_iters:
             save_matrix(f"{trace_dir}/{config.label}.state_x_iter{k:05d}.txt", state.x)
 
-    if config.method == "newton":
-        trace = newton.run(problem, W, config.algorithm, x0, x_star, on_step=dump)
-    else:
-        params = config.algorithm
-        if config.gt_alpha_mode == "tuned":
-            # at the run's own target, above roundoff (diagnostics.stage_two_window's floor), so the
-            # run converges where its alpha scored; over 8 at least for perfbench's 3-iteration warm-up
-            alpha = tune_alpha(problem, W, x0, x_star, m=params.m,
-                               target=max(params.stop_tol, 1e-24),
-                               budget=min(max(params.max_iters, 8), 3000))
-            params = replace(params, alpha=alpha)
-        trace = gt_run(problem, W, params, x0, x_star)
+    params = config.algorithm
+    if config.gt_alpha_mode == "tuned":  # at its own target, so the run converges where it scored
+        params = replace(params, alpha=tune_alpha(
+            problem, W, x0, x_star, m=params.m, target=max(params.stop_tol, ROUNDOFF_FLOOR),
+            budget=min(max(params.max_iters, MIN_TUNING_BUDGET), 3000)))  # max() for perfbench's 3-iteration warm-up
+    run = newton.run if config.method == "newton" else gt_run  # the tracer patches both names
+    trace = run(problem, W, params, x0, x_star, on_step=dump)
     trace.label = config.label
     trace.fingerprint = config_fingerprint(config)
     if csv_path is not None:

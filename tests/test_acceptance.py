@@ -29,7 +29,6 @@ from decnewton.harness import (
     caps_report,
     preset_configs,
     run_experiment,
-    write_trace_csv,
 )
 from decnewton.newton import (
     AlgoParams,
@@ -65,9 +64,8 @@ def preset_traces():
 # included, fails here. The hashes hold for this numpy/OpenBLAS (numpy 2 with
 # OpenBLAS 0.3.31, Haswell kernels) at one BLAS thread or two. The logistic
 # ones also depend on numpy's float64 ``exp``, which the sigmoid parts take: its
-# bits follow the SIMD loop numpy picks for the CPU, not glibc's. The logistic
-# traces come from a child interpreter with BLAS on one thread, as the
-# benchmark runs them; the quadratic ones come from ``preset_traces``.
+# bits follow the SIMD loop numpy picks for the CPU, not glibc's. The traces
+# come from a child interpreter with BLAS on one thread, as the benchmark runs them.
 PRESET_TRACE_SHA256 = {
     "quad-k1e1-m15": "dae60033247a802bd3da8f167073ab88e01b7669410da074af5a6b3d34a7e7fd",
     "quad-k1e1-m20": "a6c09a7807bf0051ec95477c385222a8766cddfadfa0fd59db9d441a9cbc35d2",
@@ -82,6 +80,7 @@ PRESET_TRACE_SHA256 = {
     "logit-rank-m15": "20ee086bbaab41883af83b0b9e07495159e590ea663fdc71e7148beb5ccedeff",
 }
 LOGISTIC_PRESETS = ("logit-topk", "logit-rank")
+TRACE_PRESETS = ("quad-kappa", *LOGISTIC_PRESETS)
 
 # sha256 of each newton preset's ``caps_report`` text. ``sigma``, the problem
 # constants and the start's Lyapunov terms feed every cap, and the text prints
@@ -112,49 +111,45 @@ for config in (c for name in sys.argv[2:] for c in preset_configs(name)):
 """
 
 
-def run_logistic_presets(out_dir, threads: int) -> dict:
-    """Run the logistic presets in a child interpreter with BLAS on ``threads``
+def run_presets_in_child(out_dir, threads: int) -> dict:
+    """Run the ``TRACE_PRESETS`` in a child interpreter with BLAS on ``threads``
     threads, writing their trace CSVs to ``out_dir``: {label: x* as hex}."""
     src = os.path.dirname(os.path.dirname(decnewton.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
            "MKL_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", _CHILD_RUN, str(out_dir), *LOGISTIC_PRESETS],
+    out = subprocess.run([sys.executable, "-c", _CHILD_RUN, str(out_dir), *TRACE_PRESETS],
                          env=env, check=True, capture_output=True, text=True).stdout
     return dict(line.split() for line in out.splitlines())
 
 
 @pytest.fixture(scope="module")
-def one_thread_logistic(tmp_path_factory):
+def one_thread_presets(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("one-thread")
-    return out_dir, run_logistic_presets(out_dir, 1)
+    return out_dir, run_presets_in_child(out_dir, 1)
 
 
-def test_preset_traces_keep_their_bits(preset_traces, one_thread_logistic, tmp_path):
-    one_dir, _ = one_thread_logistic
-    got = {}
-    for label, trace in preset_traces.items():
-        path = one_dir / f"{label}.csv"
-        if not path.exists():
-            path = tmp_path / f"{label}.csv"
-            write_trace_csv(trace, path)
-        got[label] = trace_sha256(path)
+def test_preset_traces_keep_their_bits(one_thread_presets):
+    one_dir, one_stars = one_thread_presets
+    got = {label: trace_sha256(one_dir / f"{label}.csv") for label in one_stars}
     assert got == PRESET_TRACE_SHA256
 
 
 def test_preset_caps_keep_their_text():
     got = {config.label: hashlib.sha256(caps_report(config).encode()).hexdigest()
-           for name in ("quad-kappa", *LOGISTIC_PRESETS) for config in preset_configs(name)}
+           for name in TRACE_PRESETS for config in preset_configs(name)}
     assert got == PRESET_CAPS_SHA256
 
 
-def test_logistic_traces_ignore_the_blas_thread_count(one_thread_logistic, tmp_path):
-    # every per-node product is too small for OpenBLAS to split over threads,
-    # and a norm past its dot split adds fixed chunks: two threads give the
-    # one-thread oracle and traces bit for bit
-    one_dir, one_stars = one_thread_logistic
-    assert sorted(one_stars) == ["logit-rank-m15", "logit-topk-m15"]
-    assert run_logistic_presets(tmp_path, 2) == one_stars
+def test_logistic_traces_ignore_the_blas_thread_count(one_thread_presets, tmp_path):
+    # the quadratic and logistic presets alike: every product they take is too
+    # small for OpenBLAS to split over threads, and a norm past its dot split
+    # adds fixed chunks, so two threads give the one-thread oracles and traces
+    # bit for bit. A larger network is split: the one-round Hessian gossip
+    # W @ (n, d*d) of a quadratic at n = 50, d = 30 is.
+    one_dir, one_stars = one_thread_presets
+    assert sorted(one_stars) == sorted(PRESET_TRACE_SHA256)
+    assert run_presets_in_child(tmp_path, 2) == one_stars
     for label in one_stars:
         assert (strip_wall_time((tmp_path / f"{label}.csv").read_text())
                 == strip_wall_time((one_dir / f"{label}.csv").read_text())), label

@@ -198,13 +198,21 @@ def test_fill_state_metrics_matches_linalg_norm_oracle(quad_problem, quad_xstar,
 def test_norms_past_the_blas_split_add_fixed_chunks_in_order():
     # OpenBLAS splits a dot of more than _DOT_CHUNK entries over its threads,
     # so a longer norm adds up fixed chunks in order; a quadratic (10, 30, 30)
-    # stack keeps the one dot np.linalg.norm takes
+    # stack keeps the one dot np.linalg.norm takes. Each run's squared distance
+    # takes the same chunked dot.
     rng = np.random.default_rng(4)
     short = rng.standard_normal((10, 30, 30))
     assert _norm(short) == float(np.linalg.norm(short))
     long = rng.standard_normal((30, 20, 20))  # a logistic Hessian stack: 12,000 entries
     head, tail = long.ravel()[:_DOT_CHUNK], long.ravel()[_DOT_CHUNK:]
     assert _norm(long) == math.sqrt(float(head @ head) + float(tail @ tail))
+    block = rng.standard_normal((1000, 30))  # one run of 30,000 entries: three chunks
+    chunks = np.split(block.ravel(), 3)
+    want = math.sqrt(float(chunks[0] @ chunks[0]) + float(chunks[1] @ chunks[1])
+                     + float(chunks[2] @ chunks[2])) ** 2
+    assert squared_distances(block, np.zeros(30)) == [want]
+    stack = np.stack([2.0 * block, block], axis=1)  # two runs of one (n, C, d) stack
+    assert squared_distances(stack, np.zeros(30)) == [4.0 * want, want]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import QUAD, hessians_non_finite_on_call, quad_params, strip_wall_time
-from decnewton import harness
+from decnewton import gradient_tracking, harness
 from decnewton.cli import main
 from decnewton.compress import CompressorSpec
 from decnewton.diagnostics import CSV_COLUMNS, RoundMetrics, Trace
@@ -141,10 +141,9 @@ LOGIT_CFG = render_config(preset_configs("logit-topk")[0])
      r"\[algorithm\] compressor"),
     (GT_CFG.replace("method = gt\n", "method = gt\nvariant = reference\n"),
      r"\[algorithm\] variant"),
-    (GT_CFG + "dump_iters = 5\n", r"\[output\] dump_iters"),  # gt runs write no dumps
 ], ids=["problem-field", "graph-field", "algorithm-fields", "output-field", "unknown-section",
         "default-section", "rho-on-quadratic", "kappa-on-logistic", "gt-gamma",
-        "gt-compressor", "gt-variant", "gt-dump_iters"])
+        "gt-compressor", "gt-variant"])
 def test_config_rejects_fields_it_does_not_read(tmp_path, capsys, text, named):
     with pytest.raises(ValueError, match=named):
         parse_config(text)
@@ -183,7 +182,6 @@ def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
     # not tell the two runs apart
     (QUAD_CFG, {"gt_alpha_mode": "tuned"}, r"\[algorithm\] alpha mode"),
     (QUAD_CFG, {"dump_iters": (3, -1)}, r"\[output\] dump_iters"),
-    (GT_CFG, {"dump_iters": (0,)}, r"\[output\] dump_iters"),
     # 1.5 would write no dump and True the dump of iteration 1
     (QUAD_CFG, {"dump_iters": (1.5,)}, r"\[output\] dump_iters"),
     (QUAD_CFG, {"dump_iters": (True,)}, r"\[output\] dump_iters"),
@@ -194,7 +192,7 @@ def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
                                         0.05)},
      r"\[algorithm\] compressor is for d = 4, but \[problem\] d = 8"),
 ], ids=["newton-as-GT", "newton-params-as-gt", "gt-params-as-newton", "alpha-mode-case",
-        "tuned-newton", "negative-dump", "gt-dump", "float-dump", "bool-dump",
+        "tuned-newton", "negative-dump", "float-dump", "bool-dump",
         "problem-d-not-compressor-d", "compressor-d-not-problem-d"])
 def test_config_rejects_runs_that_do_not_exist(base, change, named):
     with pytest.raises(ValueError, match=named):
@@ -703,6 +701,33 @@ def test_run_experiment_dumps_next_to_the_csv(tmp_path, monkeypatch):
     assert trace.status == "converged" and path == "sub/t.csv"
     assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == [
         "small-quad.state_x_iter00002.txt", "small-quad.state_x_iter00005.txt", "t.csv"]
+
+
+def test_gt_runs_write_the_dumps_on_step_sees(tmp_path, monkeypatch):
+    # a tuned gt run dumps as a newton run does: run_experiment and the run command
+    # each write the iterates their gt_run shows on_step at k = 0 and 5
+    seen = []
+
+    def recording_gt_run(*args, on_step):
+        states = {}
+        seen.append(states)
+        return gradient_tracking.gt_run(*args, on_step=lambda k, state: (
+            states.setdefault(k, state.x.copy()), on_step(k, state)))
+
+    monkeypatch.setattr(harness, "gt_run", recording_gt_run)
+    text = GT_CFG + "dump_iters = 0,5\n"
+    trace, _ = run_experiment(parse_config(text), out_dir=str(tmp_path / "api"))
+    assert trace.status == "converged" and trace.iterations > 5
+    cfg_path = tmp_path / "gt.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 0
+    assert len(seen) == 2
+    for out, states in zip(("api", "cli"), seen):
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == [
+            "small-gt.csv", "small-gt.state_x_iter00000.txt", "small-gt.state_x_iter00005.txt"]
+        for k in (0, 5):
+            dumped = load_matrix(tmp_path / out / f"small-gt.state_x_iter{k:05d}.txt")
+            assert np.array_equal(dumped, states[k]), (out, k)
 
 
 def test_non_finite_start_writes_its_dump_and_diverges_at_iteration_0(tmp_path, monkeypatch):

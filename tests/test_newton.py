@@ -535,13 +535,17 @@ def test_growing_consensus_mode(quad_problem, quad_graph, quad_xstar):
     assert trace.status == "converged"
 
 
-def test_on_step_sees_the_start_and_each_iteration(quad_problem, quad_graph, quad_xstar):
-    # on_step(k, state) gets the state of trace row k, the start (k = 0) included
+@pytest.mark.parametrize("method", ["newton", "gt"])
+def test_on_step_sees_the_start_and_each_iteration(quad_problem, quad_graph, quad_xstar, method):
+    # on_step(k, state) gets the state of trace row k, the start (k = 0) included,
+    # in a run of either method
     W = quad_graph
     x0 = np.zeros((quad_problem.n, quad_problem.d))
     seen = []
-    trace = run(quad_problem, W, quad_params(max_iters=6, stop_tol=0.0), x0, quad_xstar,
-                on_step=lambda k, state: seen.append((k, state.x.copy())))
+    run_method, params = {"newton": (run, quad_params(max_iters=6, stop_tol=0.0)),
+                          "gt": (gt_run, GTParams(alpha=0.01, m=15, max_iters=6, stop_tol=0.0))}[method]
+    trace = run_method(quad_problem, W, params, x0, quad_xstar,
+                       on_step=lambda k, state: seen.append((k, state.x.copy())))
     assert [k for k, _ in seen] == [row.iter for row in trace.rows] == list(range(7))
     assert np.array_equal(seen[0][1], x0)
     den = squared_distances(x0, quad_xstar)[0]

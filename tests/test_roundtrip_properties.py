@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from decnewton.compress import CompressorSpec
 from decnewton.diagnostics import CSV_COLUMNS, RoundMetrics, Trace
-from decnewton.gradient_tracking import GTParams
+from decnewton.gradient_tracking import MIN_TUNING_BUDGET, GTParams
 from decnewton.harness import (
     ExperimentConfig,
     GraphSpec,
@@ -61,8 +61,7 @@ def configs(draw):
     return ExperimentConfig(
         problem=problem, graph=graph, method=method, algorithm=algorithm,
         gt_alpha_mode=gt_alpha_mode, label=draw(LABELS), csv=csv,
-        dump_iters=tuple(draw(st.lists(st.integers(0, 10**4), max_size=4)))  # gt writes none
-        if method == "newton" else (),
+        dump_iters=tuple(draw(st.lists(st.integers(0, 10**4), max_size=4))),
         repetitions=draw(st.integers(1, 20)) if csv is None else 1)  # a csv holds one run
 
 
@@ -70,7 +69,7 @@ def configs(draw):
 @given(configs())
 def test_render_parse_round_trip(config):
     text = render_config(config)
-    if config.gt_alpha_mode == "tuned" and config.algorithm.max_iters < 8:
+    if config.gt_alpha_mode == "tuned" and config.algorithm.max_iters < MIN_TUNING_BUDGET:
         # code may build it, but no run that short can tune alpha: the text is rejected
         with pytest.raises(ValueError, match=r"\[algorithm\] max_iters"):
             parse_config(text)
