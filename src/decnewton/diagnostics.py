@@ -389,21 +389,15 @@ def theoretical_caps(problem, sigma: float, m: int, delta: float,
     kappa = L1 / mu
     root_term = L2 * math.sqrt(max(u1_0, 0.0) / n)
 
-    def stage1(u2t):
+    g_cap, u2t = gamma_cap(delta, sigma), u2_0
+    for _ in range(2):  # a provisional pass with u2~_0 ~ u2_0, then C refined once
         M_lower = root_term + u2t
         M2 = L1 + M_lower + root_term + u2t
-        return M_lower, M2, alpha_cap(mu, M2, L1, sigma, m)  # M1 = mu at the minimal M
-
-    # provisional pass with u2~_0 ~ u2_0, then refine C once
-    _, M2p, alpha_p = stage1(u2_0)
-    g_cap = gamma_cap(delta, sigma)
-    C = _compression_offset(L2, sigma, m, u1_0, mu, alpha_p, M2p, g_cap)
-    u2t = max(u2_0 - C, C) if math.isfinite(C) else u2_0
-    M_lower, M2, a_cap = stage1(u2t)
+        a_cap = alpha_cap(mu, M2, L1, sigma, m)  # M1 = mu at the minimal M
+        C = _compression_offset(L2, sigma, m, u1_0, mu, a_cap, M2, g_cap)
+        if math.isfinite(C):
+            u2t = max(u2_0 - C, C)
     c1 = stage1_cg_cap(mu, M2, kappa)
-    C = _compression_offset(L2, sigma, m, u1_0, mu, a_cap, M2, g_cap)
-    if math.isfinite(C):
-        u2t = max(u2_0 - C, C)
 
     phi = max(1.0 - g_cap * (1 - sigma) / 2.0, 1.0 - mu * a_cap / (4.0 * M2))
     K = _phase_switch_iterations(kappa, mu, n, sigma, m, L2, u1_0, u2t, phi)

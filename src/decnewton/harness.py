@@ -39,12 +39,14 @@ the final status. The ``run``, ``preset`` and ``caps`` commands let DECNEWTON_SE
 override both seeds (``repetitions``); ``run_experiment`` runs the config it is given,
 of either method, with one run call that writes the ``dump_iters`` dumps.
 
-Each field goes in the section shown. Any other field or section, a value under
+Each field goes in the section shown, on one line: values are literal (``%`` is a plain
+character) and ``=`` is the only delimiter. Any other field or section, a value under
 ``[DEFAULT]`` and a field the family or method does not read (``rho`` on a quadratic,
 ``gamma`` or ``variant`` with ``method = gt``) are errors. A missing optional field
 takes its ``AlgoParams`` (newton), ``GTParams`` (gt) or ``ExperimentConfig`` default;
 ``alpha = tuned`` is for gt only, with ``max_iters`` at least 8. A label is non-empty,
-with no ``,``, ``=``, ``/``, ``\\`` or whitespace.
+with no ``,``, ``=``, ``/``, ``\\`` or whitespace; a label or csv the reader would cut (a comment:
+``;`` or ``#`` first or after whitespace; whitespace at an end; a line break) is an error.
 """
 
 from __future__ import annotations
@@ -156,9 +158,9 @@ class ExperimentConfig:
     def __post_init__(self):
         # the trace header is space-separated key=value tokens, compare writes
         # the label into an unquoted CSV row and run_experiment into a file name
-        if not self.label or re.search(r"[\s,=/\\]", self.label):
+        if not re.fullmatch(r"[^\s,=/\\;#][^\s,=/\\]*", self.label):  # ; or # first: a comment
             raise ValueError(f"[output] label must be non-empty with no whitespace, ',', '=', '/' "
-                             f"or '\\', got {self.label!r}")
+                             f"or '\\', and not start with ';' or '#', got {self.label!r}")
         if not isinstance(self.algorithm, _METHOD_PARAMS.get(self.method, ())):  # () matches none
             raise ValueError(f"[algorithm] method must be newton (AlgoParams) or gt (GTParams), "
                              f"got {self.method!r} with {type(self.algorithm).__name__}")
@@ -171,6 +173,9 @@ class ExperimentConfig:
         if self.csv is not None and (os.path.basename(self.csv) in ("", ".", "..") or self.repetitions > 1):
             raise ValueError(f"[output] csv must name one file for one run; got {self.csv!r} "
                              f"with [output] repetitions = {self.repetitions}")
+        if self.csv is not None and re.search(r"^[\s;#]|\s[;#]|\s$|[\r\n]", self.csv):  # config text cuts it
+            raise ValueError(f"[output] csv must not start or end with whitespace, break a line, or have "
+                             f"';' or '#' first or after whitespace, got {self.csv!r}")
         for k in self.dump_iters:
             _check_int("output", "dump_iters", k, 0)
 
@@ -247,7 +252,7 @@ _FIELDS = {
                "m": _INT, "max_iters": _INT, "stop_tol": _FLOAT},
     ExperimentConfig: {
         "label": _TEXT, "csv": _TEXT,
-        "dump_iters": (lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
+        "dump_iters": (lambda text: tuple(int(tok) for tok in text.split(",")),
                        lambda iters: ",".join(map(str, iters))),
         "repetitions": (int, lambda n: "" if n == 1 else str(n))},  # one run: no line
 }
@@ -257,15 +262,15 @@ _SECTIONS = ("problem", "graph", "algorithm", "output")
 def parse_config(source) -> ExperimentConfig:
     """Read a config from a path or config text. Raises ValueError naming the
     section/field on any problem, including a field the config does not read."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None, delimiters="=")
     parser.optionxform = str  # keep m (consensus rounds) and M (regularization) distinct
     try:
         if isinstance(source, str) and "\n" in source:
             parser.read_string(source)
         elif not parser.read(source):
             raise ValueError(f"config file not found: {source}")
-    except configparser.Error as exc:
-        raise ValueError(f"config parse error: {exc}") from exc
+    except configparser.Error as exc:  # its text names the file and line, over several lines
+        raise ValueError(f"config parse error: {' '.join(map(str.strip, str(exc).splitlines()))}") from exc
     if parser.defaults():
         raise ValueError(f"config section [DEFAULT] must be empty, it sets {', '.join(parser.defaults())}")
     for section in parser.sections():
@@ -283,6 +288,8 @@ def parse_config(source) -> ExperimentConfig:
             if key in unread[section]:
                 raw = unread[section].pop(key)
                 try:
+                    if "\n" in raw:  # an indented line continued it
+                        raise ValueError("a value is one line")
                     values[key] = parse(raw, problem.d) if parse is _parse_compressor else parse(raw)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc

@@ -1,4 +1,3 @@
-import hashlib
 import os
 import re
 import subprocess
@@ -156,9 +155,9 @@ def test_config_rejects_fields_it_does_not_read(tmp_path, capsys, text, named):
 
 
 @pytest.mark.parametrize("label", ["my run", "a,b", "k=v", "", "tab\there", "../escaped",
-                                   "sub/run", "..\\escaped"],
+                                   "sub/run", "..\\escaped", ";first", "#first"],
                          ids=["space", "comma", "equals", "empty", "tab", "parent-dir", "subdir",
-                              "backslash"])
+                              "backslash", "semicolon-first", "hash-first"])
 def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
     # the label is read back from the trace header and names <out>/<label>.csv
     text = QUAD_CFG.replace("label = small-quad", f"label = {label}")
@@ -191,9 +190,15 @@ def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
     (QUAD_CFG, {"algorithm": AlgoParams(CompressorSpec("identity", d=4), ConstantSchedule(0.5),
                                         0.05)},
      r"\[algorithm\] compressor is for d = 4, but \[problem\] d = 8"),
+    # the config reader would cut these: a comment, or the whitespace around a value
+    (QUAD_CFG, {"csv": "out/a ;b.csv"}, r"\[output\] csv"),
+    (QUAD_CFG, {"csv": "#a.csv"}, r"\[output\] csv"),
+    (QUAD_CFG, {"csv": "a.csv "}, r"\[output\] csv"),
+    (QUAD_CFG, {"csv": "a\nb.csv"}, r"\[output\] csv"),
 ], ids=["newton-as-GT", "newton-params-as-gt", "gt-params-as-newton", "alpha-mode-case",
         "tuned-newton", "negative-dump", "float-dump", "bool-dump",
-        "problem-d-not-compressor-d", "compressor-d-not-problem-d"])
+        "problem-d-not-compressor-d", "compressor-d-not-problem-d", "csv-comment-after-space",
+        "csv-comment-first", "csv-trailing-space", "csv-line-break"])
 def test_config_rejects_runs_that_do_not_exist(base, change, named):
     with pytest.raises(ValueError, match=named):
         replace(parse_config(base), **change)
@@ -553,6 +558,21 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
     # too short for tune_alpha to score a run still going
     (GT_CFG, "max_iters = 3000", "max_iters = 4", r"\[algorithm\] max_iters"),
     (GT_CFG, "max_iters = 3000", "max_iters = 7", r"\[algorithm\] max_iters"),
+    # the problem fields code builds, and the instance make_quadratic refuses
+    (QUAD_CFG, "n = 6\n", "", r"config missing field 'n' in section \[problem"),
+    (QUAD_CFG, "family = quadratic", "family = cubic",
+     r"\[problem\] family must be quadratic or logistic, got 'cubic"),
+    (GT_CFG, "d = 8", "d = 1", r"\[problem\] a 1-dimensional quadratic cannot have kappa"),
+    # one spelling: no %(key)s template, no ':' delimiter, no value over two lines,
+    # no empty dump_iters entry, and a parse error names its line on one line
+    (QUAD_CFG, "kappa = 50.0", "kappa = %(n)s0", r"bad value for \[problem\] kappa"),
+    (QUAD_CFG, "n = 6", "n: 6", r"bad\.cfg' \[line +4\]: 'n: 6"),
+    (QUAD_CFG, "seed = 3", "seed 3", r"bad\.cfg' \[line +7\]: 'seed 3"),
+    (QUAD_CFG, "rank_k(2)", "rank_k(\n  2)", r"bad value for \[algorithm\] compressor"),
+    (QUAD_CFG, "label = small-quad", "label = small-quad\ndump_iters = 0,,2",
+     r"bad value for \[output\] dump_iters"),
+    (QUAD_CFG, "label = small-quad", "label = small-quad\ndump_iters =",
+     r"bad value for \[output\] dump_iters"),
 ], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
         "stop_tol-negative", "ramp-nan", "ramp-cap-inf", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
         "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "kappa-below-1",
@@ -560,7 +580,9 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
         "graph-seed-negative", "tau-0", "tau-above-1", "dump_iters-negative",
         "csv-with-repetitions", "csv-empty", "csv-directory", "cg_tol-negative", "cg_tol-inf",
         "alpha-negative", "stage-switch-negative", "stage-inf", "stage-switch-float",
-        "gt-tuned-max_iters-4", "gt-tuned-max_iters-7"])
+        "gt-tuned-max_iters-4", "gt-tuned-max_iters-7", "n-missing", "family-cubic",
+        "d-1-kappa-above-1", "percent-template", "colon-delimiter", "no-delimiter",
+        "continued-value", "dump_iters-empty-entry", "dump_iters-empty"])
 def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, monkeypatch,
                                         base, old, new, field):
     monkeypatch.chdir(tmp_path)  # a relative csv path stays in tmp_path
@@ -618,6 +640,17 @@ def test_cli_run_is_the_same_under_python_O(tmp_path, compressor, code, last):
         outcomes.append((proc.returncode, (proc.stdout + proc.stderr).splitlines()[-1]))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == code and outcomes[0][1].startswith(last)
+
+
+def test_cli_run_reads_percent_as_a_character(tmp_path):
+    # no interpolation: the label is the text written, and names the trace
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CFG.replace("label = tiny", "label = run%1"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    trace = read_trace_csv(tmp_path / "out" / "run%1.csv")
+    assert trace.label == "run%1"
+    assert trace.fingerprint == config_fingerprint(parse_config(str(cfg_path)))
+    assert parse_config(TINY_CFG.replace("label = tiny", "label = a%%b")).label == "a%%b"
 
 
 def test_list_presets_contents():
@@ -922,20 +955,6 @@ def test_cli_compare_rejects_a_trace_cut_inside_its_last_field(tmp_path, capsys)
     assert not (tmp_path / "cmp.csv").exists()
 
 
-def test_cli_equivalence_preset(tmp_path, capsys):
-    assert main(["preset", "alg-equivalence", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "max deviation" in out
-    text = (tmp_path / "alg-equivalence.csv").read_text().splitlines()
-    assert text[0] == "iter,max_state_deviation"
-    assert len(text) == 201
-    assert all(float(line.split(",")[1]) <= 1e-9 for line in text[1:])
-    # every deviation bit for bit, on this numpy/OpenBLAS (numpy 2 with OpenBLAS
-    # 0.3.31, Haswell kernels) at one BLAS thread or two
-    assert hashlib.sha256((tmp_path / "alg-equivalence.csv").read_bytes()).hexdigest() == (
-        "52d5e931de5dea3155b977196d2d33ba5f9d613c85d1056ec465634c8ccc56fa")
-
-
 def test_cli_caps_report(tmp_path, capsys):
     cfg_path = tmp_path / "quad.cfg"
     cfg_path.write_text(QUAD_CFG)
@@ -943,6 +962,13 @@ def test_cli_caps_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gamma <=" in out
     assert "cg tol" in out
+
+
+def test_cli_caps_rejects_a_gt_config(tmp_path, capsys):
+    cfg_path = tmp_path / "gt.cfg"
+    cfg_path.write_text(GT_CFG)
+    assert main(["caps", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: caps report applies to newton configs only"]
 
 
 def test_cli_caps_applies_the_seed_variable(tmp_path, capsys, monkeypatch):

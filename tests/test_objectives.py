@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from decnewton import objectives
 from decnewton.harness import build_problem, preset_configs
 from decnewton.objectives import (
     _ROUNDOFF_MULTIPLE,
@@ -279,6 +280,26 @@ def test_centralized_solve_solves_one_sample_per_node(rho):
         prob = make_logistic(10, 20, 1, rho=rho, seed=seed)
         x_star = centralized_solve(prob, tol=1e-12)
         assert np.linalg.norm(global_gradient(prob, x_star)) <= 1e-12, seed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_centralized_solve_backtracks(monkeypatch, seed):
+    # rho = 1e-8 on two samples per node: one full Newton step fails the
+    # Armijo test, is halved once, and the oracle still reaches 1e-12
+    points = []  # every x at which F is evaluated
+
+    def value(problem, x):
+        points.append(x.copy())
+        return global_value(problem, x)
+
+    monkeypatch.setattr(objectives, "global_value", value)
+    prob = make_logistic(10, 20, 2, rho=1e-8, seed=seed)
+    x_star = centralized_solve(prob, tol=1e-12)
+    # F at the start, then in each iteration at every trial step and once more
+    # at the step taken, the same point as the trial that passed
+    taken = sum(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+    assert len(points) - 1 - 2 * taken == 1  # one rejected trial
+    assert np.linalg.norm(global_gradient(prob, x_star)) <= 1e-12
 
 
 def test_centralized_solve_raises_above_roundoff(logit_problem):

@@ -19,7 +19,12 @@ from decnewton.harness import (
 )
 from decnewton.newton import AlgoParams, ConstantSchedule, GeometricRamp, TwoStageSchedule
 
-LABELS = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_.-]{0,15}", fullmatch=True)
+# every character the label rule allows, with the config syntax characters drawn often;
+# a label is written to files as UTF-8, so no lone surrogate
+LABEL_CHARS = st.one_of(st.sampled_from("%;#:[]()'\"$."),
+                        st.characters(exclude_categories=("Cs",), exclude_characters=",=/\\")
+                        .filter(lambda c: not c.isspace()))
+LABELS = st.text(LABEL_CHARS, min_size=1, max_size=16).filter(lambda label: label[0] not in ";#")
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 SCHEDULES = st.one_of(
     st.builds(ConstantSchedule, POSITIVE),
