@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
+import time
 from dataclasses import replace
 
 import pytest
 
 from decnewton import newton
+from decnewton.cli import main
 from decnewton.harness import SEED_ENV_VAR, _instance, build_mixing, list_presets, preset_configs
 from decnewton.objectives import batch_hessians
 
@@ -47,6 +51,21 @@ def quad_x0(quad_instance):
 @pytest.fixture(scope="session")
 def quad_xstar(quad_instance):
     return quad_instance[3]
+
+
+@pytest.fixture(scope="session")
+def equivalence_preset(tmp_path_factory):
+    """One run of ``decnewton preset alg-equivalence`` (the 200-iteration
+    lockstep on quad-k1e2-m15), shared by the tests that check it:
+    ``(exit code, stdout, CSV path, seconds)``."""
+    out_dir = tmp_path_factory.mktemp("alg-equivalence")
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
+        mp.delenv(SEED_ENV_VAR, raising=False)
+        t0 = time.perf_counter()
+        code = main(["preset", "alg-equivalence", "--out", str(out_dir)])
+        elapsed = time.perf_counter() - t0
+    return code, stdout.getvalue(), out_dir / "alg-equivalence.csv", elapsed
 
 
 def quad_params(**overrides):

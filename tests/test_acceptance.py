@@ -18,7 +18,6 @@ import pytest
 import decnewton
 from conftest import QUAD, preset, quad_params, strip_wall_time, trace_sha256
 from decnewton import harness
-from decnewton.cli import main
 from decnewton.compress import CompressorSpec, compress
 from decnewton.diagnostics import fit_rate, stage_two_window
 from decnewton.gradient_tracking import GTParams, gt_run, tune_alpha
@@ -208,21 +207,12 @@ def test_a1_compressor_contraction():
                   f"3000 Gaussian matrices, {elapsed:.1f}s < 10s")
 
 
-def test_a2_algorithm_equivalence(tmp_path, capsys):
-    # the alg-equivalence preset: run_lockstep on the quad-k1e2-m15 instance
-    t0 = time.perf_counter()
-    assert main(["preset", "alg-equivalence", "--out", str(tmp_path)]) == 0
-    elapsed = time.perf_counter() - t0
-    assert "max deviation" in capsys.readouterr().out
-    path = tmp_path / "alg-equivalence.csv"
-    text = path.read_text().splitlines()
-    assert text[0] == "iter,max_state_deviation"
-    assert len(text) == 201
-    # every deviation bit for bit, on this numpy/OpenBLAS (numpy 2 with OpenBLAS
-    # 0.3.31, Haswell kernels) at one BLAS thread or two
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "52d5e931de5dea3155b977196d2d33ba5f9d613c85d1056ec465634c8ccc56fa")
-    worst = max(float(line.split(",")[1]) for line in text[1:])
+def test_a2_algorithm_equivalence(equivalence_preset):
+    # the alg-equivalence preset: run_lockstep on the quad-k1e2-m15 instance; the
+    # CLI output and the CSV pin are checked by test_harness::test_cli_equivalence_preset
+    code, _, path, elapsed = equivalence_preset
+    assert code == 0
+    worst = max(float(line.split(",")[1]) for line in path.read_text().splitlines()[1:])
     ok = worst <= harness.EQUIVALENCE_TOL and elapsed < 10.0
     report(2, ok, f"reference vs efficient, 200 lockstep iterations: max state deviation "
                   f"{worst:.2e} <= {harness.EQUIVALENCE_TOL:g}, {elapsed:.1f}s < 10s")

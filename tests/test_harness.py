@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -953,6 +954,21 @@ def test_cli_compare_rejects_a_trace_cut_inside_its_last_field(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"cut.csv:{last_line}: no newline at the end" in err
     assert not (tmp_path / "cmp.csv").exists()
+
+
+def test_cli_equivalence_preset(equivalence_preset):
+    # the one tier-1 run of the preset, shared with test_acceptance::test_a2
+    code, out, path, _ = equivalence_preset
+    assert code == 0
+    assert "max deviation" in out
+    text = path.read_text().splitlines()
+    assert text[0] == "iter,max_state_deviation"
+    assert len(text) == 201
+    assert all(float(line.split(",")[1]) <= harness.EQUIVALENCE_TOL for line in text[1:])
+    # every deviation bit for bit, on this numpy/OpenBLAS (numpy 2 with OpenBLAS
+    # 0.3.31, Haswell kernels) at one BLAS thread or two
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "52d5e931de5dea3155b977196d2d33ba5f9d613c85d1056ec465634c8ccc56fa")
 
 
 def test_cli_caps_report(tmp_path, capsys):
