@@ -42,6 +42,12 @@ __all__ = [
 _KINDS = ("rank_k", "top_k", "identity")
 
 
+def check_count(name: str, value, least: int, other: str = "") -> None:
+    """The one count rule: an int >= ``least``, not a bool or numpy integer, or ``other``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be {other}an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CompressorSpec:
     """Which operator to use, how many components to keep, and the side length."""
@@ -53,10 +59,8 @@ class CompressorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown compressor kind {self.kind!r}, expected one of {_KINDS}")
-        if isinstance(self.K, bool) or not isinstance(self.K, int):
-            raise ValueError(f"compressor K must be an integer, got {self.K!r}")
-        if self.d < 1:
-            raise ValueError(f"matrix side length must be positive, got d={self.d}")
+        check_count("compressor d", self.d, 1)
+        check_count("compressor K", self.K, 0)
         if self.kind == "rank_k" and not 1 <= self.K <= self.d:
             raise ValueError(f"rank_k needs 1 <= K <= d, got K={self.K}, d={self.d}")
         if self.kind == "top_k" and not 1 <= self.K <= self.d * self.d:

@@ -26,12 +26,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .compress import check_count
 # fill_state_metrics is unused here but bound for perfbench/tracing.py, which patches it.
 from .diagnostics import fill_state_metrics  # noqa: F401
 from .diagnostics import RoundMetrics, Trace, relative_error, squared_distances
 from .graph import MixingMatrix, consensus_apply
-from .newton import (NetworkState, _finite, check_run_values, exchange_bits, int_at_least,
-                     iterate, run_status, start_state)
+from .newton import (NetworkState, _finite, check_run_values, exchange_bits, iterate, run_status,
+                     start_state)
 from .objectives import Problem, batch_gradients
 
 __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
@@ -51,8 +52,7 @@ class GTParams:
 
     def __post_init__(self):
         check_run_values(self, "alpha")
-        if not int_at_least(self.m, 1):
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        check_count("m", self.m, 1)
 
     def rounds(self, k: int) -> int:
         return self.m

@@ -44,9 +44,9 @@ character) and ``=`` is the only delimiter. Any other field or section, a value 
 ``[DEFAULT]`` and a field the family or method does not read (``rho`` on a quadratic,
 ``gamma`` or ``variant`` with ``method = gt``) are errors. A missing optional field
 takes its ``AlgoParams`` (newton), ``GTParams`` (gt) or ``ExperimentConfig`` default;
-``alpha = tuned`` is for gt only, with ``max_iters`` at least 8. A label is non-empty,
-with no ``,``, ``=``, ``/``, ``\\`` or whitespace; a label or csv the reader would cut (a comment:
-``;`` or ``#`` first or after whitespace; whitespace at an end; a line break) is an error.
+``alpha = tuned`` is for gt only, with ``max_iters`` at least 8. A label is non-empty, with no
+``,``, ``=``, ``/``, ``\\``, NUL or whitespace; a label or csv (a str) the reader would cut (a comment:
+``;`` or ``#`` first or after whitespace; whitespace at an end; a line break; a NUL) is an error.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import newton
-from .compress import CompressorSpec, delta_bound
+from .compress import CompressorSpec, check_count, delta_bound
 from .diagnostics import (CSV_COLUMNS, ROUNDOFF_FLOOR, RoundMetrics, Trace, fill_state_metrics,
                           theoretical_caps)
 from .gradient_tracking import MIN_TUNING_BUDGET, GTParams, gt_run, tune_alpha
@@ -100,12 +100,6 @@ SEED_ENV_VAR = "DECNEWTON_SEED"
 STATUS_CODE = {"converged": 0, "max_iters": 2, "diverged": 3}
 
 
-def _check_int(section: str, key: str, value, least: int):
-    """Reject a ``value`` that is not an int >= ``least``; a bool is not a count."""
-    if not newton.int_at_least(value, least):
-        raise ValueError(f"[{section}] {key} must be an integer >= {least}, got {value!r}")
-
-
 # the ProblemSpec fields each family needs; the other family's stay None
 _FAMILY_FIELDS = {"quadratic": ("kappa",), "logistic": ("rho", "m_per_node")}
 
@@ -124,14 +118,14 @@ class ProblemSpec:
         if self.family not in _FAMILY_FIELDS:
             raise ValueError(f"[problem] family must be quadratic or logistic, got {self.family!r}")
         for key, least in (("n", 2), ("d", 1), ("seed", 0)):  # a network needs two nodes
-            _check_int("problem", key, getattr(self, key), least)
+            check_count(f"[problem] {key}", getattr(self, key), least)
         for key in sum(_FAMILY_FIELDS.values(), ()):
             needed = key in _FAMILY_FIELDS[self.family]
             if needed == (getattr(self, key) is None):
                 raise ValueError(f"[problem] {key} is {'required' if needed else 'not read'} "
                                  f"for a {self.family} problem")
         if self.m_per_node is not None:
-            _check_int("problem", "m_per_node", self.m_per_node, 1)
+            check_count("[problem] m_per_node", self.m_per_node, 1)
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,7 @@ class GraphSpec:
     seed: int
 
     def __post_init__(self):
-        _check_int("graph", "seed", self.seed, 0)
+        check_count("[graph] seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -158,8 +152,8 @@ class ExperimentConfig:
     def __post_init__(self):
         # the trace header is space-separated key=value tokens, compare writes
         # the label into an unquoted CSV row and run_experiment into a file name
-        if not re.fullmatch(r"[^\s,=/\\;#][^\s,=/\\]*", self.label):  # ; or # first: a comment
-            raise ValueError(f"[output] label must be non-empty with no whitespace, ',', '=', '/' "
+        if not re.fullmatch(r"[^\s,=/\\;#\0][^\s,=/\\\0]*", self.label):  # ; or # first: a comment
+            raise ValueError(f"[output] label must be non-empty with no whitespace, NUL, ',', '=', '/' "
                              f"or '\\', and not start with ';' or '#', got {self.label!r}")
         if not isinstance(self.algorithm, _METHOD_PARAMS.get(self.method, ())):  # () matches none
             raise ValueError(f"[algorithm] method must be newton (AlgoParams) or gt (GTParams), "
@@ -167,17 +161,20 @@ class ExperimentConfig:
         if self.gt_alpha_mode not in (("fixed", "tuned") if self.method == "gt" else ("fixed",)):
             raise ValueError(f"[algorithm] alpha mode must be fixed, or tuned with method = gt; "
                              f"got {self.gt_alpha_mode!r} with method = {self.method}")
+        if self.gt_alpha_mode == "tuned" and self.algorithm.alpha != 1.0:  # the text holds no alpha
+            raise ValueError(f"[algorithm] alpha must be the placeholder 1.0 when tuned, got {self.algorithm.alpha!r}")
         if self.method == "newton" and (cd := self.algorithm.compressor.d) != self.problem.d:
             raise ValueError(f"[algorithm] compressor is for d = {cd}, but [problem] d = {self.problem.d}")
-        _check_int("output", "repetitions", self.repetitions, 1)
+        check_count("[output] repetitions", self.repetitions, 1)
+        if self.csv is not None and (not isinstance(self.csv, str)  # config text reads back a str
+                                     or re.search(r"^[\s;#]|\s[;#]|\s$|[\r\n\0]", self.csv)):  # or cuts it
+            raise ValueError(f"[output] csv must be a str that does not start or end with whitespace, break a "
+                             f"line, hold a NUL, or have ';' or '#' first or after whitespace, got {self.csv!r}")
         if self.csv is not None and (os.path.basename(self.csv) in ("", ".", "..") or self.repetitions > 1):
             raise ValueError(f"[output] csv must name one file for one run; got {self.csv!r} "
                              f"with [output] repetitions = {self.repetitions}")
-        if self.csv is not None and re.search(r"^[\s;#]|\s[;#]|\s$|[\r\n]", self.csv):  # config text cuts it
-            raise ValueError(f"[output] csv must not start or end with whitespace, break a line, or have "
-                             f"';' or '#' first or after whitespace, got {self.csv!r}")
         for k in self.dump_iters:
-            _check_int("output", "dump_iters", k, 0)
+            check_count("[output] dump_iters", k, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +182,9 @@ class ExperimentConfig:
 
 _METHOD_PARAMS = {"newton": AlgoParams, "gt": GTParams}
 
-# a field's (parse text, render value) pair
-_INT, _FLOAT, _TEXT = (int, str), (float, repr), (str, str)
+# a field's (parse text, render value) pair; a real is written as the float it equals,
+# so an int, a bool or a numpy float reads back as that float, with its fingerprint
+_INT, _FLOAT, _TEXT = (int, str), (float, lambda value: repr(float(value))), (str, str)
 
 # the name(arg, ...) forms of schedules and compressors: name -> arg -> (parse, render)
 _SCHEDULES = {"const": ConstantSchedule, "ramp": GeometricRamp, "stage": TwoStageSchedule}
@@ -236,7 +234,7 @@ def _parse_compressor(text: str, d: int) -> CompressorSpec:
 # in the order render_config writes them. AlgoParams and GTParams are the
 # [algorithm] fields of method = newton and method = gt. A field whose value
 # is None, or whose text is empty, is left out of the config text. A tuned gt
-# alpha reads as 1.0 until run_experiment tunes it.
+# alpha is 1.0, its placeholder until run_experiment tunes it.
 _FIELDS = {
     ProblemSpec: {"family": _TEXT, "n": _INT, "d": _INT, "kappa": _FLOAT, "rho": _FLOAT,
                   "m_per_node": _INT, "seed": _INT},
@@ -248,7 +246,7 @@ _FIELDS = {
                  "compressor": (_parse_compressor,  # d from [problem]
                                 lambda spec: _write_call(spec.kind, spec, _COMPRESSOR_ARGS)),
                  "variant": _TEXT, "max_iters": _INT, "stop_tol": _FLOAT},
-    GTParams: {"alpha": (lambda text: 1.0 if text == "tuned" else float(text), repr),
+    GTParams: {"alpha": (lambda text: 1.0 if text == "tuned" else float(text), _FLOAT[1]),
                "m": _INT, "max_iters": _INT, "stop_tol": _FLOAT},
     ExperimentConfig: {
         "label": _TEXT, "csv": _TEXT,

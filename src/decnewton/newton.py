@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .compress import CompressorSpec, compress, delta_bound, payload_bits
+from .compress import CompressorSpec, check_count, compress, delta_bound, payload_bits
 from .diagnostics import RoundMetrics, Trace, fill_state_metrics, squared_distances
 from .graph import MixingMatrix, consensus_apply
 from .objectives import Problem, batch_gradients, batch_hessians, global_value
@@ -108,23 +108,16 @@ class TwoStageSchedule:
         if not all(0 <= v < math.inf for v in (self.stage1, self.stage2)):  # NaN fails too
             raise ValueError(f"schedule values must be finite and >= 0, got "
                              f"{self.stage1!r} and {self.stage2!r}")
-        if not int_at_least(self.switch_iter, 0):
-            raise ValueError(f"switch_iter must be an integer >= 0, got {self.switch_iter!r}")
+        check_count("switch_iter", self.switch_iter, 0)
 
     def at(self, k: int) -> float:
         return self.stage1 if k < self.switch_iter else self.stage2
 
 
-def int_at_least(value, least: int) -> bool:
-    """Whether ``value`` is an int >= ``least``; a bool is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
 def check_run_values(params, *names):
     """Reject a ``params.max_iters`` that is not an int >= 1, and a NaN,
     infinite or negative ``params.stop_tol`` or other named field."""
-    if not int_at_least(params.max_iters, 1):
-        raise ValueError(f"max_iters must be an integer >= 1, got {params.max_iters!r}")
+    check_count("max_iters", params.max_iters, 1)
     for name in (*names, "stop_tol"):
         value = getattr(params, name)
         if not (math.isfinite(value) and value >= 0):
@@ -150,8 +143,8 @@ class AlgoParams:
             raise ValueError(f"variant must be efficient or reference, got {self.variant!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.m != "k" and not int_at_least(self.m, 1):
-            raise ValueError(f"m must be a positive integer or 'k', got {self.m!r}")
+        if self.m != "k":
+            check_count("m", self.m, 1, other="'k' or ")
         check_run_values(self, "M")
 
     def rounds(self, k: int) -> int:

@@ -232,7 +232,7 @@ def centralized_solve(problem: Problem, tol: float = 1e-12, max_iters: int = 100
     floor of grad F: when such a step stops lowering ||grad F||, x stops moving, or at
     ``max_iters``, ||grad F|| <= ``_ROUNDOFF_MULTIPLE * eps * ||grad F(0)||`` is accepted too.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too: no norm is <= nan, and the oracle would run to its floor
         raise ValueError(f"tol must be positive, got {tol}")
     x = np.zeros(problem.d)
     fx, grad = global_value(problem, x), global_gradient(problem, x)

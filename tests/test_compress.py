@@ -220,6 +220,11 @@ def test_spec_validation():
         CompressorSpec("top_k", d=5, K=26)
     with pytest.raises(ValueError):
         CompressorSpec("svd", d=5, K=1)
+    # a float d ran, and wrote bits_cum as a float that read_trace_csv rejects
+    with pytest.raises(ValueError, match=r"compressor d must be an integer >= 1, got 6.0"):
+        CompressorSpec("rank_k", d=6.0, K=2)
+    with pytest.raises(ValueError, match=r"compressor d must be an integer >= 1, got True"):
+        CompressorSpec("rank_k", d=True, K=1)
     with pytest.raises(ValueError):
         compress(CompressorSpec("rank_k", d=5, K=2), np.zeros((4, 4)))
     with pytest.raises(ValueError):

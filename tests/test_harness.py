@@ -156,9 +156,9 @@ def test_config_rejects_fields_it_does_not_read(tmp_path, capsys, text, named):
 
 
 @pytest.mark.parametrize("label", ["my run", "a,b", "k=v", "", "tab\there", "../escaped",
-                                   "sub/run", "..\\escaped", ";first", "#first"],
+                                   "sub/run", "..\\escaped", ";first", "#first", "a\0b"],
                          ids=["space", "comma", "equals", "empty", "tab", "parent-dir", "subdir",
-                              "backslash", "semicolon-first", "hash-first"])
+                              "backslash", "semicolon-first", "hash-first", "nul"])
 def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
     # the label is read back from the trace header and names <out>/<label>.csv
     text = QUAD_CFG.replace("label = small-quad", f"label = {label}")
@@ -196,10 +196,18 @@ def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
     (QUAD_CFG, {"csv": "#a.csv"}, r"\[output\] csv"),
     (QUAD_CFG, {"csv": "a.csv "}, r"\[output\] csv"),
     (QUAD_CFG, {"csv": "a\nb.csv"}, r"\[output\] csv"),
+    # no file can hold the name: the run ended with "embedded null byte", naming no field
+    (QUAD_CFG, {"csv": "a\0b.csv"}, r"\[output\] csv"),
+    # it failed in the csv rule's re.search, naming no field; config text reads back a str
+    (QUAD_CFG, {"csv": Path("a.csv")}, r"\[output\] csv must be a str"),
+    # the text says alpha = tuned and reads back 1.0: the 0.5 would be dropped unseen
+    (GT_CFG, {"algorithm": GTParams(alpha=0.5, max_iters=3000)},
+     r"\[algorithm\] alpha must be the placeholder 1.0 when tuned, got 0.5"),
 ], ids=["newton-as-GT", "newton-params-as-gt", "gt-params-as-newton", "alpha-mode-case",
         "tuned-newton", "negative-dump", "float-dump", "bool-dump",
         "problem-d-not-compressor-d", "compressor-d-not-problem-d", "csv-comment-after-space",
-        "csv-comment-first", "csv-trailing-space", "csv-line-break"])
+        "csv-comment-first", "csv-trailing-space", "csv-line-break", "csv-nul", "csv-path",
+        "tuned-alpha-not-placeholder"])
 def test_config_rejects_runs_that_do_not_exist(base, change, named):
     with pytest.raises(ValueError, match=named):
         replace(parse_config(base), **change)

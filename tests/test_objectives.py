@@ -259,6 +259,13 @@ def test_centralized_solve_logistic(logit_problem):
     assert np.linalg.norm(stacked.mean(axis=0)) <= 1e-8
 
 
+@pytest.mark.parametrize("tol", [0.0, np.nan])
+def test_centralized_solve_rejects_a_tol_no_norm_reaches(tol):
+    # no norm is <= nan: the oracle ran until it stalled, then returned at its roundoff floor
+    with pytest.raises(ValueError, match="tol must be positive"):
+        centralized_solve(make_quadratic(4, 3, 10.0, seed=1), tol=tol)
+
+
 @pytest.mark.parametrize("shift", [19, 156, 223])
 def test_centralized_solve_stops_at_roundoff(shift):
     # logit-rank instances on which the Armijo test, run on F's roundoff,
