@@ -152,9 +152,10 @@ class ExperimentConfig:
     def __post_init__(self):
         # the trace header is space-separated key=value tokens, compare writes
         # the label into an unquoted CSV row and run_experiment into a file name
-        if not re.fullmatch(r"[^\s,=/\\;#\0][^\s,=/\\\0]*", self.label):  # ; or # first: a comment
-            raise ValueError(f"[output] label must be non-empty with no whitespace, NUL, ',', '=', '/' "
-                             f"or '\\', and not start with ';' or '#', got {self.label!r}")
+        if not (isinstance(self.label, str)  # config text reads back a str
+                and re.fullmatch(r"[^\s,=/\\;#\0][^\s,=/\\\0]*", self.label)):  # ; or # first: a comment
+            raise ValueError(f"[output] label must be a non-empty str with no whitespace, NUL, ',', '=', "
+                             f"'/' or '\\', and not start with ';' or '#', got {self.label!r}")
         if not isinstance(self.algorithm, _METHOD_PARAMS.get(self.method, ())):  # () matches none
             raise ValueError(f"[algorithm] method must be newton (AlgoParams) or gt (GTParams), "
                              f"got {self.method!r} with {type(self.algorithm).__name__}")

@@ -146,6 +146,10 @@ class AlgoParams:
         if self.m != "k":
             check_count("m", self.m, 1, other="'k' or ")
         check_run_values(self, "M")
+        for name in ("alpha", "cg_tol"):  # a float, as GTParams takes, would fail only in step
+            if not isinstance(value := getattr(self, name), (ConstantSchedule, GeometricRamp, TwoStageSchedule)):
+                raise ValueError(f"[algorithm] {name} must be a schedule (ConstantSchedule, GeometricRamp "
+                                 f"or TwoStageSchedule), got {value!r}")
 
     def rounds(self, k: int) -> int:
         return max(1, k) if self.m == "k" else self.m

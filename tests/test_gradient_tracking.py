@@ -230,16 +230,16 @@ def _lone_score(problem, W, x0, x_star, m, target, budget, log_alpha):
 def _sequential_zoom(problem, W, x0, x_star, m, target, budget):
     """tune_alpha's grid and zooms with a lone, fully filled gt_run per point
     and no run leaving early: 11 points 0.5 decade apart over the 5 decades
-    below 2/L1, run to the target or to 1e-6, whichever is looser, then three
+    below 2/L1, run to the target or to 1e-3, whichever is looser, then three
     stacks at 0.1, 0.02 and 0.004 decade within 5 spacings of the best score
     so far, the larger alpha winning a tie. When a grid run converged at a
-    looser 1e-6, the grid's scores only pick its best point; when none did,
+    looser 1e-3, the grid's scores only pick its best point; when none did,
     the grid scores at the target."""
     hi = math.log10(2.0 / problem.L1)
     scores = {}  # log10(alpha) -> score
     best = hi - 2.5
     for step in (125, 25, 5, 1):  # in 0.004 decade
-        aim = max(target, 1e-6) if step == 125 else target
+        aim = max(target, 1e-3) if step == 125 else target
         i_best = round((best - hi) * 250) + 1250
         for i in range(i_best - 5 * step, i_best + 5 * step + 1, step):
             p = hi - (1250 - i) / 250
@@ -295,10 +295,10 @@ def _search_instance(kappa, seed, unstable):
 
 @pytest.mark.parametrize("kappa,seed,unstable,m,target,budget,seen", [
     # nothing converges within the budget: every run is scored by extrapolation.
-    # The gt-tuned instance, short budget: no grid run reaches 1e-6 either, so the
-    # grid scores at 1e-8.
-    (100.0, 1, False, 1, 1e-8, 300, {"max_iters"}),
-    (100.0, 1, False, 1, 1e-6, 300, {"max_iters"}),
+    # The gt-tuned instance, short budget: no grid run reaches 1e-3 either, so the
+    # grid scores at the target (a grid run reaches 1e-3 within 140 iterations).
+    (100.0, 1, False, 1, 1e-8, 120, {"max_iters"}),
+    (100.0, 1, False, 1, 1e-6, 120, {"max_iters"}),
     # test_a4's instances, kappa = 1e4 on a shorter budget to keep the test short.
     # At kappa = 10 the top of the range wins the grid, and every later run
     # still going when k reaches its score leaves its stack.
@@ -306,12 +306,12 @@ def _search_instance(kappa, seed, unstable):
     (10000.0, 1, False, 20, 1e-6, 600, {"max_iters"}),
     # the top of the range diverges, and a run converged at j drops the runs
     # still going at j
-    (100.0, 1, True, 1, 1e-6, 300, {"converged", "diverged", "dropped", "max_iters"}),
-    (100.0, 2, True, 1, 1e-6, 150, {"converged", "diverged", "dropped", "max_iters"}),
+    (100.0, 1, True, 1, 1e-6, 300, {"converged", "diverged", "dropped"}),
+    (100.0, 2, True, 1, 1e-6, 150, {"converged", "diverged", "dropped"}),
     (10000.0, 2, True, 1, 0.05, 600, {"converged", "diverged", "dropped"}),
     # a loose target: runs tie on iterations, and the larger alpha wins
     (10.0, 1, False, 1, 1e-2, 300, {"converged", "dropped"}),
-    # a grid run converges at 1e-6: the grid's scores only pick the first zoom's centre
+    # a grid run converges at 1e-3: the grid's scores only pick the first zoom's centre
     (10.0, 1, False, 20, 1e-8, 300, {"converged", "dropped"}),
 ], ids=["gt-tuned", "k1e2-target-1e-6", "a4-k1e1", "a4-k1e4", "k1e2-diverging-top",
         "k1e2-short-budget", "k1e4-diverging-top", "k1e1-ties", "k1e1-grid-to-1e-6"])
@@ -344,13 +344,14 @@ def test_zoom_scores_within_one_percent_of_golden_section(kappa, seed, unstable,
     assert _lone_score(*args, math.log10(zoom)) <= 1.01 * _lone_score(*args, math.log10(golden))
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("kappa,shift,unstable,budget", [
-    *[(kappa, shift, False, 3000) for kappa in (10.0, 100.0) for shift in range(6)],
-    (100.0, 1, True, 1500), (100.0, 2, True, 1500), (10000.0, 2, True, 1500),
-    (10000.0, 3, True, 1500)])
+    # one case runs in the default suite: a coarse target that moves its alpha fails it
+    pytest.param(*case, marks=() if case == (100.0, 2, True, 1500) else pytest.mark.slow)
+    for case in [*[(kappa, shift, False, 3000) for kappa in (10.0, 100.0) for shift in range(6)],
+                 (100.0, 1, True, 1500), (100.0, 2, True, 1500), (10000.0, 2, True, 1500),
+                 (10000.0, 3, True, 1500)]])
 def test_coarse_grid_race_keeps_the_full_race_alpha(monkeypatch, kappa, shift, unstable, budget):
-    # the grid races to 1e-6 only to pick where the zooms look; racing it to the
+    # the grid races to 1e-3 only to pick where the zooms look; racing it to the
     # target, as a coarse target of 0 does, picks the same alpha. ``shift`` shifts
     # both seeds of the stable instances, and is the problem seed of the unstable ones.
     if unstable:
@@ -364,11 +365,11 @@ def test_coarse_grid_race_keeps_the_full_race_alpha(monkeypatch, kappa, shift, u
     assert tune_alpha(*args) == coarse
 
 
-@pytest.mark.parametrize("kappa,m,budget", [(100.0, 1, 300), (10000.0, 20, 600)],
+@pytest.mark.parametrize("kappa,m,budget", [(100.0, 1, 120), (10000.0, 20, 600)],
                          ids=["gt-tuned", "a4-k1e4"])
 def test_grid_short_of_the_coarse_target_races_as_to_the_target(monkeypatch, kappa, m, budget):
-    # no grid run reaches 1e-6 within the budget, so none reaches the target: the
-    # race to 1e-6 is the race to the target, and the grid keeps its scores to the
+    # no grid run reaches 1e-3 within the budget, so none reaches the target: the
+    # race to 1e-3 is the race to the target, and the grid keeps its scores to the
     # target. Every stack returns the columns of the search with a coarse target of 0.
     prob, W, x_star = _search_instance(kappa, 1, False)
     args = (prob, W, np.zeros((10, 30)), x_star, m, 1e-8, budget)
@@ -406,19 +407,22 @@ def test_budget_too_short_to_score_is_rejected(budget):
 def test_search_decides_only_what_a_running_score_bound_decides(setup, monkeypatch):
     # a run still going at iteration k scores above k: a stack races until one
     # of its runs converged or k reaches the best score of an earlier stack,
-    # its horizon, and then every run still going leaves it
+    # its horizon, and then every run still going leaves it. A grid that
+    # converged at a looser aim than the target leaves no score to beat.
     prob, W, x_star, x0 = setup
-    budget, best, stacks = 2000, math.inf, []
+    budget, target, best, stacks = 2000, 1e-6, math.inf, []
 
     def probed(problem, W, alphas, m, x0, x_star, max_iters, stop_tol, horizon):
         nonlocal best
         columns = gt_columns(problem, W, alphas, m, x0, x_star, max_iters, stop_tol, horizon)
         stacks.append((horizon, best, columns))
         best = min([best] + [len(errs) - 1 for status, errs in columns if status == "converged"])
+        if stop_tol > target:  # scores to the looser aim only pick where the zooms look
+            best = math.inf
         return columns
 
     monkeypatch.setattr(gradient_tracking, "gt_columns", probed)
-    tune_alpha(prob, W, x0, x_star, m=1, target=1e-6, budget=budget)
+    tune_alpha(prob, W, x0, x_star, m=1, target=target, budget=budget)
     assert len(stacks) == 4 and best < budget
     for horizon, earlier_best, columns in stacks:
         assert horizon == earlier_best  # inf for the grid: no earlier score
@@ -435,20 +439,22 @@ def test_benchmark_instance_keeps_its_tuned_alpha(monkeypatch, tmp_path):
     # move the search or the final run shows here. The alpha and the trace's
     # sha256 without wall_time hold for this numpy/OpenBLAS (numpy 2 with
     # OpenBLAS 0.3.31, Haswell kernels), at one BLAS thread or two.
-    stacks = []
+    stacks, columns = [], []  # each stack's iterations, and each column's
 
     def recorded(*args, **kwargs):
-        columns = gt_columns(*args, **kwargs)
-        stacks.append(max(len(errs) - 1 for _, errs in columns))  # the stack's iterations
-        return columns
+        stack = gt_columns(*args, **kwargs)
+        columns.extend(len(errs) - 1 for _, errs in stack)
+        stacks.append(max(columns[-len(stack):]))
+        return stack
 
     monkeypatch.setattr(gradient_tracking, "gt_columns", recorded)
     config = replace(QUAD, method="gt", gt_alpha_mode="tuned", label="gt-tuned",
                      algorithm=GTParams(alpha=1.0, m=1))
     trace, path = run_experiment(config, out_dir=str(tmp_path))
-    # 7,309 stacked iterations while the grid raced to 1e-10 too, and 9,783
-    # while every column ran to its stop, also in 4 stacks
-    assert (len(stacks), sum(stacks)) == (4, 6057)
+    # stacked iterations, all in 4 stacks: 9,783 while every column ran to its stop,
+    # 7,309 while the grid raced to 1e-10 too, 6,057 (47,584 column-iterations)
+    # while it raced to 1e-6, and 5,323 with the grid's race to 1e-3
+    assert (len(stacks), sum(stacks), sum(columns)) == (4, 5323, 39510)
     assert trace.rows[-1].alpha_k == 0.005998101768101717
     assert (trace.status, trace.iterations, trace.rows[-1].bits_cum) == ("converged", 1726,
                                                                           66278400)

@@ -156,16 +156,22 @@ def test_config_rejects_fields_it_does_not_read(tmp_path, capsys, text, named):
 
 
 @pytest.mark.parametrize("label", ["my run", "a,b", "k=v", "", "tab\there", "../escaped",
-                                   "sub/run", "..\\escaped", ";first", "#first", "a\0b"],
+                                   "sub/run", "..\\escaped", ";first", "#first", "a\0b",
+                                   Path("run"), b"run", None, 7],
                          ids=["space", "comma", "equals", "empty", "tab", "parent-dir", "subdir",
-                              "backslash", "semicolon-first", "hash-first", "nul"])
+                              "backslash", "semicolon-first", "hash-first", "nul", "path", "bytes",
+                              "none", "int"])
 def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
-    # the label is read back from the trace header and names <out>/<label>.csv
+    # the label is read back from the trace header and names <out>/<label>.csv. A
+    # label that is not a str failed in the rule's re.fullmatch, naming no field; it
+    # comes only from code, since config text reads back a str
+    with pytest.raises(ValueError, match=r"\[output\] label"):
+        replace(parse_config(QUAD_CFG), label=label)
+    if not isinstance(label, str):
+        return
     text = QUAD_CFG.replace("label = small-quad", f"label = {label}")
     with pytest.raises(ValueError, match=r"\[output\] label"):
         parse_config(text)
-    with pytest.raises(ValueError, match=r"\[output\] label"):
-        replace(parse_config(QUAD_CFG), label=label)
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1

@@ -8,6 +8,7 @@ from decnewton.compress import CompressorSpec, compress, payload_bits
 from decnewton.diagnostics import relative_error, squared_distances
 from decnewton.gradient_tracking import GTParams, gt_run
 from decnewton.graph import generate_topology, metropolis_weights
+from decnewton.harness import preset_configs
 from decnewton.newton import (
     AlgoParams,
     ConstantSchedule,
@@ -81,6 +82,18 @@ def test_params_reject_bad_run_values(field, value):
     spec = CompressorSpec("identity", d=4)
     with pytest.raises(ValueError, match=field):
         AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=0.1, **{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("alpha", 0.5), ("cg_tol", 1e-10), ("alpha", None), ("cg_tol", "const(1e-10)"),
+])
+def test_params_reject_an_alpha_or_cg_tol_that_is_no_schedule(field, value):
+    # a quad-kappa config with alpha = 0.5, the form GTParams takes, or cg_tol = 1e-10 was
+    # accepted; run_experiment built the instance and solved the oracle, and only then did
+    # step raise AttributeError: 'float' object has no attribute 'at'
+    algorithm = preset_configs("quad-kappa")[0].algorithm
+    with pytest.raises(ValueError, match=rf"\[algorithm\] {field} must be a schedule"):
+        replace(algorithm, **{field: value})
 
 
 @pytest.mark.parametrize("schedule,args", [
