@@ -5,14 +5,9 @@ Two concrete operators act on d x d matrices, one at a time or on an
 
 * ``rank_k`` keeps the top-K terms of the singular value decomposition and
   satisfies ``||Q(A) - A||_F <= (1 - K/(2d)) ||A||_F``. It is computed as
-  ``Q(A) = A V V^T`` from one stacked ``eigh`` of the Gram matrix ``B^T B``,
-  whose top-K eigenvectors ``V`` are A's top-K right singular vectors; no
-  full SVD is taken. ``B`` is ``A`` divided by the smallest power of two
-  above its largest |entry|. That scaling is exact, and it keeps ``B^T B``
-  from overflowing, or its leading entries from underflowing, at any
-  magnitude of ``A``. ``V V^T`` does not depend on the signs of the
-  eigenvectors, so there is no sign fix. ``payload_bits`` still counts the
-  K singular triplets a node would send.
+  ``Q(A) = A V V^T`` from one stacked ``eigh`` of a scaled Gram matrix
+  (``_rank_k``), with no full SVD; ``payload_bits`` still counts the K
+  singular triplets a node would send.
 * ``top_k`` keeps the K entries of largest absolute value (ties broken by
   lowest row-major index) and satisfies the same bound with
   ``K/(2 d^2)`` in place of ``K/(2d)``.
@@ -23,12 +18,18 @@ code path. Every operator rejects a NaN or infinite entry with a
 ``ValueError``. All operators are deterministic: the same input always
 yields a bit-identical reconstruction. Payload sizes assume 64-bit floats and packed
 index encoding; only relative comparisons between operators are meaningful.
+
+The module also holds the config field kinds (``Kind``, ``check_fields``) by
+which every config dataclass, ``CompressorSpec`` first, checks its values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+import sys
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,13 +40,52 @@ __all__ = [
     "payload_bits",
 ]
 
-_KINDS = ("rank_k", "top_k", "identity")
+
+# ---------------------------------------------------------------------------
+# config field kinds. Each config dataclass declares every field's Kind in KINDS, in the order
+# config text writes them, and checks them all with one check_fields call. A Kind is a value
+# ``ok`` accepts, which ``want`` describes; ``parse`` reads one from text, ``render`` writes it.
+
+Kind = namedtuple("Kind", "want ok parse render", defaults=(str, str))
 
 
-def check_count(name: str, value, least: int, other: str = "") -> None:
-    """The one count rule: an int >= ``least``, not a bool or numpy integer, or ``other``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be {other}an integer >= {least}, got {value!r}")
+def count(least: int, other: str | None = None) -> Kind:
+    """An int >= ``least`` (of type int: no bool, numpy integer or enum), or the text ``other``."""
+    return Kind(f"{f'{other!r} or ' if other else ''}an integer >= {least}",
+                lambda v: v == other if isinstance(v, str) else type(v) is int and v >= least,
+                lambda text: text if text == other else int(text))
+
+
+def real(lo: float, hi: float | None = None, above: bool = False) -> Kind:
+    """A real in [lo, hi], or (lo, hi] when ``above``, that a float holds (no NaN, inf or
+    huge int): an int, a bool or a numpy float too, written as the float it equals."""
+    want = (f"a real in {'(' if above else '['}{lo:g}, {hi:g}]" if hi is not None
+            else f"a finite real {'>' if above else '>='} {lo:g}")
+    top = sys.float_info.max if hi is None else hi  # Python compares a huge int with it exactly
+    return Kind(want, lambda v: isinstance(v, numbers.Real) and (lo < v if above else lo <= v) and v <= top,
+                float, lambda v: repr(float(v)))
+
+
+def text(rule, want: str) -> Kind:
+    return Kind(want, lambda v: isinstance(v, str) and bool(rule(v)))
+
+
+def choice(*options: str) -> Kind:
+    return text(options.__contains__, f"{', '.join(options[:-1])} or {options[-1]}")
+
+
+def instance(want: str, *classes) -> Kind:  # config text writes one in a form of its own
+    return Kind(want, lambda v: isinstance(v, classes), None, None)
+
+
+def check_fields(obj, section: str, **names: str) -> None:
+    """The one check of config values: each field of the dataclass ``obj`` against its kind in
+    ``obj.KINDS`` (None passes where it is the default). It raises ``ValueError("<section>
+    <field> must be <want>, got <value!r>")``; ``names`` gives a field another name."""
+    for field in fields(obj):
+        kind, value = obj.KINDS[field.name], getattr(obj, field.name)
+        if not (value is None and field.default is None or kind.ok(value)):
+            raise ValueError(f"{names.get(field.name, f'{section} {field.name}')} must be {kind.want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,16 +95,13 @@ class CompressorSpec:
     kind: str
     d: int
     K: int = 0
+    KINDS = {"kind": choice("rank_k", "top_k", "identity"), "d": count(1), "K": count(0)}
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown compressor kind {self.kind!r}, expected one of {_KINDS}")
-        check_count("compressor d", self.d, 1)
-        check_count("compressor K", self.K, 0)
-        if self.kind == "rank_k" and not 1 <= self.K <= self.d:
-            raise ValueError(f"rank_k needs 1 <= K <= d, got K={self.K}, d={self.d}")
-        if self.kind == "top_k" and not 1 <= self.K <= self.d * self.d:
-            raise ValueError(f"top_k needs 1 <= K <= d^2, got K={self.K}, d={self.d}")
+        check_fields(self, "compressor")
+        most = {"rank_k": self.d, "top_k": self.d * self.d}.get(self.kind, 0)  # identity reads no K
+        if self.kind != "identity" and not 1 <= self.K <= most:
+            raise ValueError(f"compressor K must be in [1, {most}] for {self.kind} with d = {self.d}, got {self.K}")
 
 
 def compress(spec: CompressorSpec, A: np.ndarray) -> np.ndarray:

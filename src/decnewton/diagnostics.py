@@ -127,11 +127,11 @@ def _local_floor(mu: float) -> float:
 
 
 def _weight(sigma: float, exponent: float) -> float:
-    """``sigma ** exponent``, or inf where it overflows a float (sigma < 1 and a
-    large negative exponent, as at m in the tens of thousands)."""
+    """``sigma ** exponent``, or inf where it overflows a float (sigma < 1 and a large negative
+    exponent, as at m in the tens of thousands) or sigma = 0 (a W that averages exactly)."""
     try:
         return sigma ** exponent
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -431,5 +431,6 @@ def _phase_switch_iterations(kappa, mu, n, sigma, m, L2, u1_0, u2t, phi):
             / ((1.0 - sigma ** (m / 2.0)) * (1.0 - sigma ** 2)) * math.sqrt(u1_0)
     if inner <= 0.0 or phi <= 0.0 or phi >= 1.0:
         return math.nan
-    num = (m / 2.0) * math.log(sigma) - math.log(41.0 * kappa / (mu * math.sqrt(n)) * inner)
+    log_sigma = math.log(sigma) if sigma > 0.0 else -math.inf  # K's limit at sigma = 0 is inf
+    num = (m / 2.0) * log_sigma - math.log(41.0 * kappa / (mu * math.sqrt(n)) * inner)
     return num / math.log(phi)

@@ -9,15 +9,8 @@ iteration:
 with ``g`` initialized to the local gradients so the tracker mean equals the
 mean local gradient at every iteration. The constant step size is the only
 knob that matters; ``tune_alpha`` picks it by a grid-and-zoom search over
-log10(alpha), scoring candidates by iterations-to-target. It runs four stacks
-of candidates side by side on ``(n, C, d)`` arrays that share each gossip
-round's matrix product and keep only ``rel_err``: 11 points 0.5 decade apart,
-raced to the target or to 1e-3, whichever is looser (they only pick where the
-zooms look, and 1e-3 is reached in a fraction of the iterations), then three
-zooms around the best score so far, each 5 times finer. A candidate leaves its
-stack once it cannot win: still going at iteration j, it scores above j, so it
-loses to a run that converged at j and to an earlier stack's best score of at
-most j.
+log10(alpha), racing stacks of candidates side by side on ``(n, C, d)`` arrays
+(``gt_columns``), as its docstring sets out.
 """
 
 from __future__ import annotations
@@ -28,13 +21,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .compress import check_count
+from .compress import check_fields, count, real
 # fill_state_metrics is unused here but bound for perfbench/tracing.py, which patches it.
 from .diagnostics import fill_state_metrics  # noqa: F401
 from .diagnostics import RoundMetrics, Trace, relative_error, squared_distances
 from .graph import MixingMatrix, consensus_apply
-from .newton import (NetworkState, _finite, check_run_values, exchange_bits, iterate, run_status,
-                     start_state)
+from .newton import NetworkState, _finite, exchange_bits, iterate, run_status, start_state
 from .objectives import Problem, batch_gradients
 
 __all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
@@ -54,10 +46,10 @@ class GTParams:
     m: int = 1
     max_iters: int = 5000
     stop_tol: float = 1e-10
+    KINDS = {"alpha": real(0), "m": count(1), "max_iters": count(1), "stop_tol": real(0)}
 
     def __post_init__(self):
-        check_run_values(self, "alpha")
-        check_count("m", self.m, 1)
+        check_fields(self, "[algorithm]")
 
     def rounds(self, k: int) -> int:
         return self.m

@@ -41,12 +41,9 @@ of either method, with one run call that writes the ``dump_iters`` dumps.
 
 Each field goes in the section shown, on one line: values are literal (``%`` is a plain
 character) and ``=`` is the only delimiter. Any other field or section, a value under
-``[DEFAULT]`` and a field the family or method does not read (``rho`` on a quadratic,
-``gamma`` or ``variant`` with ``method = gt``) are errors. A missing optional field
-takes its ``AlgoParams`` (newton), ``GTParams`` (gt) or ``ExperimentConfig`` default;
-``alpha = tuned`` is for gt only, with ``max_iters`` at least 8. A label is non-empty, with no
-``,``, ``=``, ``/``, ``\\``, NUL or whitespace; a label or csv (a str) the reader would cut (a comment:
-``;`` or ``#`` first or after whitespace; whitespace at an end; a line break; a NUL) is an error.
+``[DEFAULT]`` and a field the family or method does not read are errors. A missing optional
+field takes its dataclass default; ``alpha = tuned`` is for gt only, with ``max_iters`` at
+least 8. Every value must be of the kind its dataclass declares in ``KINDS``.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import operator
 import os
 import re
 from dataclasses import MISSING, dataclass, fields, replace
@@ -61,7 +59,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import newton
-from .compress import CompressorSpec, check_count, delta_bound
+from .compress import CompressorSpec, Kind, check_fields, choice, count, delta_bound, instance, real, text
 from .diagnostics import (CSV_COLUMNS, ROUNDOFF_FLOOR, RoundMetrics, Trace, fill_state_metrics,
                           theoretical_caps)
 from .gradient_tracking import MIN_TUNING_BUDGET, GTParams, gt_run, tune_alpha
@@ -113,28 +111,30 @@ class ProblemSpec:
     kappa: float | None = None
     rho: float | None = None
     m_per_node: int | None = None
+    # a network needs two nodes; make_quadratic rejects a kappa below 1, which code may build
+    KINDS = {"family": choice(*_FAMILY_FIELDS), "n": count(2), "d": count(1), "kappa": real(0, above=True),
+             "rho": real(0, above=True), "m_per_node": count(1), "seed": count(0)}
 
     def __post_init__(self):
-        if self.family not in _FAMILY_FIELDS:
-            raise ValueError(f"[problem] family must be quadratic or logistic, got {self.family!r}")
-        for key, least in (("n", 2), ("d", 1), ("seed", 0)):  # a network needs two nodes
-            check_count(f"[problem] {key}", getattr(self, key), least)
+        check_fields(self, "[problem]")
         for key in sum(_FAMILY_FIELDS.values(), ()):
             needed = key in _FAMILY_FIELDS[self.family]
             if needed == (getattr(self, key) is None):
                 raise ValueError(f"[problem] {key} is {'required' if needed else 'not read'} "
                                  f"for a {self.family} problem")
-        if self.m_per_node is not None:
-            check_count("[problem] m_per_node", self.m_per_node, 1)
 
 
 @dataclass(frozen=True)
 class GraphSpec:
     tau: float
     seed: int
+    KINDS = {"tau": real(0, 1, above=True), "seed": count(0)}
 
     def __post_init__(self):
-        check_count("[graph] seed", self.seed, 0)
+        check_fields(self, "[graph]")
+
+
+_METHOD_PARAMS = {"newton": AlgoParams, "gt": GTParams}
 
 
 @dataclass(frozen=True)
@@ -149,49 +149,46 @@ class ExperimentConfig:
     dump_iters: tuple = ()
     repetitions: int = 1
 
+    # The trace header is key=value tokens, compare writes the label into an unquoted CSV row and
+    # run_experiment into a file name; the config reader would cut a label or csv at a comment.
+    KINDS = {"problem": instance("a ProblemSpec", ProblemSpec), "graph": instance("a GraphSpec", GraphSpec),
+             "method": choice(*_METHOD_PARAMS), "gt_alpha_mode": choice("fixed", "tuned"),
+             "algorithm": instance("an AlgoParams or a GTParams", *_METHOD_PARAMS.values()),
+             "label": text(lambda label: re.fullmatch(r"[^\s,=/\\;#\0][^\s,=/\\\0]*", label),
+                           "a non-empty str with no whitespace, NUL, ',', '=', '/' or '\\', "
+                           "and not start with ';' or '#'"),
+             "csv": text(lambda csv: not re.search(r"^[\s;#]|\s[;#]|\s$|[\r\n\0]", csv),
+                         "a str that does not start or end with whitespace, break a line, hold a NUL, "
+                         "or have ';' or '#' first or after whitespace"),
+             "dump_iters": Kind("a tuple of integers >= 0", lambda v: isinstance(v, tuple) and all(map(count(0).ok, v)),
+                                lambda raw: tuple(map(int, raw.split(","))), lambda v: ",".join(map(str, v))),
+             "repetitions": count(1)._replace(render=lambda n: "" if n == 1 else str(n))}  # one run: no line
+
     def __post_init__(self):
-        # the trace header is space-separated key=value tokens, compare writes
-        # the label into an unquoted CSV row and run_experiment into a file name
-        if not (isinstance(self.label, str)  # config text reads back a str
-                and re.fullmatch(r"[^\s,=/\\;#\0][^\s,=/\\\0]*", self.label)):  # ; or # first: a comment
-            raise ValueError(f"[output] label must be a non-empty str with no whitespace, NUL, ',', '=', "
-                             f"'/' or '\\', and not start with ';' or '#', got {self.label!r}")
-        if not isinstance(self.algorithm, _METHOD_PARAMS.get(self.method, ())):  # () matches none
+        check_fields(self, "[output]", problem="[problem]", graph="[graph]", method="[algorithm] method",
+                     algorithm="[algorithm]", gt_alpha_mode="[algorithm] alpha mode")
+        if not isinstance(self.algorithm, _METHOD_PARAMS[self.method]):
             raise ValueError(f"[algorithm] method must be newton (AlgoParams) or gt (GTParams), "
                              f"got {self.method!r} with {type(self.algorithm).__name__}")
-        if self.gt_alpha_mode not in (("fixed", "tuned") if self.method == "gt" else ("fixed",)):
+        if self.gt_alpha_mode == "tuned" and self.method != "gt":
             raise ValueError(f"[algorithm] alpha mode must be fixed, or tuned with method = gt; "
                              f"got {self.gt_alpha_mode!r} with method = {self.method}")
         if self.gt_alpha_mode == "tuned" and self.algorithm.alpha != 1.0:  # the text holds no alpha
             raise ValueError(f"[algorithm] alpha must be the placeholder 1.0 when tuned, got {self.algorithm.alpha!r}")
         if self.method == "newton" and (cd := self.algorithm.compressor.d) != self.problem.d:
             raise ValueError(f"[algorithm] compressor is for d = {cd}, but [problem] d = {self.problem.d}")
-        check_count("[output] repetitions", self.repetitions, 1)
-        if self.csv is not None and (not isinstance(self.csv, str)  # config text reads back a str
-                                     or re.search(r"^[\s;#]|\s[;#]|\s$|[\r\n\0]", self.csv)):  # or cuts it
-            raise ValueError(f"[output] csv must be a str that does not start or end with whitespace, break a "
-                             f"line, hold a NUL, or have ';' or '#' first or after whitespace, got {self.csv!r}")
         if self.csv is not None and (os.path.basename(self.csv) in ("", ".", "..") or self.repetitions > 1):
             raise ValueError(f"[output] csv must name one file for one run; got {self.csv!r} "
                              f"with [output] repetitions = {self.repetitions}")
-        for k in self.dump_iters:
-            check_count("[output] dump_iters", k, 0)
 
 
 # ---------------------------------------------------------------------------
 # config text <-> ExperimentConfig
 
-_METHOD_PARAMS = {"newton": AlgoParams, "gt": GTParams}
-
-# a field's (parse text, render value) pair; a real is written as the float it equals,
-# so an int, a bool or a numpy float reads back as that float, with its fingerprint
-_INT, _FLOAT, _TEXT = (int, str), (float, lambda value: repr(float(value))), (str, str)
-
-# the name(arg, ...) forms of schedules and compressors: name -> arg -> (parse, render)
+# the name(arg, ...) forms of schedules and compressors: name -> arg -> its kind
 _SCHEDULES = {"const": ConstantSchedule, "ramp": GeometricRamp, "stage": TwoStageSchedule}
-_SCHEDULE_ARGS = {name: {f.name: _INT if f.type == "int" else _FLOAT for f in fields(cls)}
-                  for name, cls in _SCHEDULES.items()}  # switch_iter is the one int
-_COMPRESSOR_ARGS = {"rank_k": {"K": _INT}, "top_k": {"K": _INT}, "identity": {}}
+_SCHEDULE_ARGS = {name: cls.KINDS for name, cls in _SCHEDULES.items()}
+_COMPRESSOR_ARGS = {kind: {"K": CompressorSpec.KINDS["K"]} for kind in ("rank_k", "top_k")} | {"identity": {}}
 
 
 def _call_text(name: str, args) -> str:
@@ -208,12 +205,12 @@ def _read_call(text: str, forms: dict, what: str):
     if name not in forms or len(args) != len(forms[name]):
         expected = ", ".join(_call_text(form, form_args) for form, form_args in forms.items())
         raise ValueError(f"bad {what} {text!r}; expected one of {expected}")
-    return name, [parse(arg) for (parse, _), arg in zip(forms[name].values(), args)]
+    return name, [kind.parse(arg) for kind, arg in zip(forms[name].values(), args)]
 
 
 def _write_call(name: str, obj, forms: dict) -> str:
     """The text ``_read_call`` reads as the ``name`` form with ``obj``'s fields."""
-    return _call_text(name, [render(getattr(obj, arg)) for arg, (_, render) in forms[name].items()])
+    return _call_text(name, [kind.render(getattr(obj, arg)) for arg, kind in forms[name].items()])
 
 
 def _parse_schedule(text: str):
@@ -231,29 +228,16 @@ def _parse_compressor(text: str, d: int) -> CompressorSpec:
     return CompressorSpec(kind, d, *args)
 
 
-# Every config field once: the dataclass it fills -> field -> (parse, render),
-# in the order render_config writes them. AlgoParams and GTParams are the
-# [algorithm] fields of method = newton and method = gt. A field whose value
-# is None, or whose text is empty, is left out of the config text. A tuned gt
-# alpha is 1.0, its placeholder until run_experiment tunes it.
+# Every config field once: the dataclass it fills -> field -> its declared kind, whose parse and render
+# read and write it (a schedule or compressor as name(arg, ...)), in render_config's order; AlgoParams
+# and GTParams are the [algorithm] fields of method = newton and gt. None or empty text writes no line.
+_SCHEDULE_TEXT = AlgoParams.KINDS["alpha"]._replace(parse=_parse_schedule, render=_render_schedule)
 _FIELDS = {
-    ProblemSpec: {"family": _TEXT, "n": _INT, "d": _INT, "kappa": _FLOAT, "rho": _FLOAT,
-                  "m_per_node": _INT, "seed": _INT},
-    GraphSpec: {"tau": _FLOAT, "seed": _INT},
-    AlgoParams: {"m": (lambda text: text if text == "k" else int(text), str),
-                 "gamma": _FLOAT, "M": _FLOAT,
-                 "alpha": (_parse_schedule, _render_schedule),
-                 "cg_tol": (_parse_schedule, _render_schedule),
-                 "compressor": (_parse_compressor,  # d from [problem]
-                                lambda spec: _write_call(spec.kind, spec, _COMPRESSOR_ARGS)),
-                 "variant": _TEXT, "max_iters": _INT, "stop_tol": _FLOAT},
-    GTParams: {"alpha": (lambda text: 1.0 if text == "tuned" else float(text), _FLOAT[1]),
-               "m": _INT, "max_iters": _INT, "stop_tol": _FLOAT},
-    ExperimentConfig: {
-        "label": _TEXT, "csv": _TEXT,
-        "dump_iters": (lambda text: tuple(int(tok) for tok in text.split(",")),
-                       lambda iters: ",".join(map(str, iters))),
-        "repetitions": (int, lambda n: "" if n == 1 else str(n))},  # one run: no line
+    ProblemSpec: ProblemSpec.KINDS, GraphSpec: GraphSpec.KINDS, GTParams: GTParams.KINDS,
+    AlgoParams: {**AlgoParams.KINDS, "alpha": _SCHEDULE_TEXT, "cg_tol": _SCHEDULE_TEXT,
+                 "compressor": AlgoParams.KINDS["compressor"]._replace(  # d from [problem]
+                     parse=_parse_compressor, render=lambda spec: _write_call(spec.kind, spec, _COMPRESSOR_ARGS))},
+    ExperimentConfig: {key: ExperimentConfig.KINDS[key] for key in ("label", "csv", "dump_iters", "repetitions")},
 }
 _SECTIONS = ("problem", "graph", "algorithm", "output")
 
@@ -283,13 +267,13 @@ def parse_config(source) -> ExperimentConfig:
         one is an error only where ``cls`` has no default for it."""
         required = {field.name for field in fields(cls) if field.default is MISSING}
         values = {}
-        for key, (parse, _) in _FIELDS[cls].items():
+        for key, kind in _FIELDS[cls].items():
             if key in unread[section]:
                 raw = unread[section].pop(key)
                 try:
                     if "\n" in raw:  # an indented line continued it
                         raise ValueError("a value is one line")
-                    values[key] = parse(raw, problem.d) if parse is _parse_compressor else parse(raw)
+                    values[key] = kind.parse(raw, problem.d) if key == "compressor" else kind.parse(raw)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
             elif key in required:
@@ -301,7 +285,8 @@ def parse_config(source) -> ExperimentConfig:
     method = unread["algorithm"].pop("method", None)
     if method not in _METHOD_PARAMS:
         raise ValueError(f"[algorithm] method must be newton or gt, got {method!r}")
-    tuned = unread["algorithm"].get("alpha") == "tuned"  # newton rejects it as a schedule
+    if tuned := method == "gt" and unread["algorithm"].get("alpha") == "tuned":  # newton's is a schedule
+        unread["algorithm"]["alpha"] = "1.0"  # the placeholder until run_experiment tunes it
     algorithm = _METHOD_PARAMS[method](**read("algorithm", _METHOD_PARAMS[method]))
     if tuned and algorithm.max_iters < MIN_TUNING_BUDGET:
         raise ValueError(f"[algorithm] max_iters must be at least {MIN_TUNING_BUDGET} with alpha = tuned, "
@@ -322,8 +307,8 @@ def render_config(config: ExperimentConfig) -> str:
     blocks = []
     for section, spec in zip(_SECTIONS, (config.problem, config.graph, config.algorithm, config)):
         lines = [f"[{section}]"] + ([f"method = {config.method}"] if section == "algorithm" else [])
-        for key, (_, render) in _FIELDS[type(spec)].items():
-            value = getattr(spec, key)
+        for key, kind in _FIELDS[type(spec)].items():
+            value, render = getattr(spec, key), kind.render
             if key == "alpha" and config.gt_alpha_mode == "tuned":
                 value, render = "tuned", str
             text = "" if value is None else render(value)
@@ -441,24 +426,20 @@ def summary(trace: Trace, path) -> str:
 # ---------------------------------------------------------------------------
 # trace CSV
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-# write_trace_csv's first two lines, and the type of each column in CSV_COLUMNS order
+# write_trace_csv's first two lines, and each column's type in CSV_COLUMNS order and its text
 _TRACE_COMMENT = re.compile(rf"# decnewton-trace label=(\S*) fingerprint=(\S*) status=({'|'.join(STATUS_CODE)})")
 _TRACE_HEADER = ",".join(CSV_COLUMNS)
 _COLUMN_TYPES = [type(f.default) for f in fields(RoundMetrics)][:len(CSV_COLUMNS)]
+_COLUMN_TEXT = [{int: lambda v: str(int(v)), float: lambda v: repr(float(v))}[t] for t in _COLUMN_TYPES]
+_ROW_VALUES = operator.attrgetter(*CSV_COLUMNS)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     buf = io.StringIO()
     buf.write(f"# decnewton-trace label={trace.label} fingerprint={trace.fingerprint} status={trace.status}\n")
-    buf.write(",".join(CSV_COLUMNS) + "\n")
+    buf.write(_TRACE_HEADER + "\n")
     for row in trace.rows:
-        buf.write(",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
+        buf.write(",".join([fmt(v) for fmt, v in zip(_COLUMN_TEXT, _ROW_VALUES(row))]) + "\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 

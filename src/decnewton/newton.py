@@ -36,7 +36,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .compress import CompressorSpec, check_count, compress, delta_bound, payload_bits
+from .compress import (CompressorSpec, check_fields, choice, compress, count, delta_bound, instance,
+                       payload_bits, real)
 from .diagnostics import RoundMetrics, Trace, fill_state_metrics, squared_distances
 from .graph import MixingMatrix, consensus_apply
 from .objectives import Problem, batch_gradients, batch_hessians, global_value
@@ -69,10 +70,10 @@ VARIANTS = ("efficient", "reference")
 @dataclass(frozen=True)
 class ConstantSchedule:
     value: float
+    KINDS = {"value": real(0)}
 
     def __post_init__(self):
-        if not 0 <= self.value < math.inf:  # NaN fails too
-            raise ValueError(f"schedule value must be finite and >= 0, got {self.value!r}")
+        check_fields(self, "const")
 
     def at(self, k: int) -> float:
         return self.value
@@ -85,10 +86,11 @@ class GeometricRamp:
     base: float
     growth: float
     cap: float = 1.0
+    # an infinite cap would never saturate, and base * growth**k would overflow
+    KINDS = {"base": real(0, above=True), "growth": real(0, above=True), "cap": real(0, above=True)}
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.base, self.growth, self.cap)):  # NaN fails too
-            raise ValueError("ramp parameters must be positive and finite")
+        check_fields(self, "ramp")
 
     def at(self, k: int) -> float:
         if self.growth > 1.0 and k * math.log(self.growth) >= math.log(self.cap / self.base):
@@ -103,25 +105,17 @@ class TwoStageSchedule:
     stage1: float
     switch_iter: int
     stage2: float = 1.0
+    KINDS = {"stage1": real(0), "switch_iter": count(0), "stage2": real(0)}
 
     def __post_init__(self):
-        if not all(0 <= v < math.inf for v in (self.stage1, self.stage2)):  # NaN fails too
-            raise ValueError(f"schedule values must be finite and >= 0, got "
-                             f"{self.stage1!r} and {self.stage2!r}")
-        check_count("switch_iter", self.switch_iter, 0)
+        check_fields(self, "stage")
 
     def at(self, k: int) -> float:
         return self.stage1 if k < self.switch_iter else self.stage2
 
 
-def check_run_values(params, *names):
-    """Reject a ``params.max_iters`` that is not an int >= 1, and a NaN,
-    infinite or negative ``params.stop_tol`` or other named field."""
-    check_count("max_iters", params.max_iters, 1)
-    for name in (*names, "stop_tol"):
-        value = getattr(params, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+_SCHEDULE = instance("a schedule (ConstantSchedule, GeometricRamp or TwoStageSchedule)",
+                     ConstantSchedule, GeometricRamp, TwoStageSchedule)
 
 
 @dataclass(frozen=True)
@@ -137,19 +131,13 @@ class AlgoParams:
     max_iters: int = 2000
     stop_tol: float = 1e-10
     variant: str = "efficient"  # one of VARIANTS
+    # a float alpha, as GTParams takes, would fail only in step
+    KINDS = {"m": count(1, "k"), "gamma": real(0, 1), "M": real(0), "alpha": _SCHEDULE, "cg_tol": _SCHEDULE,
+             "compressor": instance("a CompressorSpec", CompressorSpec), "variant": choice(*VARIANTS),
+             "max_iters": count(1), "stop_tol": real(0)}
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be efficient or reference, got {self.variant!r}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.m != "k":
-            check_count("m", self.m, 1, other="'k' or ")
-        check_run_values(self, "M")
-        for name in ("alpha", "cg_tol"):  # a float, as GTParams takes, would fail only in step
-            if not isinstance(value := getattr(self, name), (ConstantSchedule, GeometricRamp, TwoStageSchedule)):
-                raise ValueError(f"[algorithm] {name} must be a schedule (ConstantSchedule, GeometricRamp "
-                                 f"or TwoStageSchedule), got {value!r}")
+        check_fields(self, "[algorithm]")
 
     def rounds(self, k: int) -> int:
         return max(1, k) if self.m == "k" else self.m

@@ -994,6 +994,20 @@ def test_cli_caps_report(tmp_path, capsys):
     assert "cg tol" in out
 
 
+@pytest.mark.parametrize("preset", ["quad-kappa", "logit-topk"])
+def test_cli_caps_on_a_network_that_averages_exactly(tmp_path, capsys, preset):
+    # two nodes joined: W = J and sigma = 0.0. The report's log(sigma) raised "math
+    # domain error" (quadratic), and sigma ** -(m - 1) an uncaught ZeroDivisionError
+    # (logistic); it takes their limits at sigma = 0, and K is inf or NaN
+    config = preset_configs(preset)[0]
+    config = replace(config, problem=replace(config.problem, n=2), graph=replace(config.graph, tau=1.0))
+    cfg_path = tmp_path / "two.cfg"
+    cfg_path.write_text(render_config(config))
+    assert main(["caps", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "  topology: sigma=0  m=15" in out[2] and out[-1] in ("  K  >= inf", "  K  >= nan")
+
+
 def test_cli_caps_rejects_a_gt_config(tmp_path, capsys):
     cfg_path = tmp_path / "gt.cfg"
     cfg_path.write_text(GT_CFG)

@@ -2,12 +2,15 @@
 
 import math
 from dataclasses import fields, is_dataclass, replace
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decnewton import harness
 from decnewton.compress import CompressorSpec
 from decnewton.diagnostics import CSV_COLUMNS, RoundMetrics, Trace
 from decnewton.gradient_tracking import MIN_TUNING_BUDGET, GTParams
@@ -17,6 +20,7 @@ from decnewton.harness import (
     ProblemSpec,
     config_fingerprint,
     parse_config,
+    preset_configs,
     read_trace_csv,
     render_config,
     write_trace_csv,
@@ -107,9 +111,88 @@ def test_render_parse_round_trip(config):
         assert parse_config(text) == config
 
 
+# one value of each kind code may hand a config field: every field must reject it
+# with a ValueError that names the field, or write it as text that reads back
+VALUE_KINDS = {"str": "1", "bytes": b"1", "path": Path("1"), "huge-int": 10**400, "nan": math.nan,
+               "inf": math.inf, "negative": -1.0, "none": None, "np-int64": np.int64(3),
+               "complex": 1 + 0j, "list": [1]}
+QUAD = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
+LOGIT = preset_configs("logit-topk")[0]
+STAGED = replace(QUAD, algorithm=replace(QUAD.algorithm, alpha=TwoStageSchedule(0.25, 40, 1.0)))
+GT = replace(QUAD, method="gt", algorithm=GTParams(0.01, m=2, max_iters=100))
+# each config dataclass: a config that holds one, the fields leading to it there, and
+# the section its errors name
+HOLDERS = {"experiment": (QUAD, (), "[output]"), "experiment-gt": (GT, (), "[output]"),
+           "quadratic": (QUAD, ("problem",), "[problem]"), "logistic": (LOGIT, ("problem",), "[problem]"),
+           "graph": (QUAD, ("graph",), "[graph]"), "newton": (QUAD, ("algorithm",), "[algorithm]"),
+           "gt": (GT, ("algorithm",), "[algorithm]"),
+           "compressor": (QUAD, ("algorithm", "compressor"), "compressor"),
+           "const": (QUAD, ("algorithm", "cg_tol"), "const"), "ramp": (QUAD, ("algorithm", "alpha"), "ramp"),
+           "stage": (STAGED, ("algorithm", "alpha"), "stage")}
+# the other name an error may give a field: ExperimentConfig's fields outside [output],
+# and a compressor d that is no [problem] d
+NAMED = {("[output]", "problem"): "[problem]", ("[output]", "graph"): "[graph]",
+         ("[output]", "algorithm"): "[algorithm]", ("[output]", "method"): "[algorithm] method",
+         ("[output]", "gt_alpha_mode"): "[algorithm] alpha mode",
+         ("compressor", "d"): "[algorithm] compressor is for d"}
+
+
+def swapped(spec, path, field, value):
+    """``spec`` with ``value`` in ``field`` of the dataclass that ``path`` leads to."""
+    if not path:
+        return replace(spec, **{field: value})
+    return replace(spec, **{path[0]: swapped(getattr(spec, path[0]), path[1:], field, value)})
+
+
+def test_every_config_field_declares_its_kind():
+    # check_fields checks each field by the kind its class declares, so a field
+    # with none fails every build instead of going unchecked
+    classes = {*harness._FIELDS, *harness._SCHEDULES.values(), CompressorSpec}
+    assert {type(reduce(getattr, path, config)) for config, path, _ in HOLDERS.values()} == classes
+    for cls in classes:
+        assert set(cls.KINDS) == {f.name for f in fields(cls)}, cls.__name__
+
+
+@pytest.mark.parametrize("holder", HOLDERS)
+def test_every_field_rejects_or_round_trips_every_kind_of_value(holder):
+    # a config built in code is held to the rules config text is: some of these raised a
+    # TypeError or OverflowError naming no field, failed only in render_config or
+    # parse_config, or read back as another config
+    config, path, section = HOLDERS[holder]
+    bad = []
+    for field in fields(reduce(getattr, path, config)):
+        names = [f"{section} {field.name}", NAMED.get((section, field.name), "no other name")]
+        for kind, value in VALUE_KINDS.items():
+            try:
+                built = swapped(config, path, field.name, value)
+            except ValueError as exc:
+                if not any(name in str(exc) for name in names):
+                    bad.append(f"{field.name}={kind}: {exc}")
+                continue
+            except Exception as exc:
+                bad.append(f"{field.name}={kind}: {type(exc).__name__}: {exc}")
+                continue
+            try:
+                if parse_config(render_config(built)) != built:
+                    bad.append(f"{field.name}={kind}: reads back as another config")
+                elif config_fingerprint(built) != config_fingerprint(floated(built)):
+                    bad.append(f"{field.name}={kind}: not the fingerprint of its float")
+            except Exception as exc:
+                bad.append(f"{field.name}={kind}: accepted, then {type(exc).__name__}: {exc}")
+    assert bad == []
+
+
 INT_COLUMNS = ("iter", "fallback_count", "bits_cum")
+# a real column as a run may fill it: a float, an int, a bool or a numpy float
 ROWS = st.builds(RoundMetrics, **{
-    col: st.integers(-1, 2**62) if col in INT_COLUMNS else st.floats() for col in CSV_COLUMNS})
+    col: st.integers(-1, 2**62) if col in INT_COLUMNS
+    else st.one_of(st.floats(), st.integers(-2**62, 2**62), st.booleans(), st.floats().map(np.float64))
+    for col in CSV_COLUMNS})
+
+
+def floated_row(row):
+    """``row`` with float() applied to every real column."""
+    return replace(row, **{col: float(getattr(row, col)) for col in CSV_COLUMNS if col not in INT_COLUMNS})
 
 
 @settings(max_examples=30, deadline=None)
@@ -117,12 +200,18 @@ ROWS = st.builds(RoundMetrics, **{
        status=st.sampled_from(["converged", "max_iters", "diverged"]),
        fingerprint=st.from_regex(r"[0-9a-f]{16}", fullmatch=True))
 def test_trace_csv_write_read_round_trip(tmp_path_factory, rows, label, status, fingerprint):
-    path = tmp_path_factory.mktemp("trace") / "t.csv"
+    # each column is written by its type, so a real held as an int, a bool or a numpy
+    # float is written as the float it equals, as config text writes a real
+    folder = tmp_path_factory.mktemp("trace")
+    path, floated_path = folder / "t.csv", folder / "f.csv"
     write_trace_csv(Trace(rows=rows, status=status, label=label, fingerprint=fingerprint), path)
+    write_trace_csv(Trace(rows=[floated_row(r) for r in rows], status=status, label=label,
+                          fingerprint=fingerprint), floated_path)
+    assert path.read_text() == floated_path.read_text()
     loaded = read_trace_csv(path)
     assert (loaded.label, loaded.status, loaded.fingerprint) == (label, status, fingerprint)
     assert len(loaded.rows) == len(rows)
-    for wrote, read in zip(rows, loaded.rows):
+    for wrote, read in zip(map(floated_row, rows), loaded.rows):
         for col in CSV_COLUMNS:
             a, b = getattr(wrote, col), getattr(read, col)
             assert type(a) is type(b), col
