@@ -59,7 +59,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import newton
-from .compress import CompressorSpec, Kind, check_fields, choice, count, delta_bound, instance, real, text
+from .compress import (CompressorSpec, Kind, check_fields, choice, count, delta_bound, instance, read_int, real,
+                       text)
 from .diagnostics import (CSV_COLUMNS, ROUNDOFF_FLOOR, RoundMetrics, Trace, fill_state_metrics,
                           theoretical_caps)
 from .gradient_tracking import MIN_TUNING_BUDGET, GTParams, gt_run, tune_alpha
@@ -111,8 +112,8 @@ class ProblemSpec:
     kappa: float | None = None
     rho: float | None = None
     m_per_node: int | None = None
-    # a network needs two nodes; make_quadratic rejects a kappa below 1, which code may build
-    KINDS = {"family": choice(*_FAMILY_FIELDS), "n": count(2), "d": count(1), "kappa": real(0, above=True),
+    # a network needs two nodes, and no quadratic instance has a condition number below 1
+    KINDS = {"family": choice(*_FAMILY_FIELDS), "n": count(2), "d": count(1), "kappa": real(1),
              "rho": real(0, above=True), "m_per_node": count(1), "seed": count(0)}
 
     def __post_init__(self):
@@ -161,7 +162,7 @@ class ExperimentConfig:
                          "a str that does not start or end with whitespace, break a line, hold a NUL, "
                          "or have ';' or '#' first or after whitespace"),
              "dump_iters": Kind("a tuple of integers >= 0", lambda v: isinstance(v, tuple) and all(map(count(0).ok, v)),
-                                lambda raw: tuple(map(int, raw.split(","))), lambda v: ",".join(map(str, v))),
+                                lambda raw: tuple(map(read_int, raw.split(","))), lambda v: ",".join(map(str, v))),
              "repetitions": count(1)._replace(render=lambda n: "" if n == 1 else str(n))}  # one run: no line
 
     def __post_init__(self):
@@ -360,7 +361,7 @@ def repetitions(config: ExperimentConfig) -> list:
     override = os.environ.get(SEED_ENV_VAR)
     if override:
         try:
-            seed = int(override)
+            seed = read_int(override)
         except ValueError:
             seed = -1
         if seed < 0:

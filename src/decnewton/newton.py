@@ -259,6 +259,11 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
     itself and is charged a raw d x d matrix per node. ``"efficient"`` ships
     only the two compressed packets per node and takes ``W @ Hhat`` from the
     accumulator ``H_tilde_w`` plus ``W @ Q2``.
+
+    The two packets, ``Q1 = Q(H - Htilde)`` and ``Q2 = Q(E + H - Htilde)``, are
+    compressed in one ``compress`` call on their ``(2n, d, d)`` stack, which
+    compresses each matrix on its own; the new error store reuses the stacked
+    ``E + H - Htilde``.
     """
     m = params.rounds(k)
     alpha = params.alpha.at(k)
@@ -266,20 +271,21 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
     grads_new = batch_gradients(problem, x_new)
     g_new = consensus_apply(W, m, state.g + grads_new - state.local_grads)
 
+    n, d = state.x.shape
     diff = state.H - state.H_tilde
-    Q1 = compress(params.compressor, diff)
-    Q2 = compress(params.compressor, state.E + diff)
+    packets = np.concatenate([diff, state.E + diff])
+    Q = compress(params.compressor, packets)
+    Q1, Q2 = Q[:n], Q[n:]
     H_tilde_new = state.H_tilde + Q1
     H_tilde_w_new = state.H_tilde_w + consensus_apply(W, 1, Q1)
     H_hat = state.H_tilde + Q2
-    n, d = state.x.shape
     if params.variant == "reference":
         H_hat_w = consensus_apply(W, 1, H_hat)
         hess_bits = payload_bits(CompressorSpec("identity", d=d))  # the dense reconstruction
     else:
         H_hat_w = state.H_tilde_w + consensus_apply(W, 1, Q2)
         hess_bits = 2 * payload_bits(params.compressor)
-    E_new = state.E + diff - Q2
+    E_new = packets[n:] - Q2  # (E + diff) - Q2, the error compression left
     hess_new = batch_hessians(problem, x_new)
     H_new = state.H - params.gamma * (H_hat - H_hat_w) + hess_new - state.local_hessians
 

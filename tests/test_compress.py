@@ -1,11 +1,17 @@
+import importlib
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decnewton.compress import CompressorSpec, compress, delta_bound, payload_bits
+from decnewton.compress import SPLIT_ENTRIES, CompressorSpec, compress, delta_bound, payload_bits
 from decnewton.harness import build_mixing, build_problem, preset_configs
 from decnewton.newton import init_state, step
+
+compress_module = importlib.import_module("decnewton.compress")  # the package exports the function
 
 
 def test_rank_k_full_rank_is_exact():
@@ -309,3 +315,107 @@ def test_rank_k_matches_svd_truncation_on_tracker_stacks(preset, label):
         for A in (diff, state.E + diff):
             assert_matches_svd_truncation(A, params.compressor.K)
         state, _ = step(state, problem, W, params, k)
+
+
+# ---------------------------------------------------------------------------
+# a rank_k stack of at least SPLIT_ENTRIES entries is split over two threads when two CPUs are usable
+
+
+def rank_k_stack(n, d, seed=0):
+    """A stack with a zero matrix, a rank-one one and tiny and huge scales next to Gaussian ones."""
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((n, d, d))
+    stack[0] = 0.0
+    stack[-1] = np.outer(rng.standard_normal(d), rng.standard_normal(d))
+    stack[1::3] *= 1e-150
+    stack[2::3] *= 1e150
+    return stack
+
+
+def record_rank_k_calls(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable; returns the list of stack lengths each ``_rank_k`` call gets."""
+    monkeypatch.setattr(compress_module, "_usable_cpus", lambda: cpus)
+    lengths, rank_k = [], compress_module._rank_k
+    monkeypatch.setattr(compress_module, "_rank_k", lambda A, *args: lengths.append(len(A)) or rank_k(A, *args))
+    return lengths
+
+
+@pytest.mark.parametrize("n,d", [(3, 30), (39, 10), (2, 40),  # below SPLIT_ENTRIES
+                                 (5, 30), (20, 30), (40, 10), (41, 10), (60, 20), (3, 40),
+                                 (1, 70)])  # one matrix has no halves
+def test_rank_k_split_matches_one_call_bit_for_bit(monkeypatch, n, d):
+    # (20, 30, 30) and (60, 20, 20) are the packet stacks of quad-kappa and logit-rank
+    spec, stack = CompressorSpec("rank_k", d=d, K=3), rank_k_stack(n, d)
+    lengths = record_rank_k_calls(monkeypatch, cpus=1)
+    inline = compress(spec, stack)
+    assert lengths == [n]
+    lengths.clear()
+    record_rank_k_calls(monkeypatch, cpus=2)
+    split = compress(spec, stack)
+    assert sorted(lengths) == ([n // 2, n - n // 2] if stack.size >= SPLIT_ENTRIES and n > 1 else [n])
+    assert np.array_equal(split.view(np.uint64), inline.view(np.uint64))
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_split_raises_what_either_half_raises(monkeypatch, failing):
+    spec, stack = CompressorSpec("rank_k", d=30, K=3), rank_k_stack(21, 30)  # halves of 10 and 11
+    expected = compress(spec, stack)
+    monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+    rank_k = compress_module._rank_k
+
+    def fail_one_half(A, *args):
+        if len(A) == {"caller": 10, "worker": 11}[failing]:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return rank_k(A, *args)
+
+    monkeypatch.setattr(compress_module, "_rank_k", fail_one_half)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        compress(spec, stack)
+    monkeypatch.setattr(compress_module, "_rank_k", rank_k)
+    assert np.array_equal(compress(spec, stack), expected)  # the worker is free again
+
+
+def test_split_halves_share_the_callers_errstate(monkeypatch):
+    # numpy keeps errstate in a context variable, which a new thread would not see
+    monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+    seen, rank_k = [], compress_module._rank_k
+    monkeypatch.setattr(compress_module, "_rank_k", lambda A, *args: seen.append(np.geterr()) or rank_k(A, *args))
+    with np.errstate(over="raise", under="ignore"):
+        compress(CompressorSpec("rank_k", d=30, K=3), rank_k_stack(20, 30))
+    assert [(err["over"], err["under"]) for err in seen] == [("raise", "ignore")] * 2  # two halves
+
+
+def _compress_in_child(spec, stack, expected, lengths):
+    out = compress(spec, stack)
+    if lengths != [10] * 4 or not np.array_equal(out, expected):  # the child split its call too
+        raise SystemExit(1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+def test_fork_child_starts_its_own_worker(monkeypatch):
+    # a child forked after the parent's worker started has no thread behind the copied
+    # worker; handing it a half would wait forever
+    lengths = record_rank_k_calls(monkeypatch, cpus=2)
+    spec, stack = CompressorSpec("rank_k", d=30, K=3), rank_k_stack(20, 30)
+    expected = compress(spec, stack)
+    assert lengths == [10, 10]
+    child = multiprocessing.get_context("fork").Process(target=_compress_in_child,
+                                                        args=(spec, stack, expected, lengths))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("kind,K,shape", [("rank_k", 3, (3, 30, 30)), ("rank_k", 2, (39, 10, 10)),
+                                          ("top_k", 9, (20, 30, 30)), ("top_k", 7, (60, 20, 20)),
+                                          ("identity", 0, (60, 20, 20))])
+def test_unsplit_stacks_start_no_thread(monkeypatch, kind, K, shape):
+    # only a rank_k stack of at least SPLIT_ENTRIES entries is worth the hand-off
+    monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(compress_module, "_WORKERS", {})  # a split would have to start one
+    before = threading.active_count()
+    compress(CompressorSpec(kind, d=shape[-1], K=K), rank_k_stack(shape[0], shape[-1]))
+    assert threading.active_count() == before

@@ -357,8 +357,8 @@ def test_run_experiment_runs_the_config_it_is_given(tmp_path, monkeypatch):
     assert strip_wall_time(Path(p1).read_text()) == strip_wall_time(Path(p2).read_text())
 
 
-@pytest.mark.parametrize("value,seed", [("0", 0), (" 7 ", 7), ("+3", 3)])
-def test_seed_env_override_reads_what_int_reads(monkeypatch, value, seed):
+@pytest.mark.parametrize("value,seed", [("0", 0), ("7", 7), ("2147483648", 2**31)])
+def test_seed_env_override_reads_an_integer(monkeypatch, value, seed):
     monkeypatch.setenv(SEED_ENV_VAR, value)
     config = parse_config(QUAD_CFG)
     assert repetitions(config) == [_reseeded(config, seed)]  # the label unchanged
@@ -496,6 +496,21 @@ def test_problem_size_in_code_must_be_an_int(field, value):
         replace(parse_config(base).problem, **{field: value})
 
 
+@pytest.mark.parametrize("value", [0.5, 0.999, 1e-6, False])
+def test_kappa_in_code_must_be_at_least_one(value):
+    # no quadratic instance has one: it failed only in make_quadratic, when the run began
+    with pytest.raises(ValueError, match=r"\[problem\] kappa must be a finite real >= 1"):
+        replace(parse_config(QUAD_CFG).problem, kappa=value)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in list_presets()])
+def test_preset_config_text_reads_back(name):
+    # numbers are read in their one spelling, which is the one render_config writes
+    for config in preset_configs(name):
+        again = parse_config(render_config(config))
+        assert again == config and config_fingerprint(again) == config_fingerprint(config)
+
+
 @pytest.mark.parametrize("section", ["problem", "graph"])
 @pytest.mark.parametrize("value", [-1, 1.5, True])
 def test_seed_in_code_must_be_a_non_negative_int(section, value):
@@ -513,7 +528,8 @@ def test_seed_env_override_must_be_a_non_negative_int(tmp_path, capsys, monkeypa
     monkeypatch.setattr(harness, "build_problem", unreached)
     cfg_path = tmp_path / "quad.cfg"
     cfg_path.write_text(QUAD_CFG)
-    for value in ("abc", "1.5", "-1"):
+    # int() reads each of the last six as a seed; only the text str(int(text)) gives is one
+    for value in ("abc", "1.5", "-1", " 7 ", "+3", "1_0", "07", "\u0663", "\uff17"):
         monkeypatch.setenv(SEED_ENV_VAR, value)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -588,6 +604,26 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
      r"bad value for \[output\] dump_iters"),
     (QUAD_CFG, "label = small-quad", "label = small-quad\ndump_iters =",
      r"bad value for \[output\] dump_iters"),
+    # one spelling per number: int() and float() read each of these as another text's value
+    (QUAD_CFG, "seed = 3", "seed = 0_3", r"bad value for \[problem\] seed"),
+    (QUAD_CFG, "seed = 3", "seed = +3", r"bad value for \[problem\] seed"),
+    (QUAD_CFG, "seed = 3", "seed = 03", r"bad value for \[problem\] seed"),
+    (QUAD_CFG, "n = 6", "n = \u0666", r"bad value for \[problem\] n"),
+    (LOGIT_CFG, "m_per_node = 100", "m_per_node = \u0661\u0660\u0660", r"bad value for \[problem\] m_per_node"),
+    (QUAD_CFG, "max_iters = 400", "max_iters = 4_00", r"bad value for \[algorithm\] max_iters"),
+    (QUAD_CFG, "m = 4", "m = +4", r"bad value for \[algorithm\] m"),
+    (QUAD_CFG, "ramp(0.05, 1.1, 1.0)", "stage(0.1, 0_2, 1.0)", r"bad value for \[algorithm\] alpha"),
+    (QUAD_CFG, "rank_k(2)", "rank_k(+2)", r"bad value for \[algorithm\] compressor"),
+    (QUAD_CFG, "label = small-quad", "label = small-quad\ndump_iters = 0,02",
+     r"bad value for \[output\] dump_iters"),
+    (QUAD_CFG, "label = small-quad", "label = small-quad\nrepetitions = \uff12",
+     r"bad value for \[output\] repetitions"),
+    (LOGIT_CFG, "rho = 0.001", "rho = 0_0.001", r"bad value for \[problem\] rho"),
+    (QUAD_CFG, "kappa = 50.0", "kappa = \u0665\u0660.0", r"bad value for \[problem\] kappa"),
+    (QUAD_CFG, "gamma = 0.05", "gamma = 0.0_5", r"bad value for \[algorithm\] gamma"),
+    (QUAD_CFG, "tau = 0.4", "tau = 0.\uff14", r"bad value for \[graph\] tau"),
+    (QUAD_CFG, "const(1e-10)", "const(1e-1_0)", r"bad value for \[algorithm\] cg_tol"),
+    (GT_CFG, "alpha = tuned", "alpha = 0.0_1", r"bad value for \[algorithm\] alpha"),
 ], ids=["M-nan", "M-negative", "max_iters-0", "max_iters-negative", "stop_tol-nan",
         "stop_tol-negative", "ramp-nan", "ramp-cap-inf", "cg_tol-nan", "gt-alpha-nan", "gt-alpha-inf",
         "gt-max_iters-0", "gt-stop_tol-inf", "kappa-inf", "kappa-nan", "kappa-below-1",
@@ -597,7 +633,11 @@ def test_repetitions_in_code_must_be_a_positive_int(value):
         "alpha-negative", "stage-switch-negative", "stage-inf", "stage-switch-float",
         "gt-tuned-max_iters-4", "gt-tuned-max_iters-7", "n-missing", "family-cubic",
         "d-1-kappa-above-1", "percent-template", "colon-delimiter", "no-delimiter",
-        "continued-value", "dump_iters-empty-entry", "dump_iters-empty"])
+        "continued-value", "dump_iters-empty-entry", "dump_iters-empty", "seed-underscore",
+        "seed-plus", "seed-leading-zero", "n-arabic-indic", "m_per_node-arabic-indic",
+        "max_iters-underscore", "m-plus", "stage-switch-underscore", "compressor-K-plus",
+        "dump_iters-leading-zero", "repetitions-fullwidth", "rho-underscore", "kappa-arabic-indic",
+        "gamma-underscore", "tau-fullwidth", "cg_tol-underscore", "gt-alpha-underscore"])
 def test_cli_run_rejects_bad_run_values(tmp_path, capsys, recwarn, monkeypatch,
                                         base, old, new, field):
     monkeypatch.chdir(tmp_path)  # a relative csv path stays in tmp_path

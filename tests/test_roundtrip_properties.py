@@ -65,7 +65,7 @@ def configs(draw):
     family = draw(st.sampled_from(["quadratic", "logistic"]))
     problem = ProblemSpec(
         family=family, n=draw(st.integers(2, 500)), d=d, seed=draw(st.integers(0, 2**31)),
-        kappa=draw(POSITIVE) if family == "quadratic" else None,
+        kappa=draw(reals(1, 1e6)) if family == "quadratic" else None,
         rho=draw(POSITIVE) if family == "logistic" else None,
         m_per_node=draw(st.integers(1, 1000)) if family == "logistic" else None,
     )
