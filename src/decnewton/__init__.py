@@ -12,7 +12,7 @@ from .diagnostics import (
     stage_two_window,
     theoretical_caps,
 )
-from .gradient_tracking import GTParams, gt_run, gt_step, tune_alpha
+from .gradient_tracking import GTParams, gt_run, tune_alpha
 from .graph import (
     MixingMatrix,
     consensus_apply,

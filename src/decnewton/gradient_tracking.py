@@ -7,9 +7,10 @@ iteration:
     x' = W^m (x - alpha g),    g' = W^m (g + grad f(x') - grad f(x)),
 
 with ``g`` initialized to the local gradients so the tracker mean equals the
-mean local gradient at every iteration. The constant step size is the only
-knob that matters; ``tune_alpha`` picks it by a grid-and-zoom search over
-log10(alpha), racing stacks of candidates side by side on ``(n, C, d)`` arrays
+mean local gradient at every iteration. One iteration is ``newton.step`` on a
+state with no Hessian tracker. The constant step size is the only knob that
+matters; ``tune_alpha`` picks it by a grid-and-zoom search over log10(alpha),
+racing stacks of candidates side by side on ``(n, C, d)`` arrays
 (``gt_columns``), as its docstring sets out.
 """
 
@@ -22,14 +23,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from .compress import check_fields, count, real
-# fill_state_metrics is unused here but bound for perfbench/tracing.py, which patches it.
+# The noqa imports are unused here but bound for perfbench/tracing.py, which patches them.
 from .diagnostics import fill_state_metrics  # noqa: F401
-from .diagnostics import RoundMetrics, Trace, relative_error, squared_distances
-from .graph import MixingMatrix, consensus_apply
-from .newton import NetworkState, _finite, exchange_bits, iterate, run_status, start_state
-from .objectives import Problem, batch_gradients
+from .diagnostics import Trace, relative_error, squared_distances
+from .graph import MixingMatrix, consensus_apply  # noqa: F401
+from .newton import NetworkState, _finite, iterate, run_status, start_state, step
+from .objectives import Problem, batch_gradients  # noqa: F401
 
-__all__ = ["GTParams", "gt_step", "gt_run", "gt_columns", "tune_alpha"]
+__all__ = ["GTParams", "gt_run", "gt_columns", "tune_alpha"]
 
 _GRID = 1250  # tune_alpha's 5 decades in steps of 0.004 decade, its last stack's spacing
 _SPACINGS = (125, 25, 5, 1)  # each stack's spacing, in grid steps
@@ -55,24 +56,14 @@ class GTParams:
         return self.m
 
 
-def gt_step(state: NetworkState, problem: Problem, W: MixingMatrix, params: GTParams, k: int):
-    """One tracking iteration from ``state``; returns the new state and its
-    metrics row, as ``newton.step`` does; bits count the x and g exchanges
-    only. An ``(n, C, d)`` state with ``(C, 1)`` alphas steps C runs."""
-    descent = params.alpha * state.g
-    x_new = consensus_apply(W, params.m, np.subtract(state.x, descent, out=descent))
-    grads_new = batch_gradients(problem, x_new)
-    tracker = state.g + grads_new
-    tracker -= state.local_grads
-    g_new = consensus_apply(W, params.m, tracker)
-    return (NetworkState(x=x_new, g=g_new, local_grads=grads_new),
-            RoundMetrics(iter=k + 1, alpha_k=params.alpha,
-                         bits=problem.n * exchange_bits(params.m, problem.d)))
+# perfbench/tracing.py binds this name, so gt_run and gt_columns call through it;
+# delete it with that patch point.
+gt_step = step
 
 
 def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
            oracle_xstar: np.ndarray, on_step=None) -> Trace:
-    """Full gradient-tracking run: ``gt_step`` through ``newton.iterate``, with the shared
+    """Full gradient-tracking run: ``newton.step`` through ``newton.iterate``, with the shared
     trace schema and ``on_step``; Hessian-side metrics are NaN (no curvature state)."""
     return iterate(gt_step, start_state(problem, x0), problem, W, params, oracle_xstar,
                    delta=1.0, on_step=on_step)
@@ -93,7 +84,7 @@ def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray
     status = ["max_iters" if live else "diverged"] * len(alphas)
     x, g = (np.repeat(a[:, None], len(alphas), axis=1) for a in (start.x, start.g))
     state = NetworkState(x=x, g=g, local_grads=g.copy())
-    params = SimpleNamespace(alpha=np.array(alphas, dtype=float)[:, None], m=m)
+    params = SimpleNamespace(alpha=np.array(alphas, dtype=float)[:, None], rounds=lambda k: m)
     for k in range(max_iters):
         if not live:
             break
@@ -111,7 +102,7 @@ def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray
             break
         keep = [j for j, col in enumerate(live) if status[col] == "max_iters"]
         if len(keep) < len(live):
-            live, params = [live[j] for j in keep], SimpleNamespace(alpha=params.alpha[keep], m=m)
+            live, params.alpha = [live[j] for j in keep], params.alpha[keep]
             x, g, grads = (np.take(a, keep, axis=1) for a in (x, g, state.local_grads))
             state = NetworkState(x=x, g=g, local_grads=grads)
     return list(zip(status, errs))

@@ -469,9 +469,11 @@ def read_trace_csv(path) -> Trace:
         if len(vals) != len(CSV_COLUMNS):
             raise ValueError(f"{path}:{no}: {len(vals)} fields, the header has {len(CSV_COLUMNS)}")
         values = []
-        for name, cast, raw in zip(CSV_COLUMNS, _COLUMN_TYPES, vals):
-            try:
+        for name, cast, text, raw in zip(CSV_COLUMNS, _COLUMN_TYPES, _COLUMN_TEXT, vals):
+            try:  # a value has one text, the one write_trace_csv gives it
                 values.append(cast(raw))
+                if text(values[-1]) != raw:
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{path}:{no}: bad {name} value {raw!r}") from None
         rows.append(RoundMetrics(*values))

@@ -16,10 +16,11 @@ One iteration, per node:
    solves all nodes exactly with one batched factorization, which meets any
    c_k, and records the true residual so the bound stays checked.
 
-``step`` runs one iteration in the variant ``AlgoParams.variant`` names. The
-``reference`` variant is the plain form above, which would ship the
-uncompressed reconstruction ``Hhat``. The ``efficient`` variant ships only
-the two compressed packets per node and keeps the extra accumulator
+``step`` runs one iteration in the variant ``AlgoParams.variant`` names; a state
+with no Hessian tracker stops after step 2 with ``g`` as its direction, which is
+the gradient-tracking baseline. The ``reference`` variant is the plain form above,
+which would ship the uncompressed reconstruction ``Hhat``. The ``efficient`` variant
+ships only the two compressed packets per node and keeps the extra accumulator
 ``H_tilde_w`` tracking ``W @ H_tilde``, so ``W @ Hhat = H_tilde_w + W @ Q2``;
 the two produce the same trajectory up to floating-point reassociation.
 
@@ -254,24 +255,34 @@ def exchange_bits(m: int, d: int) -> int:
 def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoParams, k: int):
     """One iteration from ``state``; returns the new state and its metrics row.
 
-    ``params.variant`` chooses only how ``W @ Hhat`` is formed and what the
-    Hessian exchange costs. ``"reference"`` gossips the reconstruction ``Hhat``
-    itself and is charged a raw d x d matrix per node. ``"efficient"`` ships
-    only the two compressed packets per node and takes ``W @ Hhat`` from the
-    accumulator ``H_tilde_w`` plus ``W @ Q2``.
+    Both methods step here. A state with no Hessian tracker (``state.H is None``) steps
+    along ``g`` at a ``GTParams``' constant alpha, skips the Hessian half and counts x and
+    g bits only; an ``(n, C, d)`` stack of them with ``(C, 1)`` alphas steps C runs.
+
+    For a Newton state, ``params.variant`` chooses only how ``W @ Hhat`` is formed and
+    what the Hessian exchange costs. ``"reference"`` gossips the reconstruction ``Hhat``
+    itself and is charged a raw d x d matrix per node. ``"efficient"`` ships only the
+    two compressed packets per node and takes ``W @ Hhat`` from the accumulator
+    ``H_tilde_w`` plus ``W @ Q2``.
 
     The two packets, ``Q1 = Q(H - Htilde)`` and ``Q2 = Q(E + H - Htilde)``, are
     compressed in one ``compress`` call on their ``(2n, d, d)`` stack, which
     compresses each matrix on its own; the new error store reuses the stacked
     ``E + H - Htilde``.
     """
-    m = params.rounds(k)
-    alpha = params.alpha.at(k)
-    x_new = consensus_apply(W, m, state.x - alpha * state.d_dir)
+    m, n, d = params.rounds(k), problem.n, problem.d
+    first_order = state.H is None
+    alpha = params.alpha if first_order else params.alpha.at(k)
+    descent = alpha * (state.g if first_order else state.d_dir)
+    x_new = consensus_apply(W, m, np.subtract(state.x, descent, out=descent))
     grads_new = batch_gradients(problem, x_new)
-    g_new = consensus_apply(W, m, state.g + grads_new - state.local_grads)
+    tracker = state.g + grads_new
+    tracker -= state.local_grads
+    g_new = consensus_apply(W, m, tracker)
+    if first_order:
+        return (NetworkState(x=x_new, g=g_new, local_grads=grads_new),
+                RoundMetrics(iter=k + 1, alpha_k=alpha, bits=n * exchange_bits(m, d)))
 
-    n, d = state.x.shape
     diff = state.H - state.H_tilde
     packets = np.concatenate([diff, state.E + diff])
     Q = compress(params.compressor, packets)
@@ -290,17 +301,12 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
     H_new = state.H - params.gamma * (H_hat - H_hat_w) + hess_new - state.local_hessians
 
     d_new, fallbacks, max_rel, asym = _solve_directions(H_new, g_new, params.M, problem.L1)
-    new_state = NetworkState(
-        x=x_new, g=g_new, H=H_new, H_tilde=H_tilde_new, E=E_new,
-        H_tilde_w=H_tilde_w_new, d_dir=d_new,
-        local_grads=grads_new, local_hessians=hess_new,
-    )
-    row = RoundMetrics(
-        iter=k + 1, alpha_k=alpha, c_k=params.cg_tol.at(k),
-        bits=n * (exchange_bits(m, d) + hess_bits),
-        fallback_count=fallbacks, cg_max_rel_residual=max_rel, hess_asymmetry=asym,
-    )
-    return new_state, row
+    return (NetworkState(x=x_new, g=g_new, H=H_new, H_tilde=H_tilde_new, E=E_new,
+                         H_tilde_w=H_tilde_w_new, d_dir=d_new, local_grads=grads_new,
+                         local_hessians=hess_new),
+            RoundMetrics(iter=k + 1, alpha_k=alpha, c_k=params.cg_tol.at(k),
+                         bits=n * (exchange_bits(m, d) + hess_bits), fallback_count=fallbacks,
+                         cg_max_rel_residual=max_rel, hess_asymmetry=asym))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ binding that still resolves but is no longer called (say, the function was
 inlined into its caller) would read zero in the traced layer numbers, so the
 calls made through the bindings during short runs are counted as well.
 Each workload of ``BENCHMARK.json`` also runs once, briefly and untraced, as
-the benchmark runs it.
+the benchmark runs it, and ``gt-tuned`` runs once traced.
 """
 
 import importlib
@@ -140,3 +140,21 @@ def test_benchmark_runs_each_workload_clean(workload):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
     assert list(result["metrics"]) == [metric["name"] for metric in BENCHMARK["end_to_end"]]
+
+
+def test_traced_benchmark_counts_the_gt_layers():
+    # gt-tuned's tracking steps run newton.step on states with no Hessian
+    # tracker: they go through the gt_step binding and newton's consensus and
+    # gradient bindings, and never reach a Newton-side layer
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "gt-tuned",
+                           "--seconds", "0.1", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    calls = {name: result["metrics"][f"{name}.calls"]["value"] for name in (
+        "gradient_tracking.gt_step", "graph.consensus_apply", "objectives.batch_gradients",
+        "newton.run", "compress.compress", "objectives.batch_hessians")}
+    assert calls == {"gradient_tracking.gt_step": 7049, "graph.consensus_apply": 14098,
+                     "objectives.batch_gradients": 7054, "newton.run": 0,
+                     "compress.compress": 0, "objectives.batch_hessians": 0}

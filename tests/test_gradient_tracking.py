@@ -13,13 +13,12 @@ from decnewton.gradient_tracking import (
     GTParams,
     gt_columns,
     gt_run,
-    gt_step,
     tune_alpha,
 )
 from decnewton.graph import generate_topology, metropolis_weights
 from decnewton.harness import (_instance, build_problem, preset_configs, repetitions,
                                run_experiment)
-from decnewton.newton import AlgoParams, ConstantSchedule, NetworkState
+from decnewton.newton import AlgoParams, ConstantSchedule, NetworkState, exchange_bits
 from decnewton.objectives import (batch_gradients, centralized_solve, global_gradient,
                                   make_logistic, make_quadratic)
 
@@ -41,8 +40,8 @@ def test_fixed_point(setup):
     x = np.tile(x_star, (prob.n, 1))
     g = np.tile(global_gradient(prob, x_star), (prob.n, 1))
     params = GTParams(alpha=0.05, m=1)
-    new, _ = gt_step(NetworkState(x=x, g=g, local_grads=batch_gradients(prob, x)), prob, W,
-                     params, 0)
+    new, _ = newton.step(NetworkState(x=x, g=g, local_grads=batch_gradients(prob, x)), prob, W,
+                         params, 0)
     assert np.max(np.abs(new.x - x)) <= 1e-10
     assert np.max(np.abs(new.g - g)) <= 1e-10
 
@@ -54,11 +53,36 @@ def test_zero_step_is_pure_consensus(setup):
     g = batch_gradients(prob, x)
     params = GTParams(alpha=0.0, m=3)
     Wm = np.linalg.matrix_power(W.W, 3)
-    new, row = gt_step(NetworkState(x=x, g=g, local_grads=g.copy()), prob, W, params, 4)
+    new, row = newton.step(NetworkState(x=x, g=g, local_grads=g.copy()), prob, W, params, 4)
     assert np.allclose(new.x, Wm @ x, atol=1e-12)
     # the tracker mean still equals the mean local gradient
     assert np.max(np.abs(new.g.mean(0) - new.local_grads.mean(0))) <= 1e-12
     assert (row.iter, row.alpha_k, row.bits) == (5, 0.0, prob.n * 2 * 3 * prob.d * 64)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_both_methods_share_the_x_and_g_update(kind, m):
+    # a Newton state whose direction is g moves x and g exactly as a tracking
+    # state does: newton.step runs one x and g update for both methods
+    prob = (make_quadratic(6, 4, 50.0, seed=2) if kind == "quadratic"
+            else make_logistic(6, 4, 5, rho=0.1, seed=2))
+    W = metropolis_weights(generate_topology(prob.n, 0.5, seed=0))
+    rng = np.random.default_rng(1)
+    x, g = rng.standard_normal((2, prob.n, prob.d))
+    local_grads = batch_gradients(prob, x)
+    newton_state = replace(newton.init_state(prob, x), g=g.copy(), d_dir=g.copy())
+    newton_params = AlgoParams(compressor=CompressorSpec("identity", d=prob.d),
+                               alpha=ConstantSchedule(0.3), gamma=0.2, m=m)
+    new_n, _ = newton.step(newton_state, prob, W, newton_params, 2)
+    gt_state = NetworkState(x=x.copy(), g=g.copy(), local_grads=local_grads)
+    new_gt, row = newton.step(gt_state, prob, W, GTParams(alpha=0.3, m=m), 2)
+    assert np.array_equal(new_n.x, new_gt.x) and np.array_equal(new_n.g, new_gt.g)
+    assert new_gt.H is None and np.array_equal(new_gt.local_grads, batch_gradients(prob, new_gt.x))
+    assert (row.iter, row.alpha_k, row.bits) == (3, 0.3, prob.n * exchange_bits(m, prob.d))
+    assert (row.c_k, row.fallback_count, row.cg_max_rel_residual) == (0.0, 0, 0.0)
+    hessian_side = (row.track_H, row.err_E, row.diff_Htilde, row.dac_H, row.hess_asymmetry)
+    assert all(math.isnan(v) for v in hessian_side)
 
 
 def test_average_identity_every_iteration(setup):

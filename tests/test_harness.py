@@ -966,9 +966,16 @@ def _text(*lines):
     (lambda c, h, r0, r1: _text(c.replace("status=converged", "status=bogus"), h, r0, r1), "bad.csv:1: not a"),
     (lambda c, h, r0, r1: _text(c, h, r0, "", r1), "bad.csv:4: 1 fields"),
     (lambda c, h, r0, r1: _text(c, h + ",dac_g", r0 + ",nan", r1 + ",nan"), "bad.csv:2: the header"),
+    # cells that int() or float() reads as a value write_trace_csv writes otherwise
+    *((lambda c, h, r0, r1, col=col, cell=cell: _text(c, h, _set(r0, col, cell), r1),
+       f"bad.csv:3: bad {col} value {cell!r}")
+      for col, cell in [("iter", "+1"), ("iter", "\u0661"), ("rel_err", "1_0.0"), ("rel_err", " 0.5"),
+                        ("rel_err", "1E-3"), ("cons_x", "NaN")]),
 ], ids=["empty", "comment-only", "header-only", "cut-short-row", "renamed-column",
         "bad-float", "bad-int", "duplicated-column", "no-final-newline",
-        "bits_cum-and-wall_time-cut", "no-comment-line", "status-bogus", "blank-line", "dac_g-column"])
+        "bits_cum-and-wall_time-cut", "no-comment-line", "status-bogus", "blank-line", "dac_g-column",
+        "iter-plus", "iter-arabic-indic", "rel_err-underscore", "rel_err-space", "rel_err-capital-E",
+        "cons_x-NaN"])
 def test_cli_compare_rejects_malformed_traces(tmp_path, capsys, edit, where):
     rows = [RoundMetrics(iter=k, rel_err=0.5 ** k, bits_cum=1000 * k, wall_time=0.01) for k in (0, 1)]
     lines = write_trace(tmp_path / "written.csv", rows).read_text().splitlines()
