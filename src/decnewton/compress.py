@@ -39,6 +39,9 @@ code path. Every operator rejects a NaN or infinite entry with a
 yields a bit-identical reconstruction. Payload sizes assume 64-bit floats and packed
 index encoding; only relative comparisons between operators are meaningful.
 
+The side length d is the matrix's (``compress`` reads it from ``A``, ``delta_bound``
+and ``payload_bits`` take it), and ``check_K`` holds K to it.
+
 The module also holds the config field kinds (``Kind``, ``check_fields``) by
 which every config dataclass, ``CompressorSpec`` first, checks its values.
 """
@@ -49,10 +52,13 @@ import contextvars
 import math
 import numbers
 import os
+import re
 import sys
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -117,6 +123,29 @@ def instance(want: str, *classes) -> Kind:  # config text writes one in a form o
     return Kind(want, lambda v: isinstance(v, classes), None, None)
 
 
+def call(kind: Kind, forms: dict, name_of) -> Kind:
+    """``kind`` written ``name(a, b, ...)``, or ``name`` with no argument. ``forms`` maps each name
+    to ``(build, args)``, where ``build(*values)`` makes the value from the {field: Kind} table
+    ``args``, read and written in order; ``name_of(value)`` is the name a value is written under."""
+    def written(name, args):
+        return f"{name}({', '.join(args)})" if args else name
+
+    def parse(text):
+        match = re.fullmatch(r"(\w+)(?:\(([^)]*)\))?", text)
+        name = match[1] if match else None
+        args = [a.strip() for a in match[2].split(",")] if match and match[2] is not None else []
+        if name not in forms or len(args) != len(forms[name][1]):
+            raise ValueError(f"expected one of {', '.join(written(n, a) for n, (_, a) in forms.items())}")
+        build, kinds = forms[name]
+        return build(*[kind.parse(arg) for kind, arg in zip(kinds.values(), args)])
+
+    def render(value):
+        name = name_of(value)
+        return written(name, [kind.render(getattr(value, arg)) for arg, kind in forms[name][1].items()])
+
+    return kind._replace(parse=parse, render=render)
+
+
 def check_fields(obj, section: str, **names: str) -> None:
     """The one check of config values: each field of the dataclass ``obj`` against its kind in
     ``obj.KINDS`` (None passes where it is the default). It raises ``ValueError("<section>
@@ -129,31 +158,43 @@ def check_fields(obj, section: str, **names: str) -> None:
 
 @dataclass(frozen=True)
 class CompressorSpec:
-    """Which operator to use, how many components to keep, and the side length."""
+    """Which operator to use and how many components it keeps (none for identity)."""
 
     kind: str
-    d: int
     K: int = 0
-    KINDS = {"kind": choice("rank_k", "top_k", "identity"), "d": count(1), "K": count(0)}
+    KINDS = {"kind": choice("rank_k", "top_k", "identity"), "K": count(0)}
 
     def __post_init__(self):
         check_fields(self, "compressor")
-        most = {"rank_k": self.d, "top_k": self.d * self.d}.get(self.kind, 0)  # identity reads no K
-        if self.kind != "identity" and not 1 <= self.K <= most:
-            raise ValueError(f"compressor K must be in [1, {most}] for {self.kind} with d = {self.d}, got {self.K}")
+        if (self.K == 0) != (self.kind == "identity"):  # identity keeps everything and reads no K
+            raise ValueError(f"compressor K must be {'0' if self.K else 'at least 1'} for {self.kind}, got {self.K}")
+
+
+def check_K(spec: CompressorSpec, d: int, field: str = "compressor") -> None:
+    """The one rule between K and the side length d: K is at most d for rank_k and at most d^2
+    for top_k. It raises ``ValueError("<field> K must be at most ...")``."""
+    most = {"rank_k": d, "top_k": d * d}.get(spec.kind, 0)
+    if spec.K > most:
+        raise ValueError(f"{field} K must be at most {most} for {spec.kind} with d = {d}, got {spec.K}")
+
+
+# a compressor field's kind, written rank_k(K), top_k(K) or identity
+COMPRESSOR = call(instance("a CompressorSpec", CompressorSpec),
+                  {kind: (partial(CompressorSpec, kind), {} if kind == "identity" else {"K": CompressorSpec.KINDS["K"]})
+                   for kind in ("rank_k", "top_k", "identity")}, attrgetter("kind"))
 
 
 def compress(spec: CompressorSpec, A: np.ndarray) -> np.ndarray:
     """Apply the operator to a d x d matrix or an (n, d, d) stack.
 
     Returns the dense reconstruction Q(A), with the shape of ``A``; the
-    transmitted size of one matrix is ``payload_bits(spec)``. A NaN or
+    transmitted size of one matrix is ``payload_bits(spec, d)``. A NaN or
     infinite entry raises ``ValueError`` before any LAPACK call.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim not in (2, 3) or A.shape[-2:] != (spec.d, spec.d):
-        raise ValueError(f"expected a {spec.d}x{spec.d} matrix or a stack of them, "
-                         f"got shape {A.shape}")
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    check_K(spec, A.shape[-1])
     if not np.isfinite(A).all():
         raise ValueError(f"{spec.kind} compression got a non-finite entry")
     if spec.kind == "identity":
@@ -222,18 +263,20 @@ def _top_k(A: np.ndarray, K: int) -> np.ndarray:
     return np.where(keep, flat, 0.0).reshape(A.shape)
 
 
-def delta_bound(spec: CompressorSpec) -> float:
-    """Guaranteed contraction parameter: ||Q(A)-A||_F <= (1-delta) ||A||_F."""
+def delta_bound(spec: CompressorSpec, d: int) -> float:
+    """Guaranteed contraction parameter on d x d matrices: ||Q(A)-A||_F <= (1-delta) ||A||_F."""
+    check_K(spec, d)
     if spec.kind == "rank_k":
-        return spec.K / (2.0 * spec.d)
+        return spec.K / (2.0 * d)
     if spec.kind == "top_k":
-        return spec.K / (2.0 * spec.d * spec.d)
+        return spec.K / (2.0 * d * d)
     return 1.0
 
 
-def payload_bits(spec: CompressorSpec) -> int:
-    """Transmitted size of one compressed matrix, in bits."""
-    d, K = spec.d, spec.K
+def payload_bits(spec: CompressorSpec, d: int) -> int:
+    """Transmitted size of one compressed d x d matrix, in bits."""
+    check_K(spec, d)
+    K = spec.K
     if spec.kind == "top_k":
         return K * (64 + math.ceil(math.log2(d * d)))
     if spec.kind == "rank_k":

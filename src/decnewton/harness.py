@@ -59,13 +59,13 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import newton
-from .compress import (CompressorSpec, Kind, check_fields, choice, count, delta_bound, instance, read_int, real,
-                       text)
+from .compress import (CompressorSpec, Kind, check_fields, check_K, choice, count, delta_bound, instance, read_int,
+                       real, text)
 from .diagnostics import (CSV_COLUMNS, ROUNDOFF_FLOOR, RoundMetrics, Trace, fill_state_metrics,
                           theoretical_caps)
 from .gradient_tracking import MIN_TUNING_BUDGET, GTParams, gt_run, tune_alpha
 from .graph import generate_topology, metropolis_weights, save_matrix
-from .newton import AlgoParams, ConstantSchedule, GeometricRamp, TwoStageSchedule
+from .newton import AlgoParams, GeometricRamp
 from .objectives import centralized_solve, make_logistic, make_quadratic
 
 __all__ = [
@@ -176,8 +176,8 @@ class ExperimentConfig:
                              f"got {self.gt_alpha_mode!r} with method = {self.method}")
         if self.gt_alpha_mode == "tuned" and self.algorithm.alpha != 1.0:  # the text holds no alpha
             raise ValueError(f"[algorithm] alpha must be the placeholder 1.0 when tuned, got {self.algorithm.alpha!r}")
-        if self.method == "newton" and (cd := self.algorithm.compressor.d) != self.problem.d:
-            raise ValueError(f"[algorithm] compressor is for d = {cd}, but [problem] d = {self.problem.d}")
+        if self.method == "newton":
+            check_K(self.algorithm.compressor, self.problem.d, "[algorithm] compressor")
         if self.csv is not None and (os.path.basename(self.csv) in ("", ".", "..") or self.repetitions > 1):
             raise ValueError(f"[output] csv must name one file for one run; got {self.csv!r} "
                              f"with [output] repetitions = {self.repetitions}")
@@ -186,60 +186,11 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config text <-> ExperimentConfig
 
-# the name(arg, ...) forms of schedules and compressors: name -> arg -> its kind
-_SCHEDULES = {"const": ConstantSchedule, "ramp": GeometricRamp, "stage": TwoStageSchedule}
-_SCHEDULE_ARGS = {name: cls.KINDS for name, cls in _SCHEDULES.items()}
-_COMPRESSOR_ARGS = {kind: {"K": CompressorSpec.KINDS["K"]} for kind in ("rank_k", "top_k")} | {"identity": {}}
-
-
-def _call_text(name: str, args) -> str:
-    """``name(a, b, ...)``, or the bare name when there are no arguments."""
-    return f"{name}({', '.join(args)})" if args else name
-
-
-def _read_call(text: str, forms: dict, what: str):
-    """Read ``name(a, b, ...)``, or a bare ``name``, as the name and its
-    parsed arguments; the name must be one of ``forms`` and take all its args."""
-    match = re.fullmatch(r"(\w+)(?:\(([^)]*)\))?", text)
-    name = match[1] if match else None
-    args = [a.strip() for a in match[2].split(",")] if match and match[2] is not None else []
-    if name not in forms or len(args) != len(forms[name]):
-        expected = ", ".join(_call_text(form, form_args) for form, form_args in forms.items())
-        raise ValueError(f"bad {what} {text!r}; expected one of {expected}")
-    return name, [kind.parse(arg) for kind, arg in zip(forms[name].values(), args)]
-
-
-def _write_call(name: str, obj, forms: dict) -> str:
-    """The text ``_read_call`` reads as the ``name`` form with ``obj``'s fields."""
-    return _call_text(name, [kind.render(getattr(obj, arg)) for arg, kind in forms[name].items()])
-
-
-def _parse_schedule(text: str):
-    name, args = _read_call(text, _SCHEDULE_ARGS, "schedule")
-    return _SCHEDULES[name](*args)
-
-
-def _render_schedule(sched) -> str:
-    name = {cls: name for name, cls in _SCHEDULES.items()}[type(sched)]
-    return _write_call(name, sched, _SCHEDULE_ARGS)
-
-
-def _parse_compressor(text: str, d: int) -> CompressorSpec:
-    kind, args = _read_call(text, _COMPRESSOR_ARGS, "compressor")
-    return CompressorSpec(kind, d, *args)
-
-
 # Every config field once: the dataclass it fills -> field -> its declared kind, whose parse and render
-# read and write it (a schedule or compressor as name(arg, ...)), in render_config's order; AlgoParams
-# and GTParams are the [algorithm] fields of method = newton and gt. None or empty text writes no line.
-_SCHEDULE_TEXT = AlgoParams.KINDS["alpha"]._replace(parse=_parse_schedule, render=_render_schedule)
-_FIELDS = {
-    ProblemSpec: ProblemSpec.KINDS, GraphSpec: GraphSpec.KINDS, GTParams: GTParams.KINDS,
-    AlgoParams: {**AlgoParams.KINDS, "alpha": _SCHEDULE_TEXT, "cg_tol": _SCHEDULE_TEXT,
-                 "compressor": AlgoParams.KINDS["compressor"]._replace(  # d from [problem]
-                     parse=_parse_compressor, render=lambda spec: _write_call(spec.kind, spec, _COMPRESSOR_ARGS))},
-    ExperimentConfig: {key: ExperimentConfig.KINDS[key] for key in ("label", "csv", "dump_iters", "repetitions")},
-}
+# read and write it, in render_config's order; AlgoParams and GTParams are the [algorithm] fields of
+# method = newton and gt. None or empty text writes no line.
+_FIELDS = {cls: cls.KINDS for cls in (ProblemSpec, GraphSpec, GTParams, AlgoParams)} | {
+    ExperimentConfig: {key: ExperimentConfig.KINDS[key] for key in ("label", "csv", "dump_iters", "repetitions")}}
 _SECTIONS = ("problem", "graph", "algorithm", "output")
 
 
@@ -274,7 +225,7 @@ def parse_config(source) -> ExperimentConfig:
                 try:
                     if "\n" in raw:  # an indented line continued it
                         raise ValueError("a value is one line")
-                    values[key] = kind.parse(raw, problem.d) if key == "compressor" else kind.parse(raw)
+                    values[key] = kind.parse(raw)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
             elif key in required:
@@ -514,7 +465,7 @@ def compare(trace_paths, out_path, tol: float = 1e-6):
 
 def _preset(label, problem, graph_seed, kind, K, alpha_base, gamma, m, **algorithm):
     """A Newton run on a tau = 0.2 graph with step size min(1, alpha_base * 1.1^k)."""
-    algorithm = AlgoParams(compressor=CompressorSpec(kind, d=problem.d, K=K),
+    algorithm = AlgoParams(compressor=CompressorSpec(kind, K),
                            alpha=GeometricRamp(alpha_base, 1.1, 1.0), gamma=gamma, m=m, **algorithm)
     return ExperimentConfig(problem=problem, graph=GraphSpec(tau=0.2, seed=graph_seed),
                             method="newton", algorithm=algorithm, label=label)
@@ -599,7 +550,7 @@ def caps_report(config: ExperimentConfig) -> str:
     problem, W, x0, x_star = _instance(config)
     state = newton.init_state(problem, x0)
     params = config.algorithm
-    delta = delta_bound(params.compressor)
+    delta = delta_bound(params.compressor, config.problem.d)
     m = params.rounds(0)
     row = fill_state_metrics(RoundMetrics(), state, problem, x_star, W.sigma, m, delta)
     report = theoretical_caps(problem, W.sigma, m, delta, row.u1, row.u2)

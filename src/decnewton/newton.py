@@ -37,8 +37,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .compress import (CompressorSpec, check_fields, choice, compress, count, delta_bound, instance,
-                       payload_bits, real)
+from .compress import (COMPRESSOR, CompressorSpec, call, check_fields, choice, compress, count, delta_bound,
+                       instance, payload_bits, real)
 from .diagnostics import RoundMetrics, Trace, fill_state_metrics, squared_distances
 from .graph import MixingMatrix, consensus_apply
 from .objectives import Problem, batch_gradients, batch_hessians, global_value
@@ -115,8 +115,11 @@ class TwoStageSchedule:
         return self.stage1 if k < self.switch_iter else self.stage2
 
 
-_SCHEDULE = instance("a schedule (ConstantSchedule, GeometricRamp or TwoStageSchedule)",
-                     ConstantSchedule, GeometricRamp, TwoStageSchedule)
+# config text writes a schedule as name(arg, ...), each argument by its class's KINDS
+_SCHEDULES = {"const": ConstantSchedule, "ramp": GeometricRamp, "stage": TwoStageSchedule}
+_SCHEDULE = call(instance("a schedule (ConstantSchedule, GeometricRamp or TwoStageSchedule)", *_SCHEDULES.values()),
+                 {name: (cls, cls.KINDS) for name, cls in _SCHEDULES.items()},
+                 lambda schedule: {cls: name for name, cls in _SCHEDULES.items()}[type(schedule)])
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class AlgoParams:
     variant: str = "efficient"  # one of VARIANTS
     # a float alpha, as GTParams takes, would fail only in step
     KINDS = {"m": count(1, "k"), "gamma": real(0, 1), "M": real(0), "alpha": _SCHEDULE, "cg_tol": _SCHEDULE,
-             "compressor": instance("a CompressorSpec", CompressorSpec), "variant": choice(*VARIANTS),
+             "compressor": COMPRESSOR, "variant": choice(*VARIANTS),
              "max_iters": count(1), "stop_tol": real(0)}
 
     def __post_init__(self):
@@ -292,10 +295,10 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
     H_hat = state.H_tilde + Q2
     if params.variant == "reference":
         H_hat_w = consensus_apply(W, 1, H_hat)
-        hess_bits = payload_bits(CompressorSpec("identity", d=d))  # the dense reconstruction
+        hess_bits = payload_bits(CompressorSpec("identity"), d)  # the dense reconstruction
     else:
         H_hat_w = state.H_tilde_w + consensus_apply(W, 1, Q2)
-        hess_bits = 2 * payload_bits(params.compressor)
+        hess_bits = 2 * payload_bits(params.compressor, d)
     E_new = packets[n:] - Q2  # (E + diff) - Q2, the error compression left
     hess_new = batch_hessians(problem, x_new)
     H_new = state.H - params.gamma * (H_hat - H_hat_w) + hess_new - state.local_hessians
@@ -380,9 +383,10 @@ def _finite(state: NetworkState) -> bool:
 
 def run(problem: Problem, W: MixingMatrix, params: AlgoParams, x0: np.ndarray,
         oracle_xstar: np.ndarray, on_step=None) -> Trace:
-    """Decentralized Newton run from ``init_state(problem, x0)``; ``on_step`` is ``iterate``'s."""
-    return iterate(step, init_state(problem, x0), problem, W, params, oracle_xstar,
-                   delta_bound(params.compressor), on_step=on_step)
+    """Decentralized Newton run from ``init_state(problem, x0)``; ``on_step`` is ``iterate``'s.
+    A compressor K too large for ``problem.d`` raises a ``ValueError`` before the run starts."""
+    delta = delta_bound(params.compressor, problem.d)
+    return iterate(step, init_state(problem, x0), problem, W, params, oracle_xstar, delta, on_step=on_step)
 
 
 def max_state_deviation(a: NetworkState, b: NetworkState) -> float:

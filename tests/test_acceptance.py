@@ -192,12 +192,12 @@ def test_a1_compressor_contraction():
         # the vectorized tails must agree with the real operators
         for A, rt, tt, norm in zip(mats[:3], rank_tail[:3], top_tail[:3], norms[:3]):
             for K in (1, d // 2, d):
-                spec = CompressorSpec("rank_k", d=d, K=K)
+                spec = CompressorSpec("rank_k", K=K)
                 err = np.linalg.norm(compress(spec, A) - A)
                 expected = rt[K] if K < d else 0.0
                 assert err == pytest.approx(expected, abs=1e-8 * (1 + norm))
             for K in (1, d * d // 2, d * d):
-                spec = CompressorSpec("top_k", d=d, K=K)
+                spec = CompressorSpec("top_k", K=K)
                 err = np.linalg.norm(compress(spec, A) - A)
                 expected = tt[K] if K < d * d else 0.0
                 assert err == pytest.approx(expected, abs=1e-10 * (1 + norm))
@@ -300,7 +300,7 @@ def _decay_config(family):
         graph=GraphSpec(tau=0.8, seed=6),
         method="newton",
         algorithm=AlgoParams(
-            compressor=CompressorSpec(comp[0], d=pspec.d, K=comp[1]),
+            compressor=CompressorSpec(comp[0], K=comp[1]),
             alpha=GeometricRamp(0.05, 1.1, 1.0),
             gamma=0.3, m=m_rounds, M=0.0,
             cg_tol=ConstantSchedule(1e-10),
@@ -319,7 +319,7 @@ def test_a7_compression_state_decay(quad_problem, quad_graph, quad_x0):
     decay_ok = all(e <= 1e-6 and h <= 1e-6 for e, h in finals.values())
 
     # identity compressor keeps the error store at exactly zero
-    params = quad_params(compressor=CompressorSpec("identity", d=quad_problem.d))
+    params = quad_params(compressor=CompressorSpec("identity"))
     state = init_state(quad_problem, quad_x0)
     exact_zero = True
     for k in range(50):

@@ -17,13 +17,13 @@ compress_module = importlib.import_module("decnewton.compress")  # the package e
 def test_rank_k_full_rank_is_exact():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 6))
-    out = compress(CompressorSpec("rank_k", d=6, K=6), A)
+    out = compress(CompressorSpec("rank_k", K=6), A)
     assert np.max(np.abs(out - A)) <= 1e-12
 
 
 def test_top_k_keeps_largest_two():
     A = np.array([[3.0, -1.0], [0.5, 2.0]])
-    out = compress(CompressorSpec("top_k", d=2, K=2), A)
+    out = compress(CompressorSpec("top_k", K=2), A)
     assert np.array_equal(out, [[3.0, 0.0], [0.0, 2.0]])
 
 
@@ -32,7 +32,7 @@ def test_top_k_sorted_abs_oracle():
     rng = np.random.default_rng(1)
     for K in (1, 3, 7, 12):
         A = rng.standard_normal((4, 4))
-        dense = compress(CompressorSpec("top_k", d=4, K=K), A)
+        dense = compress(CompressorSpec("top_k", K=K), A)
         kept = np.flatnonzero(dense.ravel())
         order = np.argsort(-np.abs(A.ravel()), kind="stable")[:K]
         assert set(kept) == set(order)
@@ -41,7 +41,7 @@ def test_top_k_sorted_abs_oracle():
 
 def test_top_k_tie_break_lowest_linear_index():
     A = np.array([[1.0, -1.0], [1.0, 1.0]])
-    dense = compress(CompressorSpec("top_k", d=2, K=2), A)
+    dense = compress(CompressorSpec("top_k", K=2), A)
     assert np.array_equal(dense, [[1.0, -1.0], [0.0, 0.0]])
 
 
@@ -63,7 +63,7 @@ def test_top_k_matches_stable_argsort_on_ties(K):
     stack[10] = 0.0  # every entry tied
     stack *= rng.choice([-1.0, 1.0], size=stack.shape)  # signed zeros
     for A in (stack, stack[5], stack[10]):
-        out = compress(CompressorSpec("top_k", d=6, K=K), A)
+        out = compress(CompressorSpec("top_k", K=K), A)
         assert np.array_equal(out.view(np.uint64), _stable_argsort_top_k(A, K).view(np.uint64))
 
 
@@ -72,7 +72,7 @@ def test_rank_one_matrix_recovered_exactly():
     u = rng.standard_normal(8)
     v = rng.standard_normal(8)
     A = np.outer(u, v)
-    dense = compress(CompressorSpec("rank_k", d=8, K=1), A)
+    dense = compress(CompressorSpec("rank_k", K=1), A)
     assert np.max(np.abs(dense - A)) <= 1e-10
 
 
@@ -81,27 +81,27 @@ def test_rank_k_error_equals_tail_singular_values():
     A = rng.standard_normal((9, 9))
     s = np.linalg.svd(A, compute_uv=False)
     for K in (1, 4, 8):
-        dense = compress(CompressorSpec("rank_k", d=9, K=K), A)
+        dense = compress(CompressorSpec("rank_k", K=K), A)
         err = np.linalg.norm(dense - A)
         assert err == pytest.approx(float(np.sqrt((s[K:] ** 2).sum())), rel=1e-10)
 
 
 def test_delta_bounds():
-    assert delta_bound(CompressorSpec("rank_k", d=30, K=3)) == pytest.approx(0.05)
-    assert delta_bound(CompressorSpec("top_k", d=20, K=20)) == pytest.approx(0.025)
-    assert delta_bound(CompressorSpec("identity", d=20)) == 1.0
+    assert delta_bound(CompressorSpec("rank_k", K=3), 30) == pytest.approx(0.05)
+    assert delta_bound(CompressorSpec("top_k", K=20), 20) == pytest.approx(0.025)
+    assert delta_bound(CompressorSpec("identity"), 20) == 1.0
 
 
 def test_payload_bits():
-    assert payload_bits(CompressorSpec("top_k", d=20, K=20)) == 20 * (64 + 9) == 1460
-    assert payload_bits(CompressorSpec("rank_k", d=20, K=3)) == 3 * 41 * 64 == 7872
-    assert payload_bits(CompressorSpec("identity", d=20)) == 25600
+    assert payload_bits(CompressorSpec("top_k", K=20), 20) == 20 * (64 + 9) == 1460
+    assert payload_bits(CompressorSpec("rank_k", K=3), 20) == 3 * 41 * 64 == 7872
+    assert payload_bits(CompressorSpec("identity"), 20) == 25600
 
 
 def test_identity_passthrough():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((5, 5))
-    out = compress(CompressorSpec("identity", d=5), A)
+    out = compress(CompressorSpec("identity"), A)
     assert np.array_equal(out, A)
     assert out is not A
 
@@ -109,7 +109,7 @@ def test_identity_passthrough():
 def test_determinism_bit_identical():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((12, 12))
-    for spec in (CompressorSpec("rank_k", d=12, K=4), CompressorSpec("top_k", d=12, K=9)):
+    for spec in (CompressorSpec("rank_k", K=4), CompressorSpec("top_k", K=9)):
         first = compress(spec, A)
         second = compress(spec, A.copy())
         assert np.array_equal(first, second)
@@ -118,7 +118,7 @@ def test_determinism_bit_identical():
 def test_top_k_idempotent():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((7, 7))
-    spec = CompressorSpec("top_k", d=7, K=11)
+    spec = CompressorSpec("top_k", K=11)
     once = compress(spec, A)
     twice = compress(spec, once)
     assert np.array_equal(once, twice)
@@ -126,9 +126,9 @@ def test_top_k_idempotent():
 
 def test_zero_maps_to_zero():
     for spec in (
-        CompressorSpec("rank_k", d=5, K=2),
-        CompressorSpec("top_k", d=5, K=4),
-        CompressorSpec("identity", d=5),
+        CompressorSpec("rank_k", K=2),
+        CompressorSpec("top_k", K=4),
+        CompressorSpec("identity"),
     ):
         assert np.array_equal(compress(spec, np.zeros((5, 5))), np.zeros((5, 5)))
 
@@ -136,9 +136,9 @@ def test_zero_maps_to_zero():
 def test_payload_invariants():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((10, 10))
-    dense_r = compress(CompressorSpec("rank_k", d=10, K=3), A)
+    dense_r = compress(CompressorSpec("rank_k", K=3), A)
     assert np.linalg.matrix_rank(dense_r, tol=1e-9) <= 3
-    dense_t = compress(CompressorSpec("top_k", d=10, K=5), A)
+    dense_t = compress(CompressorSpec("top_k", K=5), A)
     assert np.count_nonzero(dense_t) <= 5
 
 
@@ -161,19 +161,19 @@ def test_contraction_bound_sweep(d):
         norm = np.linalg.norm(A)
         rank_tail, top_tail = compression_error_tails(A)
         for K in range(1, d + 1):
-            delta = delta_bound(CompressorSpec("rank_k", d=d, K=K))
+            delta = delta_bound(CompressorSpec("rank_k", K=K), d)
             assert rank_tail[K - 1] <= (1 - delta) * norm + 1e-9
         for K in range(1, d * d + 1):
-            delta = delta_bound(CompressorSpec("top_k", d=d, K=K))
+            delta = delta_bound(CompressorSpec("top_k", K=K), d)
             assert top_tail[K - 1] <= (1 - delta) * norm + 1e-9
     # the tail identities above describe the actual operators: spot-check
     A = mats[0]
     rank_tail, top_tail = compression_error_tails(A)
     for K in (1, d // 2 + 1, d):
-        err = np.linalg.norm(compress(CompressorSpec("rank_k", d=d, K=K), A) - A)
+        err = np.linalg.norm(compress(CompressorSpec("rank_k", K=K), A) - A)
         assert err == pytest.approx(rank_tail[K - 1], abs=1e-9)
     for K in (1, d * d // 2, d * d):
-        err = np.linalg.norm(compress(CompressorSpec("top_k", d=d, K=K), A) - A)
+        err = np.linalg.norm(compress(CompressorSpec("top_k", K=K), A) - A)
         assert err == pytest.approx(top_tail[K - 1], abs=1e-9)
 
 
@@ -182,7 +182,7 @@ def test_contraction_bound_sweep(d):
                                     ("identity", 0)])
 def test_stack_matches_per_matrix_bit_for_bit(kind, K):
     rng = np.random.default_rng(5)
-    spec = CompressorSpec(kind, d=7, K=K)
+    spec = CompressorSpec(kind, K=K)
     stack = rng.standard_normal((6, 7, 7))
     stack[1] = np.round(stack[1])  # tied magnitudes for top_k
     stack[2] = 0.0
@@ -203,7 +203,7 @@ def compressor_inputs(draw):
     A = rng.standard_normal((d, d) if n is None else (n, d, d))
     if draw(st.booleans()):
         A = np.round(A * draw(st.sampled_from([1.0, 3.0])))  # ties and zero entries
-    return CompressorSpec(kind, d=d, K=K), draw(st.sampled_from([1e-8, 1.0, 1e8])) * A
+    return CompressorSpec(kind, K=K), draw(st.sampled_from([1e-8, 1.0, 1e8])) * A
 
 
 @settings(max_examples=80, deadline=None)
@@ -212,31 +212,33 @@ def test_contraction_property(case):
     spec, A = case
     out = compress(spec, A)
     assert out.shape == A.shape
-    bound = 1.0 - delta_bound(spec)
-    for Ai, Qi in zip(A.reshape(-1, spec.d, spec.d), out.reshape(-1, spec.d, spec.d)):
+    d = A.shape[-1]
+    bound = 1.0 - delta_bound(spec, d)
+    for Ai, Qi in zip(A.reshape(-1, d, d), out.reshape(-1, d, d)):
         assert np.linalg.norm(Qi - Ai) <= bound * np.linalg.norm(Ai) * (1 + 1e-12)
         if A.ndim == 3:
             assert np.array_equal(Qi, compress(spec, Ai))
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        CompressorSpec("rank_k", d=5, K=6)
-    with pytest.raises(ValueError):
-        CompressorSpec("top_k", d=5, K=26)
-    with pytest.raises(ValueError):
-        CompressorSpec("svd", d=5, K=1)
-    # a float d ran, and wrote bits_cum as a float that read_trace_csv rejects
-    with pytest.raises(ValueError, match=r"compressor d must be an integer >= 1, got 6.0"):
-        CompressorSpec("rank_k", d=6.0, K=2)
-    with pytest.raises(ValueError, match=r"compressor d must be an integer >= 1, got True"):
-        CompressorSpec("rank_k", d=True, K=1)
-    with pytest.raises(ValueError):
-        compress(CompressorSpec("rank_k", d=5, K=2), np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        compress(CompressorSpec("rank_k", d=5, K=2), np.zeros((3, 5, 4)))
-    with pytest.raises(ValueError):
-        compress(CompressorSpec("top_k", d=5, K=2), np.zeros((2, 3, 5, 5)))
+    with pytest.raises(ValueError, match=r"compressor K must be at least 1 for rank_k, got 0"):
+        CompressorSpec("rank_k")
+    # identity keeps everything: a K would be written nowhere and read back as 0
+    with pytest.raises(ValueError, match=r"compressor K must be 0 for identity, got 7"):
+        CompressorSpec("identity", K=7)
+    with pytest.raises(ValueError, match=r"compressor kind must be"):
+        CompressorSpec("svd", K=1)
+    # K against the side length d, which every function that compresses or counts reads
+    for spec, most in ((CompressorSpec("rank_k", K=5), 4), (CompressorSpec("top_k", K=17), 16)):
+        for check in (lambda: compress(spec, np.zeros((4, 4))), lambda: compress(spec, np.zeros((3, 4, 4))),
+                      lambda: delta_bound(spec, 4), lambda: payload_bits(spec, 4)):
+            with pytest.raises(ValueError, match=rf"compressor K must be at most {most} for {spec.kind} "
+                                                 rf"with d = 4, got {spec.K}"):
+                check()
+    with pytest.raises(ValueError, match=r"expected a square matrix or a stack of them, got shape \(3, 5, 4\)"):
+        compress(CompressorSpec("rank_k", K=2), np.zeros((3, 5, 4)))
+    with pytest.raises(ValueError, match=r"expected a square matrix"):
+        compress(CompressorSpec("top_k", K=2), np.zeros((2, 3, 5, 5)))
 
 
 @pytest.mark.parametrize("kind,K", [("rank_k", 2.5), ("rank_k", True), ("top_k", 2.0),
@@ -244,7 +246,7 @@ def test_spec_validation():
 def test_spec_count_must_be_an_int(kind, K):
     # rank_k(2.5) failed only in compress, and K=True ran as K = 1
     with pytest.raises(ValueError, match=r"compressor K must be an integer"):
-        CompressorSpec(kind, 4, K)
+        CompressorSpec(kind, K)
 
 
 @pytest.mark.parametrize("kind,K", [("rank_k", 2), ("top_k", 4), ("identity", 0)])
@@ -253,7 +255,7 @@ def test_spec_count_must_be_an_int(kind, K):
 def test_non_finite_input_rejected(kind, K, bad, stacked):
     # rejected before any LAPACK call, which need not return on an inf;
     # top_k would otherwise rank a NaN last and drop it
-    spec = CompressorSpec(kind, d=3, K=K)
+    spec = CompressorSpec(kind, K=K)
     A = np.ones((4, 3, 3) if stacked else (3, 3))
     A[(2, 1, 0) if stacked else (1, 0)] = bad
     with pytest.raises(ValueError, match=f"{kind} compression got a non-finite entry"):
@@ -271,7 +273,7 @@ def assert_matches_svd_truncation(A, K, scale=1.0):
     """compress(rank_k) of scale * A, divided by scale, is within 1e-12 ||A_i||_F
     of the SVD truncation of A, matrix by matrix."""
     d = A.shape[-1]
-    out = compress(CompressorSpec("rank_k", d=d, K=K), scale * A) / scale
+    out = compress(CompressorSpec("rank_k", K=K), scale * A) / scale
     gap = np.abs(out - svd_truncation(A, K)).max(axis=(-2, -1))
     assert np.all(gap <= 1e-12 * np.linalg.norm(A, axis=(-2, -1)))
 
@@ -345,7 +347,7 @@ def record_rank_k_calls(monkeypatch, cpus):
                                  (1, 70)])  # one matrix has no halves
 def test_rank_k_split_matches_one_call_bit_for_bit(monkeypatch, n, d):
     # (20, 30, 30) and (60, 20, 20) are the packet stacks of quad-kappa and logit-rank
-    spec, stack = CompressorSpec("rank_k", d=d, K=3), rank_k_stack(n, d)
+    spec, stack = CompressorSpec("rank_k", K=3), rank_k_stack(n, d)
     lengths = record_rank_k_calls(monkeypatch, cpus=1)
     inline = compress(spec, stack)
     assert lengths == [n]
@@ -358,7 +360,7 @@ def test_rank_k_split_matches_one_call_bit_for_bit(monkeypatch, n, d):
 
 @pytest.mark.parametrize("failing", ["caller", "worker"])
 def test_split_raises_what_either_half_raises(monkeypatch, failing):
-    spec, stack = CompressorSpec("rank_k", d=30, K=3), rank_k_stack(21, 30)  # halves of 10 and 11
+    spec, stack = CompressorSpec("rank_k", K=3), rank_k_stack(21, 30)  # halves of 10 and 11
     expected = compress(spec, stack)
     monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
     rank_k = compress_module._rank_k
@@ -381,7 +383,7 @@ def test_split_halves_share_the_callers_errstate(monkeypatch):
     seen, rank_k = [], compress_module._rank_k
     monkeypatch.setattr(compress_module, "_rank_k", lambda A, *args: seen.append(np.geterr()) or rank_k(A, *args))
     with np.errstate(over="raise", under="ignore"):
-        compress(CompressorSpec("rank_k", d=30, K=3), rank_k_stack(20, 30))
+        compress(CompressorSpec("rank_k", K=3), rank_k_stack(20, 30))
     assert [(err["over"], err["under"]) for err in seen] == [("raise", "ignore")] * 2  # two halves
 
 
@@ -396,7 +398,7 @@ def test_fork_child_starts_its_own_worker(monkeypatch):
     # a child forked after the parent's worker started has no thread behind the copied
     # worker; handing it a half would wait forever
     lengths = record_rank_k_calls(monkeypatch, cpus=2)
-    spec, stack = CompressorSpec("rank_k", d=30, K=3), rank_k_stack(20, 30)
+    spec, stack = CompressorSpec("rank_k", K=3), rank_k_stack(20, 30)
     expected = compress(spec, stack)
     assert lengths == [10, 10]
     child = multiprocessing.get_context("fork").Process(target=_compress_in_child,
@@ -417,5 +419,5 @@ def test_unsplit_stacks_start_no_thread(monkeypatch, kind, K, shape):
     monkeypatch.setattr(compress_module, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(compress_module, "_WORKERS", {})  # a split would have to start one
     before = threading.active_count()
-    compress(CompressorSpec(kind, d=shape[-1], K=K), rank_k_stack(shape[0], shape[-1]))
+    compress(CompressorSpec(kind, K=K), rank_k_stack(shape[0], shape[-1]))
     assert threading.active_count() == before

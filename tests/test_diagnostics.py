@@ -322,7 +322,7 @@ def test_caps_at_a_consensus_depth_past_the_float_range(quad_problem, quad_graph
     # by 25000: alpha's first cap takes its limit, inf, and the second is the cap
     W = quad_graph
     assert W.sigma ** (m - 1) == 0.0
-    delta = delta_bound(QUAD.algorithm.compressor)
+    delta = delta_bound(QUAD.algorithm.compressor, quad_problem.d)
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     row = fill_state_metrics(RoundMetrics(), state, quad_problem, quad_xstar, W.sigma, m, delta)
     report = theoretical_caps(quad_problem, W.sigma, m, delta, row.u1, row.u2)
@@ -336,7 +336,7 @@ def test_stage_one_M1_is_mu_on_a_logistic_preset():
     # M_lower is about 4e11 here, so mu + M_lower - root_term - u2~_0 cancels to 0.000977
     config = preset("logit-topk-m15")
     problem, W, x0, x_star = _instance(config)
-    m, delta = config.algorithm.m, delta_bound(config.algorithm.compressor)
+    m, delta = config.algorithm.m, delta_bound(config.algorithm.compressor, problem.d)
     row = fill_state_metrics(RoundMetrics(), init_state(problem, x0), problem, x_star, W.sigma,
                              m, delta)
     report = theoretical_caps(problem, W.sigma, m, delta, row.u1, row.u2)
@@ -358,7 +358,7 @@ def test_identity_compressor_tracking_decay():
     W = metropolis_weights(generate_topology(8, 0.8, seed=6))
     x_star = centralized_solve(prob, tol=1e-12)
     params = AlgoParams(
-        compressor=CompressorSpec("identity", d=12),
+        compressor=CompressorSpec("identity"),
         alpha=GeometricRamp(0.05, 1.1, 1.0),
         gamma=0.5, m=4, M=0.0,
         cg_tol=ConstantSchedule(1e-10),

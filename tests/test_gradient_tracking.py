@@ -72,7 +72,7 @@ def test_both_methods_share_the_x_and_g_update(kind, m):
     x, g = rng.standard_normal((2, prob.n, prob.d))
     local_grads = batch_gradients(prob, x)
     newton_state = replace(newton.init_state(prob, x), g=g.copy(), d_dir=g.copy())
-    newton_params = AlgoParams(compressor=CompressorSpec("identity", d=prob.d),
+    newton_params = AlgoParams(compressor=CompressorSpec("identity"),
                                alpha=ConstantSchedule(0.3), gamma=0.2, m=m)
     new_n, _ = newton.step(newton_state, prob, W, newton_params, 2)
     gt_state = NetworkState(x=x.copy(), g=g.copy(), local_grads=local_grads)
@@ -223,7 +223,7 @@ def test_start_of_the_wrong_shape_is_rejected(setup, caller):
         elif caller == "tune_alpha":
             tune_alpha(prob, W, x0[:, :-1], x_star, budget=5)
         else:
-            params = AlgoParams(CompressorSpec("identity", d=prob.d), ConstantSchedule(1.0), 0.1)
+            params = AlgoParams(CompressorSpec("identity"), ConstantSchedule(1.0), 0.1)
             newton.run(prob, W, params, x0[:, :-1], x_star)
 
 

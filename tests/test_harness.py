@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import QUAD, hessians_non_finite_on_call, quad_params, strip_wall_time
-from decnewton import gradient_tracking, harness
+from decnewton import gradient_tracking, harness, newton
 from decnewton.cli import main
 from decnewton.compress import CompressorSpec
 from decnewton.diagnostics import CSV_COLUMNS, RoundMetrics, Trace
@@ -104,7 +104,8 @@ def test_config_errors_name_the_field():
         parse_config(QUAD_CFG.replace("rank_k(2)", "wavelet(2)"))
     with pytest.raises(ValueError, match="method"):
         parse_config(QUAD_CFG.replace("method = newton", "method = adam"))
-    with pytest.raises(ValueError, match="schedule"):
+    with pytest.raises(ValueError, match=r"\[algorithm\] alpha = 'warp\(1\)': expected one of const\(value\), "
+                                         r"ramp\(base, growth, cap\), stage\(stage1, switch_iter, stage2\)"):
         parse_config(QUAD_CFG.replace("ramp(0.05, 1.1, 1.0)", "warp(1)"))
     with pytest.raises(ValueError, match=r"\[output\] repetitions"):
         parse_config(QUAD_CFG + "repetitions = 0\n")
@@ -118,7 +119,7 @@ def test_missing_optional_fields_take_the_dataclass_defaults():
         "[algorithm]\nmethod = newton\ngamma = 0.05\nalpha = const(0.5)\ncompressor = identity\n")
     problem, graph = ProblemSpec("quadratic", n=6, d=8, seed=3, kappa=50.0), GraphSpec(0.4, 5)
     assert parse_config(required) == ExperimentConfig(
-        problem, graph, "newton", AlgoParams(CompressorSpec("identity", d=8), ConstantSchedule(0.5), 0.05))
+        problem, graph, "newton", AlgoParams(CompressorSpec("identity"), ConstantSchedule(0.5), 0.05))
     gt = required.split("[algorithm]")[0] + "[algorithm]\nmethod = gt\nalpha = 0.1\n"
     assert parse_config(gt) == ExperimentConfig(problem, graph, "gt", GTParams(0.1))
 
@@ -191,12 +192,11 @@ def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
     # 1.5 would write no dump and True the dump of iteration 1
     (QUAD_CFG, {"dump_iters": (1.5,)}, r"\[output\] dump_iters"),
     (QUAD_CFG, {"dump_iters": (True,)}, r"\[output\] dump_iters"),
-    # the step would fail on the first Hessian compression, naming no field
-    (QUAD_CFG, {"problem": ProblemSpec("quadratic", n=6, d=20, seed=3, kappa=50.0)},
-     r"\[algorithm\] compressor is for d = 8, but \[problem\] d = 20"),
-    (QUAD_CFG, {"algorithm": AlgoParams(CompressorSpec("identity", d=4), ConstantSchedule(0.5),
-                                        0.05)},
-     r"\[algorithm\] compressor is for d = 4, but \[problem\] d = 8"),
+    # the step would fail on the first Hessian compression
+    (QUAD_CFG, {"problem": ProblemSpec("quadratic", n=6, d=1, seed=3, kappa=50.0)},
+     r"\[algorithm\] compressor K must be at most 1 for rank_k with d = 1, got 2"),
+    (QUAD_CFG, {"algorithm": AlgoParams(CompressorSpec("top_k", K=65), ConstantSchedule(0.5), 0.05)},
+     r"\[algorithm\] compressor K must be at most 64 for top_k with d = 8, got 65"),
     # the config reader would cut these: a comment, or the whitespace around a value
     (QUAD_CFG, {"csv": "out/a ;b.csv"}, r"\[output\] csv"),
     (QUAD_CFG, {"csv": "#a.csv"}, r"\[output\] csv"),
@@ -211,12 +211,30 @@ def test_label_must_read_back_from_the_trace_header(tmp_path, capsys, label):
      r"\[algorithm\] alpha must be the placeholder 1.0 when tuned, got 0.5"),
 ], ids=["newton-as-GT", "newton-params-as-gt", "gt-params-as-newton", "alpha-mode-case",
         "tuned-newton", "negative-dump", "float-dump", "bool-dump",
-        "problem-d-not-compressor-d", "compressor-d-not-problem-d", "csv-comment-after-space",
+        "problem-d-below-K", "K-above-problem-d", "csv-comment-after-space",
         "csv-comment-first", "csv-trailing-space", "csv-line-break", "csv-nul", "csv-path",
         "tuned-alpha-not-placeholder"])
 def test_config_rejects_runs_that_do_not_exist(base, change, named):
     with pytest.raises(ValueError, match=named):
         replace(parse_config(base), **change)
+
+
+def test_K_above_problem_d_fails_before_any_run(tmp_path, capsys, quad_problem, quad_graph, quad_xstar):
+    # K is held to [problem] d in config text, in a config built in code and in newton.run
+    text = render_config(QUAD).replace("compressor = rank_k(3)", "compressor = rank_k(31)")
+    (tmp_path / "big-k.cfg").write_text(text)
+    assert main(["run", "--config", str(tmp_path / "big-k.cfg"), "--out", str(tmp_path / "out")]) == 1
+    named = "[algorithm] compressor K must be at most 30 for rank_k with d = 30, got 31"
+    assert capsys.readouterr().err.splitlines() == [f"error: {named}"]
+    assert not (tmp_path / "out").exists()
+    params = quad_params(compressor=CompressorSpec("rank_k", K=31))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        replace(QUAD, algorithm=params)
+    seen = []
+    with pytest.raises(ValueError, match=r"compressor K must be at most 30 for rank_k with d = 30, got 31"):
+        newton.run(quad_problem, quad_graph, params, np.zeros((quad_problem.n, quad_problem.d)), quad_xstar,
+                   on_step=lambda k, state: seen.append(k))
+    assert seen == []
 
 
 def test_method_params_and_alpha_mode_change_together():
@@ -232,7 +250,7 @@ _PIN_QUAD = ProblemSpec("quadratic", n=4, d=6, seed=2, kappa=1e3)
 @pytest.mark.parametrize("config,text", [
     (ExperimentConfig(
         ProblemSpec("logistic", n=12, d=5, seed=7, rho=0.01, m_per_node=40), GraphSpec(0.3, 8),
-        "newton", AlgoParams(CompressorSpec("identity", d=5), TwoStageSchedule(0.25, 40, 1.0), 0.1,
+        "newton", AlgoParams(CompressorSpec("identity"), TwoStageSchedule(0.25, 40, 1.0), 0.1,
                              m="k", M=0.5, cg_tol=GeometricRamp(1e-3, 0.5, 1e-2), max_iters=300,
                              stop_tol=1e-9, variant="reference"),
         label="pin-stage", dump_iters=(0, 5, 10), repetitions=3),
@@ -243,7 +261,7 @@ _PIN_QUAD = ProblemSpec("quadratic", n=4, d=6, seed=2, kappa=1e3)
      "max_iters = 300\nstop_tol = 1e-09\n\n"
      "[output]\nlabel = pin-stage\ndump_iters = 0,5,10\nrepetitions = 3\n"),
     (ExperimentConfig(_PIN_QUAD, GraphSpec(0.5, 9), "newton",
-                      AlgoParams(CompressorSpec("top_k", d=6, K=7), ConstantSchedule(0.8), 0.0, m=3),
+                      AlgoParams(CompressorSpec("top_k", K=7), ConstantSchedule(0.8), 0.0, m=3),
                       label="pin-topk"),
      "[problem]\nfamily = quadratic\nn = 4\nd = 6\nkappa = 1000.0\nseed = 2\n\n"
      "[graph]\ntau = 0.5\nseed = 9\n\n"
@@ -678,7 +696,7 @@ label = tiny
 
 @pytest.mark.parametrize("compressor,code,last", [
     ("rank_k(2)", 2, "tiny: status=max_iters iterations=3 "),
-    ("rank_k(5)", 1, "error: bad value for [algorithm] compressor = 'rank_k(5)': "),
+    ("rank_k(5)", 1, "error: [algorithm] compressor K must be at most 3 for rank_k with d = 3, got 5"),
 ], ids=["valid", "K-above-d"])
 def test_cli_run_is_the_same_under_python_O(tmp_path, compressor, code, last):
     # -O strips assert statements: a check that lives in one would let the

@@ -56,7 +56,7 @@ def test_two_stage_schedule():
 
 
 def test_params_validation():
-    spec = CompressorSpec("identity", d=4)
+    spec = CompressorSpec("identity")
     with pytest.raises(ValueError):
         AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=1.5, m=1)
     with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ NAN, INF = float("nan"), float("inf")
     ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("max_iters", True),
 ])
 def test_params_reject_bad_run_values(field, value):
-    spec = CompressorSpec("identity", d=4)
+    spec = CompressorSpec("identity")
     with pytest.raises(ValueError, match=field):
         AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=0.1, **{field: value})
 
@@ -148,7 +148,7 @@ def test_identity_compressor_gamma_zero_is_local_accumulation():
     prob = make_logistic(3, 4, 5, rho=0.2, seed=2)
     W = metropolis_weights(generate_topology(3, 1.0, seed=0))
     params = AlgoParams(
-        compressor=CompressorSpec("identity", d=4),
+        compressor=CompressorSpec("identity"),
         alpha=ConstantSchedule(0.05),
         gamma=0.0,
         m=2,
@@ -203,7 +203,7 @@ def test_consensus_start_matches_centralized_damped_newton():
     W = metropolis_weights(generate_topology(n, 0.5, seed=1))
     alpha, M = 0.5, 1.0
     params = AlgoParams(
-        compressor=CompressorSpec("identity", d=d),
+        compressor=CompressorSpec("identity"),
         alpha=ConstantSchedule(alpha),
         gamma=0.2,
         m=3,
@@ -234,7 +234,7 @@ def test_two_node_scalar_transcription():
     W = two_node_mixing()
     alpha, gamma, M, m = 0.3, 0.2, 0.5, 2
     params = AlgoParams(
-        compressor=CompressorSpec("top_k", d=1, K=1),
+        compressor=CompressorSpec("top_k", K=1),
         alpha=ConstantSchedule(alpha),
         gamma=gamma,
         m=m,
@@ -279,7 +279,7 @@ def test_straight_line_numpy_oracle_with_compression(variant):
     W = two_node_mixing()
     Wm = np.linalg.matrix_power(W.W, 2)
     alpha, gamma, M, m = 0.2, 0.3, 0.8, 2
-    spec = CompressorSpec("top_k", d=2, K=2)
+    spec = CompressorSpec("top_k", K=2)
     params = AlgoParams(
         compressor=spec, alpha=ConstantSchedule(alpha), gamma=gamma, m=m, M=M,
         cg_tol=ConstantSchedule(0.0), variant=variant,
@@ -323,7 +323,7 @@ def test_straight_line_numpy_oracle_with_compression(variant):
 
 def test_identity_compressor_stores(quad_problem, quad_graph):
     W = quad_graph
-    params = quad_params(compressor=CompressorSpec("identity", d=quad_problem.d))
+    params = quad_params(compressor=CompressorSpec("identity"))
     state = init_state(quad_problem, np.zeros((quad_problem.n, quad_problem.d)))
     prev_H = state.H.copy()
     for k in range(20):
@@ -375,18 +375,18 @@ def test_lockstep_equivalence_per_step(quad_problem, quad_graph):
 
 def test_lockstep_free_running_identity_compressor(quad_problem, quad_graph):
     # without truncation discontinuities the trajectories track each other
-    params = quad_params(compressor=CompressorSpec("identity", d=quad_problem.d))
+    params = quad_params(compressor=CompressorSpec("identity"))
     assert max(free_running_deviations(quad_problem, quad_graph, params, 100)) <= 1e-9
 
 
 def test_bits_accounting(quad_problem, quad_graph):
     W = quad_graph
     n, d, m = quad_problem.n, quad_problem.d, 15
-    spec = CompressorSpec("rank_k", d=d, K=3)
+    spec = CompressorSpec("rank_k", K=3)
     params = quad_params(m=m)
     state = init_state(quad_problem, np.zeros((n, d)))
     _, row_eff = step(state, quad_problem, W, params, 0)
-    assert row_eff.bits == n * (2 * m * d * 64 + 2 * payload_bits(spec))
+    assert row_eff.bits == n * (2 * m * d * 64 + 2 * payload_bits(spec, d))
     _, row_ref = step(state, quad_problem, W, quad_params(m=m, variant="reference"), 0)
     assert row_ref.bits == n * (2 * m * d * 64 + d * d * 64)
 

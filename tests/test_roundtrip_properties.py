@@ -77,7 +77,7 @@ def configs(draw):
         kind = draw(st.sampled_from(["identity", "rank_k", "top_k"]))
         K = 0 if kind == "identity" else draw(st.integers(1, d if kind == "rank_k" else d * d))
         algorithm = AlgoParams(
-            compressor=CompressorSpec(kind, d=d, K=K), alpha=draw(SCHEDULES),
+            compressor=CompressorSpec(kind, K=K), alpha=draw(SCHEDULES),
             gamma=draw(reals(0.0, 1.0)),
             m=draw(st.one_of(st.integers(1, 50), st.just("k"))),
             M=draw(reals(0.0, 1e3)), cg_tol=draw(SCHEDULES),
@@ -119,6 +119,7 @@ VALUE_KINDS = {"str": "1", "bytes": b"1", "path": Path("1"), "huge-int": 10**400
 QUAD = next(c for c in preset_configs("quad-kappa") if c.label == "quad-k1e2-m15")
 LOGIT = preset_configs("logit-topk")[0]
 STAGED = replace(QUAD, algorithm=replace(QUAD.algorithm, alpha=TwoStageSchedule(0.25, 40, 1.0)))
+IDENTITY = replace(QUAD, algorithm=replace(QUAD.algorithm, compressor=CompressorSpec("identity")))
 GT = replace(QUAD, method="gt", algorithm=GTParams(0.01, m=2, max_iters=100))
 # each config dataclass: a config that holds one, the fields leading to it there, and
 # the section its errors name
@@ -127,14 +128,13 @@ HOLDERS = {"experiment": (QUAD, (), "[output]"), "experiment-gt": (GT, (), "[out
            "graph": (QUAD, ("graph",), "[graph]"), "newton": (QUAD, ("algorithm",), "[algorithm]"),
            "gt": (GT, ("algorithm",), "[algorithm]"),
            "compressor": (QUAD, ("algorithm", "compressor"), "compressor"),
+           "identity": (IDENTITY, ("algorithm", "compressor"), "compressor"),
            "const": (QUAD, ("algorithm", "cg_tol"), "const"), "ramp": (QUAD, ("algorithm", "alpha"), "ramp"),
            "stage": (STAGED, ("algorithm", "alpha"), "stage")}
-# the other name an error may give a field: ExperimentConfig's fields outside [output],
-# and a compressor d that is no [problem] d
+# the other name an error may give a field: ExperimentConfig's fields outside [output]
 NAMED = {("[output]", "problem"): "[problem]", ("[output]", "graph"): "[graph]",
          ("[output]", "algorithm"): "[algorithm]", ("[output]", "method"): "[algorithm] method",
-         ("[output]", "gt_alpha_mode"): "[algorithm] alpha mode",
-         ("compressor", "d"): "[algorithm] compressor is for d"}
+         ("[output]", "gt_alpha_mode"): "[algorithm] alpha mode"}
 
 
 def swapped(spec, path, field, value):
@@ -147,10 +147,15 @@ def swapped(spec, path, field, value):
 def test_every_config_field_declares_its_kind():
     # check_fields checks each field by the kind its class declares, so a field
     # with none fails every build instead of going unchecked
-    classes = {*harness._FIELDS, *harness._SCHEDULES.values(), CompressorSpec}
+    classes = {*harness._FIELDS, ConstantSchedule, GeometricRamp, TwoStageSchedule, CompressorSpec}
     assert {type(reduce(getattr, path, config)) for config, path, _ in HOLDERS.values()} == classes
     for cls in classes:
         assert set(cls.KINDS) == {f.name for f in fields(cls)}, cls.__name__
+    # and config text reads and writes each field it holds by that kind alone, a schedule's
+    # and a compressor's name(arg, ...) form too, so harness needs no form of its own
+    for cls, kinds in harness._FIELDS.items():
+        assert kinds == {key: cls.KINDS[key] for key in kinds}, cls.__name__
+        assert all(kind.parse and kind.render for kind in kinds.values()), cls.__name__
 
 
 @pytest.mark.parametrize("holder", HOLDERS)
