@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .compress import check_fields, count, real
+from .config import check_fields, count, real
 # The noqa imports are unused here but bound for perfbench/tracing.py, which patches them.
 from .diagnostics import fill_state_metrics  # noqa: F401
 from .diagnostics import Trace, relative_error, squared_distances

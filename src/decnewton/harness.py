@@ -59,8 +59,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import newton
-from .compress import (CompressorSpec, Kind, check_fields, check_K, choice, count, delta_bound, instance, read_int,
-                       real, text)
+from .compress import CompressorSpec, check_K, delta_bound
+from .config import Kind, check_fields, choice, count, instance, optional, read_int, real, text
 from .diagnostics import (CSV_COLUMNS, ROUNDOFF_FLOOR, RoundMetrics, Trace, fill_state_metrics,
                           theoretical_caps)
 from .gradient_tracking import MIN_TUNING_BUDGET, GTParams, gt_run, tune_alpha
@@ -113,8 +113,8 @@ class ProblemSpec:
     rho: float | None = None
     m_per_node: int | None = None
     # a network needs two nodes, and no quadratic instance has a condition number below 1
-    KINDS = {"family": choice(*_FAMILY_FIELDS), "n": count(2), "d": count(1), "kappa": real(1),
-             "rho": real(0, above=True), "m_per_node": count(1), "seed": count(0)}
+    KINDS = {"family": choice(*_FAMILY_FIELDS), "n": count(2), "d": count(1), "kappa": optional(real(1), None),
+             "rho": optional(real(0, above=True), None), "m_per_node": optional(count(1), None), "seed": count(0)}
 
     def __post_init__(self):
         check_fields(self, "[problem]")
@@ -158,12 +158,12 @@ class ExperimentConfig:
              "label": text(lambda label: re.fullmatch(r"[^\s,=/\\;#\0][^\s,=/\\\0]*", label),
                            "a non-empty str with no whitespace, NUL, ',', '=', '/' or '\\', "
                            "and not start with ';' or '#'"),
-             "csv": text(lambda csv: not re.search(r"^[\s;#]|\s[;#]|\s$|[\r\n\0]", csv),
-                         "a str that does not start or end with whitespace, break a line, hold a NUL, "
-                         "or have ';' or '#' first or after whitespace"),
+             "csv": optional(text(lambda csv: not re.search(r"^[\s;#]|\s[;#]|\s$|[\r\n\0]", csv),
+                                  "a str that does not start or end with whitespace, break a line, hold a NUL, "
+                                  "or have ';' or '#' first or after whitespace"), None),
              "dump_iters": Kind("a tuple of integers >= 0", lambda v: isinstance(v, tuple) and all(map(count(0).ok, v)),
                                 lambda raw: tuple(map(read_int, raw.split(","))), lambda v: ",".join(map(str, v))),
-             "repetitions": count(1)._replace(render=lambda n: "" if n == 1 else str(n))}  # one run: no line
+             "repetitions": optional(count(1), 1)}
 
     def __post_init__(self):
         check_fields(self, "[output]", problem="[problem]", graph="[graph]", method="[algorithm] method",
@@ -188,7 +188,7 @@ class ExperimentConfig:
 
 # Every config field once: the dataclass it fills -> field -> its declared kind, whose parse and render
 # read and write it, in render_config's order; AlgoParams and GTParams are the [algorithm] fields of
-# method = newton and gt. None or empty text writes no line.
+# method = newton and gt. Empty text writes no line.
 _FIELDS = {cls: cls.KINDS for cls in (ProblemSpec, GraphSpec, GTParams, AlgoParams)} | {
     ExperimentConfig: {key: ExperimentConfig.KINDS[key] for key in ("label", "csv", "dump_iters", "repetitions")}}
 _SECTIONS = ("problem", "graph", "algorithm", "output")
@@ -263,8 +263,7 @@ def render_config(config: ExperimentConfig) -> str:
             value, render = getattr(spec, key), kind.render
             if key == "alpha" and config.gt_alpha_mode == "tuned":
                 value, render = "tuned", str
-            text = "" if value is None else render(value)
-            if text:
+            if text := render(value):
                 lines.append(f"{key} = {text}")
         blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks)

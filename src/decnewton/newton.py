@@ -37,8 +37,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .compress import (COMPRESSOR, CompressorSpec, call, check_fields, choice, compress, count, delta_bound,
-                       instance, payload_bits, real)
+from .compress import COMPRESSOR, CompressorSpec, compress, delta_bound, payload_bits
+from .config import call, check_fields, choice, count, instance, real
 from .diagnostics import RoundMetrics, Trace, fill_state_metrics, squared_distances
 from .graph import MixingMatrix, consensus_apply
 from .objectives import Problem, batch_gradients, batch_hessians, global_value

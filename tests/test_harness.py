@@ -555,9 +555,11 @@ def test_seed_env_override_must_be_a_non_negative_int(tmp_path, capsys, monkeypa
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("value", [0, 2.0, 2.5, True])
+@pytest.mark.parametrize("value", [0, 2.0, 2.5, True, 1.0, np.int64(1)])
 def test_repetitions_in_code_must_be_a_positive_int(value):
-    # 2.0 would render as text parse_config rejects, and True would run once
+    # 2.0 would render as text parse_config rejects, and True would run once. True, 1.0 and
+    # numpy's 1 equal the default 1, which writes no line, but are no default: taken for it,
+    # they would write no line, and dataclass == (True == 1) would hide that in a round trip
     with pytest.raises(ValueError, match=r"\[output\] repetitions"):
         replace(parse_config(QUAD_CFG), repetitions=value)
 

@@ -1,7 +1,7 @@
 """Property tests: config text and trace CSVs read back what was written."""
 
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import reduce
 from pathlib import Path
 
@@ -185,6 +185,41 @@ def test_every_field_rejects_or_round_trips_every_kind_of_value(holder):
             except Exception as exc:
                 bad.append(f"{field.name}={kind}: accepted, then {type(exc).__name__}: {exc}")
     assert bad == []
+
+
+# each config field that writes no line at its dataclass default, found by rendering that default
+# with the field's kind -> the holders of its dataclass
+OPTIONAL = {(cls, field.name): [holder for holder, (config, path, _) in HOLDERS.items()
+                                if type(reduce(getattr, path, config)) is cls]
+            for cls, kinds in harness._FIELDS.items() for field in fields(cls) if field.name in kinds
+            and field.default is not MISSING and kinds[field.name].ok(field.default)
+            and kinds[field.name].render(field.default) == ""}
+
+
+def test_the_fields_that_write_no_line_at_their_default_are_found():
+    assert {"kappa", "rho", "m_per_node", "csv", "repetitions", "dump_iters"} <= {name for _, name in OPTIONAL}
+
+
+@pytest.mark.parametrize("cls,name", OPTIONAL, ids=lambda v: getattr(v, "__name__", v))
+def test_an_optional_field_writes_a_line_only_off_its_default(cls, name):
+    # at its default the field writes no line; off it, a line that reads back. "2" is a value
+    # every such field reads; a holder whose family or method does not read the field rejects it
+    kind, default = harness._FIELDS[cls][name], next(f.default for f in fields(cls) if f.name == name)
+    off = kind.parse("2")
+    built = {}
+    for holder in OPTIONAL[cls, name]:
+        config, path, section = HOLDERS[holder]
+        for at_default, value in ((True, default), (False, off)):
+            try:
+                built[at_default] = swapped(config, path, name, value)
+            except ValueError:
+                continue
+            text = render_config(built[at_default])
+            block = next(b.splitlines() for b in text.split("\n\n") if b.startswith(f"{section}\n"))
+            lines = [line for line in block if line.startswith(f"{name} = ")]
+            assert lines == ([] if at_default else [f"{name} = {kind.render(off)}"]), holder
+            assert parse_config(text) == built[at_default], holder
+    assert set(built) == {True, False}
 
 
 INT_COLUMNS = ("iter", "fallback_count", "bits_cum")
