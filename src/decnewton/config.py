@@ -12,6 +12,7 @@ from collections import namedtuple
 from dataclasses import fields
 
 Kind = namedtuple("Kind", "want ok parse render", defaults=(str, str))
+FLOAT_MAX = sys.float_info.max  # the largest float; Python compares a huge int with it exactly
 
 
 def read_int(text: str) -> int:
@@ -30,10 +31,11 @@ def read_real(text: str) -> float:
     return float(text)
 
 
-def count(least: int, other: str | None = None) -> Kind:
-    """An int >= ``least`` (of type int: no bool, numpy integer or enum), or the text ``other``."""
-    return Kind(f"{f'{other!r} or ' if other else ''}an integer >= {least}",
-                lambda v: v == other if isinstance(v, str) else type(v) is int and v >= least,
+def count(least: int, other: str | None = None, most: float = float("inf")) -> Kind:
+    """An int in [least, most] (of type int: no bool, numpy integer or enum), or the text ``other``."""
+    span = f">= {least}" if most == float("inf") else f"in [{least}, {most!r}]"
+    return Kind(f"{f'{other!r} or ' if other else ''}an integer {span}",
+                lambda v: v == other if isinstance(v, str) else type(v) is int and least <= v <= most,
                 lambda text: text if text == other else read_int(text))
 
 
@@ -42,7 +44,7 @@ def real(lo: float, hi: float | None = None, above: bool = False) -> Kind:
     huge int): an int, a bool or a numpy float too, written as the float it equals."""
     want = (f"a real in {'(' if above else '['}{lo:g}, {hi:g}]" if hi is not None
             else f"a finite real {'>' if above else '>='} {lo:g}")
-    top = sys.float_info.max if hi is None else hi  # Python compares a huge int with it exactly
+    top = FLOAT_MAX if hi is None else hi
     return Kind(want, lambda v: isinstance(v, numbers.Real) and (lo < v if above else lo <= v) and v <= top,
                 read_real, lambda v: repr(float(v)))
 

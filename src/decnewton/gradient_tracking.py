@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import check_fields, count, real
+from .config import FLOAT_MAX, check_fields, count, real
 # The noqa imports are unused here but bound for perfbench/tracing.py, which patches them.
 from .diagnostics import fill_state_metrics  # noqa: F401
 from .diagnostics import Trace, relative_error, squared_distances
@@ -44,16 +44,13 @@ MIN_TUNING_BUDGET = 8  # _score's tail: 5 points in the last half of a run
 @dataclass(frozen=True)
 class GTParams:
     alpha: float
-    m: int = 1
+    m: int = 1  # positive int a float holds, as AlgoParams.m
     max_iters: int = 5000
     stop_tol: float = 1e-10
-    KINDS = {"alpha": real(0), "m": count(1), "max_iters": count(1), "stop_tol": real(0)}
+    KINDS = {"alpha": real(0), "m": count(1, most=FLOAT_MAX), "max_iters": count(1), "stop_tol": real(0)}
 
     def __post_init__(self):
         check_fields(self, "[algorithm]")
-
-    def rounds(self, k: int) -> int:
-        return self.m
 
 
 # perfbench/tracing.py binds this name, so gt_run and gt_columns call through it;
@@ -72,11 +69,11 @@ def gt_run(problem: Problem, W: MixingMatrix, params: GTParams, x0: np.ndarray,
 def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray,
                oracle_xstar: np.ndarray, max_iters: int, stop_tol: float,
                horizon: float = math.inf) -> list:
-    """``gt_run`` at each of ``alphas`` on one ``(n, C, d)`` stack: each run's status
-    and rel_errs, bit for bit as alone up to where it left. A run leaves when it
-    stops, and the runs race: once one has converged at some k < ``max_iters``, or
-    k reaches ``horizon``, the runs still going leave as ``"dropped"``. Like every
-    run, they start from ``newton.start_state`` and stop by ``newton.run_status``."""
+    """``gt_run`` at each of ``alphas`` on one ``(n, C, d)`` stack: each run's status and rel_errs,
+    bit for bit as alone up to where it left. A run leaves when it stops, and the runs race: once one
+    has converged at some k < ``max_iters``, or k reaches ``horizon``, the runs still going leave as
+    ``"dropped"``. Like every run, they start from ``newton.start_state`` and stop by ``run_status``.
+    The step takes a namespace of ``m`` and the ``(C, 1)`` alphas, which no ``GTParams`` can hold."""
     start, x_star = start_state(problem, x0), np.asarray(oracle_xstar, dtype=float)
     den = squared_distances(start.x, x_star)[0]
     errs = [[relative_error(start.x, x_star, den)] for _ in alphas]
@@ -84,7 +81,7 @@ def gt_columns(problem: Problem, W: MixingMatrix, alphas, m: int, x0: np.ndarray
     status = ["max_iters" if live else "diverged"] * len(alphas)
     x, g = (np.repeat(a[:, None], len(alphas), axis=1) for a in (start.x, start.g))
     state = NetworkState(x=x, g=g, local_grads=g.copy())
-    params = SimpleNamespace(alpha=np.array(alphas, dtype=float)[:, None], rounds=lambda k: m)
+    params = SimpleNamespace(alpha=np.array(alphas, dtype=float)[:, None], m=m)
     for k in range(max_iters):
         if not live:
             break

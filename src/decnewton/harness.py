@@ -21,7 +21,7 @@ Configs are plain text with configparser sections::
     gamma = 0.03
     M = 0.0
     alpha = ramp(0.02, 1.1, 1.0)   ; const(v) | ramp(base, growth, cap) | stage(v1, K, v2)
-    cg_tol = const(1e-10)          ; residual bound c_k, checked against the exact batched solve
+    cg_tol = const(1e-10)          ; residual bound c_k, which no run checks (ROADMAP item 2)
     compressor = rank_k(3)         ; rank_k(K) | top_k(K) | identity
     variant = efficient            ; efficient | reference
     max_iters = 2000
@@ -65,7 +65,7 @@ from .diagnostics import (CSV_COLUMNS, ROUNDOFF_FLOOR, RoundMetrics, Trace, fill
                           theoretical_caps)
 from .gradient_tracking import MIN_TUNING_BUDGET, GTParams, gt_run, tune_alpha
 from .graph import generate_topology, metropolis_weights, save_matrix
-from .newton import AlgoParams, GeometricRamp
+from .newton import AlgoParams, GeometricRamp, exchange
 from .objectives import centralized_solve, make_logistic, make_quadratic
 
 __all__ = [
@@ -550,7 +550,7 @@ def caps_report(config: ExperimentConfig) -> str:
     state = newton.init_state(problem, x0)
     params = config.algorithm
     delta = delta_bound(params.compressor, config.problem.d)
-    m = params.rounds(0)
+    m, _ = exchange(params.m, 0, config.problem.d)
     row = fill_state_metrics(RoundMetrics(), state, problem, x_star, W.sigma, m, delta)
     report = theoretical_caps(problem, W.sigma, m, delta, row.u1, row.u2)
     return report.render()

@@ -12,9 +12,9 @@ One iteration, per node:
    reconstruction ``Hhat`` drives one gossip round of Hessian averaging:
    ``H^{k+1} = H^k - gamma (I - W) Hhat^k + hess f(x^{k+1}) - hess f(x^k)``;
 4. solve ``(sym(H_i^{k+1}) + M I) d_i^{k+1} = g_i^{k+1}`` on every node.
-   The paper allows an inexact solve (residual <= c_k ||g_i||); the step
-   solves all nodes exactly with one batched factorization, which meets any
-   c_k, and records the true residual so the bound stays checked.
+   The paper allows an inexact solve (residual <= c_k ||g_i||); the step solves
+   all nodes exactly with one batched factorization, which meets any c_k. The row's
+   ``cg_max_rel_residual`` holds the true residual; only tests read it, no run checks it.
 
 ``step`` runs one iteration in the variant ``AlgoParams.variant`` names; a state
 with no Hessian tracker stops after step 2 with ``g`` as its direction, which is
@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .compress import COMPRESSOR, CompressorSpec, compress, delta_bound, payload_bits
-from .config import call, check_fields, choice, count, instance, real
+from .config import FLOAT_MAX, call, check_fields, choice, count, instance, real
 from .diagnostics import RoundMetrics, Trace, fill_state_metrics, squared_distances
 from .graph import MixingMatrix, consensus_apply
 from .objectives import Problem, batch_gradients, batch_hessians, global_value
@@ -129,22 +129,19 @@ class AlgoParams:
     compressor: CompressorSpec
     alpha: object  # schedule
     gamma: float
-    m: object = 1  # positive int, or the string "k" for m growing with k
+    m: object = 1  # positive int a float holds (the metrics take sigma ** (m - 1)), or "k" for m = k
     M: float = 0.0
     cg_tol: object = ConstantSchedule(1e-10)
     max_iters: int = 2000
     stop_tol: float = 1e-10
     variant: str = "efficient"  # one of VARIANTS
     # a float alpha, as GTParams takes, would fail only in step
-    KINDS = {"m": count(1, "k"), "gamma": real(0, 1), "M": real(0), "alpha": _SCHEDULE, "cg_tol": _SCHEDULE,
-             "compressor": COMPRESSOR, "variant": choice(*VARIANTS),
+    KINDS = {"m": count(1, "k", FLOAT_MAX), "gamma": real(0, 1), "M": real(0), "alpha": _SCHEDULE,
+             "cg_tol": _SCHEDULE, "compressor": COMPRESSOR, "variant": choice(*VARIANTS),
              "max_iters": count(1), "stop_tol": real(0)}
 
     def __post_init__(self):
         check_fields(self, "[algorithm]")
-
-    def rounds(self, k: int) -> int:
-        return max(1, k) if self.m == "k" else self.m
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +247,20 @@ cg_solve = _solve_directions
 # ---------------------------------------------------------------------------
 # one iteration
 
-def exchange_bits(m: int, d: int) -> int:
-    """Bits one node sends for x and g over ``m`` gossip rounds: 2m float64 d-vectors."""
-    return 2 * m * d * 64
+def exchange(m, k: int, d: int) -> tuple[int, int]:
+    """Iteration k's x and g gossip at the config's ``m``, for both methods: its rounds of W
+    (``max(1, k)`` when ``m`` is ``"k"``), which are also the depth the metrics and caps take,
+    and the bits one node sends over them (2 float64 d-vectors a round)."""
+    rounds = max(1, k) if m == "k" else m
+    return rounds, 2 * rounds * d * 64
 
 
 def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoParams, k: int):
     """One iteration from ``state``; returns the new state and its metrics row.
 
-    Both methods step here. A state with no Hessian tracker (``state.H is None``) steps
-    along ``g`` at a ``GTParams``' constant alpha, skips the Hessian half and counts x and
-    g bits only; an ``(n, C, d)`` stack of them with ``(C, 1)`` alphas steps C runs.
+    Both methods step here, with the x and g gossip ``exchange(params.m, k, d)`` gives. A state
+    with no Hessian tracker (``state.H is None``) steps along ``g`` at a ``GTParams``' constant alpha
+    and skips the Hessian half and its bits; an ``(n, C, d)`` stack with ``(C, 1)`` alphas steps C runs.
 
     For a Newton state, ``params.variant`` chooses only how ``W @ Hhat`` is formed and
     what the Hessian exchange costs. ``"reference"`` gossips the reconstruction ``Hhat``
@@ -273,7 +273,8 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
     compresses each matrix on its own; the new error store reuses the stacked
     ``E + H - Htilde``.
     """
-    m, n, d = params.rounds(k), problem.n, problem.d
+    n, d = problem.n, problem.d
+    m, xg_bits = exchange(params.m, k, d)
     first_order = state.H is None
     alpha = params.alpha if first_order else params.alpha.at(k)
     descent = alpha * (state.g if first_order else state.d_dir)
@@ -284,7 +285,7 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
     g_new = consensus_apply(W, m, tracker)
     if first_order:
         return (NetworkState(x=x_new, g=g_new, local_grads=grads_new),
-                RoundMetrics(iter=k + 1, alpha_k=alpha, bits=n * exchange_bits(m, d)))
+                RoundMetrics(iter=k + 1, alpha_k=alpha, bits=n * xg_bits))
 
     diff = state.H - state.H_tilde
     packets = np.concatenate([diff, state.E + diff])
@@ -308,7 +309,7 @@ def step(state: NetworkState, problem: Problem, W: MixingMatrix, params: AlgoPar
                          H_tilde_w=H_tilde_w_new, d_dir=d_new, local_grads=grads_new,
                          local_hessians=hess_new),
             RoundMetrics(iter=k + 1, alpha_k=alpha, c_k=params.cg_tol.at(k),
-                         bits=n * (exchange_bits(m, d) + hess_bits), fallback_count=fallbacks,
+                         bits=n * (xg_bits + hess_bits), fallback_count=fallbacks,
                          cg_max_rel_residual=max_rel, hess_asymmetry=asym))
 
 
@@ -320,13 +321,13 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
             delta: float, on_step=None) -> Trace:
     """Run ``step_fn(state, problem, W, params, k) -> (state, row)`` from the start
     ``state`` until ``run_status`` stops it or params.max_iters; every method's runs
-    go through this loop. ``params`` also gives the gossip rounds ``params.rounds(k)``
-    of iteration k; ``delta`` is the compressor's contraction factor (1.0 for a run
-    that compresses nothing).
+    go through this loop. Iteration k's gossip depth is the rounds ``exchange(params.m,
+    k, d)`` gives, as in the step; ``delta`` is the compressor's contraction factor (1.0
+    for a run that compresses nothing).
 
     The loop times ``step_fn`` into ``wall_time``, fills the row's state metrics
-    with ``fill_state_metrics(row, state, problem, x_star, W.sigma, params.rounds(k),
-    delta, rel_err_den=, f_star=)`` and adds up ``bits_cum``. A non-finite start
+    with ``fill_state_metrics(row, state, problem, x_star, W.sigma, rounds, delta,
+    rel_err_den=, f_star=)`` and adds up ``bits_cum``. A non-finite start
     ends the run as "diverged" at iteration 0; its row is filled without numpy's
     warnings, which the note explains. ``on_step(k, state)`` sees the start (k = 0)
     before that test and the state after each iteration k, outside the timed part.
@@ -339,7 +340,7 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
     finite = _finite(state)
     with np.errstate(**({} if finite else {"invalid": "ignore", "over": "ignore"})):
         rows = [fill_state_metrics(RoundMetrics(iter=0), state, problem, x_star, W.sigma,
-                                   params.rounds(0), delta, rel_err_den=den, f_star=f_star)]
+                                   exchange(params.m, 0, problem.d)[0], delta, rel_err_den=den, f_star=f_star)]
     if not finite:
         return Trace(rows, "diverged", note="non-finite iterate or tracker at iteration 0")
     bits_cum = 0
@@ -348,8 +349,8 @@ def iterate(step_fn, state, problem: Problem, W: MixingMatrix, params, x_star: n
         t0 = time.perf_counter()
         state, row = step_fn(state, problem, W, params, k)
         row.wall_time = time.perf_counter() - t0
-        fill_state_metrics(row, state, problem, x_star, W.sigma, params.rounds(k), delta,
-                           rel_err_den=den, f_star=f_star)
+        fill_state_metrics(row, state, problem, x_star, W.sigma, exchange(params.m, k, problem.d)[0],
+                           delta, rel_err_den=den, f_star=f_star)
         bits_cum += row.bits
         row.bits_cum = bits_cum
         rows.append(row)

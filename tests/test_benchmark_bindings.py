@@ -53,15 +53,24 @@ LAYERS = ("graph.consensus_apply", "diagnostics.fill_state_metrics",
           "gradient_tracking.gt_step")
 
 
+ROUNDS = "graph.consensus_apply.rounds"
+
+
 def count_calls(patch_points, monkeypatch, layers):
-    """Calls per layer made through the bindings PATCH_POINTS names."""
+    """Calls per layer made through the bindings PATCH_POINTS names. With the consensus
+    layer, ``ROUNDS`` adds up the ``m`` of its calls, where the tracer's counter of that
+    name reads it: the second argument, or the keyword ``m``."""
     calls = dict.fromkeys(layers, 0)
+    if "graph.consensus_apply" in layers:
+        calls[ROUNDS] = 0
     for layer in layers:
         for module_name, attr in patch_points[layer]:
             module = importlib.import_module(module_name)
 
             def counted(*args, _fn=getattr(module, attr), _layer=layer, **kwargs):
                 calls[_layer] += 1
+                if _layer == "graph.consensus_apply":
+                    calls[ROUNDS] += args[1] if len(args) > 1 else kwargs["m"]
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, attr, counted)
@@ -89,7 +98,7 @@ def test_gt_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar, qua
     trace = gt_run(quad_problem, quad_graph, GTParams(alpha=1e-3, m=2, max_iters=iters,
                                                          stop_tol=0.0), quad_x0, quad_xstar)
     assert trace.iterations == iters
-    assert layer_calls == {"graph.consensus_apply": 2 * iters,
+    assert layer_calls == {"graph.consensus_apply": 2 * iters, ROUNDS: 28,
                            "diagnostics.fill_state_metrics": len(trace.rows),
                            "gradient_tracking.gt_step": iters}
 
@@ -109,7 +118,7 @@ def test_tune_alpha_calls_through_bindings(quad_problem, quad_graph, quad_xstar,
     tune_alpha(quad_problem, quad_graph, quad_x0, quad_xstar, budget=40)
     iters = sum(stacks)
     assert len(stacks) == 4 and iters > 0  # the grid, then three zooms
-    assert layer_calls == {"graph.consensus_apply": 2 * iters,
+    assert layer_calls == {"graph.consensus_apply": 2 * iters, ROUNDS: 2 * iters,  # m = 1
                            "diagnostics.fill_state_metrics": 0,
                            "gradient_tracking.gt_step": iters}
 
@@ -118,15 +127,18 @@ def test_tune_alpha_calls_through_bindings(quad_problem, quad_graph, quad_xstar,
 def test_newton_run_calls_through_bindings(quad_problem, quad_graph, quad_xstar, quad_x0,
                                            patch_points, monkeypatch, variant):
     # newton.cg_solve is an alias of the direction solve that no run calls: the
-    # tracer's hook for it reads CG result fields the solve does not return
+    # tracer's hook for it reads CG result fields the solve does not return. Each
+    # iteration gossips x and g for m rounds (m = "k": 1, 1, 2) and two Hessian terms for 1
     calls = count_calls(patch_points, monkeypatch, LAYERS + ("newton.cg_solve",))
     iters = 3
-    trace = run(quad_problem, quad_graph,
-                quad_params(max_iters=iters, stop_tol=0.0, variant=variant), quad_x0, quad_xstar)
-    assert trace.iterations == iters
-    assert calls == {"graph.consensus_apply": 4 * iters,
-                     "diagnostics.fill_state_metrics": len(trace.rows),
-                     "gradient_tracking.gt_step": 0, "newton.cg_solve": 0}
+    for m, rounds in ((15, 96), ("k", 14)):
+        calls.update(dict.fromkeys(calls, 0))
+        params = quad_params(m=m, max_iters=iters, stop_tol=0.0, variant=variant)
+        trace = run(quad_problem, quad_graph, params, quad_x0, quad_xstar)
+        assert trace.iterations == iters
+        assert calls == {"graph.consensus_apply": 4 * iters, ROUNDS: rounds,
+                         "diagnostics.fill_state_metrics": len(trace.rows),
+                         "gradient_tracking.gt_step": 0, "newton.cg_solve": 0}
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])

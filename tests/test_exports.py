@@ -44,6 +44,17 @@ def test_no_module_imports_a_name_it_does_not_use(name):
     assert unused_imports(path.read_text()) == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(f"{path.parent.name}/{path.name}" for folder in ("tests", "demos")
+                 for path in (ROOT / folder).glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_no_test_or_demo_imports_a_name_it_does_not_use(script):
+    # a test edit that drops the last use of a name leaves its import behind too
+    assert unused_imports((ROOT / script).read_text()) == []
+
+
 def test_unused_imports_finds_a_stale_import_and_spares_the_rest():
     source = ("from __future__ import annotations\nimport numbers\nimport os.path\n"
               "from re import fullmatch as match\nfrom math import pi  # noqa: F401\n"

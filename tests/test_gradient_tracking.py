@@ -18,7 +18,7 @@ from decnewton.gradient_tracking import (
 from decnewton.graph import generate_topology, metropolis_weights
 from decnewton.harness import (_instance, build_problem, preset_configs, repetitions,
                                run_experiment)
-from decnewton.newton import AlgoParams, ConstantSchedule, NetworkState, exchange_bits
+from decnewton.newton import AlgoParams, ConstantSchedule, NetworkState, exchange
 from decnewton.objectives import (batch_gradients, centralized_solve, global_gradient,
                                   make_logistic, make_quadratic)
 
@@ -79,7 +79,7 @@ def test_both_methods_share_the_x_and_g_update(kind, m):
     new_gt, row = newton.step(gt_state, prob, W, GTParams(alpha=0.3, m=m), 2)
     assert np.array_equal(new_n.x, new_gt.x) and np.array_equal(new_n.g, new_gt.g)
     assert new_gt.H is None and np.array_equal(new_gt.local_grads, batch_gradients(prob, new_gt.x))
-    assert (row.iter, row.alpha_k, row.bits) == (3, 0.3, prob.n * exchange_bits(m, prob.d))
+    assert (row.iter, row.alpha_k, row.bits) == (3, 0.3, prob.n * exchange(m, 2, prob.d)[1])
     assert (row.c_k, row.fallback_count, row.cg_max_rel_residual) == (0.0, 0, 0.0)
     hessian_side = (row.track_H, row.err_E, row.diff_Htilde, row.dac_H, row.hess_asymmetry)
     assert all(math.isnan(v) for v in hessian_side)
@@ -544,7 +544,7 @@ def test_params_validation():
         GTParams(alpha=0.1, m=0)
     with pytest.raises(ValueError, match="m must"):  # render_config would write m = True
         GTParams(alpha=0.1, m=True)
-    assert GTParams(alpha=0.1, m=3).rounds(7) == 3
+    assert exchange(GTParams(alpha=0.1, m=3).m, 7, 5) == (3, 3 * 2 * 5 * 64)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -237,6 +237,31 @@ def test_K_above_problem_d_fails_before_any_run(tmp_path, capsys, quad_problem, 
     assert seen == []
 
 
+@pytest.mark.parametrize("base,m", [
+    (QUAD_CFG, "m = 4"), (GT_CFG.replace("alpha = tuned", "alpha = 0.01"), "m = 1"), (GT_CFG, "m = 1"),
+], ids=["newton", "gt", "gt-tuned"])
+def test_m_must_be_a_depth_a_float_holds(tmp_path, capsys, recwarn, base, m):
+    # the metrics take sigma ** (m - 1): an m above the float range ended every run and
+    # caps report in an OverflowError traceback, with no error line
+    huge, top = 10 ** 400, int(sys.float_info.max)
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text(base.replace(m, f"m = {huge}"))
+    for command in (["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                    ["caps", "--config", str(cfg_path)]):
+        assert main(command) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [algorithm] m must be")
+    params = parse_config(base).algorithm
+    with pytest.raises(ValueError, match=r"\[algorithm\] m must be"):
+        replace(params, m=huge)
+    # the largest m a float holds runs. W.power's repeated squaring overflows at such
+    # an m, so the run may stop early, as diverged; only the run itself is pinned here
+    cfg_path.write_text(re.sub(r"max_iters = \d+", "max_iters = 8", base.replace(m, f"m = {top}")))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) in (0, 2, 3)
+    assert not capsys.readouterr().err
+    assert 1 <= read_trace_csv(next((tmp_path / "out").glob("*.csv"))).iterations <= 8
+
+
 def test_method_params_and_alpha_mode_change_together():
     # how the benchmark builds its tuned gradient-tracking workload
     gt = replace(parse_config(QUAD_CFG), method="gt", gt_alpha_mode="tuned",

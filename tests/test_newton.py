@@ -17,6 +17,7 @@ from decnewton.newton import (
     VARIANTS,
     TwoStageSchedule,
     _solve_directions,
+    exchange,
     init_state,
     max_state_deviation,
     run,
@@ -66,8 +67,8 @@ def test_params_validation():
     with pytest.raises(ValueError, match="m must"):  # render_config would write m = True
         AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=0.1, m=True)
     growing = AlgoParams(compressor=spec, alpha=ConstantSchedule(0.1), gamma=0.1, m="k")
-    assert growing.rounds(0) == 1
-    assert growing.rounds(7) == 7
+    assert exchange(growing.m, 0, 3) == (1, 2 * 3 * 64)
+    assert exchange(growing.m, 7, 3) == (7, 7 * 2 * 3 * 64)
 
 
 NAN, INF = float("nan"), float("inf")
